@@ -11,6 +11,22 @@ Oracles hide how the bounds are produced: :class:`FiniteSampleOracle`
 enumerates a finite sample set, while :class:`AnalyticFixture` carries
 closed forms supplied by a fixture author, which is the only honest way
 to represent infinite sample sets.
+
+:class:`FiniteSampleOracle` scans its samples with a kernel chosen from
+the exact type of its preorder.  The two bounds are the max and min
+isotonic envelopes of the samples, so a scan is one pass that keeps a
+running max and min of the values in sample order and wraps each in an
+:class:`ExtReal` once at the end.
+
+* On a :class:`ParetoSpace` the sample points are validated once per
+  oracle, on its first interior scan, and each query once per scan; the
+  loop then compares raw coordinate tuples.
+* On a :class:`FinitePreorder` the query's down-set and up-set bitmasks
+  (``geq_mask``/``leq_mask``, which validate it) are tested against each
+  sample's bit; sample indices are validated once per oracle.
+* The augmented extremes ``TOP``/``BOTTOM`` and every other preorder go
+  through the generic loop (one :func:`compare_augmented` per sample),
+  which is also the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +41,8 @@ from ordext.orders import (
     Augmented,
     Comparison,
     Element,
+    FinitePreorder,
+    ParetoSpace,
     Preorder,
     UnsupportedQueryError,
     compare_augmented,
@@ -141,17 +159,35 @@ class ContourOracle(ABC):
         """Value at a sample point; ``KeyError`` otherwise."""
 
 
+def _bounds_entry(lo, hi) -> Tuple[ExtReal, ExtReal, bool, bool]:
+    """Memo entry from a running max and min; ``None`` marks an empty contour."""
+    return (
+        NEG_INF if lo is None else ExtReal(lo),
+        POS_INF if hi is None else ExtReal(hi),
+        lo is not None,
+        hi is not None,
+    )
+
+
 class FiniteSampleOracle(ContourOracle):
     """Bounds computed by enumerating a finite sample set.
 
     Queries are memoized per point; the cache never changes observable
-    behaviour because the oracle is immutable.
+    behaviour because the oracle is immutable.  Interior queries on a
+    :class:`FinitePreorder` or :class:`ParetoSpace` use that space's
+    kernel (see the module docstring); the running max and min use
+    strict ``>`` and ``<`` in sample order, so ties such as ``-0.0``
+    against ``0.0`` resolve exactly as :func:`sup_ext`/:func:`inf_ext` do.
     """
 
     def __init__(self, rel: Preorder, samples: PartialUtility):
         self._rel = rel
         self._samples = samples
         self._cache: Dict[Augmented, Tuple[ExtReal, ExtReal, bool, bool]] = {}
+        self._kernel = _KERNELS.get(type(rel))
+        # (validated point or sample bit, value) in sample order, built on
+        # the first kernel scan
+        self._validated: Optional[list] = None
 
     @property
     def rel(self) -> Preorder:
@@ -168,25 +204,71 @@ class FiniteSampleOracle(ContourOracle):
             x = x.element
         entry = self._cache.get(x)
         if entry is None:
-            aug = as_augmented(x)
-            below = []
-            above = []
-            for p, v in self._samples.items():
-                cmp = compare_augmented(self._rel, aug, interior(p))
-                if cmp is Comparison.EQUIVALENT:
-                    below.append(v)
-                    above.append(v)
-                elif cmp is Comparison.STRICTLY_GREATER:
-                    below.append(v)
-                elif cmp is Comparison.STRICTLY_LESS:
-                    above.append(v)
-            entry = self._cache[x] = (
-                sup_ext(below),
-                inf_ext(above),
-                bool(below),
-                bool(above),
-            )
+            if self._kernel is None or isinstance(x, Augmented):
+                entry = self._scan_generic(x)
+            else:
+                entry = self._kernel(self, x)
+            self._cache[x] = entry
         return entry
+
+    def _scan_generic(self, x) -> Tuple[ExtReal, ExtReal, bool, bool]:
+        """Reference scan: one augmented comparison per sample."""
+        aug = as_augmented(x)
+        below = []
+        above = []
+        for p, v in self._samples.items():
+            cmp = compare_augmented(self._rel, aug, interior(p))
+            if cmp is Comparison.EQUIVALENT:
+                below.append(v)
+                above.append(v)
+            elif cmp is Comparison.STRICTLY_GREATER:
+                below.append(v)
+            elif cmp is Comparison.STRICTLY_LESS:
+                above.append(v)
+        return sup_ext(below), inf_ext(above), bool(below), bool(above)
+
+    def _scan_finite(self, x: int) -> Tuple[ExtReal, ExtReal, bool, bool]:
+        down = self._rel.geq_mask(x)
+        up = self._rel.leq_mask(x)
+        if self._validated is None:
+            check = self._rel._check
+            self._validated = [(1 << check(p), v) for p, v in self._samples.items()]
+        lo = hi = None
+        for bit, v in self._validated:
+            if down & bit and (lo is None or v > lo):
+                lo = v
+            if up & bit and (hi is None or v < hi):
+                hi = v
+        return _bounds_entry(lo, hi)
+
+    def _scan_pareto(self, x: Tuple) -> Tuple[ExtReal, ExtReal, bool, bool]:
+        check = self._rel._check
+        x = check(x)
+        if self._validated is None:
+            self._validated = [(check(p), v) for p, v in self._samples.items()]
+        # p is weakly below x iff no coordinate has x_i < p_i, and weakly
+        # above iff none has x_i > p_i: the tests ParetoSpace.compare makes
+        lo = hi = None
+        if len(x) == 2:
+            x0, x1 = x
+            for (p0, p1), v in self._validated:
+                if not (x0 < p0 or x1 < p1) and (lo is None or v > lo):
+                    lo = v
+                if not (x0 > p0 or x1 > p1) and (hi is None or v < hi):
+                    hi = v
+            return _bounds_entry(lo, hi)
+        for p, v in self._validated:
+            below = above = True
+            for xi, pi in zip(x, p):
+                if xi < pi:
+                    below = False
+                elif xi > pi:
+                    above = False
+            if below and (lo is None or v > lo):
+                lo = v
+            if above and (hi is None or v < hi):
+                hi = v
+        return _bounds_entry(lo, hi)
 
     def lower_sup(self, x) -> ExtReal:
         return self._scan(x)[0]
@@ -203,6 +285,14 @@ class FiniteSampleOracle(ContourOracle):
 
     def sample_value(self, x: Element) -> float:
         return self._samples.value(x)
+
+
+# interior-query kernels by exact preorder type; subclasses may redefine
+# the order, so they take the generic loop
+_KERNELS = {
+    FinitePreorder: FiniteSampleOracle._scan_finite,
+    ParetoSpace: FiniteSampleOracle._scan_pareto,
+}
 
 
 @dataclass(frozen=True)

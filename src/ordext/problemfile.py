@@ -27,13 +27,14 @@ carry their own sample structure and support diagnosis only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ordext.contours import AnalyticFixture, FiniteSampleOracle, PartialUtility
 from ordext.extension import ExtensionEngine, make_engine
 from ordext.fixtures import FIXTURE_NAMES, get_fixture
-from ordext.orders import Element, FinitePreorder, ParetoSpace, UnsupportedQueryError
+from ordext.orders import Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError
 from ordext.utility import pareto_base_utility
 
 __all__ = [
@@ -76,6 +77,16 @@ def _as_number(value, location):
     if value != value or value in (float("inf"), float("-inf")):
         raise ProblemFileError(location, "expected a finite number")
     return value
+
+
+def _check_range(alpha, beta):
+    if not alpha < beta:
+        raise ProblemFileError("alpha", f"alpha must be below beta (got {alpha} >= {beta})")
+    # the engine and the squash divide by and scale with beta - alpha
+    if not math.isfinite(beta - alpha):
+        raise ProblemFileError(
+            "beta", f"beta - alpha must be finite (got alpha={alpha}, beta={beta})"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,13 +134,19 @@ class ProblemInstance:
             return "(" + ",".join(repr(c) for c in x) + ")"
         return repr(x)
 
-    def to_engine(self) -> ExtensionEngine:
+    def to_engine(
+        self, rel: Optional[Preorder] = None, samples: Optional[PartialUtility] = None
+    ) -> ExtensionEngine:
+        """Build the engine, reusing ``relation()``/``sample_utility()`` results if given."""
         if self.kind == "fixture":
             raise UnsupportedQueryError(
                 "fixture instances support diagnosis only; no engine is built"
             )
-        rel = self.relation()
-        oracle = FiniteSampleOracle(rel, self.sample_utility())
+        if rel is None:
+            rel = self.relation()
+        if samples is None:
+            samples = self.sample_utility()
+        oracle = FiniteSampleOracle(rel, samples)
         base = None
         if self.base_utility is not None and self.base_utility[0] == "weighted-sum":
             base = pareto_base_utility(rel, self.base_utility[1])
@@ -138,10 +155,7 @@ class ProblemInstance:
     def with_range(self, alpha: Optional[float], beta: Optional[float]) -> "ProblemInstance":
         new_alpha = self.alpha if alpha is None else alpha
         new_beta = self.beta if beta is None else beta
-        if not new_alpha < new_beta:
-            raise ProblemFileError(
-                "alpha", f"alpha must be below beta (got {new_alpha} >= {new_beta})"
-            )
+        _check_range(new_alpha, new_beta)
         return replace(self, alpha=new_alpha, beta=new_beta)
 
     def with_base_utility(self, descriptor) -> "ProblemInstance":
@@ -288,8 +302,7 @@ def parse_problem(text: str) -> ProblemInstance:
     _known_keys(doc, {"space", "samples", "alpha", "beta", "base_utility"}, "$")
     alpha = _as_number(doc.get("alpha", 0.0), "alpha")
     beta = _as_number(doc.get("beta", 1.0), "beta")
-    if not alpha < beta:
-        raise ProblemFileError("alpha", f"alpha must be below beta (got {alpha} >= {beta})")
+    _check_range(alpha, beta)
     samples = _parse_samples(
         doc, kind, space.get("element_names", ()), space.get("dimension", 0)
     )

@@ -53,35 +53,33 @@ class UtilityFn:
 def finite_utility(rel: FinitePreorder) -> UtilityFn:
     """Integer-valued utility for a finite preorder.
 
-    Equivalence classes collapse to single nodes; each class is valued
-    by the length of the longest chain of strict dominations below it.
-    Equivalent elements therefore share a value by construction, and a
-    strictly dominated class sits strictly lower.
+    Each element is valued by the length of the longest chain of strict
+    dominations below it.  Equivalent elements share their strict
+    down-set, and therefore their value; a strictly dominated element
+    sits strictly lower.
+
+    Elements are visited in a topological order of the strict order: a
+    strictly dominated element has a strictly smaller strict down-set, so
+    sorting by down-set size puts it first.  An element's level is then
+    one above the highest level whose members meet its strict down-set,
+    found by bitmask tests from the top level down; no recursion, so a
+    chain of any length is fine.
     """
-    classes = rel.equivalence_classes()
-    class_of = {}
-    for idx, members in enumerate(classes):
-        for x in members:
-            class_of[x] = idx
-    reps = [members[0] for members in classes]
+    n = rel.n
+    strict_below = [rel.geq_mask(x) & ~rel.leq_mask(x) for x in range(n)]
+    level = [0] * n
+    at_level: list[int] = []  # bitmask of the elements given each level so far
+    for x in sorted(range(n), key=lambda x: strict_below[x].bit_count()):
+        below = strict_below[x]
+        lv = len(at_level)
+        while lv and not below & at_level[lv - 1]:
+            lv -= 1
+        if lv == len(at_level):
+            at_level.append(0)
+        at_level[lv] |= 1 << x
+        level[x] = lv
 
-    below: list[list[int]] = [[] for _ in classes]
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            if i != j and rel.strictly_greater(ri, rj):
-                below[i].append(j)
-
-    level: list[Optional[int]] = [None] * len(classes)
-
-    def resolve(i: int) -> int:
-        if level[i] is None:
-            level[i] = 0 if not below[i] else 1 + max(resolve(j) for j in below[i])
-        return level[i]
-
-    for i in range(len(classes)):
-        resolve(i)
-
-    values = {x: float(level[class_of[x]]) for x in range(rel.n)}
+    values = {x: float(level[x]) for x in range(n)}
     return UtilityFn(fn=values.__getitem__, kind=UtilityKind.BASE)
 
 

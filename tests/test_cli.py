@@ -373,3 +373,52 @@ def test_fixture_rejects_extend(tmp_path, capsys):
     queries = tmp_path / "q.json"
     queries.write_text(json.dumps([[0.5]]))
     assert main(["extend", problem, "--queries", str(queries)]) == 2
+
+
+def test_extend_on_long_chain_listed_top_first(tmp_path, capsys):
+    # the longest-chain levels once recursed per chain level and died here
+    names = [f"c{i}" for i in range(2000)]
+    doc = {
+        "space": {
+            "kind": "finite",
+            "elements": names,
+            "geq": [[hi, lo] for hi, lo in zip(names, names[1:])],
+        },
+        "samples": [
+            {"element": names[0], "value": 1.0},
+            {"element": names[-1], "value": 0.0},
+        ],
+    }
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([names[0], names[1000], names[-1]]))
+    code = main(["extend", write(tmp_path, "p.json", doc), "--queries", str(queries)])
+    out = capsys.readouterr().out
+    assert code == 0
+    values = [float(line.split()[1]) for line in out.splitlines()[1:]]
+    assert values[0] == 1.0 and values[2] == 0.0
+    assert 0.0 < values[1] < 1.0
+
+
+@pytest.mark.parametrize("command", ["check", "extend"])
+def test_overflowing_range_in_file_rejected(tmp_path, capsys, command):
+    doc = dict(PARETO_OK, alpha=-1e308, beta=1e308)
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([[0.5, 0.5]]))
+    argv = [command, write(tmp_path, "p.json", doc)]
+    if command == "extend":
+        argv += ["--queries", str(queries)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "beta - alpha must be finite" in captured.err
+    assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("flags", [["--alpha=-1e308", "--beta=1e308"], ["--alpha=-inf"]])
+def test_overflowing_range_flags_rejected(tmp_path, capsys, flags):
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([[0.5, 0.5]]))
+    problem = write(tmp_path, "p.json", PARETO_OK)
+    assert main(["extend", problem, *flags, "--queries", str(queries)]) == 2
+    captured = capsys.readouterr()
+    assert "beta - alpha must be finite" in captured.err
+    assert captured.out == ""

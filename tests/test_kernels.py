@@ -1,0 +1,144 @@
+"""Per-space scan kernels of FiniteSampleOracle against the generic loop.
+
+Every interior query on a ParetoSpace or FinitePreorder goes through a
+kernel; ``_scan_generic`` is the retained one-comparison-per-sample loop
+and serves as the reference.  Bounds are compared as values and as text,
+so ties between ``-0.0`` and ``0.0`` (or ``1`` and ``1.0``) must resolve
+to the same sample in both.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordext.contours import FiniteSampleOracle, PartialUtility
+from ordext.orders import BOTTOM, TOP, FinitePreorder, ForeignElementError, ParetoSpace
+
+# few distinct magnitudes, so duplicates and ties are common
+NUMBERS = st.sampled_from(
+    [-1e12, -2.5, -1, -1.0, -0.0, 0, 0.0, 0.5, 1, 1.0, 3, 7.25, 1e12]
+)
+
+
+def assert_same_scan(oracle, x):
+    assert oracle._kernel is not None
+    got = oracle._scan(x)
+    want = oracle._scan_generic(x)
+    assert got == want
+    assert [str(b) for b in got[:2]] == [str(b) for b in want[:2]]
+
+
+@st.composite
+def pareto_oracles(draw):
+    k = draw(st.integers(1, 3))
+    points = st.tuples(*[NUMBERS] * k)
+    samples = draw(st.lists(st.tuples(points, NUMBERS), max_size=12))
+    queries = draw(st.lists(points, min_size=1, max_size=8))
+    queries += [p for p, _ in samples]
+    return FiniteSampleOracle(ParetoSpace(k), PartialUtility(dict(samples))), queries
+
+
+@given(pareto_oracles())
+def test_pareto_kernel_matches_generic_loop(case):
+    oracle, queries = case
+    for x in queries:
+        assert_same_scan(oracle, x)
+
+
+@st.composite
+def finite_oracles(draw):
+    n = draw(st.integers(1, 9))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    rel = FinitePreorder.closure(n, pairs)
+    samples = draw(st.dictionaries(index, NUMBERS))
+    return FiniteSampleOracle(rel, PartialUtility(samples))
+
+
+@given(finite_oracles())
+def test_finite_kernel_matches_generic_loop(oracle):
+    for x in range(oracle.rel.n):
+        assert_same_scan(oracle, x)
+
+
+@pytest.fixture(scope="module")
+def big_chain():
+    return FinitePreorder.chain(2000)
+
+
+@pytest.fixture(scope="module")
+def big_antichain():
+    return FinitePreorder.antichain(2000)
+
+
+@settings(max_examples=10, deadline=None)
+@given(samples=st.dictionaries(st.integers(0, 1999), NUMBERS, max_size=40),
+       queries=st.lists(st.integers(0, 1999), min_size=1, max_size=20))
+def test_kernel_on_2000_element_chain_and_antichain(big_chain, big_antichain, samples, queries):
+    for rel in (big_chain, big_antichain):
+        oracle = FiniteSampleOracle(rel, PartialUtility(samples))
+        for x in queries + [0, 1999] + sorted(samples)[:3]:
+            assert_same_scan(oracle, x)
+
+
+def test_augmented_extremes_take_the_generic_loop():
+    oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0.0, 1.0): -0.0, (1.0, 0.0): 0.0}))
+    assert str(oracle.upper_inf(BOTTOM)) == "-0.0"
+    assert str(oracle.lower_sup(TOP)) == "-0.0"
+    assert oracle.contour_occupancy(TOP) == (True, False)
+
+
+def test_tie_keeps_the_first_sample_in_order():
+    samples = PartialUtility({(1.0, 0.0): -0.0, (0.0, 1.0): 0.0, (-1.0, -1.0): -0.0})
+    oracle = FiniteSampleOracle(ParetoSpace(2), samples)
+    assert str(oracle.lower_sup((1.0, 1.0))) == "-0.0"
+    assert str(oracle.upper_inf((-1.0, -1.0))) == "-0.0"
+    reordered = PartialUtility({(0.0, 1.0): 0.0, (1.0, 0.0): -0.0})
+    assert str(FiniteSampleOracle(ParetoSpace(2), reordered).lower_sup((1.0, 1.0))) == "0.0"
+
+
+def test_int_and_float_coordinates_compare_as_numbers():
+    oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(1, 2): 5, (1.0, 3.0): 6.0}))
+    assert oracle.contour_occupancy((1.0, 2)) == (True, True)
+    assert str(oracle.lower_sup((1.0, 3))) == "6.0"
+    assert str(oracle.upper_inf((1.0, 2.0))) == "5"
+
+
+@pytest.mark.parametrize(
+    "query",
+    [(0.0,), (0.0, 0.0, 0.0), (math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), [0.0, 0.0]],
+    ids=["short", "long", "inf", "-inf", "nan", "list"],
+)
+def test_pareto_kernel_rejects_foreign_queries(query):
+    oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0.0, 0.0): 0.0}))
+    error = TypeError if isinstance(query, list) else ForeignElementError  # unhashable
+    with pytest.raises(error):
+        oracle.lower_sup(query)
+
+
+@pytest.mark.parametrize("query", [-1, 3, 1.0, "a"])
+def test_finite_kernel_rejects_out_of_range_index(query):
+    oracle = FiniteSampleOracle(FinitePreorder.chain(3), PartialUtility({0: 0.0}))
+    with pytest.raises(ForeignElementError):
+        oracle.upper_inf(query)
+
+
+@pytest.mark.parametrize(
+    "rel, bad_sample, query",
+    [
+        (ParetoSpace(2), (1.0,), (0.0, 0.0)),
+        (ParetoSpace(2), (1.0, math.inf), (0.0, 0.0)),
+        (FinitePreorder.chain(3), 5, 1),
+    ],
+    ids=["pareto-length", "pareto-inf", "finite-index"],
+)
+def test_malformed_sample_point_is_rejected_on_every_scan(rel, bad_sample, query):
+    good = (0.0, 0.0) if isinstance(rel, ParetoSpace) else 0
+    oracle = FiniteSampleOracle(rel, PartialUtility({good: 0.0, bad_sample: 1.0}))
+    for _ in range(2):  # a failed validation is not remembered as done
+        with pytest.raises(ForeignElementError):
+            oracle.lower_sup(query)
+    with pytest.raises(ForeignElementError):
+        oracle._scan_generic(query)

@@ -207,6 +207,27 @@ def test_with_range_override():
         inst.with_range(5.0, None)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta", [(-1e308, 1e308), (-1.7e308, 0.5e308), (-1e300, 1.7976931348623157e308)]
+)
+def test_overflowing_range_rejected(alpha, beta):
+    doc = json.loads(text(FINITE_DOC))
+    doc.update(alpha=alpha, beta=beta)
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(json.dumps(doc))
+    assert err.value.location == "beta"
+    inst = parse_problem(text(FINITE_DOC))
+    with pytest.raises(ProblemFileError):
+        inst.with_range(alpha, beta)
+    with pytest.raises(ProblemFileError):
+        inst.with_range(-math.inf, None)
+
+
+def test_wide_finite_range_accepted():
+    inst = parse_problem(text(FINITE_DOC)).with_range(-0.8e308, 0.8e308)
+    assert inst.beta - inst.alpha == 1.6e308
+
+
 def test_base_utility_flag():
     finite = parse_problem(text(FINITE_DOC))
     assert parse_base_utility_flag("levels", finite).base_utility == ("levels",)

@@ -53,6 +53,27 @@ def test_finite_utility_strictly_increasing(rel):
                 assert u(x) > u(y)
 
 
+def longest_chain_below(rel, x):
+    """Brute-force level: longest chain of strict dominations ending at x."""
+    below = [y for y in range(rel.n) if rel.strictly_greater(x, y)]
+    return max((1 + longest_chain_below(rel, y) for y in below), default=0)
+
+
+@given(closed_relations(max_n=7))
+def test_finite_utility_is_the_longest_strict_chain(rel):
+    u = finite_utility(rel)
+    assert [u(x) for x in range(rel.n)] == [
+        float(longest_chain_below(rel, x)) for x in range(rel.n)
+    ]
+
+
+def test_finite_utility_on_a_long_chain_listed_top_first():
+    n = 2000
+    rel = FinitePreorder.closure(n, [(i, i + 1) for i in range(n - 1)])
+    u = finite_utility(rel)
+    assert [u(0), u(1), u(n - 1)] == [n - 1.0, n - 2.0, 0.0]
+
+
 def test_pareto_base_utility_sums_coordinates():
     u = pareto_base_utility(ParetoSpace(2))
     assert u((1.0, 2.0)) == 3.0
