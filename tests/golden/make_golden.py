@@ -89,8 +89,7 @@ def _levels(n, below):
 
 def _dag(rng, n, density):
     """Random DAG on hidden indices; edges point from larger to smaller index."""
-    below = [[j for j in range(i) if rng.random() < density] for i in range(n)]
-    return below
+    return [[j for j in range(i) if rng.random() < density] for i in range(n)]
 
 
 def build_cases(rng):
@@ -261,7 +260,7 @@ def main():
         finally:
             os.chdir(cwd)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
-    print(f"wrote {len(manifest)} commands to {MANIFEST.relative_to(Path.cwd())}")
+    print(f"wrote {len(manifest)} commands to {MANIFEST}")
 
 
 if __name__ == "__main__":

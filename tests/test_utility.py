@@ -67,13 +67,6 @@ def test_finite_utility_is_the_longest_strict_chain(rel):
     ]
 
 
-def test_finite_utility_on_a_long_chain_listed_top_first():
-    n = 2000
-    rel = FinitePreorder.closure(n, [(i, i + 1) for i in range(n - 1)])
-    u = finite_utility(rel)
-    assert [u(0), u(1), u(n - 1)] == [n - 1.0, n - 2.0, 0.0]
-
-
 def test_pareto_base_utility_sums_coordinates():
     u = pareto_base_utility(ParetoSpace(2))
     assert u((1.0, 2.0)) == 3.0
