@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from ordext.contours import PartialUtility
 from ordext.monotonicity import (
     Verdict,
     Witness,
@@ -25,7 +24,7 @@ from ordext.monotonicity import (
     check_strictly_increasing,
     check_weakly_increasing,
 )
-from ordext.orders import Augmented, Preorder, UnsupportedQueryError
+from ordext.orders import Augmented, UnsupportedQueryError
 from ordext.problemfile import (
     ProblemFileError,
     ProblemInstance,
@@ -60,10 +59,12 @@ def _verdict_line(inst: ProblemInstance, title: str, verdict: Verdict) -> None:
         print(f"  witness: {_witness_text(inst, verdict.witness)}")
 
 
-def _gap_verdict(inst: ProblemInstance, rel: Preorder, samples: PartialUtility) -> Verdict:
+def _gap_verdict(inst: ProblemInstance, strict: Optional[Verdict] = None) -> Verdict:
+    rel = inst.relation()
+    samples = inst.sample_utility()
     if inst.kind == "finite":
         return check_gap_safe_finite(rel, samples)
-    return check_gap_safe_pareto(rel, samples)
+    return check_gap_safe_pareto(rel, samples, strict)
 
 
 def cmd_check(inst: ProblemInstance) -> int:
@@ -83,9 +84,7 @@ def cmd_check(inst: ProblemInstance) -> int:
     _verdict_line(inst, "weakly increasing", check_weakly_increasing(rel, samples))
     strict = check_strictly_increasing(rel, samples)
     _verdict_line(inst, "strictly increasing", strict)
-    # on a Pareto space gap-safety is exactly strict increase
-    # (check_gap_safe_pareto), so the verdict is reused
-    gap = strict if inst.kind == "pareto" else _gap_verdict(inst, rel, samples)
+    gap = _gap_verdict(inst, strict)
     _verdict_line(inst, "gap-safe increasing", gap)
     if gap.holds:
         print("extendable: a strictly increasing total extension exists")
@@ -94,10 +93,8 @@ def cmd_check(inst: ProblemInstance) -> int:
     return EXIT_NOT_EXTENDABLE
 
 
-def _refuse_if_not_gap_safe(
-    inst: ProblemInstance, rel: Preorder, samples: PartialUtility
-) -> Optional[int]:
-    gap = _gap_verdict(inst, rel, samples)
+def _refuse_if_not_gap_safe(inst: ProblemInstance) -> Optional[int]:
+    gap = _gap_verdict(inst)
     if gap.holds:
         return None
     print("refusing: instance is not gap-safe increasing", file=sys.stderr)
@@ -114,11 +111,10 @@ def _print_table(header: Sequence[str], rows: List[Sequence[str]]) -> None:
 
 
 def cmd_extend(inst: ProblemInstance, queries: List) -> int:
-    rel, samples = inst.relation(), inst.sample_utility()
-    refusal = _refuse_if_not_gap_safe(inst, rel, samples)
+    refusal = _refuse_if_not_gap_safe(inst)
     if refusal is not None:
         return refusal
-    engine = inst.to_engine(rel, samples)
+    engine = inst.to_engine()
     rows = []
     for x in queries:
         values = engine.evaluate_all_forms(x)
@@ -171,11 +167,10 @@ def cmd_grid(inst: ProblemInstance, bbox: str, resolution: int, out: str) -> int
     if resolution < 1:
         raise ProblemFileError("resolution", "must be a positive integer")
     (x_lo, x_hi), (y_lo, y_hi) = _parse_bbox(bbox)
-    rel, samples = inst.relation(), inst.sample_utility()
-    refusal = _refuse_if_not_gap_safe(inst, rel, samples)
+    refusal = _refuse_if_not_gap_safe(inst)
     if refusal is not None:
         return refusal
-    engine = inst.to_engine(rel, samples)
+    engine = inst.to_engine()
     count = 0
     with open(out, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -249,14 +249,6 @@ class FiniteSampleOracle(ContourOracle):
         # p is weakly below x iff no coordinate has x_i < p_i, and weakly
         # above iff none has x_i > p_i: the tests ParetoSpace.compare makes
         lo = hi = None
-        if len(x) == 2:
-            x0, x1 = x
-            for (p0, p1), v in self._validated:
-                if not (x0 < p0 or x1 < p1) and (lo is None or v > lo):
-                    lo = v
-                if not (x0 > p0 or x1 > p1) and (hi is None or v < hi):
-                    hi = v
-            return _bounds_entry(lo, hi)
         for p, v in self._validated:
             below = above = True
             for xi, pi in zip(x, p):

@@ -308,7 +308,9 @@ def check_gap_safe_probes(
     return _PASS
 
 
-def check_gap_safe_pareto(space: Preorder, samples: PartialUtility) -> Verdict:
+def check_gap_safe_pareto(
+    space: Preorder, samples: PartialUtility, strict: Optional[Verdict] = None
+) -> Verdict:
     """Gap-safety for a finite sample set in a Pareto space.
 
     With finitely many samples both bound functions are automatically
@@ -317,7 +319,12 @@ def check_gap_safe_pareto(space: Preorder, samples: PartialUtility) -> Verdict:
     points q >= x' > x >= p, so strict increase forces
     f_P(q) > f_P(p), i.e. b(x') > a(x).  The grid refuter in the
     verification layer re-validates this reduction by sampling.
+
+    ``strict``, when given, is the :func:`check_strictly_increasing`
+    verdict on the same space and samples, and is returned as is.
     """
+    if strict is not None:
+        return strict
     return check_strictly_increasing(space, samples)
 
 

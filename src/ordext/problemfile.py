@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ordext.contours import AnalyticFixture, FiniteSampleOracle, PartialUtility
@@ -103,7 +104,12 @@ class ProblemInstance:
     samples: Tuple[Tuple[Any, float], ...] = ()
     base_utility: Optional[Tuple[Any, ...]] = None  # ("levels",) | ("weighted-sum", weights)
 
-    def relation(self):
+    def relation(self) -> Preorder:
+        """The ambient preorder, built on first use and reused after."""
+        return self._relation
+
+    @cached_property
+    def _relation(self) -> Preorder:
         if self.kind == "finite":
             index = {name: i for i, name in enumerate(self.element_names)}
             pairs = [(index[hi], index[lo]) for hi, lo in self.geq_pairs]
@@ -121,6 +127,10 @@ class ProblemInstance:
         """Samples keyed by engine-level elements (indices or tuples)."""
         if self.kind == "fixture":
             raise UnsupportedQueryError("fixtures carry their own sample structure")
+        return self._sample_utility
+
+    @cached_property
+    def _sample_utility(self) -> PartialUtility:
         if self.kind == "finite":
             index = {name: i for i, name in enumerate(self.element_names)}
             return PartialUtility({index[name]: v for name, v in self.samples})
@@ -134,19 +144,13 @@ class ProblemInstance:
             return "(" + ",".join(repr(c) for c in x) + ")"
         return repr(x)
 
-    def to_engine(
-        self, rel: Optional[Preorder] = None, samples: Optional[PartialUtility] = None
-    ) -> ExtensionEngine:
-        """Build the engine, reusing ``relation()``/``sample_utility()`` results if given."""
+    def to_engine(self) -> ExtensionEngine:
         if self.kind == "fixture":
             raise UnsupportedQueryError(
                 "fixture instances support diagnosis only; no engine is built"
             )
-        if rel is None:
-            rel = self.relation()
-        if samples is None:
-            samples = self.sample_utility()
-        oracle = FiniteSampleOracle(rel, samples)
+        rel = self.relation()
+        oracle = FiniteSampleOracle(rel, self.sample_utility())
         base = None
         if self.base_utility is not None and self.base_utility[0] == "weighted-sum":
             base = pareto_base_utility(rel, self.base_utility[1])

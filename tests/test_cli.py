@@ -5,6 +5,7 @@ import math
 import pytest
 
 from ordext.cli import main
+from ordext.orders import FinitePreorder
 
 GAP_FIXTURE = {"space": {"kind": "fixture", "name": "example-gap"}}
 NIN_FIXTURE = {"space": {"kind": "fixture", "name": "example-nin"}}
@@ -422,3 +423,23 @@ def test_overflowing_range_flags_rejected(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert "beta - alpha must be finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "extend"])
+def test_finite_command_builds_relation_once(tmp_path, capsys, monkeypatch, command):
+    closure = FinitePreorder.closure.__func__
+    calls = []
+
+    def counted(cls, n, pairs):
+        calls.append(n)
+        return closure(cls, n, pairs)
+
+    monkeypatch.setattr(FinitePreorder, "closure", classmethod(counted))
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps(["low"]))
+    argv = [command, write(tmp_path, "p.json", FINITE_OK)]
+    if command == "extend":
+        argv += ["--queries", str(queries)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [3]

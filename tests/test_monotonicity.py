@@ -218,6 +218,13 @@ def test_gap_safe_pareto_examples():
     assert (verdict.witness.lo, verdict.witness.hi) == ((0.0, 0.0), (1.0, 1.0))
 
 
+def test_gap_safe_pareto_reuses_strict_verdict():
+    space = ParetoSpace(2)
+    dec = PartialUtility({(0.0, 0.0): 1.0, (1.0, 1.0): 0.0})
+    strict = check_strictly_increasing(space, dec)
+    assert check_gap_safe_pareto(space, dec, strict) is strict
+
+
 def test_gap_safe_pareto_antichain_any_values():
     space = ParetoSpace(2)
     anti = PartialUtility({(0.0, 1.0): 9.0, (1.0, 0.0): -3.0})
