@@ -4,7 +4,9 @@ Subcommands: ``check`` (diagnosis with witnesses), ``extend`` (extension
 values at query points), ``regions`` (contour bounds and region labels),
 ``grid`` (CSV export over a 2-D box).  Exit codes: 0 when gap-safe (or
 the report succeeded), 1 when the instance is diagnosed non-extendable,
-2 for invalid input.
+2 for invalid input, 3 for an internal error (a fault in ordext, reported
+as one ``internal error: <Type>: <message>`` line on stderr, so that it
+never reads as a verdict).
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from ordext.monotonicity import (
     Verdict,
-    Witness,
     check_gap_safe_finite,
     check_gap_safe_pareto,
     check_gap_safe_probes,
@@ -36,6 +38,7 @@ from ordext.problemfile import (
 EXIT_OK = 0
 EXIT_NOT_EXTENDABLE = 1
 EXIT_INVALID = 2
+EXIT_INTERNAL = 3
 
 
 def _show(inst: ProblemInstance, x) -> str:
@@ -46,24 +49,17 @@ def _show(inst: ProblemInstance, x) -> str:
     return inst.element_label(x)
 
 
-def _witness_text(inst: ProblemInstance, w: Witness) -> str:
-    parts = [f"x={_show(inst, w.lo)}", f"x'={_show(inst, w.hi)}"]
-    parts.extend(f"{label}={value}" for label, value in w.context)
-    text = ", ".join(parts)
-    return f"{text} ({w.note})" if w.note else text
-
-
 def _verdict_line(inst: ProblemInstance, title: str, verdict: Verdict) -> None:
     print(f"{title}: {'yes' if verdict.holds else 'NO'}")
     if not verdict.holds:
-        print(f"  witness: {_witness_text(inst, verdict.witness)}")
+        print(f"  witness: {verdict.witness.describe(partial(_show, inst))}")
 
 
 def _gap_verdict(inst: ProblemInstance, strict: Optional[Verdict] = None) -> Verdict:
     rel = inst.relation()
     samples = inst.sample_utility()
     if inst.kind == "finite":
-        return check_gap_safe_finite(rel, samples)
+        return check_gap_safe_finite(rel, samples, inst.oracle())
     return check_gap_safe_pareto(rel, samples, strict)
 
 
@@ -98,7 +94,7 @@ def _refuse_if_not_gap_safe(inst: ProblemInstance) -> Optional[int]:
     if gap.holds:
         return None
     print("refusing: instance is not gap-safe increasing", file=sys.stderr)
-    print(f"  witness: {_witness_text(inst, gap.witness)}", file=sys.stderr)
+    print(f"  witness: {gap.witness.describe(partial(_show, inst))}", file=sys.stderr)
     return EXIT_NOT_EXTENDABLE
 
 
@@ -252,6 +248,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

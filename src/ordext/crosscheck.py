@@ -1,11 +1,16 @@
 """Independent verification machinery: seeded generators, a brute-force
-extendability oracle, a sampling grid refuter, and exhaustive preorder
-enumeration at desk scale.
+extendability oracle, a sampling grid refuter, exhaustive preorder
+enumeration at desk scale, and the pairwise reference checks.
 
 Everything here deliberately avoids the contour-bound machinery it is
 meant to validate; the brute oracle decides extendability by explicit
 value construction over the equivalence-class condensation, then audits
 its own construction.
+
+The ``pairwise_*`` functions are the one-comparison-per-pair loops that
+the mask-based checks of :mod:`ordext.monotonicity` and
+:func:`ordext.orders.is_pareto_set` replaced.  They return the same
+verdicts and witnesses and serve as the differential-test reference.
 """
 
 from __future__ import annotations
@@ -17,8 +22,24 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ordext.contours import FiniteSampleOracle, PartialUtility
-from ordext.monotonicity import Verdict, Witness, check_gap_safe_finite
-from ordext.orders import Element, FinitePreorder, ParetoSpace
+from ordext.extreal import NEG_INF, POS_INF
+from ordext.monotonicity import (
+    NotAParetoSetError,
+    Verdict,
+    Witness,
+    _bound_witness,
+    check_gap_safe_finite,
+)
+from ordext.orders import (
+    BOTTOM,
+    TOP,
+    Comparison,
+    Element,
+    FinitePreorder,
+    ParetoSpace,
+    Preorder,
+    interior,
+)
 from ordext.utility import finite_utility
 
 __all__ = [
@@ -27,6 +48,12 @@ __all__ = [
     "build_instance",
     "grid_refuter",
     "iter_all_preorders",
+    "pairwise_bounds_comparable",
+    "pairwise_gap_safe_finite",
+    "pairwise_is_pareto_set",
+    "pairwise_pareto_set_values",
+    "pairwise_strictly_increasing",
+    "pairwise_weakly_increasing",
     "pm_one_assignments",
     "random_adversarial_samples",
     "random_finite_preorder",
@@ -297,3 +324,153 @@ def iter_all_preorders(n: int) -> Iterator[FinitePreorder]:
                 break
         if ok:
             yield FinitePreorder(rows)
+
+
+_PASS = Verdict(True)
+
+
+def pairwise_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
+    """Reference for ``check_weakly_increasing``: one ``geq`` per ordered pair."""
+    pts = samples.points
+    for p in pts:
+        for q in pts:
+            if rel.geq(q, p) and samples.value(q) < samples.value(p):
+                return Verdict(
+                    False,
+                    Witness(
+                        lo=p,
+                        hi=q,
+                        context=(
+                            ("f_P(x)", samples.value(p)),
+                            ("f_P(x')", samples.value(q)),
+                        ),
+                        note="x' dominates x but has a smaller value",
+                    ),
+                )
+    return _PASS
+
+
+def pairwise_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
+    """Reference for ``check_strictly_increasing``: one ``compare`` per pair."""
+    pts = samples.points
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            cmp = rel.compare(q, p)
+            if cmp is Comparison.EQUIVALENT and samples.value(q) != samples.value(p):
+                return Verdict(
+                    False,
+                    Witness(
+                        lo=p,
+                        hi=q,
+                        context=(
+                            ("f_P(x)", samples.value(p)),
+                            ("f_P(x')", samples.value(q)),
+                        ),
+                        note="equivalent points with different values",
+                    ),
+                )
+            if cmp is Comparison.STRICTLY_GREATER and not (
+                samples.value(q) > samples.value(p)
+            ):
+                return Verdict(
+                    False,
+                    Witness(
+                        lo=p,
+                        hi=q,
+                        context=(
+                            ("f_P(x)", samples.value(p)),
+                            ("f_P(x')", samples.value(q)),
+                        ),
+                        note="strict domination without a strictly larger value",
+                    ),
+                )
+            if cmp is Comparison.STRICTLY_LESS and not (
+                samples.value(p) > samples.value(q)
+            ):
+                return Verdict(
+                    False,
+                    Witness(
+                        lo=q,
+                        hi=p,
+                        context=(
+                            ("f_P(x)", samples.value(q)),
+                            ("f_P(x')", samples.value(p)),
+                        ),
+                        note="strict domination without a strictly larger value",
+                    ),
+                )
+    return _PASS
+
+
+def pairwise_is_pareto_set(
+    rel: Preorder, points: Iterable[Element]
+) -> Tuple[bool, Optional[Tuple[Element, Element]]]:
+    """Reference for ``is_pareto_set``: two ``strictly_greater`` per pair."""
+    pts = list(points)
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            if rel.strictly_greater(p, q):
+                return False, (p, q)
+            if rel.strictly_greater(q, p):
+                return False, (q, p)
+    return True, None
+
+
+def pairwise_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdict:
+    """Reference for ``check_pareto_set_values``: one ``equivalent`` per pair."""
+    ok, pair = pairwise_is_pareto_set(rel, samples.points)
+    if not ok:
+        raise NotAParetoSetError(pair)
+    pts = samples.points
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            if rel.equivalent(p, q) and samples.value(p) != samples.value(q):
+                return Verdict(
+                    False,
+                    Witness(
+                        lo=p,
+                        hi=q,
+                        context=(
+                            ("f_P(x)", samples.value(p)),
+                            ("f_P(x')", samples.value(q)),
+                        ),
+                        note="equivalent sample points with different values",
+                    ),
+                )
+    return _PASS
+
+
+def pairwise_gap_safe_finite(rel: FinitePreorder, samples: PartialUtility) -> Verdict:
+    """Reference for ``check_gap_safe_finite``: every ordered element pair."""
+    weak = pairwise_weakly_increasing(rel, samples)
+    if not weak.holds:
+        return weak
+
+    oracle = FiniteSampleOracle(rel, samples)
+    for x in rel.iter_elements():
+        if not (oracle.lower_sup(x) < POS_INF):
+            return _bound_witness(oracle, interior(x), TOP, "a(x) is not below +inf")
+        if not (oracle.upper_inf(x) > NEG_INF):
+            return _bound_witness(oracle, BOTTOM, interior(x), "b(x) is not above -inf")
+
+    for x in rel.iter_elements():
+        for y in rel.iter_elements():
+            if rel.strictly_greater(y, x) and not (
+                oracle.upper_inf(y) > oracle.lower_sup(x)
+            ):
+                return _bound_witness(
+                    oracle, x, y, "x' strictly dominates x but b(x') <= a(x)"
+                )
+    return _PASS
+
+
+def pairwise_bounds_comparable(rel: Preorder, samples: PartialUtility) -> Verdict:
+    """Reference for the ``BOUNDS_COMPARABLE`` weak-increase form."""
+    oracle = FiniteSampleOracle(rel, samples)
+    for x in rel.iter_elements():
+        for y in rel.iter_elements():
+            if rel.geq(y, x) and not (
+                oracle.upper_inf(y) >= oracle.lower_sup(x)
+            ):
+                return _bound_witness(oracle, x, y, "x' >= x but b(x') < a(x)")
+    return _PASS

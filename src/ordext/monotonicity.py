@@ -4,13 +4,31 @@ restatements, and the gap-safety criterion that decides extendability.
 Every check returns a :class:`Verdict`.  A failing verdict carries a
 :class:`Witness` naming the offending pair together with the numeric
 context needed to re-verify the violation from scratch.
+
+The pairwise checks run on bitmasks over sample positions instead of
+one order comparison per pair.  :meth:`Preorder.dominance_masks` gives
+each sample's weak up-set and down-set among the samples, and
+:func:`rank_masks` on the values gives ``ge[i]``/``gt[i]``, the samples
+whose value is ``>=``/``>`` ``f(p_i)`` (so ``ge[i] ^ gt[i]`` holds the
+samples of equal value).  Each check is then one pass
+over i with a few mask operations; the witness is the lowest set bit of
+the first non-empty violation mask, which is the first pair in position
+order.  Where the reference loops look at unordered pairs (j > i only),
+the violation is symmetric in i and j, so the first i with a violation
+has no violating partner below it and the masks need no j > i cut.
+The finite gap check reads ``a`` and ``b`` once per element and tests
+each element's strict up-set against the elements whose ``b`` is at most
+its ``a``, a prefix of the elements sorted by ``b``.  The one-comparison-
+per-pair loops are kept in :mod:`ordext.crosscheck` as the references
+these are tested against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ordext.contours import (
     ContourOracle,
@@ -28,7 +46,9 @@ from ordext.orders import (
     Preorder,
     compare_augmented,
     interior,
-    is_pareto_set,
+    lowest_bit,
+    rank_masks,
+    strict_pair,
 )
 
 __all__ = [
@@ -60,9 +80,10 @@ class Witness:
     context: Tuple[Tuple[str, object], ...] = ()
     note: str = ""
 
-    def describe(self) -> str:
-        parts = [f"x={self.lo}", f"x'={self.hi}"]
-        parts.extend(f"{label}={value}" for label, value in self.context)
+    def describe(self, label: Callable[[object], str] = str) -> str:
+        """One line: both elements through ``label``, then the context."""
+        parts = [f"x={label(self.lo)}", f"x'={label(self.hi)}"]
+        parts.extend(f"{name}={value}" for name, value in self.context)
         text = ", ".join(parts)
         return f"{text} ({self.note})" if self.note else text
 
@@ -83,76 +104,61 @@ class Verdict:
 _PASS = Verdict(True)
 
 
+def _pair_witness(samples: PartialUtility, lo, hi, note: str) -> Verdict:
+    return Verdict(
+        False,
+        Witness(
+            lo=lo,
+            hi=hi,
+            context=(
+                ("f_P(x)", samples.value(lo)),
+                ("f_P(x')", samples.value(hi)),
+            ),
+            note=note,
+        ),
+    )
+
+
+def _value_masks(samples: PartialUtility) -> Tuple[List[int], List[int]]:
+    return rank_masks([v for _, v in samples.items()])
+
+
 def check_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Dominating sample points must not have smaller values."""
     pts = samples.points
-    for p in pts:
-        for q in pts:
-            if rel.geq(q, p) and samples.value(q) < samples.value(p):
-                return Verdict(
-                    False,
-                    Witness(
-                        lo=p,
-                        hi=q,
-                        context=(
-                            ("f_P(x)", samples.value(p)),
-                            ("f_P(x')", samples.value(q)),
-                        ),
-                        note="x' dominates x but has a smaller value",
-                    ),
-                )
+    up, _ = rel.dominance_masks(pts)
+    ge, _ = _value_masks(samples)
+    for i, p in enumerate(pts):
+        bad = up[i] & ~ge[i]
+        if bad:
+            return _pair_witness(
+                samples, p, pts[lowest_bit(bad)], "x' dominates x but has a smaller value"
+            )
     return _PASS
 
 
 def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Equivalent points share a value; strict domination means a larger value."""
     pts = samples.points
+    up, down = rel.dominance_masks(pts)
+    ge, gt = _value_masks(samples)
     for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            cmp = rel.compare(q, p)
-            if cmp is Comparison.EQUIVALENT and samples.value(q) != samples.value(p):
-                return Verdict(
-                    False,
-                    Witness(
-                        lo=p,
-                        hi=q,
-                        context=(
-                            ("f_P(x)", samples.value(p)),
-                            ("f_P(x')", samples.value(q)),
-                        ),
-                        note="equivalent points with different values",
-                    ),
+        above = up[i]
+        below = down[i]
+        unequal = above & below & ~(ge[i] ^ gt[i])
+        not_larger = above & ~below & ~gt[i]
+        not_smaller = below & ~above & ge[i]
+        bad = unequal | not_larger | not_smaller
+        if bad:
+            j = lowest_bit(bad)
+            if (unequal >> j) & 1:
+                return _pair_witness(
+                    samples, p, pts[j], "equivalent points with different values"
                 )
-            if cmp is Comparison.STRICTLY_GREATER and not (
-                samples.value(q) > samples.value(p)
-            ):
-                return Verdict(
-                    False,
-                    Witness(
-                        lo=p,
-                        hi=q,
-                        context=(
-                            ("f_P(x)", samples.value(p)),
-                            ("f_P(x')", samples.value(q)),
-                        ),
-                        note="strict domination without a strictly larger value",
-                    ),
-                )
-            if cmp is Comparison.STRICTLY_LESS and not (
-                samples.value(p) > samples.value(q)
-            ):
-                return Verdict(
-                    False,
-                    Witness(
-                        lo=q,
-                        hi=p,
-                        context=(
-                            ("f_P(x)", samples.value(q)),
-                            ("f_P(x')", samples.value(p)),
-                        ),
-                        note="strict domination without a strictly larger value",
-                    ),
-                )
+            note = "strict domination without a strictly larger value"
+            if (not_larger >> j) & 1:
+                return _pair_witness(samples, p, pts[j], note)
+            return _pair_witness(samples, pts[j], p, note)
     return _PASS
 
 
@@ -187,12 +193,20 @@ def check_weak_increase_form(
         return _PASS
 
     if form is WeakIncreaseForm.BOUNDS_COMPARABLE:
-        for x in rel.iter_elements():
-            for y in rel.iter_elements():
-                if rel.geq(y, x) and not (
-                    oracle.upper_inf(y) >= oracle.lower_sup(x)
-                ):
-                    return _bound_witness(oracle, x, y, "x' >= x but b(x') < a(x)")
+        elements = list(rel.iter_elements())
+        up, down = rel.dominance_masks(elements)
+        pair = _first_bound_gap(
+            up,
+            down,
+            [oracle.lower_sup(x) for x in elements],
+            [oracle.upper_inf(x) for x in elements],
+            strict=False,
+        )
+        if pair is not None:
+            i, j = pair
+            return _bound_witness(
+                oracle, elements[i], elements[j], "x' >= x but b(x') < a(x)"
+            )
         return _PASS
 
     if form is WeakIncreaseForm.VALUE_ABOVE_LOWER_SUP:
@@ -253,7 +267,46 @@ def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
     )
 
 
-def check_gap_safe_finite(rel: FinitePreorder, samples: PartialUtility) -> Verdict:
+def _first_bound_gap(
+    up: Sequence[int],
+    down: Sequence[int],
+    lows: Sequence[ExtReal],
+    highs: Sequence[ExtReal],
+    strict: bool,
+) -> Optional[Tuple[int, int]]:
+    """First pair (i, j), lowest i then lowest j, whose bounds collide.
+
+    With ``strict``, j ranges over the strict up-set of i (bit j of
+    ``up[i]`` set, of ``down[i]`` clear) and collides when
+    ``highs[j] <= lows[i]``, so the gap test ``b(x') > a(x)`` fails.
+    Otherwise j ranges over the weak up-set and collides when
+    ``highs[j] < lows[i]``.  For each i, ``bisect`` on the positions
+    sorted by ``highs`` finds how many of them are too low; visiting i in
+    order of that count grows one prefix mask of too-low positions, so
+    no per-i mask is stored.
+    """
+    by_high = sorted(range(len(highs)), key=highs.__getitem__)
+    sorted_highs = [highs[j] for j in by_high]
+    cut = bisect_right if strict else bisect_left
+    counts = [cut(sorted_highs, a) for a in lows]
+    first = None
+    too_low = 0
+    filled = 0
+    for i in sorted(range(len(lows)), key=counts.__getitem__):
+        while filled < counts[i]:
+            too_low |= 1 << by_high[filled]
+            filled += 1
+        bad = up[i] & ~down[i] & too_low if strict else up[i] & too_low
+        if bad and (first is None or i < first[0]):
+            first = (i, lowest_bit(bad))
+    return first
+
+
+def check_gap_safe_finite(
+    rel: FinitePreorder,
+    samples: PartialUtility,
+    oracle: Optional[FiniteSampleOracle] = None,
+) -> Verdict:
     """Decide gap-safety over a finite ground set.
 
     Gap-safety quantifies over strict pairs of the augmented ground set.
@@ -263,26 +316,39 @@ def check_gap_safe_finite(rel: FinitePreorder, samples: PartialUtility) -> Verdi
     for a finite sample set, kept for fidelity); (3) all interior strict
     pairs, which need ``b(x') > a(x)``.  The remaining augmented pair
     (Bottom, Top) is always safe since ``+inf > -inf``.
+
+    Part (3) reads ``a`` and ``b`` once per element and tests each
+    element's strict up-set mask at once (see :func:`_first_bound_gap`).
+    ``oracle``, when given, must be a :class:`FiniteSampleOracle` on the
+    same relation and samples; passing the one an engine will use lets
+    it reuse the bounds.
     """
     weak = check_weakly_increasing(rel, samples)
     if not weak.holds:
         return weak
 
-    oracle = FiniteSampleOracle(rel, samples)
-    for x in rel.iter_elements():
-        if not (oracle.lower_sup(x) < POS_INF):
+    if oracle is None:
+        oracle = FiniteSampleOracle(rel, samples)
+    elements = list(rel.iter_elements())
+    lows = []
+    highs = []
+    for x in elements:
+        a = oracle.lower_sup(x)
+        if not (a < POS_INF):
             return _bound_witness(oracle, interior(x), TOP, "a(x) is not below +inf")
-        if not (oracle.upper_inf(x) > NEG_INF):
+        b = oracle.upper_inf(x)
+        if not (b > NEG_INF):
             return _bound_witness(oracle, BOTTOM, interior(x), "b(x) is not above -inf")
+        lows.append(a)
+        highs.append(b)
 
-    for x in rel.iter_elements():
-        for y in rel.iter_elements():
-            if rel.strictly_greater(y, x) and not (
-                oracle.upper_inf(y) > oracle.lower_sup(x)
-            ):
-                return _bound_witness(
-                    oracle, x, y, "x' strictly dominates x but b(x') <= a(x)"
-                )
+    up, down = rel.dominance_masks(elements)
+    pair = _first_bound_gap(up, down, lows, highs, strict=True)
+    if pair is not None:
+        i, j = pair
+        return _bound_witness(
+            oracle, elements[i], elements[j], "x' strictly dominates x but b(x') <= a(x)"
+        )
     return _PASS
 
 
@@ -346,23 +412,17 @@ def check_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdict:
     the contour-boundedness half of the criterion is automatic, so the
     check reduces to value constancy on equivalence classes.
     """
-    ok, pair = is_pareto_set(rel, samples.points)
-    if not ok:
-        raise NotAParetoSetError(pair)
     pts = samples.points
+    up, down = rel.dominance_masks(pts)
+    pair = strict_pair(pts, up, down)
+    if pair is not None:
+        raise NotAParetoSetError(pair)
+    ge, gt = _value_masks(samples)
     for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            if rel.equivalent(p, q) and samples.value(p) != samples.value(q):
-                return Verdict(
-                    False,
-                    Witness(
-                        lo=p,
-                        hi=q,
-                        context=(
-                            ("f_P(x)", samples.value(p)),
-                            ("f_P(x')", samples.value(q)),
-                        ),
-                        note="equivalent sample points with different values",
-                    ),
-                )
+        bad = up[i] & down[i] & ~(ge[i] ^ gt[i])
+        if bad:
+            return _pair_witness(
+                samples, p, pts[lowest_bit(bad)],
+                "equivalent sample points with different values",
+            )
     return _PASS

@@ -10,6 +10,20 @@ Two concrete ground-set flavours are supported:
 Both expose the same query surface through :class:`Preorder`.  The
 augmented ground set adds two artificial extremes, one strictly above
 and one strictly below everything, via :class:`Augmented`.
+
+Pairwise questions about a list of points (which sample dominates
+which) are answered word-parallel: :meth:`Preorder.dominance_masks`
+returns, per position, the bitmask of positions weakly above and weakly
+below it, so a caller tests all partners of a point with a few integer
+operations instead of one comparison per pair.
+
+* :class:`ParetoSpace` validates each point once, ranks the points on
+  each coordinate with :func:`rank_masks` (one sort, ties grouped by
+  ``==``) and ANDs the k per-coordinate masks: O(k n log n) comparisons
+  plus O(k n) operations on n-bit integers.
+* :class:`FinitePreorder` remaps each point's stored up-set and
+  down-set bitmask from element bits onto position bits.
+* Any other preorder falls back to one ``geq`` per ordered pair.
 """
 
 from __future__ import annotations
@@ -18,7 +32,9 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Optional, Sequence, Tuple
+from numbers import Real
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Element = Any  # int for finite ground sets, tuple of floats for Pareto spaces
 
@@ -42,6 +58,9 @@ __all__ = [
     "is_reflexive",
     "is_symmetric",
     "is_transitive",
+    "lowest_bit",
+    "rank_masks",
+    "strict_pair",
 ]
 
 
@@ -91,6 +110,60 @@ class Preorder(ABC):
         raise UnsupportedQueryError(
             f"{type(self).__name__} has no enumerable ground set"
         )
+
+    def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
+        """Per position i, the positions weakly above and weakly below ``points[i]``.
+
+        Bit j of ``up[i]`` is set iff ``geq(points[j], points[i])``, and
+        bit j of ``down[i]`` iff ``geq(points[i], points[j])``.  This
+        generic version asks ``geq`` once per ordered pair; the concrete
+        spaces override it with word-parallel constructions.
+        """
+        n = len(points)
+        up = [0] * n
+        down = [0] * n
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
+                if self.geq(q, p):
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+        return up, down
+
+
+def lowest_bit(mask: int) -> int:
+    """Index of the lowest set bit of a positive integer."""
+    return (mask & -mask).bit_length() - 1
+
+
+def rank_masks(keys: Sequence) -> Tuple[List[int], List[int]]:
+    """Per position i, the positions whose key is ``>=`` and ``>`` ``keys[i]``.
+
+    The keys must be totally ordered (finite reals).  One sort, a walk
+    from the largest key down that groups ties with ``==`` (so ``-0.0``
+    ties ``0.0`` and ``1`` ties ``1.0``), and one OR per distinct key;
+    positions with equal keys share their mask objects.
+    """
+    n = len(keys)
+    order = sorted(range(n), key=keys.__getitem__)
+    ge = [0] * n
+    gt = [0] * n
+    above = 0
+    end = n
+    while end:
+        key = keys[order[end - 1]]
+        start = end - 1
+        while start and keys[order[start - 1]] == key:
+            start -= 1
+        group = order[start:end]
+        at_least = above
+        for i in group:
+            at_least |= 1 << i
+        for i in group:
+            ge[i] = at_least
+            gt[i] = above
+        above = at_least
+        end = start
+    return ge, gt
 
 
 def _check_reflexive(rows: Sequence[int]) -> Optional[int]:
@@ -204,6 +277,27 @@ class FinitePreorder(Preorder):
         """Bitmask of ``{y | y geq x}`` (the weak up-set of ``x``)."""
         return self._cols[self._check(x)]
 
+    def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
+        """Each point's ``leq_mask``/``geq_mask``, remapped onto point positions."""
+        elems = [self._check(p) for p in points]
+        if elems == list(range(self._n)):
+            return list(self._cols), list(self._rows)
+        if not elems:
+            return [], []
+        # format() writes element bit e at text offset n-1-e; picking the
+        # offsets of the positions from last to first spells the remapped
+        # mask most significant bit first
+        width = f"0{self._n}b"
+        pick = itemgetter(*[self._n - 1 - e for e in reversed(elems)])
+
+        def remap(mask: int) -> int:
+            return int("".join(pick(format(mask, width))), 2)
+
+        return (
+            [remap(self._cols[e]) for e in elems],
+            [remap(self._rows[e]) for e in elems],
+        )
+
     def pairs(self) -> Iterator[Tuple[int, int]]:
         """All related pairs (i, j) with geq(i, j)."""
         for i in range(self._n):
@@ -238,7 +332,12 @@ class FinitePreorder(Preorder):
 
 
 class ParetoSpace(Preorder):
-    """Coordinatewise ``>=`` on k-vectors of finite reals."""
+    """Coordinatewise ``>=`` on k-vectors of finite reals.
+
+    Coordinates must be real numbers: ``int`` and ``float`` (tested by
+    exact type first), or any other :class:`numbers.Real` except
+    ``bool``.  Strings and other orderable objects are foreign.
+    """
 
     __slots__ = ("_k",)
 
@@ -255,8 +354,15 @@ class ParetoSpace(Preorder):
         if not isinstance(x, tuple) or len(x) != self._k:
             raise ForeignElementError(f"{x!r} is not a {self._k}-vector")
         for coord in x:
-            if isinstance(coord, float) and not math.isfinite(coord):
-                raise ForeignElementError(f"{x!r} has a non-finite coordinate")
+            kind = type(coord)
+            if kind is float:
+                if not math.isfinite(coord):
+                    raise ForeignElementError(f"{x!r} has a non-finite coordinate")
+            elif kind is not int:
+                if kind is bool or not isinstance(coord, Real):
+                    raise ForeignElementError(f"{x!r} has a non-numeric coordinate")
+                if not math.isfinite(coord):
+                    raise ForeignElementError(f"{x!r} has a non-finite coordinate")
         return x
 
     def geq(self, x: Element, y: Element) -> bool:
@@ -281,6 +387,20 @@ class ParetoSpace(Preorder):
         if back:
             return Comparison.STRICTLY_LESS
         return Comparison.INCOMPARABLE
+
+    def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
+        """Intersect, over the coordinates, the rank masks of ``>=`` and ``<=``."""
+        pts = [self._check(p) for p in points]
+        n = len(pts)
+        full = (1 << n) - 1
+        up = [full] * n
+        down = [full] * n
+        for d in range(self._k):
+            ge, gt = rank_masks([p[d] for p in pts])
+            for i in range(n):
+                up[i] &= ge[i]
+                down[i] &= ~gt[i]
+        return up, down
 
     def __repr__(self) -> str:
         return f"ParetoSpace(k={self._k})"
@@ -341,15 +461,32 @@ def compare_augmented(rel: Preorder, x: Augmented, y: Augmented) -> Comparison:
 def is_pareto_set(
     rel: Preorder, points: Iterable[Element]
 ) -> Tuple[bool, Optional[Tuple[Element, Element]]]:
-    """True iff no point strictly dominates another; else (False, (winner, loser))."""
+    """True iff no point strictly dominates another; else (False, (winner, loser)).
+
+    The pair reported is the first in position order (i, then j > i).
+    """
     pts = list(points)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            if rel.strictly_greater(p, q):
-                return False, (p, q)
-            if rel.strictly_greater(q, p):
-                return False, (q, p)
-    return True, None
+    pair = strict_pair(pts, *rel.dominance_masks(pts))
+    return (True, None) if pair is None else (False, pair)
+
+
+def strict_pair(
+    points: Sequence[Element], up: Sequence[int], down: Sequence[int]
+) -> Optional[Tuple[Element, Element]]:
+    """First (winner, loser) with one point strictly above the other, or None.
+
+    ``up``/``down`` are :meth:`Preorder.dominance_masks` of ``points``.
+    The pair is the first (i, j) with j > i in position order: strict
+    comparability is symmetric, so the first i that has a strict partner
+    has none below it.
+    """
+    for i, p in enumerate(points):
+        above = up[i] & ~down[i]
+        below = down[i] & ~up[i]
+        if above | below:
+            j = lowest_bit(above | below)
+            return (p, points[j]) if (below >> j) & 1 else (points[j], p)
+    return None
 
 
 def is_maximal(rel: Preorder, x: Element) -> bool:
@@ -374,15 +511,13 @@ def is_transitive(rel: FinitePreorder) -> bool:
 
 
 def is_symmetric(rel: FinitePreorder) -> bool:
-    return all(rel.geq(j, i) for i, j in rel.pairs())
+    return rel._rows == rel._cols
 
 
 def is_antisymmetric(rel: FinitePreorder) -> bool:
-    return all(i == j or not rel.geq(j, i) for i, j in rel.pairs())
+    return all(row & col == 1 << i for i, (row, col) in enumerate(zip(rel._rows, rel._cols)))
 
 
 def is_connected(rel: FinitePreorder) -> bool:
-    n = rel.n
-    return all(
-        rel.geq(i, j) or rel.geq(j, i) for i in range(n) for j in range(i + 1, n)
-    )
+    full = (1 << rel.n) - 1
+    return all(row | col == full for row, col in zip(rel._rows, rel._cols))

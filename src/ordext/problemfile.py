@@ -144,13 +144,25 @@ class ProblemInstance:
             return "(" + ",".join(repr(c) for c in x) + ")"
         return repr(x)
 
+    def oracle(self) -> FiniteSampleOracle:
+        """The sample oracle, built on first use and reused after.
+
+        The gap check and the engine share it, so bounds the check reads
+        are not scanned again when the engine evaluates.
+        """
+        return self._oracle
+
+    @cached_property
+    def _oracle(self) -> FiniteSampleOracle:
+        return FiniteSampleOracle(self.relation(), self.sample_utility())
+
     def to_engine(self) -> ExtensionEngine:
         if self.kind == "fixture":
             raise UnsupportedQueryError(
                 "fixture instances support diagnosis only; no engine is built"
             )
         rel = self.relation()
-        oracle = FiniteSampleOracle(rel, self.sample_utility())
+        oracle = self.oracle()
         base = None
         if self.base_utility is not None and self.base_utility[0] == "weighted-sum":
             base = pareto_base_utility(rel, self.base_utility[1])

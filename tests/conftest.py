@@ -1,5 +1,21 @@
 import sys
 
+import pytest
+
+from ordext.orders import FinitePreorder
+
+
+# building a 2000-element relation takes about a second, so the modules
+# that test at that size share one of each
+@pytest.fixture(scope="session")
+def big_chain():
+    return FinitePreorder.chain(2000)
+
+
+@pytest.fixture(scope="session")
+def big_antichain():
+    return FinitePreorder.antichain(2000)
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance")

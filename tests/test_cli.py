@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from ordext import contours
 from ordext.cli import main
+from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
 from ordext.orders import FinitePreorder
 
 GAP_FIXTURE = {"space": {"kind": "fixture", "name": "example-gap"}}
@@ -443,3 +446,45 @@ def test_finite_command_builds_relation_once(tmp_path, capsys, monkeypatch, comm
     assert main(argv) == 0
     capsys.readouterr()
     assert calls == [3]
+
+
+GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases"
+
+
+def test_finite_extend_scans_each_point_once(capsys, monkeypatch):
+    # the gap check and the engine share one oracle, so the bounds the
+    # check reads for every element are not scanned again per query
+    kernel = contours._KERNELS[FinitePreorder]
+    scanned = []
+
+    def counted(oracle, x):
+        scanned.append(x)
+        return kernel(oracle, x)
+
+    monkeypatch.setitem(contours._KERNELS, FinitePreorder, counted)
+    argv = ["extend", str(GOLDEN_CASES / "finite-dag.json"),
+            "--queries", str(GOLDEN_CASES / "finite-dag.queries.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert scanned
+    assert len(scanned) == len(set(scanned))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [DiscordantFormsError("forms disagree"), UnboundedContourError("no bound"),
+     KeyError("k"), RuntimeError("boom")],
+    ids=lambda e: type(e).__name__,
+)
+def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def broken(self, x):
+        raise error
+
+    monkeypatch.setattr(ExtensionEngine, "evaluate_all_forms", broken)
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps(["mid"]))
+    argv = ["extend", write(tmp_path, "p.json", FINITE_OK), "--queries", str(queries)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(error).__name__}: {error}\n"

@@ -63,16 +63,6 @@ def test_finite_kernel_matches_generic_loop(oracle):
         assert_same_scan(oracle, x)
 
 
-@pytest.fixture(scope="module")
-def big_chain():
-    return FinitePreorder.chain(2000)
-
-
-@pytest.fixture(scope="module")
-def big_antichain():
-    return FinitePreorder.antichain(2000)
-
-
 @settings(max_examples=10, deadline=None)
 @given(samples=st.dictionaries(st.integers(0, 1999), NUMBERS, max_size=40),
        queries=st.lists(st.integers(0, 1999), min_size=1, max_size=20))

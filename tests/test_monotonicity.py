@@ -251,3 +251,14 @@ def test_failing_verdict_must_carry_witness():
 
     with pytest.raises(ValueError):
         Verdict(False)
+
+
+def test_witness_describe_labels_both_elements():
+    from ordext.monotonicity import Witness
+
+    w = Witness(lo=interior(0), hi=TOP, context=(("a(x)", "1.0"), ("b(x')", "+inf")), note="n")
+    assert w.describe() == "x=0, x'=Top, a(x)=1.0, b(x')=+inf (n)"
+    names = {0: "low"}
+    label = lambda x: names[x.element] if x.is_interior else str(x)  # noqa: E731
+    assert w.describe(label) == "x=low, x'=Top, a(x)=1.0, b(x')=+inf (n)"
+    assert Witness(lo=1, hi=2).describe(lambda x: f"e{x}") == "x=e1, x'=e2"

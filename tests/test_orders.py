@@ -1,5 +1,9 @@
 """Preorder construction, comparison labels, and relation audits."""
 
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,6 +110,32 @@ def test_pareto_compare_labels():
 def test_pareto_rejects_wrong_dimension():
     with pytest.raises(ForeignElementError):
         ParetoSpace(2).geq((1.0,), (0.0, 0.0))
+
+
+class Subfloat(float):
+    """A real that is not exactly a float, like numpy's float64."""
+
+
+@pytest.mark.parametrize(
+    "point",
+    [("a", "b"), (1.0, "b"), (None, 0.0), (True, 0.0), (1j, 0.0), (Decimal("1"), 0.0),
+     (Fraction(1, 3), math.inf), (0.0, Subfloat("nan"))],
+    ids=["strings", "one-string", "none", "bool", "complex", "decimal", "inf-next-to-fraction",
+         "float-subclass-nan"],
+)
+def test_pareto_rejects_non_numeric_coordinates(point):
+    space = ParetoSpace(2)
+    with pytest.raises(ForeignElementError):
+        space.geq(point, (0.0, 0.0))
+    with pytest.raises(ForeignElementError):
+        space.dominance_masks([(0.0, 0.0), point])
+
+
+def test_pareto_accepts_int_float_and_other_real_coordinates():
+    space = ParetoSpace(2)
+    assert space.compare((1, 2.0), (1.0, 2)) is Comparison.EQUIVALENT
+    assert space.compare((-0.0, 0), (0.0, -0.0)) is Comparison.EQUIVALENT
+    assert space.compare((Fraction(1, 3), Subfloat(2.0)), (0, 2)) is Comparison.STRICTLY_GREATER
 
 
 def test_finite_rejects_foreign_index():
