@@ -11,6 +11,10 @@ The ``pairwise_*`` functions are the one-comparison-per-pair loops that
 the mask-based checks of :mod:`ordext.monotonicity` and
 :func:`ordext.orders.is_pareto_set` replaced.  They return the same
 verdicts and witnesses and serve as the differential-test reference.
+``warshall_closure``, ``bitwise_transpose`` and
+``pairwise_check_transitive`` are the per-bit loops that the
+word-parallel relation build of :class:`ordext.orders.FinitePreorder`
+replaced, kept as its reference in the same way.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from ordext.orders import (
     Comparison,
     Element,
     FinitePreorder,
+    ForeignElementError,
     ParetoSpace,
     Preorder,
     interior,
@@ -44,11 +49,13 @@ from ordext.utility import finite_utility
 
 __all__ = [
     "InstanceSpec",
+    "bitwise_transpose",
     "brute_extendability",
     "build_instance",
     "grid_refuter",
     "iter_all_preorders",
     "pairwise_bounds_comparable",
+    "pairwise_check_transitive",
     "pairwise_gap_safe_finite",
     "pairwise_is_pareto_set",
     "pairwise_pareto_set_values",
@@ -58,6 +65,7 @@ __all__ = [
     "random_adversarial_samples",
     "random_finite_preorder",
     "random_gap_safe_samples",
+    "warshall_closure",
 ]
 
 MAX_BRUTE_SIZE = 8
@@ -310,20 +318,50 @@ def iter_all_preorders(n: int) -> Iterator[FinitePreorder]:
         rows = [
             tables[i][(mask >> (chunk_bits * i)) & chunk_mask] for i in range(n)
         ]
-        ok = True
-        for i in range(n):
-            ri = rows[i]
-            rest = ri
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if rows[j] & ~ri:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if pairwise_check_transitive(rows) is None:
             yield FinitePreorder(rows)
+
+
+def warshall_closure(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+    """Reference for ``FinitePreorder.closure``: rows of the Warshall sweep."""
+    rows = [1 << i for i in range(n)]
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ForeignElementError(f"pair ({i}, {j}) out of range for n={n}")
+        rows[i] |= 1 << j
+    # Warshall sweep on bitmask rows: after step k, row i holds every j
+    # reachable from i through intermediates <= k.
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rows[k]
+    return rows
+
+
+def bitwise_transpose(rows: Sequence[int]) -> List[int]:
+    """Reference for the blocked transpose of ``FinitePreorder``: one test per bit."""
+    n = len(rows)
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in range(n):
+            if (row >> j) & 1:
+                cols[j] |= bit
+    return cols
+
+
+def pairwise_check_transitive(rows: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """Reference for the byte-table transitivity check: one test per set bit."""
+    # i >= j forces row(i) to absorb row(j); a missing bit is a witness.
+    for i, row in enumerate(rows):
+        rest = row
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if rows[j] & ~row:
+                return (i, j)
+    return None
 
 
 _PASS = Verdict(True)

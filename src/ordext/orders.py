@@ -173,16 +173,120 @@ def _check_reflexive(rows: Sequence[int]) -> Optional[int]:
     return None
 
 
+# A row i is transitive iff the OR of the rows it contains adds no bit to
+# it.  The OR is taken a byte of row i at a time: each 8-element block
+# keeps a table, filled on first use, from a byte to the OR of the rows
+# its set bits name, so a row costs n/8 lookups and ORs, not one per bit.
+_BLOCK_BITS = 8
+_BYTE_MEMBERS = [
+    tuple(k for k in range(_BLOCK_BITS) if (byte >> k) & 1) for byte in range(1 << _BLOCK_BITS)
+]
+
+
+def _absorbed(rows: Sequence[int]) -> Iterator[int]:
+    """Per row i, the OR of ``rows[j]`` over the set bits j of ``rows[i]``."""
+    n = len(rows)
+    size = (n + _BLOCK_BITS - 1) // _BLOCK_BITS
+    tables: List[dict] = [{} for _ in range(size)]
+    for row in rows:
+        reach = 0
+        base = 0
+        for table, byte in zip(tables, row.to_bytes(size, "little")):
+            if byte:
+                ored = table.get(byte)
+                if ored is None:
+                    ored = 0
+                    for k in _BYTE_MEMBERS[byte]:
+                        ored |= rows[base + k]
+                    table[byte] = ored
+                reach |= ored
+            base += _BLOCK_BITS
+        yield reach
+
+
 def _check_transitive(rows: Sequence[int]) -> Optional[Tuple[int, int]]:
-    # i >= j forces row(i) to absorb row(j); a missing bit is a witness.
-    for i, row in enumerate(rows):
-        rest = row
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if rows[j] & ~row:
-                return (i, j)
+    for i, (row, reach) in enumerate(zip(rows, _absorbed(rows))):
+        if reach & ~row:
+            # i >= j forces row(i) to absorb row(j); name the first j missed
+            rest = row
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if rows[j] & ~row:
+                    return (i, j)
     return None
+
+
+# The transpose formats a block of rows as bit strings, bit j of each row
+# at text offset j, and joins them last row first: then column j of the
+# block is the strided slice text[j::n], most significant row first.
+_TRANSPOSE_BLOCK = 64
+
+
+def _transpose(rows: Sequence[int]) -> List[int]:
+    """Columns of a square bit matrix: bit i of ``cols[j]`` is bit j of ``rows[i]``."""
+    n = len(rows)
+    cols = [0] * n
+    width = f"0{n}b"
+    for base in range(0, n, _TRANSPOSE_BLOCK):
+        block = rows[base:base + _TRANSPOSE_BLOCK]
+        text = "".join([format(row, width)[::-1] for row in reversed(block)])
+        for j in range(n):
+            cols[j] |= int(text[j::n], 2) << base
+    return cols
+
+
+def _reach_rows(succ: Sequence[Sequence[int]]) -> List[int]:
+    """Per element, the bitmask of elements reachable from it, itself included.
+
+    An iterative Tarjan walk finds the strongly connected components in
+    reverse topological order, so every successor outside a component
+    already holds its final row when the component closes; its members
+    share the OR of their own bits and those rows.  A member's successor
+    inside the component still reads 0 then, and adds nothing.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    rows = [0] * n
+    stack: List[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, it = calls[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    calls.append((w, iter(succ[w])))
+                    break
+                # rows[w] stays 0 while w's component is open on the stack
+                if not rows[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                calls.pop()
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    row = 0
+                    for m in members:
+                        row |= 1 << m
+                    for m in members:
+                        for w in succ[m]:
+                            row |= rows[w]
+                    for m in members:
+                        rows[m] = row
+    return rows
 
 
 class FinitePreorder(Preorder):
@@ -204,30 +308,17 @@ class FinitePreorder(Preorder):
             raise ValueError(f"relation is not transitive through pair {bad}")
         self._n = n
         self._rows = tuple(rows)
-        cols = [0] * n
-        for i, row in enumerate(rows):
-            bit = 1 << i
-            for j in range(n):
-                if (row >> j) & 1:
-                    cols[j] |= bit
-        self._cols = tuple(cols)
+        self._cols = tuple(_transpose(self._rows))
 
     @classmethod
     def closure(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "FinitePreorder":
         """Smallest reflexive-transitive relation containing the pairs."""
-        rows = [1 << i for i in range(n)]
+        succ: List[List[int]] = [[] for _ in range(n)]
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ForeignElementError(f"pair ({i}, {j}) out of range for n={n}")
-            rows[i] |= 1 << j
-        # Warshall sweep on bitmask rows: after step k, row i holds every j
-        # reachable from i through intermediates <= k.
-        for k in range(n):
-            bit = 1 << k
-            for i in range(n):
-                if rows[i] & bit:
-                    rows[i] |= rows[k]
-        return cls(rows)
+            succ[i].append(j)
+        return cls(_reach_rows(succ))
 
     @classmethod
     def from_geq_matrix(cls, matrix: Sequence[Sequence[bool]]) -> "FinitePreorder":

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordext.contours import AnalyticFixture, FiniteSampleOracle, PartialUtility
 from ordext.extension import ExtensionEngine, make_engine
@@ -103,6 +103,15 @@ class ProblemInstance:
     fixture_name: str = ""
     samples: Tuple[Tuple[Any, float], ...] = ()
     base_utility: Optional[Tuple[Any, ...]] = None  # ("levels",) | ("weighted-sum", weights)
+    # name -> position in element_names; the parser passes the dict it
+    # validated names with, and it is built here when not given
+    element_index: Optional[Mapping[str, int]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        if self.element_index is None:
+            object.__setattr__(self, "element_index", _name_index(self.element_names))
 
     def relation(self) -> Preorder:
         """The ambient preorder, built on first use and reused after."""
@@ -111,7 +120,7 @@ class ProblemInstance:
     @cached_property
     def _relation(self) -> Preorder:
         if self.kind == "finite":
-            index = {name: i for i, name in enumerate(self.element_names)}
+            index = self.element_index
             pairs = [(index[hi], index[lo]) for hi, lo in self.geq_pairs]
             return FinitePreorder.closure(len(self.element_names), pairs)
         if self.kind == "pareto":
@@ -132,7 +141,7 @@ class ProblemInstance:
     @cached_property
     def _sample_utility(self) -> PartialUtility:
         if self.kind == "finite":
-            index = {name: i for i, name in enumerate(self.element_names)}
+            index = self.element_index
             return PartialUtility({index[name]: v for name, v in self.samples})
         return PartialUtility(dict(self.samples))
 
@@ -201,6 +210,15 @@ def _validate_base(descriptor, kind, dimension, location):
         )
 
 
+def _name_index(names: Sequence[str]) -> Dict[str, int]:
+    return {name: i for i, name in enumerate(names)}
+
+
+def _lookup(index: Mapping[str, int], name) -> Optional[int]:
+    """Position of an element name, or None; a non-string is never a name."""
+    return index.get(name) if isinstance(name, str) else None
+
+
 def _parse_space(doc):
     space = _as_object(doc.get("space"), "space")
     kind = space.get("kind")
@@ -212,7 +230,8 @@ def _parse_space(doc):
         for i, name in enumerate(names):
             if not isinstance(name, str) or not name:
                 raise ProblemFileError(f"space.elements[{i}]", "expected a non-empty string")
-        if len(set(names)) != len(names):
+        index = _name_index(names)
+        if len(index) != len(names):
             raise ProblemFileError("space.elements", "element names must be unique")
         pairs = []
         raw_pairs = space.get("geq", [])
@@ -223,10 +242,15 @@ def _parse_space(doc):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ProblemFileError(loc, "expected a [above, below] pair")
             for name in pair:
-                if name not in names:
+                if _lookup(index, name) is None:
                     raise ProblemFileError(loc, f"unknown element {name!r}")
             pairs.append((pair[0], pair[1]))
-        return {"kind": "finite", "element_names": tuple(names), "geq_pairs": tuple(pairs)}
+        return {
+            "kind": "finite",
+            "element_names": tuple(names),
+            "element_index": index,
+            "geq_pairs": tuple(pairs),
+        }
     if kind == "pareto":
         _known_keys(space, {"kind", "dimension"}, "space")
         dim = space.get("dimension")
@@ -244,7 +268,7 @@ def _parse_space(doc):
     raise ProblemFileError("space.kind", "expected 'finite', 'pareto', or 'fixture'")
 
 
-def _parse_samples(doc, kind, element_names, dimension):
+def _parse_samples(doc, kind, element_index, dimension):
     raw = doc.get("samples", [])
     if not isinstance(raw, list):
         raise ProblemFileError("samples", "expected an array of sample entries")
@@ -257,7 +281,7 @@ def _parse_samples(doc, kind, element_names, dimension):
         if kind == "finite":
             _known_keys(entry, {"element", "value"}, loc)
             name = entry.get("element")
-            if name not in element_names:
+            if _lookup(element_index, name) is None:
                 raise ProblemFileError(f"{loc}.element", f"unknown element {name!r}")
             key = name
         else:
@@ -320,7 +344,7 @@ def parse_problem(text: str) -> ProblemInstance:
     beta = _as_number(doc.get("beta", 1.0), "beta")
     _check_range(alpha, beta)
     samples = _parse_samples(
-        doc, kind, space.get("element_names", ()), space.get("dimension", 0)
+        doc, kind, space.get("element_index"), space.get("dimension", 0)
     )
     base = _parse_base_descriptor(doc, kind, space.get("dimension", 0))
     return ProblemInstance(
@@ -328,6 +352,7 @@ def parse_problem(text: str) -> ProblemInstance:
         alpha=alpha,
         beta=beta,
         element_names=space.get("element_names", ()),
+        element_index=space.get("element_index"),
         geq_pairs=space.get("geq_pairs", ()),
         dimension=space.get("dimension", 0),
         samples=samples,
@@ -383,9 +408,10 @@ def parse_queries(text: str, inst: ProblemInstance) -> List[Element]:
     for i, entry in enumerate(doc):
         loc = f"[{i}]"
         if inst.kind == "finite":
-            if entry not in inst.element_names:
+            position = _lookup(inst.element_index, entry)
+            if position is None:
                 raise ProblemFileError(loc, f"unknown element {entry!r}")
-            out.append(inst.element_names.index(entry))
+            out.append(position)
         elif inst.kind == "pareto":
             if not (isinstance(entry, list) and len(entry) == inst.dimension):
                 raise ProblemFileError(

@@ -5,8 +5,8 @@ import pytest
 from ordext.orders import FinitePreorder
 
 
-# building a 2000-element relation takes about a second, so the modules
-# that test at that size share one of each
+# the modules that test at 2000 elements share one relation of each kind,
+# built once per session
 @pytest.fixture(scope="session")
 def big_chain():
     return FinitePreorder.chain(2000)

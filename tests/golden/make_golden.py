@@ -184,6 +184,18 @@ def build_cases(rng):
     files["finite-bad.json"] = _finite_doc(fnames, fgeq, fsamples)
     files["finite-bad.queries.json"] = fnames
 
+    # ties: weakly increasing, but one sample strictly dominates another
+    # and repeats its value, so only the strict check can refuse them
+    tie2 = [((0.0, 0.0), 0.0), ((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0),
+            ((1.0, 1.0), 2.0), ((2.0, 1.0), 2.0), ((3.0, 3.0), 4.0)]
+    files["pareto2-tie.json"] = _pareto_doc(2, tie2)
+    files["pareto2-tie.queries.json"] = [[0.5, 0.5], [1.5, 1.0], [2.0, 2.0]]
+    tnames = [f"t{i}" for i in range(6)]
+    tgeq = [("t5", "t4"), ("t4", "t3"), ("t5", "t2"), ("t2", "t1"), ("t1", "t0")]
+    tsamples = [("t0", 0.0), ("t2", 1.0), ("t3", 1.0), ("t4", 1.0), ("t5", 3.0)]
+    files["finite-tie.json"] = _finite_doc(tnames, tgeq, tsamples)
+    files["finite-tie.queries.json"] = tnames
+
     files["fixture-gap.json"] = {"space": {"kind": "fixture", "name": "example-gap"}}
     files["fixture-nin.json"] = {"space": {"kind": "fixture", "name": "example-nin"}}
     return files
@@ -219,6 +231,10 @@ def build_commands():
                                           "--out", "grid.csv"]))
     for case in ("fixture-gap", "fixture-nin"):
         commands.append((f"{case}.check", ["check", _case(f"{case}.json")]))
+    for case in ("pareto2-tie", "finite-tie"):
+        commands.append((f"{case}.check", ["check", _case(f"{case}.json")]))
+        commands.append((f"{case}.extend", ["extend", _case(f"{case}.json"), "--queries",
+                                            _case(f"{case}.queries.json")]))
     return commands
 
 

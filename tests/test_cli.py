@@ -488,3 +488,29 @@ def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, err
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+# a name that is not a string (a list or an object) is an unknown element,
+# so the parser's name lookups must not hash it
+@pytest.mark.parametrize(
+    "mangle, queries, message",
+    [
+        (lambda d: d["space"]["geq"].append([["low"], "mid"]), None,
+         "error: space.geq[2]: unknown element ['low']"),
+        (lambda d: d["samples"].append({"element": {"x": 1}, "value": 0.5}), None,
+         "error: samples[2].element: unknown element {'x': 1}"),
+        (lambda d: None, [["low"]], "error: [0]: unknown element ['low']"),
+    ],
+    ids=["geq", "sample", "query"],
+)
+def test_non_string_names_exit_2(tmp_path, capsys, mangle, queries, message):
+    doc = json.loads(json.dumps(FINITE_OK))
+    mangle(doc)
+    problem = write(tmp_path, "p.json", doc)
+    argv = ["check", problem]
+    if queries is not None:
+        argv = ["extend", problem, "--queries", write(tmp_path, "q.json", queries)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""

@@ -1,0 +1,232 @@
+"""The word-parallel relation build against its per-bit references.
+
+``FinitePreorder.closure`` walks strongly connected components and ORs
+whole rows, ``__init__`` checks transitivity a byte of each row at a time
+through per-block tables and transposes the rows in blocks of bit
+strings.  The loops they replaced live in ``ordext.crosscheck``
+(``warshall_closure``, ``pairwise_check_transitive``,
+``bitwise_transpose``) and must give the same rows, columns, witness and
+error text.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordext.crosscheck import (
+    bitwise_transpose,
+    pairwise_check_transitive,
+    warshall_closure,
+)
+from ordext.orders import (
+    FinitePreorder,
+    ForeignElementError,
+    _absorbed,
+    _check_transitive,
+    _transpose,
+)
+
+
+def assert_closure_matches(n, pairs):
+    rel = FinitePreorder.closure(n, pairs)
+    rows = warshall_closure(n, pairs)
+    assert list(rel._rows) == rows
+    assert list(rel._cols) == bitwise_transpose(rows)
+
+
+@st.composite
+def digraphs(draw, max_n=40):
+    """Edge lists with self-loops, duplicates, 2-cycles and long cycles."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    if n > 1 and draw(st.booleans()):
+        # a cycle through a random subset, listed in either direction
+        cycle = draw(st.lists(node, min_size=2, unique=True))
+        pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    if pairs and draw(st.booleans()):
+        i, j = draw(st.sampled_from(pairs))
+        pairs += [(j, i), (i, j)]
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+def test_closure_matches_warshall_on_small_digraphs(graph):
+    assert_closure_matches(*graph)
+
+
+def random_dag(rng, n, out_degree=3.0):
+    order = list(range(n))
+    rng.shuffle(order)
+    p = out_degree / n
+    return [(order[hi], order[lo]) for hi in range(n) for lo in range(hi) if rng.random() < p]
+
+
+def ranking_with_ties(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    levels, pos = [], 0
+    while pos < n:
+        size = rng.randint(1, 4)
+        levels.append(order[pos:pos + size])
+        pos += size
+    pairs = []
+    for level in levels:
+        pairs += [(a, b) for a, b in zip(level, level[1:] + level[:1]) if a != b]
+    for below, above in zip(levels, levels[1:]):
+        pairs += [(x, rng.choice(below)) for x in above]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(300, 600), st.sampled_from([random_dag, ranking_with_ties]),
+       st.integers(0, 2**32 - 1))
+def test_closure_matches_warshall_on_large_relations(n, make, seed):
+    assert_closure_matches(n, make(random.Random(seed), n))
+
+
+@pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
+@pytest.mark.parametrize("backwards", [False, True], ids=["pairs-up", "pairs-down"])
+def test_closure_of_2000_chain(big_chain, top_first, backwards):
+    n = 2000
+    full = (1 << n) - 1
+    down_sets = [(1 << (i + 1)) - 1 for i in range(n)]
+    up_sets = [full & ~((1 << i) - 1) for i in range(n)]
+    if top_first:
+        # element 0 is the top: each element sits above the next one
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        rows, cols = up_sets, down_sets
+    else:
+        pairs = [(i + 1, i) for i in range(n - 1)]
+        rows, cols = down_sets, up_sets
+    if backwards:
+        pairs.reverse()
+    rel = FinitePreorder.closure(n, pairs)
+    assert rel._rows == tuple(rows)
+    assert rel._cols == tuple(cols)
+    if not top_first:
+        assert rel == big_chain
+        assert rel._cols == big_chain._cols
+
+
+def test_closure_of_2000_antichain(big_antichain):
+    rel = FinitePreorder.closure(2000, [(i, i) for i in range(0, 2000, 3)])
+    assert rel._rows == rel._cols == big_antichain._cols == tuple(1 << i for i in range(2000))
+
+
+@pytest.mark.parametrize("pairs, bad", [
+    ([(0, 1), (2, 3), (1, 0)], (2, 3)),
+    ([(0, 1), (-1, 0)], (-1, 0)),
+    ([(0, 3), (3, 0)], (0, 3)),
+])
+def test_closure_rejects_first_out_of_range_pair(pairs, bad):
+    message = f"pair {bad} out of range for n=3"
+    with pytest.raises(ForeignElementError) as fast:
+        FinitePreorder.closure(3, pairs)
+    with pytest.raises(ForeignElementError) as ref:
+        warshall_closure(3, pairs)
+    assert str(fast.value) == str(ref.value) == message
+
+
+@st.composite
+def perturbed_rows(draw, max_n=40):
+    """Closed rows of a random digraph with a few bits flipped (kept reflexive)."""
+    n, pairs = draw(digraphs(max_n))
+    rows = warshall_closure(n, pairs)
+    if n:
+        for _ in range(draw(st.integers(0, 4))):
+            i = draw(st.integers(0, n - 1))
+            j = draw(st.integers(0, n - 1))
+            rows[i] = (rows[i] ^ (1 << j)) | (1 << i)
+    return rows
+
+
+def transitivity_error(rows):
+    """The ``ValueError`` text of ``FinitePreorder(rows)``, or None."""
+    try:
+        FinitePreorder(rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=250, deadline=None)
+@given(perturbed_rows())
+def test_transitivity_check_matches_reference(rows):
+    witness = pairwise_check_transitive(rows)
+    assert _check_transitive(rows) == witness
+    expected = None if witness is None else f"relation is not transitive through pair {witness}"
+    assert transitivity_error(rows) == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(300, 600), st.sampled_from([random_dag, ranking_with_ties]),
+       st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_transitivity_check_matches_reference_on_large_relations(n, make, seed, flips):
+    rng = random.Random(seed)
+    rows = warshall_closure(n, make(rng, n))
+    for _ in range(flips):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i] = (rows[i] ^ (1 << j)) | (1 << i)
+    assert _check_transitive(rows) == pairwise_check_transitive(rows)
+
+
+def absorbed_by_bits(rows):
+    out = []
+    for row in rows:
+        reach = 0
+        for j in range(len(rows)):
+            if (row >> j) & 1:
+                reach |= rows[j]
+        out.append(reach)
+    return out
+
+
+square_rows = st.integers(0, 150).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+
+
+# the transitivity verdict only reads whether a row absorbs new bits, and a
+# false alarm is cleared by the per-bit witness scan, so the byte table's
+# OR is checked exactly on its own
+@settings(max_examples=100, deadline=None)
+@given(square_rows | perturbed_rows())
+def test_byte_table_or_matches_per_bit_or(rows):
+    assert list(_absorbed(rows)) == absorbed_by_bits(rows)
+
+
+def test_matrix_rejection_keeps_message_and_witness():
+    # 2 >= 1 >= 0 without 2 >= 0; the first row to fail is 2, through 1
+    matrix = [
+        [True, False, False],
+        [True, True, False],
+        [False, True, True],
+    ]
+    with pytest.raises(ValueError) as err:
+        FinitePreorder.from_geq_matrix(matrix)
+    assert str(err.value) == "relation is not transitive through pair (2, 1)"
+    with pytest.raises(ValueError) as err:
+        FinitePreorder.from_geq_matrix([[True, False], [False, False]])
+    assert str(err.value) == "relation is not reflexive at element 1"
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 129])
+def test_transpose_at_block_and_byte_boundaries(n):
+    rng = random.Random(n)
+    for density in (0.0, 0.1, 0.5, 1.0):
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        assert _transpose(rows) == bitwise_transpose(rows)
+    single = [1 << (n - 1 - i) for i in range(n)]
+    assert _transpose(single) == bitwise_transpose(single)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_rows)
+def test_transpose_matches_reference_on_random_rows(rows):
+    assert _transpose(rows) == bitwise_transpose(rows)
