@@ -174,24 +174,29 @@ def _check_reflexive(rows: Sequence[int]) -> Optional[int]:
 
 
 # A row i is transitive iff the OR of the rows it contains adds no bit to
-# it.  The OR is taken a byte of row i at a time: each 8-element block
-# keeps a table, filled on first use, from a byte to the OR of the rows
-# its set bits name, so a row costs n/8 lookups and ORs, not one per bit.
+# it.  The OR is taken a byte of row i at a time, one 8-element block
+# after another: a block's table, filled on first use and dropped after
+# the block, maps a byte to the OR of the rows its set bits name, so a
+# row costs n/8 lookups and ORs, not one per bit, and at most one table
+# (256 ORs of n bits) is alive at once.
 _BLOCK_BITS = 8
 _BYTE_MEMBERS = [
     tuple(k for k in range(_BLOCK_BITS) if (byte >> k) & 1) for byte in range(1 << _BLOCK_BITS)
 ]
 
 
-def _absorbed(rows: Sequence[int]) -> Iterator[int]:
+def _absorbed(rows: Sequence[int]) -> List[int]:
     """Per row i, the OR of ``rows[j]`` over the set bits j of ``rows[i]``."""
     n = len(rows)
     size = (n + _BLOCK_BITS - 1) // _BLOCK_BITS
-    tables: List[dict] = [{} for _ in range(size)]
-    for row in rows:
-        reach = 0
-        base = 0
-        for table, byte in zip(tables, row.to_bytes(size, "little")):
+    # row i's bytes sit at text[i * size:(i + 1) * size], so block b of
+    # every row is the strided slice text[b::size]
+    text = b"".join([row.to_bytes(size, "little") for row in rows])
+    reach = [0] * n
+    for block in range(size):
+        base = block * _BLOCK_BITS
+        table: dict = {}
+        for i, byte in enumerate(text[block::size]):
             if byte:
                 ored = table.get(byte)
                 if ored is None:
@@ -199,9 +204,8 @@ def _absorbed(rows: Sequence[int]) -> Iterator[int]:
                     for k in _BYTE_MEMBERS[byte]:
                         ored |= rows[base + k]
                     table[byte] = ored
-                reach |= ored
-            base += _BLOCK_BITS
-        yield reach
+                reach[i] |= ored
+    return reach
 
 
 def _check_transitive(rows: Sequence[int]) -> Optional[Tuple[int, int]]:

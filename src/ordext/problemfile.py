@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -103,24 +103,20 @@ class ProblemInstance:
     fixture_name: str = ""
     samples: Tuple[Tuple[Any, float], ...] = ()
     base_utility: Optional[Tuple[Any, ...]] = None  # ("levels",) | ("weighted-sum", weights)
-    # name -> position in element_names; the parser passes the dict it
-    # validated names with, and it is built here when not given
-    element_index: Optional[Mapping[str, int]] = field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        if self.element_index is None:
-            object.__setattr__(self, "element_index", _name_index(self.element_names))
 
     def relation(self) -> Preorder:
         """The ambient preorder, built on first use and reused after."""
         return self._relation
 
     @cached_property
+    def _element_index(self) -> Dict[str, int]:
+        """Name -> position in ``element_names``."""
+        return _name_index(self.element_names)
+
+    @cached_property
     def _relation(self) -> Preorder:
         if self.kind == "finite":
-            index = self.element_index
+            index = self._element_index
             pairs = [(index[hi], index[lo]) for hi, lo in self.geq_pairs]
             return FinitePreorder.closure(len(self.element_names), pairs)
         if self.kind == "pareto":
@@ -141,7 +137,7 @@ class ProblemInstance:
     @cached_property
     def _sample_utility(self) -> PartialUtility:
         if self.kind == "finite":
-            index = self.element_index
+            index = self._element_index
             return PartialUtility({index[name]: v for name, v in self.samples})
         return PartialUtility(dict(self.samples))
 
@@ -352,7 +348,6 @@ def parse_problem(text: str) -> ProblemInstance:
         alpha=alpha,
         beta=beta,
         element_names=space.get("element_names", ()),
-        element_index=space.get("element_index"),
         geq_pairs=space.get("geq_pairs", ()),
         dimension=space.get("dimension", 0),
         samples=samples,
@@ -408,7 +403,7 @@ def parse_queries(text: str, inst: ProblemInstance) -> List[Element]:
     for i, entry in enumerate(doc):
         loc = f"[{i}]"
         if inst.kind == "finite":
-            position = _lookup(inst.element_index, entry)
+            position = _lookup(inst._element_index, entry)
             if position is None:
                 raise ProblemFileError(loc, f"unknown element {entry!r}")
             out.append(position)

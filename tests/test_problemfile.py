@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from ordext.orders import FinitePreorder, ParetoSpace, UnsupportedQueryError
 from ordext.problemfile import (
     ProblemFileError,
+    ProblemInstance,
     parse_base_utility_flag,
     parse_problem,
     parse_queries,
@@ -72,6 +74,24 @@ def test_finite_relation_closure():
     samples = inst.sample_utility()
     assert samples.value(low) == 0.0
     assert samples.value(high) == 1.0
+
+
+def test_names_map_by_element_names_of_each_instance():
+    # the name -> index map is derived from element_names, so an instance
+    # built directly or through replace() cannot carry a stale one
+    inst = parse_problem(text(FINITE_DOC))
+    flipped = replace(inst, element_names=("high", "mid", "low"))
+    low, mid, high = 2, 1, 0
+    rel = flipped.relation()
+    assert rel.geq(high, low) and not rel.geq(low, high)
+    assert flipped.sample_utility().value(high) == 1.0
+    assert parse_queries('["mid", "low"]', flipped) == [mid, low]
+    direct = ProblemInstance(
+        kind="finite", element_names=inst.element_names, geq_pairs=inst.geq_pairs,
+        samples=inst.samples,
+    )
+    assert direct == inst
+    assert direct.relation() == inst.relation()
 
 
 def test_finite_engine_restricts():
