@@ -21,24 +21,14 @@ from ordext.extension import (
     UnboundedContourError,
     make_engine,
 )
-from ordext.extreal import (
-    NEG_INF,
-    POS_INF,
-    ExtReal,
-    IndeterminateFormError,
-    inf_ext,
-    sup_ext,
-)
 from ordext.fixtures import FIXTURE_NAMES, get_fixture
 from ordext.monotonicity import (
     Verdict,
-    WeakIncreaseForm,
     Witness,
     check_gap_safe_finite,
     check_gap_safe_pareto,
     check_gap_safe_probes,
     check_strictly_increasing,
-    check_weak_increase_form,
     check_weakly_increasing,
 )
 from ordext.orders import (
@@ -74,15 +64,11 @@ __all__ = [
     "ContourOracle",
     "ContourRegion",
     "DiscordantFormsError",
-    "ExtReal",
     "ExtensionEngine",
     "FIXTURE_NAMES",
     "FinitePreorder",
     "FiniteSampleOracle",
     "ForeignElementError",
-    "IndeterminateFormError",
-    "NEG_INF",
-    "POS_INF",
     "ParetoSpace",
     "PartialUtility",
     "Preorder",
@@ -92,18 +78,15 @@ __all__ = [
     "UtilityFn",
     "UtilityKind",
     "Verdict",
-    "WeakIncreaseForm",
     "Witness",
     "check_gap_safe_finite",
     "check_gap_safe_pareto",
     "check_gap_safe_probes",
     "check_strictly_increasing",
-    "check_weak_increase_form",
     "check_weakly_increasing",
     "compare_augmented",
     "finite_utility",
     "get_fixture",
-    "inf_ext",
     "interior",
     "is_pareto_set",
     "lower_contour",
@@ -111,6 +94,5 @@ __all__ = [
     "normalize01",
     "pareto_base_utility",
     "squash",
-    "sup_ext",
     "upper_contour",
 ]

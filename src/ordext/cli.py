@@ -18,6 +18,8 @@ from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from ordext.contours import bound_text
+from ordext.extension import ExtensionEngine
 from ordext.monotonicity import (
     Verdict,
     check_gap_safe_finite,
@@ -106,19 +108,22 @@ def _print_table(header: Sequence[str], rows: List[Sequence[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
 
 
+def _labels(engine: ExtensionEngine, x) -> Tuple[str, str]:
+    """The region cell and the band cell (bands joined by ``|``) of a point."""
+    region = engine.classify_contour_region(x)
+    bands = "|".join(band.value for band in engine.classify_bands(x))
+    return region.value, bands
+
+
 def cmd_extend(inst: ProblemInstance, queries: List) -> int:
     refusal = _refuse_if_not_gap_safe(inst)
     if refusal is not None:
         return refusal
     engine = inst.to_engine()
-    rows = []
-    for x in queries:
-        values = engine.evaluate_all_forms(x)
-        region = engine.classify_contour_region(x)
-        bands = "|".join(band.value for band in engine.classify_bands(x))
-        rows.append(
-            (_show(inst, x), format(values[0], ".12g"), region.value, bands)
-        )
+    rows = [
+        (_show(inst, x), format(engine.evaluate(x), ".12g"), *_labels(engine, x))
+        for x in queries
+    ]
     _print_table(("x", "f", "region", "bands"), rows)
     return EXIT_OK
 
@@ -128,9 +133,7 @@ def cmd_regions(inst: ProblemInstance, queries: List) -> int:
     rows = []
     for x in queries:
         a, b = engine.bounds(x)
-        region = engine.classify_contour_region(x)
-        bands = "|".join(band.value for band in engine.classify_bands(x))
-        rows.append((_show(inst, x), str(a), str(b), region.value, bands))
+        rows.append((_show(inst, x), bound_text(a), bound_text(b), *_labels(engine, x)))
     _print_table(("x", "a", "b", "region", "bands"), rows)
     return EXIT_OK
 
@@ -148,7 +151,8 @@ def _parse_bbox(text: str) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     return (x1, x2), (y1, y2)
 
 
-def _axis(lo: float, hi: float, resolution: int) -> List[float]:
+def grid_axis(lo: float, hi: float, resolution: int) -> List[float]:
+    """``resolution`` evenly spaced values from ``lo`` to ``hi``; ``[lo]`` for one."""
     if resolution == 1:
         return [lo]
     step = (hi - lo) / (resolution - 1)
@@ -171,13 +175,11 @@ def cmd_grid(inst: ProblemInstance, bbox: str, resolution: int, out: str) -> int
     with open(out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x1", "x2", "f", "alun", "s_labels"])
-        for v1 in _axis(x_lo, x_hi, resolution):
-            for v2 in _axis(y_lo, y_hi, resolution):
+        for v1 in grid_axis(x_lo, x_hi, resolution):
+            for v2 in grid_axis(y_lo, y_hi, resolution):
                 point = (v1, v2)
                 value = engine.evaluate(point)
-                region = engine.classify_contour_region(point)
-                bands = "|".join(band.value for band in engine.classify_bands(point))
-                writer.writerow([repr(v1), repr(v2), repr(value), region.value, bands])
+                writer.writerow([repr(v1), repr(v2), repr(value), *_labels(engine, point)])
                 count += 1
     print(f"wrote {count} rows to {out}")
     return EXIT_OK

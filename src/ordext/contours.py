@@ -1,11 +1,14 @@
-"""Sample-set contours and the two extended-real bound functions.
+"""Sample-set contours and the two bound functions.
 
 For a partial function on samples ``P``, every query point ``x`` has a
 lower contour (samples weakly below ``x``) and an upper contour (samples
 weakly above).  The bound functions return the supremum of the sample
 values over the lower contour (``lower_sup``) and the infimum over the
 upper contour (``upper_inf``), with ``sup empty = -inf`` and
-``inf empty = +inf``.
+``inf empty = +inf``.  A bound is the sample value itself (an ``int``,
+``float`` or ``Fraction``) or ``-math.inf``/``math.inf``: Python orders
+all of these correctly against each other, so no wrapper type is needed.
+:func:`bound_text` prints a bound as ``-inf``, ``+inf`` or ``str(v)``.
 
 Oracles hide how the bounds are produced: :class:`FiniteSampleOracle`
 enumerates a finite sample set, while :class:`AnalyticFixture` carries
@@ -15,8 +18,7 @@ to represent infinite sample sets.
 :class:`FiniteSampleOracle` scans its samples with a kernel chosen from
 the exact type of its preorder.  The two bounds are the max and min
 isotonic envelopes of the samples, so a scan is one pass that keeps a
-running max and min of the values in sample order and wraps each in an
-:class:`ExtReal` once at the end.
+running max and min of the values in sample order.
 
 * On a :class:`ParetoSpace` the sample points are validated once per
   oracle, on its first interior scan, and each query once per scan; the
@@ -34,9 +36,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from ordext.extreal import NEG_INF, POS_INF, ExtReal, inf_ext, sup_ext
 from ordext.orders import (
     Augmented,
     Comparison,
@@ -55,6 +57,7 @@ __all__ = [
     "FiniteSampleOracle",
     "PartialUtility",
     "as_augmented",
+    "bound_text",
     "lower_contour",
     "upper_contour",
 ]
@@ -64,15 +67,31 @@ def as_augmented(x) -> Augmented:
     return x if isinstance(x, Augmented) else interior(x)
 
 
+def bound_text(v: float) -> str:
+    """A bound as the CLI and witnesses print it: ``+inf``, ``-inf`` or ``str(v)``."""
+    if v == math.inf:
+        return "+inf"
+    if v == -math.inf:
+        return "-inf"
+    return str(v)
+
+
 class PartialUtility:
-    """Finite sample set with one finite real value per sample."""
+    """Finite sample set with one finite real value per sample.
+
+    Values must be ``int`` (``bool`` included), ``float`` or ``Fraction``
+    (``TypeError`` otherwise), and finite (``ValueError`` otherwise).
+    """
 
     __slots__ = ("_points", "_values")
 
     def __init__(self, values: Mapping[Element, float]):
         for p, v in values.items():
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"sample {p!r} has non-finite value {v!r}")
+            if isinstance(v, float):
+                if not math.isfinite(v):
+                    raise ValueError(f"sample {p!r} has non-finite value {v!r}")
+            elif not isinstance(v, (int, Fraction)):
+                raise TypeError(f"sample {p!r} has non-numeric value {v!r}")
         self._points = tuple(values)
         self._values = dict(values)
 
@@ -135,12 +154,12 @@ class ContourOracle(ABC):
         """The ambient preorder the contours are taken in."""
 
     @abstractmethod
-    def lower_sup(self, x) -> ExtReal:
-        """Supremum of sample values weakly below ``x``; -inf when none."""
+    def lower_sup(self, x) -> float:
+        """Supremum of sample values weakly below ``x``; ``-math.inf`` when none."""
 
     @abstractmethod
-    def upper_inf(self, x) -> ExtReal:
-        """Infimum of sample values weakly above ``x``; +inf when none."""
+    def upper_inf(self, x) -> float:
+        """Infimum of sample values weakly above ``x``; ``math.inf`` when none."""
 
     @abstractmethod
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
@@ -159,11 +178,11 @@ class ContourOracle(ABC):
         """Value at a sample point; ``KeyError`` otherwise."""
 
 
-def _bounds_entry(lo, hi) -> Tuple[ExtReal, ExtReal, bool, bool]:
+def _bounds_entry(lo, hi) -> Tuple[float, float, bool, bool]:
     """Memo entry from a running max and min; ``None`` marks an empty contour."""
     return (
-        NEG_INF if lo is None else ExtReal(lo),
-        POS_INF if hi is None else ExtReal(hi),
+        -math.inf if lo is None else lo,
+        math.inf if hi is None else hi,
         lo is not None,
         hi is not None,
     )
@@ -176,14 +195,15 @@ class FiniteSampleOracle(ContourOracle):
     behaviour because the oracle is immutable.  Interior queries on a
     :class:`FinitePreorder` or :class:`ParetoSpace` use that space's
     kernel (see the module docstring); the running max and min use
-    strict ``>`` and ``<`` in sample order, so ties such as ``-0.0``
-    against ``0.0`` resolve exactly as :func:`sup_ext`/:func:`inf_ext` do.
+    strict ``>`` and ``<`` in sample order, so of several equal values
+    (``-0.0`` against ``0.0``, ``1`` against ``1.0``) the first is kept,
+    as ``max`` and ``min`` keep it in the generic loop.
     """
 
     def __init__(self, rel: Preorder, samples: PartialUtility):
         self._rel = rel
         self._samples = samples
-        self._cache: Dict[Augmented, Tuple[ExtReal, ExtReal, bool, bool]] = {}
+        self._cache: Dict[Augmented, Tuple[float, float, bool, bool]] = {}
         self._kernel = _KERNELS.get(type(rel))
         # (validated point or sample bit, value) in sample order, built on
         # the first kernel scan
@@ -197,7 +217,7 @@ class FiniteSampleOracle(ContourOracle):
     def samples(self) -> PartialUtility:
         return self._samples
 
-    def _scan(self, x) -> Tuple[ExtReal, ExtReal, bool, bool]:
+    def _scan(self, x) -> Tuple[float, float, bool, bool]:
         # cache keyed by the raw element: interior wrappers unwrap, the
         # two extremes key by their singletons
         if isinstance(x, Augmented) and x.is_interior:
@@ -211,7 +231,7 @@ class FiniteSampleOracle(ContourOracle):
             self._cache[x] = entry
         return entry
 
-    def _scan_generic(self, x) -> Tuple[ExtReal, ExtReal, bool, bool]:
+    def _scan_generic(self, x) -> Tuple[float, float, bool, bool]:
         """Reference scan: one augmented comparison per sample."""
         aug = as_augmented(x)
         below = []
@@ -225,9 +245,14 @@ class FiniteSampleOracle(ContourOracle):
                 below.append(v)
             elif cmp is Comparison.STRICTLY_LESS:
                 above.append(v)
-        return sup_ext(below), inf_ext(above), bool(below), bool(above)
+        return (
+            max(below, default=-math.inf),
+            min(above, default=math.inf),
+            bool(below),
+            bool(above),
+        )
 
-    def _scan_finite(self, x: int) -> Tuple[ExtReal, ExtReal, bool, bool]:
+    def _scan_finite(self, x: int) -> Tuple[float, float, bool, bool]:
         down = self._rel.geq_mask(x)
         up = self._rel.leq_mask(x)
         if self._validated is None:
@@ -241,7 +266,7 @@ class FiniteSampleOracle(ContourOracle):
                 hi = v
         return _bounds_entry(lo, hi)
 
-    def _scan_pareto(self, x: Tuple) -> Tuple[ExtReal, ExtReal, bool, bool]:
+    def _scan_pareto(self, x: Tuple) -> Tuple[float, float, bool, bool]:
         check = self._rel._check
         x = check(x)
         if self._validated is None:
@@ -262,10 +287,10 @@ class FiniteSampleOracle(ContourOracle):
                 hi = v
         return _bounds_entry(lo, hi)
 
-    def lower_sup(self, x) -> ExtReal:
+    def lower_sup(self, x) -> float:
         return self._scan(x)[0]
 
-    def upper_inf(self, x) -> ExtReal:
+    def upper_inf(self, x) -> float:
         return self._scan(x)[1]
 
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
@@ -294,13 +319,15 @@ class AnalyticFixture(ContourOracle):
     The fixture author supplies the bound functions over augmented
     inputs, a derivation note, and refuting probe pairs ``(x, x_prime)``
     with ``x_prime`` strictly above ``x``.  Probes are re-validated at
-    construction time.
+    construction time.  The bound functions return plain numbers, with
+    ``-math.inf``/``math.inf`` for the infinities; a NaN bound raises
+    ``ValueError`` when it is read.
     """
 
     name: str
     ambient: Preorder
-    lower_sup_fn: Callable[[Augmented], ExtReal]
-    upper_inf_fn: Callable[[Augmented], ExtReal]
+    lower_sup_fn: Callable[[Augmented], float]
+    upper_inf_fn: Callable[[Augmented], float]
     probes: Tuple[Tuple[Augmented, Augmented], ...]
     derivation: str
     occupancy_fn: Optional[Callable[[Augmented], Tuple[bool, bool]]] = None
@@ -315,20 +342,26 @@ class AnalyticFixture(ContourOracle):
                 raise ValueError(
                     f"fixture {self.name!r}: probe ({x}, {x_prime}) is not a strict pair"
                 )
-        if self.lower_sup(BOTTOM) != NEG_INF:
+        if self.lower_sup(BOTTOM) != -math.inf:
             raise ValueError(f"fixture {self.name!r}: lower_sup(Bottom) must be -inf")
-        if self.upper_inf(TOP) != POS_INF:
+        if self.upper_inf(TOP) != math.inf:
             raise ValueError(f"fixture {self.name!r}: upper_inf(Top) must be +inf")
 
     @property
     def rel(self) -> Preorder:
         return self.ambient
 
-    def lower_sup(self, x) -> ExtReal:
-        return ExtReal(self.lower_sup_fn(as_augmented(x)))
+    def _bound(self, fn: Callable[[Augmented], float], x) -> float:
+        v = fn(as_augmented(x))
+        if isinstance(v, float) and math.isnan(v):
+            raise ValueError(f"fixture {self.name!r}: bound at {x!r} is NaN")
+        return v
 
-    def upper_inf(self, x) -> ExtReal:
-        return ExtReal(self.upper_inf_fn(as_augmented(x)))
+    def lower_sup(self, x) -> float:
+        return self._bound(self.lower_sup_fn, x)
+
+    def upper_inf(self, x) -> float:
+        return self._bound(self.upper_inf_fn, x)
 
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
         if self.occupancy_fn is None:

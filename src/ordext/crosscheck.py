@@ -1,6 +1,7 @@
 """Independent verification machinery: seeded generators, a brute-force
 extendability oracle, a sampling grid refuter, exhaustive preorder
-enumeration at desk scale, and the pairwise reference checks.
+enumeration at desk scale, the pairwise reference checks, and the paper's
+restatements of weak increase through the bound functions.
 
 Everything here deliberately avoids the contour-bound machinery it is
 meant to validate; the brute oracle decides extendability by explicit
@@ -15,24 +16,29 @@ verdicts and witnesses and serve as the differential-test reference.
 ``pairwise_check_transitive`` are the per-bit loops that the
 word-parallel relation build of :class:`ordext.orders.FinitePreorder`
 replaced, kept as its reference in the same way.
+:class:`WeakIncreaseForm` and :func:`check_weak_increase_form` state weak
+increase six ways; the acceptance gate checks that all six agree.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ordext.contours import FiniteSampleOracle, PartialUtility
-from ordext.extreal import NEG_INF, POS_INF
+from ordext.cli import grid_axis
+from ordext.contours import FiniteSampleOracle, PartialUtility, bound_text
 from ordext.monotonicity import (
     NotAParetoSetError,
     Verdict,
     Witness,
     _bound_witness,
     check_gap_safe_finite,
+    check_weakly_increasing,
 )
 from ordext.orders import (
     BOTTOM,
@@ -49,9 +55,11 @@ from ordext.utility import finite_utility
 
 __all__ = [
     "InstanceSpec",
+    "WeakIncreaseForm",
     "bitwise_transpose",
     "brute_extendability",
     "build_instance",
+    "check_weak_increase_form",
     "grid_refuter",
     "iter_all_preorders",
     "pairwise_bounds_comparable",
@@ -245,13 +253,7 @@ def grid_refuter(
     if resolution < 1:
         raise ValueError("resolution must be positive")
 
-    axes = []
-    for lo, hi in bbox:
-        if resolution == 1:
-            axes.append([lo])
-        else:
-            step = (hi - lo) / (resolution - 1)
-            axes.append([lo + step * i for i in range(resolution)])
+    axes = [grid_axis(lo, hi, resolution) for lo, hi in bbox]
     points = [tuple(c) for c in itertools.product(*axes)]
     seen = set(points)
     for p in samples.points:
@@ -260,8 +262,8 @@ def grid_refuter(
             seen.add(p)
 
     oracle = FiniteSampleOracle(space, samples)
-    lows = [oracle.lower_sup(x).as_float() for x in points]
-    highs = [oracle.upper_inf(x).as_float() for x in points]
+    lows = [float(oracle.lower_sup(x)) for x in points]
+    highs = [float(oracle.upper_inf(x)) for x in points]
 
     for i, x in enumerate(points):
         for j, y in enumerate(points):
@@ -486,9 +488,9 @@ def pairwise_gap_safe_finite(rel: FinitePreorder, samples: PartialUtility) -> Ve
 
     oracle = FiniteSampleOracle(rel, samples)
     for x in rel.iter_elements():
-        if not (oracle.lower_sup(x) < POS_INF):
+        if not (oracle.lower_sup(x) < math.inf):
             return _bound_witness(oracle, interior(x), TOP, "a(x) is not below +inf")
-        if not (oracle.upper_inf(x) > NEG_INF):
+        if not (oracle.upper_inf(x) > -math.inf):
             return _bound_witness(oracle, BOTTOM, interior(x), "b(x) is not above -inf")
 
     for x in rel.iter_elements():
@@ -503,7 +505,7 @@ def pairwise_gap_safe_finite(rel: FinitePreorder, samples: PartialUtility) -> Ve
 
 
 def pairwise_bounds_comparable(rel: Preorder, samples: PartialUtility) -> Verdict:
-    """Reference for the ``BOUNDS_COMPARABLE`` weak-increase form."""
+    """The ``BOUNDS_COMPARABLE`` form of weak increase: every ordered element pair."""
     oracle = FiniteSampleOracle(rel, samples)
     for x in rel.iter_elements():
         for y in rel.iter_elements():
@@ -512,3 +514,79 @@ def pairwise_bounds_comparable(rel: Preorder, samples: PartialUtility) -> Verdic
             ):
                 return _bound_witness(oracle, x, y, "x' >= x but b(x') < a(x)")
     return _PASS
+
+
+class WeakIncreaseForm(Enum):
+    """Equivalent restatements of weak increase via the bound functions."""
+
+    PAIRWISE = "pairwise"
+    BOUNDS_EVERYWHERE = "bounds_everywhere"
+    BOUNDS_COMPARABLE = "bounds_comparable"
+    VALUE_ABOVE_LOWER_SUP = "value_above_lower_sup"
+    UPPER_INF_ABOVE_VALUE = "upper_inf_above_value"
+    BOUNDS_AT_SAMPLES = "bounds_at_samples"
+
+
+def check_weak_increase_form(
+    rel: Preorder, samples: PartialUtility, form: WeakIncreaseForm
+) -> Verdict:
+    """Evaluate one restatement of weak increase literally.
+
+    The bound-function forms quantifying over the whole ground set
+    (``BOUNDS_EVERYWHERE``, ``BOUNDS_COMPARABLE``) need an enumerable
+    ground set and raise ``UnsupportedQueryError`` otherwise.
+    """
+    oracle = FiniteSampleOracle(rel, samples)
+    if form is WeakIncreaseForm.PAIRWISE:
+        return check_weakly_increasing(rel, samples)
+
+    if form is WeakIncreaseForm.BOUNDS_EVERYWHERE:
+        for x in rel.iter_elements():
+            if not (oracle.upper_inf(x) >= oracle.lower_sup(x)):
+                return _bound_witness(oracle, x, x, "b(x) < a(x)")
+        return _PASS
+
+    if form is WeakIncreaseForm.BOUNDS_COMPARABLE:
+        return pairwise_bounds_comparable(rel, samples)
+
+    if form is WeakIncreaseForm.VALUE_ABOVE_LOWER_SUP:
+        for p in samples.points:
+            if not (samples.value(p) >= oracle.lower_sup(p)):
+                return Verdict(
+                    False,
+                    Witness(
+                        lo=p,
+                        hi=p,
+                        context=(
+                            ("f_P(x)", samples.value(p)),
+                            ("a(x)", bound_text(oracle.lower_sup(p))),
+                        ),
+                        note="sample value below its lower supremum",
+                    ),
+                )
+        return _PASS
+
+    if form is WeakIncreaseForm.UPPER_INF_ABOVE_VALUE:
+        for p in samples.points:
+            if not (oracle.upper_inf(p) >= samples.value(p)):
+                return Verdict(
+                    False,
+                    Witness(
+                        lo=p,
+                        hi=p,
+                        context=(
+                            ("f_P(x)", samples.value(p)),
+                            ("b(x)", bound_text(oracle.upper_inf(p))),
+                        ),
+                        note="sample value above its upper infimum",
+                    ),
+                )
+        return _PASS
+
+    if form is WeakIncreaseForm.BOUNDS_AT_SAMPLES:
+        for p in samples.points:
+            if not (oracle.upper_inf(p) >= oracle.lower_sup(p)):
+                return _bound_witness(oracle, p, p, "b(p) < a(p) at a sample point")
+        return _PASS
+
+    raise ValueError(f"unknown form {form!r}")

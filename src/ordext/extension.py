@@ -1,25 +1,26 @@
 """The strictly increasing extension and its equivalent evaluation forms.
 
 Given contour bounds a(x) (lower supremum) and b(x) (upper infimum), an
-interval (alpha, beta), and a pair of utility representations (one
-normalized to (0, 1), one scaled to (alpha, beta)), the engine blends
-the bounds with the utility so that the result restricts to the sample
-values and increases strictly with the preorder.
+interval (alpha, beta), and a utility representation squashed into
+(alpha, beta), the engine blends the bounds with the utility so that the
+result restricts to the sample values and increases strictly with the
+preorder.
 
-Four algebraically equivalent evaluation routes are provided: the capped
-blend (the defining formula), an offset form, routing by contour region,
-and routing by band.  They exist to cross-check each other; production
-callers can use any one of them.
+:meth:`ExtensionEngine.evaluate`, the capped blend of the defining
+formula, is the one production evaluator: the CLI calls nothing else
+for a value.  The paper's three algebraically equivalent routes (an
+offset form, routing by contour region, routing by band) and
+``evaluate_all_forms`` stay on the engine as the reference that the
+acceptance gate and the tests check ``evaluate`` against.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
-from ordext.extreal import NEG_INF, POS_INF, ExtReal
 from ordext.monotonicity import check_pareto_set_values
 from ordext.orders import Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError
 from ordext.utility import (
@@ -77,28 +78,20 @@ class Band(Enum):
 class ExtensionEngine:
     """Evaluator bundle for one extension instance.
 
-    Immutable after construction.  ``unit_utility`` must take values
-    strictly inside (0, 1) and ``scaled_utility`` must equal
-    ``alpha + (beta - alpha) * unit_utility`` pointwise.
+    Immutable after construction.  ``utility`` must be squashed into
+    (alpha, beta) (see :func:`squash`); the engine derives its
+    normalization to (0, 1) with :func:`normalize01`, which rejects any
+    other kind or range.
     """
 
-    def __init__(
-        self,
-        oracle: ContourOracle,
-        alpha: float,
-        beta: float,
-        unit_utility: UtilityFn,
-        scaled_utility: UtilityFn,
-        agreement_tol: float = AGREEMENT_TOL,
-    ):
+    def __init__(self, oracle: ContourOracle, alpha: float, beta: float, utility: UtilityFn):
         if not (alpha < beta):
             raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
         self._oracle = oracle
         self._alpha = float(alpha)
         self._beta = float(beta)
-        self._unit = unit_utility
-        self._scaled = scaled_utility
-        self._tol = agreement_tol
+        self._scaled = utility
+        self._unit = normalize01(utility, alpha, beta)
         self._pareto_validated = False
 
     @property
@@ -125,20 +118,20 @@ class ExtensionEngine:
     def scaled_utility(self) -> UtilityFn:
         return self._scaled
 
-    def bounds(self, x) -> Tuple[ExtReal, ExtReal]:
+    def bounds(self, x) -> Tuple[float, float]:
         return self._oracle.lower_sup(x), self._oracle.upper_inf(x)
 
     def _bounded_floats(self, x) -> Tuple[float, float]:
         a, b = self.bounds(x)
-        if not a < POS_INF:
+        if not a < math.inf:
             raise UnboundedContourError(
                 f"lower supremum at {x!r} is +inf; instance is not gap-safe"
             )
-        if not b > NEG_INF:
+        if not b > -math.inf:
             raise UnboundedContourError(
                 f"upper infimum at {x!r} is -inf; instance is not gap-safe"
             )
-        return a.as_float(), b.as_float()
+        return float(a), float(b)
 
     # Evaluation forms.  All compute convex blends as lo + (hi - lo)*t
     # rather than lo*(1-t) + hi*t: the two are algebraically equal, but
@@ -146,7 +139,7 @@ class ExtensionEngine:
     # restriction guarantee relies on.
 
     def evaluate(self, x: Element) -> float:
-        """The defining capped blend."""
+        """The defining capped blend; the production evaluator."""
         a, b = self._bounded_floats(x)
         u = self._unit(x)
         lo = max(a, min(b, self._beta) - self._beta + self._alpha)
@@ -198,8 +191,8 @@ class ExtensionEngine:
         b - a counts as +inf whenever a = -inf or b = +inf, so detached
         points land in the spanning band only.
         """
-        a = self._oracle.lower_sup(x).as_float()
-        b = self._oracle.upper_inf(x).as_float()
+        a = float(self._oracle.lower_sup(x))
+        b = float(self._oracle.upper_inf(x))
         span = self._beta - self._alpha
         width = math.inf if (a == -math.inf or b == math.inf) else b - a
         labels = []
@@ -231,7 +224,7 @@ class ExtensionEngine:
         values = [self._band_value(x, band) for band in bands]
         first = values[0]
         for band, value in zip(bands[1:], values[1:]):
-            if abs(value - first) > self._tol:
+            if abs(value - first) > AGREEMENT_TOL:
                 raise DiscordantFormsError(
                     f"bands {bands[0].value} and {band.value} disagree at {x!r}: "
                     f"{first} vs {value}"
@@ -248,13 +241,13 @@ class ExtensionEngine:
         )
         first = results[0]
         for value in results[1:]:
-            if abs(value - first) > self._tol:
+            if abs(value - first) > AGREEMENT_TOL:
                 raise DiscordantFormsError(
                     f"evaluation forms disagree at {x!r}: {results}"
                 )
         return results
 
-    # Pareto-set fast path.
+    # Pareto-set route.
 
     def _ensure_pareto_set(self) -> PartialUtility:
         if not isinstance(self._oracle, FiniteSampleOracle):
@@ -284,10 +277,12 @@ class ExtensionEngine:
         return None
 
     def evaluate_pareto_set(self, x: Element) -> float:
-        """Fast path when the samples form a Pareto set.
+        """Route for samples that form a Pareto set.
 
-        Points equivalent to a sample copy that sample's value; everything
-        else goes through band routing.  Agrees with the offset form.
+        Checks once that the samples are mutually undominated and
+        constant on equivalence classes.  Points equivalent to a sample
+        copy that sample's value; everything else goes through band
+        routing.  Agrees with the offset form.
         """
         samples = self._ensure_pareto_set()
         p = self._equivalent_sample(samples, x)
@@ -306,8 +301,7 @@ def make_engine(
 
     Without an explicit base utility, finite preorders get the layered
     integer utility and Pareto spaces the coordinate sum.  The base is
-    squashed into (alpha, beta) and normalized, which makes the two
-    engine utilities exact affine relatives of each other.
+    squashed into (alpha, beta); the engine derives the normalized one.
     """
     rel = oracle.rel
     if base_utility is None:
@@ -319,12 +313,4 @@ def make_engine(
             raise ValueError(
                 f"no default base utility for {type(rel).__name__}; pass one"
             )
-    scaled = squash(base_utility, alpha, beta)
-    unit = normalize01(scaled, alpha, beta)
-    return ExtensionEngine(
-        oracle=oracle,
-        alpha=alpha,
-        beta=beta,
-        unit_utility=unit,
-        scaled_utility=scaled,
-    )
+    return ExtensionEngine(oracle, alpha, beta, squash(base_utility, alpha, beta))

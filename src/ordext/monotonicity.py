@@ -1,5 +1,5 @@
-"""Monotonicity checks: weak and strict increase, their bound-function
-restatements, and the gap-safety criterion that decides extendability.
+"""Monotonicity checks: weak and strict increase, and the gap-safety
+criterion that decides extendability.
 
 Every check returns a :class:`Verdict`.  A failing verdict carries a
 :class:`Witness` naming the offending pair together with the numeric
@@ -25,9 +25,9 @@ these are tested against.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ordext.contours import (
@@ -35,8 +35,8 @@ from ordext.contours import (
     FiniteSampleOracle,
     PartialUtility,
     as_augmented,
+    bound_text,
 )
-from ordext.extreal import NEG_INF, POS_INF, ExtReal
 from ordext.orders import (
     BOTTOM,
     TOP,
@@ -54,14 +54,12 @@ from ordext.orders import (
 __all__ = [
     "NotAParetoSetError",
     "Verdict",
-    "WeakIncreaseForm",
     "Witness",
     "check_gap_safe_finite",
     "check_gap_safe_pareto",
     "check_gap_safe_probes",
     "check_pareto_set_values",
     "check_strictly_increasing",
-    "check_weak_increase_form",
     "check_weakly_increasing",
 ]
 
@@ -162,96 +160,6 @@ def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict
     return _PASS
 
 
-class WeakIncreaseForm(Enum):
-    """Equivalent restatements of weak increase via the bound functions."""
-
-    PAIRWISE = "pairwise"
-    BOUNDS_EVERYWHERE = "bounds_everywhere"
-    BOUNDS_COMPARABLE = "bounds_comparable"
-    VALUE_ABOVE_LOWER_SUP = "value_above_lower_sup"
-    UPPER_INF_ABOVE_VALUE = "upper_inf_above_value"
-    BOUNDS_AT_SAMPLES = "bounds_at_samples"
-
-
-def check_weak_increase_form(
-    rel: Preorder, samples: PartialUtility, form: WeakIncreaseForm
-) -> Verdict:
-    """Evaluate one restatement of weak increase literally.
-
-    The bound-function forms quantifying over the whole ground set
-    (``BOUNDS_EVERYWHERE``, ``BOUNDS_COMPARABLE``) need an enumerable
-    ground set and raise ``UnsupportedQueryError`` otherwise.
-    """
-    oracle = FiniteSampleOracle(rel, samples)
-    if form is WeakIncreaseForm.PAIRWISE:
-        return check_weakly_increasing(rel, samples)
-
-    if form is WeakIncreaseForm.BOUNDS_EVERYWHERE:
-        for x in rel.iter_elements():
-            if not (oracle.upper_inf(x) >= oracle.lower_sup(x)):
-                return _bound_witness(oracle, x, x, "b(x) < a(x)")
-        return _PASS
-
-    if form is WeakIncreaseForm.BOUNDS_COMPARABLE:
-        elements = list(rel.iter_elements())
-        up, down = rel.dominance_masks(elements)
-        pair = _first_bound_gap(
-            up,
-            down,
-            [oracle.lower_sup(x) for x in elements],
-            [oracle.upper_inf(x) for x in elements],
-            strict=False,
-        )
-        if pair is not None:
-            i, j = pair
-            return _bound_witness(
-                oracle, elements[i], elements[j], "x' >= x but b(x') < a(x)"
-            )
-        return _PASS
-
-    if form is WeakIncreaseForm.VALUE_ABOVE_LOWER_SUP:
-        for p in samples.points:
-            if not (ExtReal(samples.value(p)) >= oracle.lower_sup(p)):
-                return Verdict(
-                    False,
-                    Witness(
-                        lo=p,
-                        hi=p,
-                        context=(
-                            ("f_P(x)", samples.value(p)),
-                            ("a(x)", str(oracle.lower_sup(p))),
-                        ),
-                        note="sample value below its lower supremum",
-                    ),
-                )
-        return _PASS
-
-    if form is WeakIncreaseForm.UPPER_INF_ABOVE_VALUE:
-        for p in samples.points:
-            if not (oracle.upper_inf(p) >= ExtReal(samples.value(p))):
-                return Verdict(
-                    False,
-                    Witness(
-                        lo=p,
-                        hi=p,
-                        context=(
-                            ("f_P(x)", samples.value(p)),
-                            ("b(x)", str(oracle.upper_inf(p))),
-                        ),
-                        note="sample value above its upper infimum",
-                    ),
-                )
-        return _PASS
-
-    if form is WeakIncreaseForm.BOUNDS_AT_SAMPLES:
-        for p in samples.points:
-            if not (oracle.upper_inf(p) >= oracle.lower_sup(p)):
-                return _bound_witness(oracle, p, p, "b(p) < a(p) at a sample point")
-        return _PASS
-
-    raise ValueError(f"unknown form {form!r}")
-
-
 def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
     return Verdict(
         False,
@@ -259,8 +167,8 @@ def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
             lo=lo,
             hi=hi,
             context=(
-                ("a(x)", str(oracle.lower_sup(lo))),
-                ("b(x')", str(oracle.upper_inf(hi))),
+                ("a(x)", bound_text(oracle.lower_sup(lo))),
+                ("b(x')", bound_text(oracle.upper_inf(hi))),
             ),
             note=note,
         ),
@@ -270,25 +178,21 @@ def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
 def _first_bound_gap(
     up: Sequence[int],
     down: Sequence[int],
-    lows: Sequence[ExtReal],
-    highs: Sequence[ExtReal],
-    strict: bool,
+    lows: Sequence[float],
+    highs: Sequence[float],
 ) -> Optional[Tuple[int, int]]:
     """First pair (i, j), lowest i then lowest j, whose bounds collide.
 
-    With ``strict``, j ranges over the strict up-set of i (bit j of
-    ``up[i]`` set, of ``down[i]`` clear) and collides when
-    ``highs[j] <= lows[i]``, so the gap test ``b(x') > a(x)`` fails.
-    Otherwise j ranges over the weak up-set and collides when
-    ``highs[j] < lows[i]``.  For each i, ``bisect`` on the positions
+    j ranges over the strict up-set of i (bit j of ``up[i]`` set, of
+    ``down[i]`` clear) and collides when ``highs[j] <= lows[i]``, so the
+    gap test ``b(x') > a(x)`` fails.  For each i, ``bisect`` on the positions
     sorted by ``highs`` finds how many of them are too low; visiting i in
     order of that count grows one prefix mask of too-low positions, so
     no per-i mask is stored.
     """
     by_high = sorted(range(len(highs)), key=highs.__getitem__)
     sorted_highs = [highs[j] for j in by_high]
-    cut = bisect_right if strict else bisect_left
-    counts = [cut(sorted_highs, a) for a in lows]
+    counts = [bisect_right(sorted_highs, a) for a in lows]
     first = None
     too_low = 0
     filled = 0
@@ -296,7 +200,7 @@ def _first_bound_gap(
         while filled < counts[i]:
             too_low |= 1 << by_high[filled]
             filled += 1
-        bad = up[i] & ~down[i] & too_low if strict else up[i] & too_low
+        bad = up[i] & ~down[i] & too_low
         if bad and (first is None or i < first[0]):
             first = (i, lowest_bit(bad))
     return first
@@ -334,16 +238,16 @@ def check_gap_safe_finite(
     highs = []
     for x in elements:
         a = oracle.lower_sup(x)
-        if not (a < POS_INF):
+        if not (a < math.inf):
             return _bound_witness(oracle, interior(x), TOP, "a(x) is not below +inf")
         b = oracle.upper_inf(x)
-        if not (b > NEG_INF):
+        if not (b > -math.inf):
             return _bound_witness(oracle, BOTTOM, interior(x), "b(x) is not above -inf")
         lows.append(a)
         highs.append(b)
 
     up, down = rel.dominance_masks(elements)
-    pair = _first_bound_gap(up, down, lows, highs, strict=True)
+    pair = _first_bound_gap(up, down, lows, highs)
     if pair is not None:
         i, j = pair
         return _bound_witness(

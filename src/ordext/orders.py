@@ -304,6 +304,10 @@ class FinitePreorder(Preorder):
 
     def __init__(self, rows: Sequence[int]):
         n = len(rows)
+        limit = 1 << n
+        for i, row in enumerate(rows):
+            if not 0 <= row < limit:
+                raise ValueError(f"row {i} is not a bitmask over elements 0..{n - 1}")
         bad = _check_reflexive(rows)
         if bad is not None:
             raise ValueError(f"relation is not reflexive at element {bad}")

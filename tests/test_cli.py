@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ordext
 from ordext import contours
 from ordext.cli import main
 from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
@@ -480,7 +484,7 @@ def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, err
     def broken(self, x):
         raise error
 
-    monkeypatch.setattr(ExtensionEngine, "evaluate_all_forms", broken)
+    monkeypatch.setattr(ExtensionEngine, "evaluate", broken)
     queries = tmp_path / "q.json"
     queries.write_text(json.dumps(["mid"]))
     argv = ["extend", write(tmp_path, "p.json", FINITE_OK), "--queries", str(queries)]
@@ -514,3 +518,35 @@ def test_non_string_names_exit_2(tmp_path, capsys, mangle, queries, message):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [message]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["extend", "grid"])
+def test_commands_evaluate_through_evaluate_only(tmp_path, capsys, monkeypatch, command):
+    # the reference forms stay on the engine for the tests; the CLI must
+    # not call them
+    def broken(self, x):
+        raise AssertionError("reference form called")
+
+    for name in ("evaluate_offset_form", "evaluate_by_contour_region",
+                 "evaluate_by_band", "evaluate_pareto_set", "evaluate_all_forms"):
+        monkeypatch.setattr(ExtensionEngine, name, broken)
+    problem = write(tmp_path, "p.json", PARETO_OK)
+    if command == "extend":
+        queries = write(tmp_path, "q.json", [[0.5, 0.5], [2.0, -1.0], [0.0, 0.0]])
+        argv = ["extend", problem, "--queries", queries]
+    else:
+        argv = ["grid", problem, "--bbox=-0.5,-0.5,1.5,1.5", "--resolution", "3",
+                "--out", str(tmp_path / "g.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_importing_cli_leaves_crosscheck_unloaded():
+    # the verification layer is not part of the production import graph
+    src = str(Path(ordext.__file__).resolve().parents[1])
+    code = "import sys, ordext.cli; print('ordext.crosscheck' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout == "False\n"

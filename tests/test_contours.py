@@ -1,18 +1,20 @@
 """Contour membership and the lower-sup / upper-inf bound functions."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ordext.contours import (
+    AnalyticFixture,
     FiniteSampleOracle,
     PartialUtility,
+    bound_text,
     lower_contour,
     upper_contour,
 )
-from ordext.extreal import NEG_INF, POS_INF, ExtReal
 from ordext.orders import BOTTOM, TOP, FinitePreorder, ParetoSpace
 
 
@@ -27,6 +29,17 @@ def test_partial_utility_rejects_non_finite_values():
         PartialUtility({0: math.inf})
     with pytest.raises(ValueError):
         PartialUtility({0: math.nan})
+
+
+@pytest.mark.parametrize("value", ["a", None, [1.0], complex(1, 0)])
+def test_partial_utility_rejects_non_numeric_values(value):
+    with pytest.raises(TypeError, match="non-numeric value"):
+        PartialUtility({0: value})
+
+
+def test_partial_utility_accepts_int_float_fraction_and_bool():
+    values = {0: 1, 1: 2.5, 2: Fraction(1, 3), 3: True}
+    assert dict(PartialUtility(values).items()) == values
 
 
 def test_partial_utility_lookup():
@@ -60,23 +73,76 @@ def test_sample_point_is_in_both_its_contours():
 
 def test_bounds_between_samples():
     oracle = unit_interval_oracle()
-    assert oracle.lower_sup((0.5,)) == ExtReal(0.0)
-    assert oracle.upper_inf((0.5,)) == ExtReal(1.0)
+    assert oracle.lower_sup((0.5,)) == 0.0
+    assert oracle.upper_inf((0.5,)) == 1.0
 
 
 def test_bounds_with_empty_contours():
     oracle = unit_interval_oracle()
-    assert oracle.lower_sup((-1.0,)) == NEG_INF
-    assert oracle.upper_inf((2.0,)) == POS_INF
+    assert oracle.lower_sup((-1.0,)) == -math.inf
+    assert oracle.upper_inf((2.0,)) == math.inf
 
 
 def test_augmented_extremes():
     oracle = unit_interval_oracle()
-    assert oracle.lower_sup(BOTTOM) == NEG_INF
-    assert oracle.upper_inf(TOP) == POS_INF
+    assert oracle.lower_sup(BOTTOM) == -math.inf
+    assert oracle.upper_inf(TOP) == math.inf
     # the near-side bounds see the whole sample set
-    assert oracle.upper_inf(BOTTOM) == ExtReal(0.0)
-    assert oracle.lower_sup(TOP) == ExtReal(1.0)
+    assert oracle.upper_inf(BOTTOM) == 0.0
+    assert oracle.lower_sup(TOP) == 1.0
+
+
+def test_empty_contours_are_infinite():
+    # sup of nothing is -inf and inf of nothing is +inf, on every kernel
+    for rel, x in ((ParetoSpace(2), (0.0, 0.0)), (FinitePreorder.chain(3), 1)):
+        oracle = FiniteSampleOracle(rel, PartialUtility({}))
+        for q in (x, BOTTOM, TOP):
+            assert oracle.lower_sup(q) == -math.inf
+            assert oracle.upper_inf(q) == math.inf
+            assert oracle.contour_occupancy(q) == (False, False)
+
+
+def test_bounds_keep_exact_sample_values():
+    # bounds are the sample values themselves, so a Fraction stays exact
+    # and mixed int, float and Fraction values compare as numbers
+    samples = PartialUtility({0: Fraction(1, 3), 1: 1, 2: 0.5})
+    oracle = FiniteSampleOracle(FinitePreorder.antichain(3), samples)
+    assert oracle.lower_sup(0) == Fraction(1, 3) == oracle.upper_inf(0)
+    assert type(oracle.lower_sup(0)) is Fraction
+    chain = FiniteSampleOracle(FinitePreorder.chain(3), PartialUtility({0: Fraction(1, 2), 2: 0.5}))
+    assert chain.lower_sup(2) == 0.5 and chain.upper_inf(0) == Fraction(1, 2)
+    assert type(chain.upper_inf(0)) is Fraction  # first of two equal values
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(math.inf, "+inf"), (-math.inf, "-inf"), (0.0, "0.0"), (-0.0, "-0.0"),
+     (2, "2"), (Fraction(1, 3), "1/3"), (1e300, "1e+300")],
+)
+def test_bound_text(value, text):
+    assert bound_text(value) == text
+
+
+def _line_fixture(bound):
+    return AnalyticFixture(
+        name="line",
+        ambient=ParetoSpace(1),
+        lower_sup_fn=lambda x: -math.inf if x.is_bottom else bound(x),
+        upper_inf_fn=lambda x: math.inf if x.is_top else bound(x),
+        probes=(),
+        derivation="test",
+    )
+
+
+def test_fixture_bounds_reject_nan_and_keep_infinities():
+    fx = _line_fixture(lambda x: math.inf if x.is_top else -math.inf)
+    assert fx.lower_sup(TOP) == math.inf and fx.upper_inf(BOTTOM) == -math.inf
+    assert fx.lower_sup((0.0,)) == -math.inf
+    nan = _line_fixture(lambda x: math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        nan.lower_sup((0.0,))
+    with pytest.raises(ValueError, match="NaN"):
+        nan.upper_inf((0.0,))
 
 
 def test_occupancy_and_membership():
@@ -138,7 +204,7 @@ def test_sandwich_at_sample_points(inst):
     samples = PartialUtility({i: float(values[i]) for i in range(psize)})
     oracle = FiniteSampleOracle(rel, samples)
     for p, v in samples.items():
-        assert oracle.lower_sup(p) >= ExtReal(v) >= oracle.upper_inf(p)
+        assert oracle.lower_sup(p) >= v >= oracle.upper_inf(p)
 
 
 @given(finite_instances())

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from ordext.contours import FiniteSampleOracle, PartialUtility
 from ordext.crosscheck import (
     InstanceSpec,
+    WeakIncreaseForm,
     brute_extendability,
     build_instance,
+    check_weak_increase_form,
     grid_refuter,
     iter_all_preorders,
     pm_one_assignments,
@@ -16,11 +18,7 @@ from ordext.crosscheck import (
     random_finite_preorder,
     random_gap_safe_samples,
 )
-from ordext.monotonicity import (
-    WeakIncreaseForm,
-    check_gap_safe_finite,
-    check_weak_increase_form,
-)
+from ordext.monotonicity import check_gap_safe_finite
 from ordext.orders import FinitePreorder, ParetoSpace
 
 
@@ -203,7 +201,7 @@ def test_grid_refuter_finds_violation_and_witness_rechecks():
     assert space.strictly_greater(w.hi, w.lo)
     oracle = FiniteSampleOracle(space, samples)
     assert not (
-        oracle.upper_inf(w.hi).as_float() > oracle.lower_sup(w.lo).as_float()
+        float(oracle.upper_inf(w.hi)) > float(oracle.lower_sup(w.lo))
     )
 
 

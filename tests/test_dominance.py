@@ -1,11 +1,10 @@
 """Mask-based pairwise checks against the pairwise reference loops.
 
 ``check_weakly_increasing``, ``check_strictly_increasing``,
-``is_pareto_set``, ``check_pareto_set_values``, ``check_gap_safe_finite``
-and the ``BOUNDS_COMPARABLE`` form decide every sample pair with bitmask
-algebra over positions.  The one-comparison-per-pair loops they replaced
-live in ``ordext.crosscheck`` and must give the same verdict and the same
-witness: the same pair, the same note, and context values that print the
+``is_pareto_set``, ``check_pareto_set_values`` and ``check_gap_safe_finite``
+decide every sample pair with bitmask algebra over positions.  The
+one-comparison-per-pair loops they replaced live in ``ordext.crosscheck``
+and must give the same verdict and the same witness: the same pair, the same note, and context values that print the
 same (so a tie between ``-0.0`` and ``0.0``, or ``1`` and ``1.0``, must
 pick the same sample).
 """
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 from ordext.contours import FiniteSampleOracle, PartialUtility
 from ordext.crosscheck import (
-    pairwise_bounds_comparable,
     pairwise_gap_safe_finite,
     pairwise_is_pareto_set,
     pairwise_pareto_set_values,
@@ -28,11 +26,9 @@ from ordext.crosscheck import (
 )
 from ordext.monotonicity import (
     NotAParetoSetError,
-    WeakIncreaseForm,
     check_gap_safe_finite,
     check_pareto_set_values,
     check_strictly_increasing,
-    check_weak_increase_form,
     check_weakly_increasing,
 )
 from ordext.orders import (
@@ -182,10 +178,6 @@ def test_finite_checks_match_reference(case):
     rel, samples, _ = case
     assert_same_sample_checks(rel, samples)
     assert_same_verdict(check_gap_safe_finite(rel, samples), pairwise_gap_safe_finite(rel, samples))
-    assert_same_verdict(
-        check_weak_increase_form(rel, samples, WeakIncreaseForm.BOUNDS_COMPARABLE),
-        pairwise_bounds_comparable(rel, samples),
-    )
 
 
 @settings(max_examples=15, deadline=None)
@@ -234,10 +226,10 @@ def test_gap_check_on_2000_element_chain_and_antichain(big_chain, big_antichain,
         assert w.hi > w.lo
         assert not oracle.upper_inf(w.hi) > oracle.lower_sup(w.lo)
         # no earlier x, and no lower x' for this x, violates the gap
-        highs = [oracle.upper_inf(y).as_float() for y in range(2000)]
+        highs = [float(oracle.upper_inf(y)) for y in range(2000)]
         for x in range(w.lo + 1):
             stop = w.hi if x == w.lo else 2000
-            assert min(highs[x + 1:stop], default=math.inf) > oracle.lower_sup(x).as_float()
+            assert min(highs[x + 1:stop], default=math.inf) > float(oracle.lower_sup(x))
 
 
 # ---- other preorders -------------------------------------------------------

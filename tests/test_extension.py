@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
-from ordext.extreal import NEG_INF, POS_INF, ExtReal
 from ordext.monotonicity import NotAParetoSetError, check_gap_safe_finite
 from ordext.orders import FinitePreorder, ParetoSpace
 from ordext.extension import (
@@ -17,7 +16,7 @@ from ordext.extension import (
     UnboundedContourError,
     make_engine,
 )
-from ordext.utility import finite_utility
+from ordext.utility import UtilityKind, finite_utility, pareto_base_utility, squash
 
 
 def unit_line_engine(alpha=0.0, beta=1.0):
@@ -119,7 +118,7 @@ def test_equal_bounds_pin_the_value():
     engine = make_engine(FiniteSampleOracle(rel, samples))
     assert check_gap_safe_finite(rel, samples).holds
     # 1 is equivalent to the sample 0, so both bounds equal 2.0
-    assert engine.bounds(1) == (ExtReal(2.0), ExtReal(2.0))
+    assert engine.bounds(1) == (2.0, 2.0)
     assert engine.evaluate(1) == 2.0
     assert Band.NARROW in engine.classify_bands(1)
 
@@ -134,10 +133,10 @@ def test_unbounded_lower_sup_is_refused():
             return self._rel
 
         def lower_sup(self, x):
-            return POS_INF
+            return math.inf
 
         def upper_inf(self, x):
-            return POS_INF
+            return math.inf
 
         def contour_occupancy(self, x):
             return (True, False)
@@ -160,6 +159,21 @@ def test_engine_rejects_bad_interval():
     oracle = FiniteSampleOracle(space, PartialUtility({(0.0,): 0.0}))
     with pytest.raises(ValueError):
         make_engine(oracle, 1.0, 1.0)
+
+
+def test_engine_takes_one_squashed_utility_and_derives_the_unit_one():
+    space = ParetoSpace(1)
+    oracle = FiniteSampleOracle(space, PartialUtility({(0.0,): 0.0}))
+    base = pareto_base_utility(space)
+    engine = ExtensionEngine(oracle, -2.0, 2.0, squash(base, -2.0, 2.0))
+    x = (0.5,)
+    assert engine.unit_utility.kind is UtilityKind.NORMALIZED01
+    assert engine.unit_utility(x) == (engine.scaled_utility(x) + 2.0) / 4.0
+    # a base utility, or one squashed into another range, is refused
+    with pytest.raises(ValueError, match="expected a squashed utility"):
+        ExtensionEngine(oracle, -2.0, 2.0, base)
+    with pytest.raises(ValueError, match="not \\(-2.0, 2.0\\)"):
+        ExtensionEngine(oracle, -2.0, 2.0, squash(base, 0.0, 1.0))
 
 
 @given(closed_relations(), st.data())
@@ -223,7 +237,7 @@ def test_narrow_band_difference_bound(rel, data):
     for x in narrow:
         for y in narrow:
             if rel.strictly_greater(y, x):
-                a_x, b_x = (v.as_float() for v in engine.bounds(x))
+                a_x, b_x = (float(v) for v in engine.bounds(x))
                 floor = (b_x - a_x) * (
                     engine.unit_utility(y) - engine.unit_utility(x)
                 )

@@ -1,9 +1,10 @@
 """The bundled analytic fixtures and their declared closed forms."""
 
+import math
+
 import pytest
 
 from ordext.contours import FiniteSampleOracle, PartialUtility
-from ordext.extreal import NEG_INF, POS_INF, ExtReal
 from ordext.fixtures import example_gap, example_nin, get_fixture
 from ordext.monotonicity import check_gap_safe_probes
 from ordext.orders import BOTTOM, TOP, interior
@@ -17,15 +18,15 @@ def test_registry_lookup():
 
 def test_gap_fixture_bound_values():
     fx = example_gap()
-    assert fx.lower_sup((0.0,)) == ExtReal(0.0)
-    assert fx.upper_inf((1.0,)) == ExtReal(0.0)
-    assert fx.lower_sup((-2.5,)) == ExtReal(-2.5)
-    assert fx.upper_inf((3.0,)) == ExtReal(2.0)
-    assert fx.lower_sup((0.5,)) == ExtReal(0.0)
-    assert fx.lower_sup(BOTTOM) == NEG_INF
-    assert fx.upper_inf(TOP) == POS_INF
-    assert fx.upper_inf(BOTTOM) == NEG_INF
-    assert fx.lower_sup(TOP) == POS_INF
+    assert fx.lower_sup((0.0,)) == 0.0
+    assert fx.upper_inf((1.0,)) == 0.0
+    assert fx.lower_sup((-2.5,)) == -2.5
+    assert fx.upper_inf((3.0,)) == 2.0
+    assert fx.lower_sup((0.5,)) == 0.0
+    assert fx.lower_sup(BOTTOM) == -math.inf
+    assert fx.upper_inf(TOP) == math.inf
+    assert fx.upper_inf(BOTTOM) == -math.inf
+    assert fx.lower_sup(TOP) == math.inf
 
 
 def test_gap_fixture_is_refuted_at_the_gap_pair():
@@ -60,14 +61,14 @@ def test_gap_fixture_sample_membership_and_values():
 
 def test_nin_fixture_bound_values():
     fx = example_nin()
-    assert fx.lower_sup(0) == POS_INF
-    assert fx.upper_inf(0) == POS_INF
-    assert fx.lower_sup(-4) == ExtReal(4.0)
-    assert fx.upper_inf(-4) == ExtReal(4.0)
-    assert fx.upper_inf(BOTTOM) == ExtReal(1.0)
-    assert fx.lower_sup(BOTTOM) == NEG_INF
-    assert fx.upper_inf(TOP) == POS_INF
-    assert fx.lower_sup(TOP) == POS_INF
+    assert fx.lower_sup(0) == math.inf
+    assert fx.upper_inf(0) == math.inf
+    assert fx.lower_sup(-4) == 4.0
+    assert fx.upper_inf(-4) == 4.0
+    assert fx.upper_inf(BOTTOM) == 1.0
+    assert fx.lower_sup(BOTTOM) == -math.inf
+    assert fx.upper_inf(TOP) == math.inf
+    assert fx.lower_sup(TOP) == math.inf
 
 
 def test_nin_fixture_refuted_only_at_the_top_pair():
@@ -100,8 +101,8 @@ def test_nin_closed_form_matches_sampled_enumeration():
         assert oracle.upper_inf(q) == fx.upper_inf(q)
     # at zero the truncated sup is finite but grows with the truncation;
     # the upper contour is genuinely empty at every truncation
-    assert oracle.lower_sup(0) == ExtReal(29.0)
-    assert oracle.upper_inf(0) == POS_INF
+    assert oracle.lower_sup(0) == 29.0
+    assert oracle.upper_inf(0) == math.inf
 
 
 def test_fixture_occupancy():

@@ -67,6 +67,16 @@ def test_matrix_validation_rejects_non_reflexive():
         FinitePreorder.from_geq_matrix([[False]])
 
 
+@pytest.mark.parametrize(
+    "rows, bad",
+    [([0b11], 0), ([1, 2 | 1 << 40], 1), ([-1], 0)],
+    ids=["bit-at-n", "far-bit", "negative"],
+)
+def test_rows_outside_the_ground_set_rejected(rows, bad):
+    with pytest.raises(ValueError, match=f"^row {bad} is not a bitmask over elements 0..{len(rows) - 1}$"):
+        FinitePreorder(rows)
+
+
 def test_matrix_validation_rejects_non_transitive():
     m = [
         [True, True, False],
