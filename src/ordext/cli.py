@@ -61,7 +61,7 @@ def _gap_verdict(inst: ProblemInstance, strict: Optional[Verdict] = None) -> Ver
     rel = inst.relation()
     samples = inst.sample_utility()
     if inst.kind == "finite":
-        return check_gap_safe_finite(rel, samples, inst.oracle())
+        return check_gap_safe_finite(rel, samples, strict)
     return check_gap_safe_pareto(rel, samples, strict)
 
 

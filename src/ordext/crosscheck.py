@@ -12,6 +12,8 @@ The ``pairwise_*`` functions are the one-comparison-per-pair loops that
 the mask-based checks of :mod:`ordext.monotonicity` and
 :func:`ordext.orders.is_pareto_set` replaced.  They return the same
 verdicts and witnesses and serve as the differential-test reference.
+``pairwise_gap_safe_finite`` is the exception: it reads the definition
+of gap-safety over every element pair, and may name another gap pair.
 ``warshall_closure``, ``bitwise_transpose`` and
 ``pairwise_check_transitive`` are the per-bit loops that the
 word-parallel relation build of :class:`ordext.orders.FinitePreorder`
@@ -481,7 +483,13 @@ def pairwise_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdic
 
 
 def pairwise_gap_safe_finite(rel: FinitePreorder, samples: PartialUtility) -> Verdict:
-    """Reference for ``check_gap_safe_finite``: every ordered element pair."""
+    """Gap-safety by its definition: bounds finite, and every strict element pair.
+
+    The literal reference for ``check_gap_safe_finite``: the verdicts agree,
+    and so do the witnesses when weak increase fails.  A gap is named
+    here as the first colliding pair in element order, whereas the
+    checker names the first strict-increase violation among the samples.
+    """
     weak = pairwise_weakly_increasing(rel, samples)
     if not weak.holds:
         return weak

@@ -16,19 +16,17 @@ the first non-empty violation mask, which is the first pair in position
 order.  Where the reference loops look at unordered pairs (j > i only),
 the violation is symmetric in i and j, so the first i with a violation
 has no violating partner below it and the masks need no j > i cut.
-The finite gap check reads ``a`` and ``b`` once per element and tests
-each element's strict up-set against the elements whose ``b`` is at most
-its ``a``, a prefix of the elements sorted by ``b``.  The one-comparison-
-per-pair loops are kept in :mod:`ordext.crosscheck` as the references
-these are tested against.
+Gap-safety with finitely many samples is strict increase on the
+samples, for finite relations and Pareto spaces alike, so neither gap
+check reads a bound unless it has a violation to name.  The
+one-comparison-per-pair loops are kept in :mod:`ordext.crosscheck` as
+the references these are tested against.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from ordext.contours import (
     ContourOracle,
@@ -38,14 +36,11 @@ from ordext.contours import (
     bound_text,
 )
 from ordext.orders import (
-    BOTTOM,
-    TOP,
     Augmented,
     Comparison,
     FinitePreorder,
     Preorder,
     compare_augmented,
-    interior,
     lowest_bit,
     rank_masks,
     strict_pair,
@@ -175,85 +170,39 @@ def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
     )
 
 
-def _first_bound_gap(
-    up: Sequence[int],
-    down: Sequence[int],
-    lows: Sequence[float],
-    highs: Sequence[float],
-) -> Optional[Tuple[int, int]]:
-    """First pair (i, j), lowest i then lowest j, whose bounds collide.
-
-    j ranges over the strict up-set of i (bit j of ``up[i]`` set, of
-    ``down[i]`` clear) and collides when ``highs[j] <= lows[i]``, so the
-    gap test ``b(x') > a(x)`` fails.  For each i, ``bisect`` on the positions
-    sorted by ``highs`` finds how many of them are too low; visiting i in
-    order of that count grows one prefix mask of too-low positions, so
-    no per-i mask is stored.
-    """
-    by_high = sorted(range(len(highs)), key=highs.__getitem__)
-    sorted_highs = [highs[j] for j in by_high]
-    counts = [bisect_right(sorted_highs, a) for a in lows]
-    first = None
-    too_low = 0
-    filled = 0
-    for i in sorted(range(len(lows)), key=counts.__getitem__):
-        while filled < counts[i]:
-            too_low |= 1 << by_high[filled]
-            filled += 1
-        bad = up[i] & ~down[i] & too_low
-        if bad and (first is None or i < first[0]):
-            first = (i, lowest_bit(bad))
-    return first
-
-
 def check_gap_safe_finite(
-    rel: FinitePreorder,
-    samples: PartialUtility,
-    oracle: Optional[FiniteSampleOracle] = None,
+    rel: FinitePreorder, samples: PartialUtility, strict: Optional[Verdict] = None
 ) -> Verdict:
     """Decide gap-safety over a finite ground set.
 
     Gap-safety quantifies over strict pairs of the augmented ground set.
-    That reduces exactly to three parts: (1) weak increase; (2) the
-    augmented pairs (x, Top) and (Bottom, x), which amount to
-    ``a(x) < +inf`` and ``b(x) > -inf`` for every interior x (automatic
-    for a finite sample set, kept for fidelity); (3) all interior strict
-    pairs, which need ``b(x') > a(x)``.  The remaining augmented pair
-    (Bottom, Top) is always safe since ``+inf > -inf``.
+    With finitely many samples it is exactly strict increase on the
+    samples, decided in three parts.  (1) Weak increase; a failing weak
+    verdict is returned as it is.  (2) Strict increase; when it holds,
+    every strict pair x' > x with occupied contours has samples
+    q >= x' > x >= p, so b(x') = f_P(q) > f_P(p) = a(x), and the pairs
+    with Top and Bottom are safe because finitely many samples keep both
+    bounds finite.  (3) When it fails, its witness is a strict sample
+    pair q > p with f_P(q) <= f_P(p); weak increase gives a(p) = f_P(p)
+    and b(q) = f_P(q), so the pair is a gap, and it is returned with
+    those two bounds, the only ones this check reads.
 
-    Part (3) reads ``a`` and ``b`` once per element and tests each
-    element's strict up-set mask at once (see :func:`_first_bound_gap`).
-    ``oracle``, when given, must be a :class:`FiniteSampleOracle` on the
-    same relation and samples; passing the one an engine will use lets
-    it reuse the bounds.
+    ``strict``, when given, is the :func:`check_strictly_increasing`
+    verdict on the same relation and samples.
     """
     weak = check_weakly_increasing(rel, samples)
     if not weak.holds:
         return weak
-
-    if oracle is None:
-        oracle = FiniteSampleOracle(rel, samples)
-    elements = list(rel.iter_elements())
-    lows = []
-    highs = []
-    for x in elements:
-        a = oracle.lower_sup(x)
-        if not (a < math.inf):
-            return _bound_witness(oracle, interior(x), TOP, "a(x) is not below +inf")
-        b = oracle.upper_inf(x)
-        if not (b > -math.inf):
-            return _bound_witness(oracle, BOTTOM, interior(x), "b(x) is not above -inf")
-        lows.append(a)
-        highs.append(b)
-
-    up, down = rel.dominance_masks(elements)
-    pair = _first_bound_gap(up, down, lows, highs)
-    if pair is not None:
-        i, j = pair
-        return _bound_witness(
-            oracle, elements[i], elements[j], "x' strictly dominates x but b(x') <= a(x)"
-        )
-    return _PASS
+    if strict is None:
+        strict = check_strictly_increasing(rel, samples)
+    if strict.holds:
+        return _PASS
+    # under weak increase equivalent samples share a value, so the strict
+    # witness is a strict pair with hi above lo
+    w = strict.witness
+    return _bound_witness(
+        FiniteSampleOracle(rel, samples), w.lo, w.hi, "x' strictly dominates x but b(x') <= a(x)"
+    )
 
 
 def check_gap_safe_probes(

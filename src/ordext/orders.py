@@ -379,8 +379,6 @@ class FinitePreorder(Preorder):
     def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
         """Each point's ``leq_mask``/``geq_mask``, remapped onto point positions."""
         elems = [self._check(p) for p in points]
-        if elems == list(range(self._n)):
-            return list(self._cols), list(self._rows)
         if not elems:
             return [], []
         # format() writes element bit e at text offset n-1-e; picking the

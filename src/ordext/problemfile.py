@@ -57,26 +57,35 @@ class ProblemFileError(ValueError):
         self.message = message
 
 
-def _as_object(value, location):
+# The helpers below take the location as a ``str.format`` template and
+# its arguments, and fill it in only to raise, so that accepted input,
+# one entry per sample or coordinate, formats no location string.
+
+
+def _as_object(value, location, *args):
     if not isinstance(value, dict):
-        raise ProblemFileError(location, "expected an object")
+        raise ProblemFileError(location.format(*args), "expected an object")
     return value
 
 
-def _known_keys(obj, allowed, location):
+def _known_keys(obj, allowed, location, *args):
     for key in obj:
         if key not in allowed:
             raise ProblemFileError(
-                f"{location}.{key}", f"unknown key (allowed: {', '.join(sorted(allowed))})"
+                f"{location.format(*args)}.{key}",
+                f"unknown key (allowed: {', '.join(sorted(allowed))})",
             )
 
 
-def _as_number(value, location):
+def _as_number(value, location, *args):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFileError(location, "expected a number")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ProblemFileError(location, "expected a finite number")
+        raise ProblemFileError(location.format(*args), "expected a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the range of a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise ProblemFileError(location.format(*args), "expected a finite number")
     return value
 
 
@@ -149,25 +158,13 @@ class ProblemInstance:
             return "(" + ",".join(repr(c) for c in x) + ")"
         return repr(x)
 
-    def oracle(self) -> FiniteSampleOracle:
-        """The sample oracle, built on first use and reused after.
-
-        The gap check and the engine share it, so bounds the check reads
-        are not scanned again when the engine evaluates.
-        """
-        return self._oracle
-
-    @cached_property
-    def _oracle(self) -> FiniteSampleOracle:
-        return FiniteSampleOracle(self.relation(), self.sample_utility())
-
     def to_engine(self) -> ExtensionEngine:
         if self.kind == "fixture":
             raise UnsupportedQueryError(
                 "fixture instances support diagnosis only; no engine is built"
             )
         rel = self.relation()
-        oracle = self.oracle()
+        oracle = FiniteSampleOracle(rel, self.sample_utility())
         base = None
         if self.base_utility is not None and self.base_utility[0] == "weighted-sum":
             base = pareto_base_utility(rel, self.base_utility[1])
@@ -234,12 +231,11 @@ def _parse_space(doc):
         if not isinstance(raw_pairs, list):
             raise ProblemFileError("space.geq", "expected an array of [above, below] pairs")
         for i, pair in enumerate(raw_pairs):
-            loc = f"space.geq[{i}]"
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise ProblemFileError(loc, "expected a [above, below] pair")
+                raise ProblemFileError(f"space.geq[{i}]", "expected a [above, below] pair")
             for name in pair:
                 if _lookup(index, name) is None:
-                    raise ProblemFileError(loc, f"unknown element {name!r}")
+                    raise ProblemFileError(f"space.geq[{i}]", f"unknown element {name!r}")
             pairs.append((pair[0], pair[1]))
         return {
             "kind": "finite",
@@ -271,30 +267,34 @@ def _parse_samples(doc, kind, element_index, dimension):
     seen = set()
     out = []
     for i, entry in enumerate(raw):
-        loc = f"samples[{i}]"
-        entry = _as_object(entry, loc)
-        value = _as_number(entry.get("value"), f"{loc}.value")
+        entry = _as_object(entry, "samples[{}]", i)
+        value = _as_number(entry.get("value"), "samples[{}].value", i)
         if kind == "finite":
-            _known_keys(entry, {"element", "value"}, loc)
+            _known_keys(entry, {"element", "value"}, "samples[{}]", i)
             name = entry.get("element")
             if _lookup(element_index, name) is None:
-                raise ProblemFileError(f"{loc}.element", f"unknown element {name!r}")
+                raise ProblemFileError(f"samples[{i}].element", f"unknown element {name!r}")
             key = name
         else:
-            _known_keys(entry, {"point", "value"}, loc)
+            _known_keys(entry, {"point", "value"}, "samples[{}]", i)
             point = entry.get("point")
             if not (isinstance(point, list) and len(point) == dimension):
                 raise ProblemFileError(
-                    f"{loc}.point", f"expected an array of {dimension} decimals"
+                    f"samples[{i}].point", f"expected an array of {dimension} decimals"
                 )
             key = tuple(
-                _as_number(c, f"{loc}.point[{j}]") for j, c in enumerate(point)
+                _as_number(c, "samples[{}].point[{}]", i, j) for j, c in enumerate(point)
             )
         if key in seen:
-            raise ProblemFileError(loc, f"duplicate sample for {key!r}")
+            raise ProblemFileError(f"samples[{i}]", f"duplicate sample for {key!r}")
         seen.add(key)
         out.append((key, value))
     return tuple(sorted(out, key=lambda kv: repr(kv[0])))
+
+
+def _weights(values):
+    """Base-utility weights, from the file or the flag, as finite floats."""
+    return tuple(_as_number(w, "base_utility.weights[{}]", i) for i, w in enumerate(values))
 
 
 def _parse_base_descriptor(doc, kind, dimension):
@@ -311,13 +311,7 @@ def _parse_base_descriptor(doc, kind, dimension):
         weights = obj.get("weights")
         if not isinstance(weights, list) or not weights:
             raise ProblemFileError("base_utility.weights", "expected a non-empty array")
-        descriptor = (
-            "weighted-sum",
-            tuple(
-                _as_number(w, f"base_utility.weights[{i}]")
-                for i, w in enumerate(weights)
-            ),
-        )
+        descriptor = ("weighted-sum", _weights(weights))
     else:
         descriptor = (base_kind,)
     _validate_base(descriptor, kind, dimension, "base_utility")
@@ -401,22 +395,19 @@ def parse_queries(text: str, inst: ProblemInstance) -> List[Element]:
         raise ProblemFileError("$", "expected an array of queries")
     out: List[Element] = []
     for i, entry in enumerate(doc):
-        loc = f"[{i}]"
         if inst.kind == "finite":
             position = _lookup(inst._element_index, entry)
             if position is None:
-                raise ProblemFileError(loc, f"unknown element {entry!r}")
+                raise ProblemFileError(f"[{i}]", f"unknown element {entry!r}")
             out.append(position)
         elif inst.kind == "pareto":
             if not (isinstance(entry, list) and len(entry) == inst.dimension):
                 raise ProblemFileError(
-                    loc, f"expected an array of {inst.dimension} decimals"
+                    f"[{i}]", f"expected an array of {inst.dimension} decimals"
                 )
-            out.append(
-                tuple(_as_number(c, f"{loc}[{j}]") for j, c in enumerate(entry))
-            )
+            out.append(tuple(_as_number(c, "[{}][{}]", i, j) for j, c in enumerate(entry)))
         else:
-            raise ProblemFileError(loc, "fixture instances take no queries")
+            raise ProblemFileError(f"[{i}]", "fixture instances take no queries")
     return out
 
 
@@ -427,10 +418,10 @@ def parse_base_utility_flag(flag: str, inst: ProblemInstance) -> ProblemInstance
     elif flag.startswith("weighted-sum:"):
         body = flag[len("weighted-sum:"):]
         try:
-            weights = tuple(float(w) for w in body.split(","))
+            weights = [float(w) for w in body.split(",")]
         except ValueError as exc:
             raise ProblemFileError("base_utility.weights", f"bad weight list {body!r}") from exc
-        descriptor = ("weighted-sum", weights)
+        descriptor = ("weighted-sum", _weights(weights))
     else:
         raise ProblemFileError(
             "base_utility", f"expected 'levels' or 'weighted-sum:...', got {flag!r}"

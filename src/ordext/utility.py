@@ -92,8 +92,8 @@ def pareto_base_utility(
     weights = tuple(float(w) for w in weights)
     if len(weights) != space.k:
         raise ValueError(f"expected {space.k} weights, got {len(weights)}")
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be strictly positive")
+    if not all(0 < w < math.inf for w in weights):
+        raise ValueError("weights must be finite and strictly positive")
 
     def fn(x: Tuple[float, ...]) -> float:
         return sum(w * xi for w, xi in zip(weights, x))

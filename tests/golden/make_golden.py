@@ -196,6 +196,15 @@ def build_cases(rng):
     files["finite-tie.json"] = _finite_doc(tnames, tgeq, tsamples)
     files["finite-tie.queries.json"] = tnames
 
+    # a gap between samples, with an unsampled element listed first in
+    # between: the witness is the strict sample pair, not the first
+    # colliding element pair in listing order
+    wnames = ["x0", "s1", "s2"]
+    files["finite-witness.json"] = _finite_doc(
+        wnames, [("s2", "x0"), ("x0", "s1")], [("s1", 1.0), ("s2", 1.0)]
+    )
+    files["finite-witness.queries.json"] = wnames
+
     files["fixture-gap.json"] = {"space": {"kind": "fixture", "name": "example-gap"}}
     files["fixture-nin.json"] = {"space": {"kind": "fixture", "name": "example-nin"}}
     return files
@@ -231,7 +240,7 @@ def build_commands():
                                           "--out", "grid.csv"]))
     for case in ("fixture-gap", "fixture-nin"):
         commands.append((f"{case}.check", ["check", _case(f"{case}.json")]))
-    for case in ("pareto2-tie", "finite-tie"):
+    for case in ("pareto2-tie", "finite-tie", "finite-witness"):
         commands.append((f"{case}.check", ["check", _case(f"{case}.json")]))
         commands.append((f"{case}.extend", ["extend", _case(f"{case}.json"), "--queries",
                                             _case(f"{case}.queries.json")]))

@@ -452,12 +452,52 @@ def test_finite_command_builds_relation_once(tmp_path, capsys, monkeypatch, comm
     assert calls == [3]
 
 
+BIG = 10**330  # a JSON integer beyond the range of a float
+
+
+@pytest.mark.parametrize("place", ["value", "point", "query", "alpha"])
+def test_big_json_integers_rejected(tmp_path, capsys, place):
+    doc = json.loads(json.dumps(UNIT_LINE))
+    query = [0.5]
+    if place == "value":
+        doc["samples"][1]["value"] = BIG
+    elif place == "point":
+        doc["samples"][1]["point"] = [BIG]
+    elif place == "query":
+        query = [BIG]
+    else:
+        doc["alpha"] = -BIG
+    problem = write(tmp_path, "p.json", doc)
+    queries = write(tmp_path, "q.json", [query])
+    commands = [["extend", problem, "--queries", queries]]
+    if place != "query":
+        commands.append(["check", problem])
+    for argv in commands:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "expected a finite number" in err
+        assert "internal error" not in err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "1e400"])
+def test_non_finite_base_utility_weight_rejected(tmp_path, capsys, weight):
+    doc = {"space": {"kind": "pareto", "dimension": 1},
+           "samples": [{"point": [0.0], "value": 0.0}]}
+    argv = ["extend", write(tmp_path, "p.json", doc),
+            "--base-utility", f"weighted-sum:{weight}",
+            "--queries", write(tmp_path, "q.json", [[0.5], [2.0]])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: base_utility.weights[0]: expected a finite number\n"
+
+
 GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases"
 
 
 def test_finite_extend_scans_each_point_once(capsys, monkeypatch):
-    # the gap check and the engine share one oracle, so the bounds the
-    # check reads for every element are not scanned again per query
+    # the gap check reads no bounds when it passes, so only the engine
+    # scans, once per distinct query
     kernel = contours._KERNELS[FinitePreorder]
     scanned = []
 

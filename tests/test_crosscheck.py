@@ -13,6 +13,7 @@ from ordext.crosscheck import (
     check_weak_increase_form,
     grid_refuter,
     iter_all_preorders,
+    pairwise_gap_safe_finite,
     pm_one_assignments,
     random_adversarial_samples,
     random_finite_preorder,
@@ -177,9 +178,10 @@ def test_brute_matches_checker_hypothesis(data):
         )
     )
     samples = PartialUtility(dict(zip(points, values)))
-    assert brute_extendability(rel, samples) == check_gap_safe_finite(
-        rel, samples
-    ).holds
+    brute = brute_extendability(rel, samples)
+    assert brute == check_gap_safe_finite(rel, samples).holds
+    # the paper's definition, read literally, against explicit construction
+    assert brute == pairwise_gap_safe_finite(rel, samples).holds
 
 
 # --- grid refuter ---

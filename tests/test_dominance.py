@@ -1,22 +1,27 @@
 """Mask-based pairwise checks against the pairwise reference loops.
 
 ``check_weakly_increasing``, ``check_strictly_increasing``,
-``is_pareto_set``, ``check_pareto_set_values`` and ``check_gap_safe_finite``
-decide every sample pair with bitmask algebra over positions.  The
-one-comparison-per-pair loops they replaced live in ``ordext.crosscheck``
-and must give the same verdict and the same witness: the same pair, the same note, and context values that print the
-same (so a tie between ``-0.0`` and ``0.0``, or ``1`` and ``1.0``, must
-pick the same sample).
+``is_pareto_set`` and ``check_pareto_set_values`` decide every sample
+pair with bitmask algebra over positions.  The one-comparison-per-pair
+loops they replaced live in ``ordext.crosscheck`` and must give the same
+verdict and the same witness: the same pair, the same note, and context
+values that print the same (so a tie between ``-0.0`` and ``0.0``, or
+``1`` and ``1.0``, must pick the same sample).
+
+``check_gap_safe_finite`` decides gap-safety by strict increase on the
+samples.  Its verdict must equal that of ``pairwise_gap_safe_finite``,
+the definition read over every element pair; a gap it reports names the
+pair the pairwise strict-increase loop reports first, with that pair's
+two bounds.
 """
 
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordext.contours import FiniteSampleOracle, PartialUtility
+from ordext.contours import FiniteSampleOracle, PartialUtility, bound_text
 from ordext.crosscheck import (
     pairwise_gap_safe_finite,
     pairwise_is_pareto_set,
@@ -60,6 +65,29 @@ def assert_same_verdict(got, want):
     assert [label for label, _ in g.context] == [label for label, _ in w.context]
     assert [str(v) for _, v in g.context] == [str(v) for _, v in w.context]
     assert g.context == w.context
+
+
+GAP_NOTE = "x' strictly dominates x but b(x') <= a(x)"
+
+
+def assert_gap_rule(rel, samples, holds):
+    """``check_gap_safe_finite`` gives the verdict ``holds`` and a re-checkable witness."""
+    got = check_gap_safe_finite(rel, samples)
+    assert got.holds == holds
+    if holds:
+        assert got.witness is None
+        return
+    weak = pairwise_weakly_increasing(rel, samples)
+    if not weak.holds:
+        assert_same_verdict(got, weak)
+        return
+    w, strict = got.witness, pairwise_strictly_increasing(rel, samples).witness
+    assert (shown(w.lo), shown(w.hi), w.note) == (shown(strict.lo), shown(strict.hi), GAP_NOTE)
+    fresh = FiniteSampleOracle(rel, samples)
+    a, b = fresh.lower_sup(w.lo), fresh.upper_inf(w.hi)
+    assert w.context == (("a(x)", bound_text(a)), ("b(x')", bound_text(b)))
+    assert rel.strictly_greater(w.hi, w.lo)
+    assert not b > a
 
 
 def assert_same_pareto_set(rel, points):
@@ -177,7 +205,7 @@ def test_finite_dominance_masks_match_pairwise_geq(case):
 def test_finite_checks_match_reference(case):
     rel, samples, _ = case
     assert_same_sample_checks(rel, samples)
-    assert_same_verdict(check_gap_safe_finite(rel, samples), pairwise_gap_safe_finite(rel, samples))
+    assert_gap_rule(rel, samples, pairwise_gap_safe_finite(rel, samples).holds)
 
 
 @settings(max_examples=15, deadline=None)
@@ -194,8 +222,24 @@ def test_gap_check_matches_reference_on_larger_relations(seed, n, shape):
     levels = {x: bin(rel.geq_mask(x)).count("1") for x in points}
     # mostly increasing values with occasional ties and dips
     samples = PartialUtility({p: levels[p] + rng.choice([0, 0, 0, -1, 0.5]) for p in points})
-    oracle = FiniteSampleOracle(rel, samples)
-    assert_same_verdict(check_gap_safe_finite(rel, samples, oracle), pairwise_gap_safe_finite(rel, samples))
+    assert_gap_rule(rel, samples, pairwise_gap_safe_finite(rel, samples).holds)
+
+
+def test_gap_check_reads_no_bounds_when_it_passes(monkeypatch):
+    rng = random.Random(600)
+    n = 600
+    rel = FinitePreorder.closure(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)])
+    # the count of elements below is a strictly increasing level
+    samples = PartialUtility(
+        {p: bin(rel.geq_mask(p)).count("1") for p in rng.sample(range(n), n // 4)}
+    )
+
+    def no_bounds(oracle, x):
+        raise AssertionError("a passing gap check read a contour bound")
+
+    monkeypatch.setattr(FiniteSampleOracle, "lower_sup", no_bounds)
+    monkeypatch.setattr(FiniteSampleOracle, "upper_inf", no_bounds)
+    assert check_gap_safe_finite(rel, samples).holds
 
 
 # ---- 2000-element chain and antichain --------------------------------------
@@ -213,23 +257,13 @@ def test_sample_checks_on_2000_element_chain_and_antichain(big_chain, big_antich
 @given(samples=st.dictionaries(st.integers(0, 1999), NUMBERS, max_size=40))
 def test_gap_check_on_2000_element_chain_and_antichain(big_chain, big_antichain, samples):
     # the pairwise reference costs 4,000,000 comparisons per instance here,
-    # so the verdicts are checked against closed forms and each witness is
-    # re-verified: on a finite chain gap-safety is strict increase of the
-    # samples; an antichain has no strict pairs and is always gap-safe
+    # so the verdicts are checked against closed forms: on a finite chain
+    # gap-safety is strict increase of the samples, checked pairwise over
+    # at most 40 samples; an antichain has no strict pairs and is always
+    # gap-safe
     samples = PartialUtility(samples)
-    assert check_gap_safe_finite(big_antichain, samples).holds
-    verdict = check_gap_safe_finite(big_chain, samples)
-    assert verdict.holds == check_strictly_increasing(big_chain, samples).holds
-    if not verdict.holds and verdict.witness.note.startswith("x' strictly"):
-        w = verdict.witness
-        oracle = FiniteSampleOracle(big_chain, samples)
-        assert w.hi > w.lo
-        assert not oracle.upper_inf(w.hi) > oracle.lower_sup(w.lo)
-        # no earlier x, and no lower x' for this x, violates the gap
-        highs = [float(oracle.upper_inf(y)) for y in range(2000)]
-        for x in range(w.lo + 1):
-            stop = w.hi if x == w.lo else 2000
-            assert min(highs[x + 1:stop], default=math.inf) > float(oracle.lower_sup(x))
+    assert_gap_rule(big_antichain, samples, True)
+    assert_gap_rule(big_chain, samples, pairwise_strictly_increasing(big_chain, samples).holds)
 
 
 # ---- other preorders -------------------------------------------------------

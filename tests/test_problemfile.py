@@ -262,6 +262,16 @@ def test_base_utility_flag():
         parse_base_utility_flag("weighted-sum:a,b", pareto)
 
 
+@pytest.mark.parametrize("weights", ["nan,1", "1,inf", "1e400,1", "1,-inf"])
+def test_base_utility_flag_rejects_non_finite_weights(weights):
+    pareto = parse_problem(text(PARETO_DOC))
+    with pytest.raises(ProblemFileError) as err:
+        parse_base_utility_flag(f"weighted-sum:{weights}", pareto)
+    bad = [i for i, w in enumerate(weights.split(",")) if w != "1"][0]
+    assert err.value.location == f"base_utility.weights[{bad}]"
+    assert err.value.message == "expected a finite number"
+
+
 def test_element_label():
     inst = parse_problem(text(FINITE_DOC))
     assert inst.element_label(2) == "high"

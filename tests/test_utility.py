@@ -85,6 +85,12 @@ def test_pareto_base_utility_rejects_bad_weights():
         pareto_base_utility(ParetoSpace(2), weights=[1.0, 0.0])
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_pareto_base_utility_rejects_non_finite_weights(weight):
+    with pytest.raises(ValueError):
+        pareto_base_utility(ParetoSpace(2), weights=[1.0, weight])
+
+
 @given(
     st.tuples(
         st.floats(-50, 50).map(lambda a: (a, a)),
