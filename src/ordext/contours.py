@@ -10,34 +10,27 @@ upper contour (``upper_inf``), with ``sup empty = -inf`` and
 all of these correctly against each other, so no wrapper type is needed.
 :func:`bound_text` prints a bound as ``-inf``, ``+inf`` or ``str(v)``.
 
-Oracles hide how the bounds are produced: :class:`FiniteSampleOracle`
-enumerates a finite sample set, while :class:`AnalyticFixture` carries
-closed forms supplied by a fixture author, which is the only honest way
-to represent infinite sample sets.
-
-:class:`FiniteSampleOracle` scans its samples with a kernel chosen from
-the exact type of its preorder.  The two bounds are the max and min
-isotonic envelopes of the samples, so a scan is one pass that keeps a
-running max and min of the values in sample order.
-
-* On a :class:`ParetoSpace` the sample points are validated once per
-  oracle, on its first interior scan, and each query once per scan; the
-  loop then compares raw coordinate tuples.
-* On a :class:`FinitePreorder` the query's down-set and up-set bitmasks
-  (``geq_mask``/``leq_mask``, which validate it) are tested against each
-  sample's bit; sample indices are validated once per oracle.
-* The augmented extremes ``TOP``/``BOTTOM`` and every other preorder go
-  through the generic loop (one :func:`compare_augmented` per sample),
-  which is also the reference the kernels are tested against.
+Oracles hide how the bounds are produced.  :class:`AnalyticFixture`
+carries closed forms supplied by a fixture author, which is the only
+honest way to represent infinite sample sets.  :class:`FiniteSampleOracle`
+reads the bounds of a finite sample set, its max and min isotonic
+envelopes, from one index per sample set picked by the exact type of the
+preorder: a table of both bounds per element on a :class:`FinitePreorder`,
+per-coordinate prefix bitmasks on a :class:`ParetoSpace`.  The augmented
+extremes ``TOP``/``BOTTOM`` and every other preorder go through the
+generic loop (one :func:`compare_augmented` per sample), the reference
+for the indexes.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ordext.orders import (
     Augmented,
@@ -49,6 +42,7 @@ from ordext.orders import (
     UnsupportedQueryError,
     compare_augmented,
     interior,
+    lowest_bit,
 )
 
 __all__ = [
@@ -178,36 +172,85 @@ class ContourOracle(ABC):
         """Value at a sample point; ``KeyError`` otherwise."""
 
 
-def _bounds_entry(lo, hi) -> Tuple[float, float, bool, bool]:
-    """Memo entry from a running max and min; ``None`` marks an empty contour."""
-    return (
-        -math.inf if lo is None else lo,
-        math.inf if hi is None else hi,
-        lo is not None,
-        hi is not None,
-    )
+def _finite_index(rel: FinitePreorder, samples: PartialUtility) -> Callable:
+    """Both bounds of every element, by one sweep over the samples per bound.
+
+    By falling value (a stable sort), each sample writes ``a`` to the
+    elements of its up-set no earlier sample reached; by rising value,
+    ``b`` to its down-set.  An infinite bound marks an empty contour.
+    """
+    bounds = []
+    sweeps = ((rel.leq_mask, True, -math.inf), (rel.geq_mask, False, math.inf))
+    for reach, falling, empty in sweeps:
+        bound = [empty] * rel.n
+        todo = (1 << rel.n) - 1
+        for p, v in sorted(samples.items(), key=itemgetter(1), reverse=falling):
+            hit = reach(p) & todo
+            todo ^= hit
+            while hit:
+                bound[lowest_bit(hit)] = v
+                hit &= hit - 1
+        bounds.append(bound)
+    table = [(a, b, a != -math.inf, b != math.inf) for a, b in zip(*bounds)]
+    return lambda x: table[rel._check(x)]
+
+
+def _pareto_index(rel: ParetoSpace, samples: PartialUtility) -> Callable:
+    """Per-coordinate prefix masks; bit r is the r-th sample by falling value.
+
+    Ties keep sample order.  ``prefix[i]`` holds the samples with the i
+    smallest keys: a query ANDs the prefixes at ``bisect_right`` (lower
+    contour) and their complements at ``bisect_left`` (upper contour).
+    ``a`` is at the lowest bit of the lower contour, ``b`` at the lowest
+    bit of the upper one in the tie group of its highest bit.
+    """
+    ranked = sorted(samples.items(), key=itemgetter(1), reverse=True)
+    points = [rel._check(p) for p, _ in ranked]
+    values = [v for _, v in ranked]
+    # each value's first rank; equal numbers hash alike, so ties share a key
+    first = {v: r for r, v in reversed(list(enumerate(values)))}
+    axes = []
+    for d in range(rel.k):
+        order = sorted(range(len(points)), key=lambda r: points[r][d])
+        prefix = [0]
+        for r in order:
+            prefix.append(prefix[-1] | 1 << r)
+        axes.append(([points[r][d] for r in order], prefix))
+    full = (1 << len(points)) - 1
+
+    def query(x) -> Tuple[float, float, bool, bool]:
+        down = up = full
+        for xi, (keys, prefix) in zip(rel._check(x), axes):
+            down &= prefix[bisect_right(keys, xi)]
+            up &= ~prefix[bisect_left(keys, xi)]
+        a = values[lowest_bit(down)] if down else -math.inf
+        if not up:
+            return a, math.inf, bool(down), False
+        tie = first[values[up.bit_length() - 1]]
+        return a, values[tie + lowest_bit(up >> tie)], bool(down), True
+
+    return query
+
+
+# by exact preorder type: subclasses may redefine the order
+_MAKE_INDEX = {FinitePreorder: _finite_index, ParetoSpace: _pareto_index}
 
 
 class FiniteSampleOracle(ContourOracle):
-    """Bounds computed by enumerating a finite sample set.
+    """Bounds computed from a finite sample set.
 
-    Queries are memoized per point; the cache never changes observable
-    behaviour because the oracle is immutable.  Interior queries on a
-    :class:`FinitePreorder` or :class:`ParetoSpace` use that space's
-    kernel (see the module docstring); the running max and min use
-    strict ``>`` and ``<`` in sample order, so of several equal values
-    (``-0.0`` against ``0.0``, ``1`` against ``1.0``) the first is kept,
-    as ``max`` and ``min`` keep it in the generic loop.
+    The index is built on the first interior query that needs it, and only
+    the last query (compared with ``==``) and its record are memoized.  Of
+    equal values (``-0.0`` and ``0.0``, ``1`` and ``1.0``) every path keeps
+    the first in sample order, as ``max`` and ``min`` do in the generic loop.
     """
 
     def __init__(self, rel: Preorder, samples: PartialUtility):
         self._rel = rel
         self._samples = samples
-        self._cache: Dict[Augmented, Tuple[float, float, bool, bool]] = {}
-        self._kernel = _KERNELS.get(type(rel))
-        # (validated point or sample bit, value) in sample order, built on
-        # the first kernel scan
-        self._validated: Optional[list] = None
+        self._make_index = _MAKE_INDEX.get(type(rel))
+        self._index: Optional[Callable] = None
+        self._last: Optional[tuple] = None  # (query, record) of the last scan
 
     @property
     def rel(self) -> Preorder:
@@ -218,17 +261,16 @@ class FiniteSampleOracle(ContourOracle):
         return self._samples
 
     def _scan(self, x) -> Tuple[float, float, bool, bool]:
-        # cache keyed by the raw element: interior wrappers unwrap, the
-        # two extremes key by their singletons
         if isinstance(x, Augmented) and x.is_interior:
             x = x.element
-        entry = self._cache.get(x)
-        if entry is None:
-            if self._kernel is None or isinstance(x, Augmented):
-                entry = self._scan_generic(x)
-            else:
-                entry = self._kernel(self, x)
-            self._cache[x] = entry
+        if self._last is not None and self._last[0] == x:
+            return self._last[1]
+        if self._make_index is None or isinstance(x, Augmented):
+            entry = self._scan_generic(x)
+        else:
+            self._index = self._index or self._make_index(self._rel, self._samples)
+            entry = self._index(x)
+        self._last = (x, entry)
         return entry
 
     def _scan_generic(self, x) -> Tuple[float, float, bool, bool]:
@@ -252,41 +294,6 @@ class FiniteSampleOracle(ContourOracle):
             bool(above),
         )
 
-    def _scan_finite(self, x: int) -> Tuple[float, float, bool, bool]:
-        down = self._rel.geq_mask(x)
-        up = self._rel.leq_mask(x)
-        if self._validated is None:
-            check = self._rel._check
-            self._validated = [(1 << check(p), v) for p, v in self._samples.items()]
-        lo = hi = None
-        for bit, v in self._validated:
-            if down & bit and (lo is None or v > lo):
-                lo = v
-            if up & bit and (hi is None or v < hi):
-                hi = v
-        return _bounds_entry(lo, hi)
-
-    def _scan_pareto(self, x: Tuple) -> Tuple[float, float, bool, bool]:
-        check = self._rel._check
-        x = check(x)
-        if self._validated is None:
-            self._validated = [(check(p), v) for p, v in self._samples.items()]
-        # p is weakly below x iff no coordinate has x_i < p_i, and weakly
-        # above iff none has x_i > p_i: the tests ParetoSpace.compare makes
-        lo = hi = None
-        for p, v in self._validated:
-            below = above = True
-            for xi, pi in zip(x, p):
-                if xi < pi:
-                    below = False
-                elif xi > pi:
-                    above = False
-            if below and (lo is None or v > lo):
-                lo = v
-            if above and (hi is None or v < hi):
-                hi = v
-        return _bounds_entry(lo, hi)
-
     def lower_sup(self, x) -> float:
         return self._scan(x)[0]
 
@@ -294,22 +301,13 @@ class FiniteSampleOracle(ContourOracle):
         return self._scan(x)[1]
 
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
-        entry = self._scan(x)
-        return entry[2], entry[3]
+        return self._scan(x)[2:]
 
     def in_samples(self, x: Element) -> bool:
         return x in self._samples
 
     def sample_value(self, x: Element) -> float:
         return self._samples.value(x)
-
-
-# interior-query kernels by exact preorder type; subclasses may redefine
-# the order, so they take the generic loop
-_KERNELS = {
-    FinitePreorder: FiniteSampleOracle._scan_finite,
-    ParetoSpace: FiniteSampleOracle._scan_pareto,
-}
 
 
 @dataclass(frozen=True)

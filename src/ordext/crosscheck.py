@@ -51,6 +51,8 @@ from ordext.orders import (
     ForeignElementError,
     ParetoSpace,
     Preorder,
+    _check_reflexive,
+    _check_transitive,
     interior,
 )
 from ordext.utility import finite_utility
@@ -63,6 +65,13 @@ __all__ = [
     "build_instance",
     "check_weak_increase_form",
     "grid_refuter",
+    "is_antisymmetric",
+    "is_connected",
+    "is_maximal",
+    "is_minimal",
+    "is_reflexive",
+    "is_symmetric",
+    "is_transitive",
     "iter_all_preorders",
     "pairwise_bounds_comparable",
     "pairwise_check_transitive",
@@ -598,3 +607,37 @@ def check_weak_increase_form(
         return _PASS
 
     raise ValueError(f"unknown form {form!r}")
+
+
+def is_maximal(rel: Preorder, x: Element) -> bool:
+    """No element of the (finite) ground set strictly dominates ``x``."""
+    return not any(rel.strictly_greater(y, x) for y in rel.iter_elements())
+
+
+def is_minimal(rel: Preorder, x: Element) -> bool:
+    """No element of the (finite) ground set is strictly below ``x``."""
+    return not any(rel.strictly_greater(x, y) for y in rel.iter_elements())
+
+
+# Relation audits, used by the tests.  A validated FinitePreorder passes
+# the first two by construction; the rest classify the relation further.
+
+def is_reflexive(rel: FinitePreorder) -> bool:
+    return _check_reflexive(rel._rows) is None
+
+
+def is_transitive(rel: FinitePreorder) -> bool:
+    return _check_transitive(rel._rows) is None
+
+
+def is_symmetric(rel: FinitePreorder) -> bool:
+    return rel._rows == rel._cols
+
+
+def is_antisymmetric(rel: FinitePreorder) -> bool:
+    return all(row & col == 1 << i for i, (row, col) in enumerate(zip(rel._rows, rel._cols)))
+
+
+def is_connected(rel: FinitePreorder) -> bool:
+    full = (1 << rel.n) - 1
+    return all(row | col == full for row, col in zip(rel._rows, rel._cols))

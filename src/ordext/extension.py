@@ -92,7 +92,7 @@ class ExtensionEngine:
         self._beta = float(beta)
         self._scaled = utility
         self._unit = normalize01(utility, alpha, beta)
-        self._pareto_validated = False
+        self._pareto_set_checked = False
 
     @property
     def oracle(self) -> ContourOracle:
@@ -255,14 +255,14 @@ class ExtensionEngine:
                 "the Pareto-set path needs an enumerable sample set"
             )
         samples = self._oracle.samples
-        if not self._pareto_validated:
+        if not self._pareto_set_checked:
             verdict = check_pareto_set_values(self.rel, samples)
             if not verdict.holds:
                 raise ValueError(
                     f"sample values are not extendable from a Pareto set: "
                     f"{verdict.witness.describe()}"
                 )
-            self._pareto_validated = True
+            self._pareto_set_checked = True
         return samples
 
     def _equivalent_sample(self, samples: PartialUtility, x: Element) -> Optional[Element]:

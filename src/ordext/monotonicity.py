@@ -177,26 +177,26 @@ def check_gap_safe_finite(
 
     Gap-safety quantifies over strict pairs of the augmented ground set.
     With finitely many samples it is exactly strict increase on the
-    samples, decided in three parts.  (1) Weak increase; a failing weak
-    verdict is returned as it is.  (2) Strict increase; when it holds,
+    samples, decided in three parts.  (1) Strict increase; when it holds,
     every strict pair x' > x with occupied contours has samples
     q >= x' > x >= p, so b(x') = f_P(q) > f_P(p) = a(x), and the pairs
     with Top and Bottom are safe because finitely many samples keep both
-    bounds finite.  (3) When it fails, its witness is a strict sample
-    pair q > p with f_P(q) <= f_P(p); weak increase gives a(p) = f_P(p)
-    and b(q) = f_P(q), so the pair is a gap, and it is returned with
-    those two bounds, the only ones this check reads.
+    bounds finite.  (2) When it fails, weak increase; a failing weak
+    verdict is returned as it is.  (3) Otherwise the strict witness is a
+    strict sample pair q > p with f_P(q) <= f_P(p); weak increase gives
+    a(p) = f_P(p) and b(q) = f_P(q), so the pair is a gap, and it is
+    returned with those two bounds, the only ones this check reads.
 
     ``strict``, when given, is the :func:`check_strictly_increasing`
     verdict on the same relation and samples.
     """
-    weak = check_weakly_increasing(rel, samples)
-    if not weak.holds:
-        return weak
     if strict is None:
         strict = check_strictly_increasing(rel, samples)
     if strict.holds:
         return _PASS
+    weak = check_weakly_increasing(rel, samples)
+    if not weak.holds:
+        return weak
     # under weak increase equivalent samples share a value, so the strict
     # witness is a strict pair with hi above lo
     w = strict.witness

@@ -50,14 +50,7 @@ __all__ = [
     "TOP",
     "UnsupportedQueryError",
     "interior",
-    "is_antisymmetric",
-    "is_connected",
-    "is_maximal",
-    "is_minimal",
     "is_pareto_set",
-    "is_reflexive",
-    "is_symmetric",
-    "is_transitive",
     "lowest_bit",
     "rank_masks",
     "strict_pair",
@@ -584,37 +577,3 @@ def strict_pair(
             j = lowest_bit(above | below)
             return (p, points[j]) if (below >> j) & 1 else (points[j], p)
     return None
-
-
-def is_maximal(rel: Preorder, x: Element) -> bool:
-    """No element of the (finite) ground set strictly dominates ``x``."""
-    return not any(rel.strictly_greater(y, x) for y in rel.iter_elements())
-
-
-def is_minimal(rel: Preorder, x: Element) -> bool:
-    """No element of the (finite) ground set is strictly below ``x``."""
-    return not any(rel.strictly_greater(x, y) for y in rel.iter_elements())
-
-
-# Relation audits.  A validated FinitePreorder passes the first two by
-# construction; the rest classify the relation further.
-
-def is_reflexive(rel: FinitePreorder) -> bool:
-    return _check_reflexive(rel._rows) is None
-
-
-def is_transitive(rel: FinitePreorder) -> bool:
-    return _check_transitive(rel._rows) is None
-
-
-def is_symmetric(rel: FinitePreorder) -> bool:
-    return rel._rows == rel._cols
-
-
-def is_antisymmetric(rel: FinitePreorder) -> bool:
-    return all(row & col == 1 << i for i, (row, col) in enumerate(zip(rel._rows, rel._cols)))
-
-
-def is_connected(rel: FinitePreorder) -> bool:
-    full = (1 << rel.n) - 1
-    return all(row | col == full for row, col in zip(rel._rows, rel._cols))

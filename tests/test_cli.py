@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import ordext
-from ordext import contours
+from ordext import cli, contours, monotonicity
 from ordext.cli import main
 from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
-from ordext.orders import FinitePreorder
+from ordext.orders import FinitePreorder, ParetoSpace
 
 GAP_FIXTURE = {"space": {"kind": "fixture", "name": "example-gap"}}
 NIN_FIXTURE = {"space": {"kind": "fixture", "name": "example-nin"}}
@@ -495,23 +495,72 @@ def test_non_finite_base_utility_weight_rejected(tmp_path, capsys, weight):
 GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases"
 
 
+def count_index_use(monkeypatch, kind):
+    """Wrap the function making the index for ``kind``: (builds, queries) seen."""
+    build = contours._MAKE_INDEX[kind]
+    builds, queries = [], []
+
+    def counted(rel, samples):
+        index = build(rel, samples)
+        builds.append(rel)
+
+        def query(x):
+            queries.append(x)
+            return index(x)
+
+        return query
+
+    monkeypatch.setitem(contours._MAKE_INDEX, kind, counted)
+    return builds, queries
+
+
 def test_finite_extend_scans_each_point_once(capsys, monkeypatch):
-    # the gap check reads no bounds when it passes, so only the engine
-    # scans, once per distinct query
-    kernel = contours._KERNELS[FinitePreorder]
-    scanned = []
-
-    def counted(oracle, x):
-        scanned.append(x)
-        return kernel(oracle, x)
-
-    monkeypatch.setitem(contours._KERNELS, FinitePreorder, counted)
+    # the gap check reads no bounds when it passes, so only the engine's
+    # oracle builds an index, once; its one-slot memo answers the
+    # engine's repeated reads of a point, so each query point is looked
+    # up once
+    builds, scanned = count_index_use(monkeypatch, FinitePreorder)
     argv = ["extend", str(GOLDEN_CASES / "finite-dag.json"),
             "--queries", str(GOLDEN_CASES / "finite-dag.queries.json")]
     assert main(argv) == 0
     capsys.readouterr()
+    assert len(builds) == 1
     assert scanned
     assert len(scanned) == len(set(scanned))
+
+
+def test_pareto_extend_queries_the_index_once_per_point(capsys, monkeypatch):
+    builds, scanned = count_index_use(monkeypatch, ParetoSpace)
+    queries = GOLDEN_CASES / "pareto2.queries.json"
+    argv = ["extend", str(GOLDEN_CASES / "pareto2.json"), "--queries", str(queries)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    points = [tuple(q) for q in json.loads(queries.read_text())]
+    # -0.0 == 0.0, so a point equal to the one before it is a memo hit
+    assert scanned == [q for i, q in enumerate(points) if i == 0 or q != points[i - 1]]
+
+
+@pytest.mark.parametrize("command, calls", [("check", 1), ("extend", 0)])
+def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
+        capsys, monkeypatch, command, calls):
+    # check prints the weak verdict itself; the gap check passes on the
+    # strict verdict of finite-dag and needs no weak one
+    weak = monotonicity.check_weakly_increasing
+    seen = []
+
+    def counted(rel, samples):
+        seen.append(rel)
+        return weak(rel, samples)
+
+    for module in (cli, monotonicity):
+        monkeypatch.setattr(module, "check_weakly_increasing", counted)
+    argv = [command, str(GOLDEN_CASES / "finite-dag.json")]
+    if command == "extend":
+        argv += ["--queries", str(GOLDEN_CASES / "finite-dag.queries.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize(

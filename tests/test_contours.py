@@ -93,7 +93,7 @@ def test_augmented_extremes():
 
 
 def test_empty_contours_are_infinite():
-    # sup of nothing is -inf and inf of nothing is +inf, on every kernel
+    # sup of nothing is -inf and inf of nothing is +inf, on every index
     for rel, x in ((ParetoSpace(2), (0.0, 0.0)), (FinitePreorder.chain(3), 1)):
         oracle = FiniteSampleOracle(rel, PartialUtility({}))
         for q in (x, BOTTOM, TOP):

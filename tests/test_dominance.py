@@ -45,7 +45,8 @@ from ordext.orders import (
     rank_masks,
 )
 
-# the pool of tests/test_kernels.py: few magnitudes, so ties are common
+# the pool of tests/test_kernels.py without its Fractions: few magnitudes,
+# so ties are common
 NUMBERS = st.sampled_from(
     [-1e12, -2.5, -1, -1.0, -0.0, 0, 0.0, 0.5, 1, 1.0, 3, 7.25, 1e12]
 )

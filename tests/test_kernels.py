@@ -1,13 +1,17 @@
-"""Per-space scan kernels of FiniteSampleOracle against the generic loop.
+"""Per-space bound indexes of FiniteSampleOracle against the generic loop.
 
-Every interior query on a ParetoSpace or FinitePreorder goes through a
-kernel; ``_scan_generic`` is the retained one-comparison-per-sample loop
-and serves as the reference.  Bounds are compared as values and as text,
-so ties between ``-0.0`` and ``0.0`` (or ``1`` and ``1.0``) must resolve
-to the same sample in both.
+Every interior query on a ParetoSpace or FinitePreorder reads the
+oracle's index; ``_scan_generic`` is the retained
+one-comparison-per-sample loop and serves as the reference.  Bounds are
+compared as values and as text, so ties between ``-0.0`` and ``0.0`` (or
+``1``, ``1.0`` and ``Fraction(1)``) must resolve to the same sample in
+both.
 """
 
 import math
+import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,16 +22,24 @@ from ordext.orders import BOTTOM, TOP, FinitePreorder, ForeignElementError, Pare
 
 # few distinct magnitudes, so duplicates and ties are common
 NUMBERS = st.sampled_from(
-    [-1e12, -2.5, -1, -1.0, -0.0, 0, 0.0, 0.5, 1, 1.0, 3, 7.25, 1e12]
+    [-1e12, -2.5, Fraction(-5, 2), -1, -1.0, -0.0, 0, 0.0, Fraction(0), 0.5,
+     Fraction(1, 2), 1, 1.0, Fraction(1), Fraction(1, 3), 3, 7.25, 1e12]
 )
 
 
 def assert_same_scan(oracle, x):
-    assert oracle._kernel is not None
+    oracle._last = None  # the one-slot memo: read the index, not the last record
     got = oracle._scan(x)
     want = oracle._scan_generic(x)
     assert got == want
     assert [str(b) for b in got[:2]] == [str(b) for b in want[:2]]
+    assert oracle._scan(x) is got  # a repeated query is a memo hit
+
+
+def with_repeats(draw, queries):
+    """The queries, then a draw of them again: repeats after other queries."""
+    again = draw(st.lists(st.sampled_from(queries), max_size=len(queries)))
+    return queries + again
 
 
 @st.composite
@@ -37,7 +49,8 @@ def pareto_oracles(draw):
     samples = draw(st.lists(st.tuples(points, NUMBERS), max_size=12))
     queries = draw(st.lists(points, min_size=1, max_size=8))
     queries += [p for p, _ in samples]
-    return FiniteSampleOracle(ParetoSpace(k), PartialUtility(dict(samples))), queries
+    oracle = FiniteSampleOracle(ParetoSpace(k), PartialUtility(dict(samples)))
+    return oracle, with_repeats(draw, queries)
 
 
 @given(pareto_oracles())
@@ -54,12 +67,13 @@ def finite_oracles(draw):
     pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
     rel = FinitePreorder.closure(n, pairs)
     samples = draw(st.dictionaries(index, NUMBERS))
-    return FiniteSampleOracle(rel, PartialUtility(samples))
+    return FiniteSampleOracle(rel, PartialUtility(samples)), with_repeats(draw, list(range(n)))
 
 
 @given(finite_oracles())
-def test_finite_kernel_matches_generic_loop(oracle):
-    for x in range(oracle.rel.n):
+def test_finite_kernel_matches_generic_loop(case):
+    oracle, queries = case
+    for x in queries:
         assert_same_scan(oracle, x)
 
 
@@ -103,8 +117,7 @@ def test_int_and_float_coordinates_compare_as_numbers():
 )
 def test_pareto_kernel_rejects_foreign_queries(query):
     oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0.0, 0.0): 0.0}))
-    error = TypeError if isinstance(query, list) else ForeignElementError  # unhashable
-    with pytest.raises(error):
+    with pytest.raises(ForeignElementError):
         oracle.lower_sup(query)
 
 
@@ -132,3 +145,25 @@ def test_malformed_sample_point_is_rejected_on_every_scan(rel, bad_sample, query
             oracle.lower_sup(query)
     with pytest.raises(ForeignElementError):
         oracle._scan_generic(query)
+
+
+def test_pareto_index_memory_is_within_twice_the_dominance_masks():
+    # |P| = 10**4 and k = 3: the index stores k(|P|+1) prefix masks, the
+    # dominance masks 2|P| masks of up to |P| bits each
+    rng = random.Random(8)
+    points = [tuple(rng.random() for _ in range(3)) for _ in range(10**4)]
+    samples = PartialUtility({p: sum(p) for p in points})
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    masks = peak(lambda: ParetoSpace(3).dominance_masks(points))
+    oracle = FiniteSampleOracle(ParetoSpace(3), samples)
+    index = peak(lambda: oracle.lower_sup(points[0]))
+    assert oracle._index is not None
+    assert index <= 2 * masks

@@ -8,6 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordext.crosscheck import (
+    is_antisymmetric,
+    is_connected,
+    is_maximal,
+    is_minimal,
+    is_reflexive,
+    is_symmetric,
+    is_transitive,
+)
 from ordext.orders import (
     BOTTOM,
     TOP,
@@ -18,14 +27,7 @@ from ordext.orders import (
     UnsupportedQueryError,
     compare_augmented,
     interior,
-    is_antisymmetric,
-    is_connected,
-    is_maximal,
-    is_minimal,
     is_pareto_set,
-    is_reflexive,
-    is_symmetric,
-    is_transitive,
 )
 
 
