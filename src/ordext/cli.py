@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from ordext.contours import bound_text
-from ordext.extension import ExtensionEngine
+from ordext.extension import Band
 from ordext.monotonicity import (
     Verdict,
     check_gap_safe_finite,
@@ -108,11 +108,8 @@ def _print_table(header: Sequence[str], rows: List[Sequence[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
 
 
-def _labels(engine: ExtensionEngine, x) -> Tuple[str, str]:
-    """The region cell and the band cell (bands joined by ``|``) of a point."""
-    region = engine.classify_contour_region(x)
-    bands = "|".join(band.value for band in engine.classify_bands(x))
-    return region.value, bands
+def _band_cell(bands: Tuple[Band, ...]) -> str:
+    return "|".join([band.value for band in bands])
 
 
 def cmd_extend(inst: ProblemInstance, queries: List) -> int:
@@ -121,8 +118,8 @@ def cmd_extend(inst: ProblemInstance, queries: List) -> int:
         return refusal
     engine = inst.to_engine()
     rows = [
-        (_show(inst, x), format(engine.evaluate(x), ".12g"), *_labels(engine, x))
-        for x in queries
+        (_show(inst, x), format(value, ".12g"), region.value, _band_cell(bands))
+        for x, (value, region, bands) in zip(queries, engine.evaluate_many(queries))
     ]
     _print_table(("x", "f", "region", "bands"), rows)
     return EXIT_OK
@@ -132,8 +129,9 @@ def cmd_regions(inst: ProblemInstance, queries: List) -> int:
     engine = inst.to_engine()
     rows = []
     for x in queries:
-        a, b = engine.bounds(x)
-        rows.append((_show(inst, x), bound_text(a), bound_text(b), *_labels(engine, x)))
+        a, b, region, bands = engine.describe(x)
+        cells = (bound_text(a), bound_text(b), region.value, _band_cell(bands))
+        rows.append((_show(inst, x), *cells))
     _print_table(("x", "a", "b", "region", "bands"), rows)
     return EXIT_OK
 
@@ -171,17 +169,21 @@ def cmd_grid(inst: ProblemInstance, bbox: str, resolution: int, out: str) -> int
     if refusal is not None:
         return refusal
     engine = inst.to_engine()
-    count = 0
+    xs = grid_axis(x_lo, x_hi, resolution)
+    ys = grid_axis(y_lo, y_hi, resolution)
+    y_cells = [repr(v2) for v2 in ys]
     with open(out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x1", "x2", "f", "alun", "s_labels"])
-        for v1 in grid_axis(x_lo, x_hi, resolution):
-            for v2 in grid_axis(y_lo, y_hi, resolution):
-                point = (v1, v2)
-                value = engine.evaluate(point)
-                writer.writerow([repr(v1), repr(v2), repr(value), *_labels(engine, point)])
-                count += 1
-    print(f"wrote {count} rows to {out}")
+        # one row of the grid at a time: the whole grid is never held
+        for v1 in xs:
+            x_cell = repr(v1)
+            results = engine.evaluate_many([(v1, v2) for v2 in ys])
+            writer.writerows(
+                (x_cell, y_cell, repr(value), region.value, _band_cell(bands))
+                for y_cell, (value, region, bands) in zip(y_cells, results)
+            )
+    print(f"wrote {len(xs) * len(ys)} rows to {out}")
     return EXIT_OK
 
 

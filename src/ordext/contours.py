@@ -167,6 +167,13 @@ class ContourOracle(ABC):
     def in_samples(self, x: Element) -> bool:
         """True iff ``x`` is one of the sample points."""
 
+    def record(self, x) -> Tuple[float, float, bool, bool]:
+        """``(lower_sup, upper_inf, *contour_occupancy)`` at ``x``.
+
+        Oracles that hold all four in one record override this to read it once.
+        """
+        return (self.lower_sup(x), self.upper_inf(x), *self.contour_occupancy(x))
+
     @abstractmethod
     def sample_value(self, x: Element) -> float:
         """Value at a sample point; ``KeyError`` otherwise."""
@@ -236,11 +243,27 @@ def _pareto_index(rel: ParetoSpace, samples: PartialUtility) -> Callable:
 _MAKE_INDEX = {FinitePreorder: _finite_index, ParetoSpace: _pareto_index}
 
 
+def _same_query(last, x) -> bool:
+    """Whether the memoized query ``last`` may answer for ``x``.
+
+    Equality alone is not enough: ``1.0 == 1`` and ``(True, 0) == (1, 0)``,
+    yet only the second of each pair is an element, so an equal query must
+    also match in type, coordinate by coordinate.  ``-0.0`` and ``0.0`` do.
+    """
+    if type(last) is not type(x) or last != x:
+        return False
+    return not isinstance(x, tuple) or all(
+        type(p) is type(q) for p, q in zip(last, x)
+    )
+
+
 class FiniteSampleOracle(ContourOracle):
     """Bounds computed from a finite sample set.
 
     The index is built on the first interior query that needs it, and only
-    the last query (compared with ``==``) and its record are memoized.  Of
+    the last query and its record are memoized: a query hits the memo when
+    it is the same object or an equal one of the same types
+    (:func:`_same_query`), so the memo never skips a validation.  Of
     equal values (``-0.0`` and ``0.0``, ``1`` and ``1.0``) every path keeps
     the first in sample order, as ``max`` and ``min`` do in the generic loop.
     """
@@ -260,11 +283,13 @@ class FiniteSampleOracle(ContourOracle):
     def samples(self) -> PartialUtility:
         return self._samples
 
-    def _scan(self, x) -> Tuple[float, float, bool, bool]:
+    def record(self, x) -> Tuple[float, float, bool, bool]:
+        """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``."""
         if isinstance(x, Augmented) and x.is_interior:
             x = x.element
-        if self._last is not None and self._last[0] == x:
-            return self._last[1]
+        last = self._last
+        if last is not None and (last[0] is x or _same_query(last[0], x)):
+            return last[1]
         if self._make_index is None or isinstance(x, Augmented):
             entry = self._scan_generic(x)
         else:
@@ -295,13 +320,13 @@ class FiniteSampleOracle(ContourOracle):
         )
 
     def lower_sup(self, x) -> float:
-        return self._scan(x)[0]
+        return self.record(x)[0]
 
     def upper_inf(self, x) -> float:
-        return self._scan(x)[1]
+        return self.record(x)[1]
 
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
-        return self._scan(x)[2:]
+        return self.record(x)[2:]
 
     def in_samples(self, x: Element) -> bool:
         return x in self._samples

@@ -8,8 +8,15 @@ preorder.
 
 :meth:`ExtensionEngine.evaluate`, the capped blend of the defining
 formula, is the one production evaluator: the CLI calls nothing else
-for a value.  The paper's three algebraically equivalent routes (an
-offset form, routing by contour region, routing by band) and
+for a value.  Per point it reads the two bounds and one scaled utility
+value; the unit value is the scaled one mapped affinely, with the
+operands :func:`normalize01` uses.  :meth:`ExtensionEngine.evaluate_many`
+answers a batch: per point it calls ``evaluate`` once and takes the
+region and band labels from the oracle record that call just memoized.
+One helper derives both labels from a record, for the batch,
+:meth:`ExtensionEngine.describe` and the two ``classify_*`` methods
+alike.  The paper's three algebraically equivalent routes (an offset
+form, routing by contour region, routing by band) and
 ``evaluate_all_forms`` stay on the engine as the reference that the
 acceptance gate and the tests check ``evaluate`` against.
 """
@@ -18,7 +25,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional, Tuple
+from itertools import product
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
 from ordext.monotonicity import check_pareto_set_values
@@ -75,6 +83,14 @@ class Band(Enum):
     SPANNING = "S4"   # a <= alpha and b >= beta
 
 
+# the bands a point is in, by whether each band's rule above holds, in
+# declaration order
+_BANDS = {
+    held: tuple(band for band, on in zip(Band, held) if on)
+    for held in product((False, True), repeat=len(Band))
+}
+
+
 class ExtensionEngine:
     """Evaluator bundle for one extension instance.
 
@@ -92,6 +108,9 @@ class ExtensionEngine:
         self._beta = float(beta)
         self._scaled = utility
         self._unit = normalize01(utility, alpha, beta)
+        # normalize01's own operands, so that evaluate's unit value is
+        # bit-identical to self._unit(x) while calling the utility once
+        self._unit_alpha, self._unit_span = alpha, beta - alpha
         self._pareto_set_checked = False
 
     @property
@@ -122,7 +141,7 @@ class ExtensionEngine:
         return self._oracle.lower_sup(x), self._oracle.upper_inf(x)
 
     def _bounded_floats(self, x) -> Tuple[float, float]:
-        a, b = self.bounds(x)
+        a, b = self._oracle.lower_sup(x), self._oracle.upper_inf(x)
         if not a < math.inf:
             raise UnboundedContourError(
                 f"lower supremum at {x!r} is +inf; instance is not gap-safe"
@@ -141,10 +160,67 @@ class ExtensionEngine:
     def evaluate(self, x: Element) -> float:
         """The defining capped blend; the production evaluator."""
         a, b = self._bounded_floats(x)
-        u = self._unit(x)
+        u = (self._scaled(x) - self._unit_alpha) / self._unit_span
         lo = max(a, min(b, self._beta) - self._beta + self._alpha)
         hi = min(b, max(a, self._alpha) - self._alpha + self._beta)
         return lo + (hi - lo) * u
+
+    def evaluate_many(
+        self, points: Iterable[Element]
+    ) -> Iterator[Tuple[float, ContourRegion, Tuple[Band, ...]]]:
+        """``(value, region, bands)`` per point, lazily and in order.
+
+        Each point costs one :meth:`evaluate` call and one more read of
+        the oracle record that call just memoized; ``evaluate`` raises
+        :class:`UnboundedContourError` here as it does alone.
+        """
+        evaluate = self.evaluate
+        describe = self.describe
+        for x in points:
+            value = evaluate(x)
+            _, _, region, bands = describe(x)
+            yield value, region, bands
+
+    def describe(self, x: Element) -> Tuple[float, float, ContourRegion, Tuple[Band, ...]]:
+        """``(a, b, region, bands)`` at ``x`` from one oracle record.
+
+        Never evaluates, so it answers on instances that are not gap-safe.
+        """
+        oracle = self._oracle
+        a, b, has_lower, has_upper = oracle.record(x)
+        return (a, b, *self._labels(a, b, has_lower, has_upper, oracle.in_samples(x)))
+
+    def _labels(
+        self, a: float, b: float, has_lower: bool, has_upper: bool, in_sample: bool
+    ) -> Tuple[ContourRegion, Tuple[Band, ...]]:
+        """The contour region and the bands of a point with these bounds.
+
+        Total: unbounded bounds are allowed here even though evaluation
+        refuses them.  The gap width b - a counts as +inf whenever
+        a = -inf or b = +inf, so detached points land in the spanning band
+        only.
+        """
+        if in_sample:
+            region = ContourRegion.SAMPLE
+        elif has_lower and has_upper:
+            region = ContourRegion.BRACKETED
+        elif has_upper:
+            region = ContourRegion.BELOW
+        elif has_lower:
+            region = ContourRegion.ABOVE
+        else:
+            region = ContourRegion.DETACHED
+        a = float(a)
+        b = float(b)
+        alpha, beta = self._alpha, self._beta
+        span = beta - alpha
+        width = math.inf if (a == -math.inf or b == math.inf) else b - a
+        wide = width >= span
+        bands = _BANDS[width <= span, wide and b <= beta, wide and a >= alpha,
+                       a <= alpha and b >= beta]
+        if not bands:
+            raise AssertionError(f"band cover failed: a={a}, b={b}")
+        return region, bands
 
     def evaluate_offset_form(self, x: Element) -> float:
         """Equivalent form organized around the scaled utility."""
@@ -156,16 +232,7 @@ class ExtensionEngine:
         return (low_part * (beta - u) + high_part * (u - alpha)) / (beta - alpha) + u
 
     def classify_contour_region(self, x: Element) -> ContourRegion:
-        if self._oracle.in_samples(x):
-            return ContourRegion.SAMPLE
-        has_lower, has_upper = self._oracle.contour_occupancy(x)
-        if has_lower and has_upper:
-            return ContourRegion.BRACKETED
-        if has_upper:
-            return ContourRegion.BELOW
-        if has_lower:
-            return ContourRegion.ABOVE
-        return ContourRegion.DETACHED
+        return self.describe(x)[2]
 
     def evaluate_by_contour_region(self, x: Element) -> float:
         """Route by contour region; bracketed points fall back to the offset form."""
@@ -184,29 +251,8 @@ class ExtensionEngine:
         return u
 
     def classify_bands(self, x: Element) -> Tuple[Band, ...]:
-        """All bands containing ``x``; never empty (bands cover the space).
-
-        Classification is total: unbounded contour values are allowed
-        here even though evaluation would refuse them.  The gap width
-        b - a counts as +inf whenever a = -inf or b = +inf, so detached
-        points land in the spanning band only.
-        """
-        a = float(self._oracle.lower_sup(x))
-        b = float(self._oracle.upper_inf(x))
-        span = self._beta - self._alpha
-        width = math.inf if (a == -math.inf or b == math.inf) else b - a
-        labels = []
-        if width <= span:
-            labels.append(Band.NARROW)
-        if width >= span and b <= self._beta:
-            labels.append(Band.WIDE_LOW)
-        if width >= span and a >= self._alpha:
-            labels.append(Band.WIDE_HIGH)
-        if a <= self._alpha and b >= self._beta:
-            labels.append(Band.SPANNING)
-        if not labels:
-            raise AssertionError(f"band cover failed at {x!r}: a={a}, b={b}")
-        return tuple(labels)
+        """All bands containing ``x``; never empty (bands cover the space)."""
+        return self.describe(x)[3]
 
     def _band_value(self, x: Element, band: Band) -> float:
         a, b = self._bounded_floats(x)

@@ -296,6 +296,10 @@ class FinitePreorder(Preorder):
     __slots__ = ("_n", "_rows", "_cols")
 
     def __init__(self, rows: Sequence[int]):
+        self._store(rows, None)
+
+    def _store(self, rows: Sequence[int], cols: Optional[Sequence[int]]) -> None:
+        """Validate ``rows`` and keep them with their columns (``None``: transpose)."""
         n = len(rows)
         limit = 1 << n
         for i, row in enumerate(rows):
@@ -309,17 +313,26 @@ class FinitePreorder(Preorder):
             raise ValueError(f"relation is not transitive through pair {bad}")
         self._n = n
         self._rows = tuple(rows)
-        self._cols = tuple(_transpose(self._rows))
+        self._cols = tuple(_transpose(self._rows) if cols is None else cols)
 
     @classmethod
     def closure(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "FinitePreorder":
-        """Smallest reflexive-transitive relation containing the pairs."""
+        """Smallest reflexive-transitive relation containing the pairs.
+
+        The columns are the rows of the reversed relation, so they come
+        from a second reachability walk over the reversed pairs, which is
+        cheaper than transposing the rows.
+        """
         succ: List[List[int]] = [[] for _ in range(n)]
+        pred: List[List[int]] = [[] for _ in range(n)]
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ForeignElementError(f"pair ({i}, {j}) out of range for n={n}")
             succ[i].append(j)
-        return cls(_reach_rows(succ))
+            pred[j].append(i)
+        rel = cls.__new__(cls)
+        rel._store(_reach_rows(succ), _reach_rows(pred))
+        return rel
 
     @classmethod
     def from_geq_matrix(cls, matrix: Sequence[Sequence[bool]]) -> "FinitePreorder":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
 from ordext.orders import Element, FinitePreorder, ParetoSpace
@@ -96,7 +97,7 @@ def pareto_base_utility(
         raise ValueError("weights must be finite and strictly positive")
 
     def fn(x: Tuple[float, ...]) -> float:
-        return sum(w * xi for w, xi in zip(weights, x))
+        return sum(map(mul, weights, x))
 
     return UtilityFn(fn=fn, kind=UtilityKind.BASE)
 

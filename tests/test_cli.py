@@ -13,6 +13,7 @@ from ordext import cli, contours, monotonicity
 from ordext.cli import main
 from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
 from ordext.orders import FinitePreorder, ParetoSpace
+from ordext.utility import UtilityFn, UtilityKind
 
 GAP_FIXTURE = {"space": {"kind": "fixture", "name": "example-gap"}}
 NIN_FIXTURE = {"space": {"kind": "fixture", "name": "example-nin"}}
@@ -628,6 +629,40 @@ def test_commands_evaluate_through_evaluate_only(tmp_path, capsys, monkeypatch, 
                 "--out", str(tmp_path / "g.csv")]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command, case, points",
+    [("extend", "pareto2", 29), ("extend", "finite-dag", 30), ("grid", "pareto2", 49),
+     ("regions", "pareto2-bad", 0)],
+)
+def test_commands_evaluate_and_read_the_utility_once_per_point(
+        tmp_path, capsys, monkeypatch, command, case, points):
+    # the traced benchmark smoke run requires one evaluation form and one
+    # utility value per point; regions reports labels and never evaluates
+    evaluate, call = ExtensionEngine.evaluate, UtilityFn.__call__
+    evaluated, utilities = [], []
+
+    def counted_evaluate(self, x):
+        evaluated.append(x)
+        return evaluate(self, x)
+
+    def counted_call(self, x):
+        utilities.append(self.kind)
+        return call(self, x)
+
+    monkeypatch.setattr(ExtensionEngine, "evaluate", counted_evaluate)
+    monkeypatch.setattr(UtilityFn, "__call__", counted_call)
+    argv = [command, str(GOLDEN_CASES / f"{case}.json")]
+    if command == "grid":
+        argv += ["--bbox=-0.5,-0.5,1.5,1.5", "--resolution=7", f"--out={tmp_path / 'g.csv'}"]
+    else:
+        argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(evaluated) == points
+    assert sorted(utilities, key=lambda kind: kind.value) == (
+        [UtilityKind.BASE] * points + [UtilityKind.SQUASHED] * points)
 
 
 def test_importing_cli_leaves_crosscheck_unloaded():

@@ -1,6 +1,7 @@
 """Extension engine: formula variants, region labels, and monotonicity."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,8 @@ def test_unbounded_lower_sup_is_refused():
     engine = make_engine(_Unbounded(ParetoSpace(1)))
     with pytest.raises(UnboundedContourError):
         engine.evaluate((0.0,))
+    with pytest.raises(UnboundedContourError):
+        list(engine.evaluate_many([(0.0,)]))
     # classification stays total even where evaluation refuses
     assert Band.WIDE_HIGH in engine.classify_bands((0.0,))
 
@@ -298,6 +301,89 @@ def test_custom_base_utility_is_used():
     assert engine.classify_contour_region(x) is ContourRegion.DETACHED
     want = engine.scaled_utility(x)
     assert engine.evaluate(x) == pytest.approx(want, abs=1e-12)
+
+
+# evaluate_many against the per-point methods on a second engine whose
+# one-slot memo is cleared before every read, so each reference value
+# comes from the index.  Values must match normalize01's to the bit, also
+# for int and Fraction ranges; for the Fraction one, float(beta) - float(alpha)
+# is not float(beta - alpha)
+RANGES = [(0.0, 1.0), (0, 1), (-2.0, 3.0), (0.25, 0.5), (Fraction(-1), Fraction(-2, 3))]
+VALUES = [-3, -1.5, -0.0, 0, 0.0, Fraction(1, 3), 0.5, 1, 1.0, 2.5, 7]
+
+
+def twin(x):
+    """An equal query of other types: -0.0 for 0.0 and back, int for float and back."""
+    if isinstance(x, tuple):
+        return tuple(twin(c) for c in x)
+    if isinstance(x, float):
+        return -x if x == 0 else (int(x) if x.is_integer() else x)
+    return float(x)
+
+
+def reference_blend(engine, x):
+    """The capped blend with the unit utility read through normalize01."""
+    a, b = (float(v) for v in engine.bounds(x))
+    alpha, beta = engine.alpha, engine.beta
+    lo = max(a, min(b, beta) - beta + alpha)
+    hi = min(b, max(a, alpha) - alpha + beta)
+    return lo + (hi - lo) * engine.unit_utility(x)
+
+
+def assert_batch_matches_per_point(rel, samples, queries, alpha, beta):
+    batch = make_engine(FiniteSampleOracle(rel, samples), alpha, beta)
+    ref = make_engine(FiniteSampleOracle(rel, samples), alpha, beta)
+    got = list(batch.evaluate_many(queries))
+    assert len(got) == len(queries)
+
+    def fresh(read, x):
+        ref.oracle._last = None
+        return read(x)
+
+    for x, (value, region, bands) in zip(queries, got):
+        assert repr(value) == repr(fresh(ref.evaluate, x))
+        assert repr(value) == repr(fresh(lambda x: reference_blend(ref, x), x))
+        assert region is fresh(ref.classify_contour_region, x)
+        assert bands == fresh(ref.classify_bands, x)
+        a, b, region_again, bands_again = fresh(ref.describe, x)
+        assert (region_again, bands_again) == (region, bands)
+        assert (str(a), str(b)) == tuple(str(v) for v in fresh(ref.bounds, x))
+
+
+@st.composite
+def repeated(draw, queries, twin=None):
+    """Each query, maybe once more and then its twin, in blocks of a random order."""
+    blocks = [[x] * draw(st.integers(1, 2)) for x in queries]
+    if twin is not None:
+        blocks = [block + [twin(block[0])] * draw(st.integers(0, 1)) for block in blocks]
+    return [x for block in draw(st.permutations(blocks)) for x in block]
+
+
+@st.composite
+def pareto_batches(draw):
+    k = draw(st.integers(1, 3))
+    point = st.tuples(*[st.sampled_from([-2, -1.5, -0.0, 0, 0.0, 0.5, 1, 1.0, 2.5])] * k)
+    samples = draw(st.dictionaries(point, st.sampled_from(VALUES), max_size=8))
+    below, above = (-9,) * k, (9.0,) * k
+    detached = [(-9.0,) + (9,) * (k - 1), (9,) + (-9.0,) * (k - 1)] if k > 1 else []
+    queries = list(samples) + draw(st.lists(point, max_size=6)) + [below, above] + detached
+    return ParetoSpace(k), PartialUtility(samples), draw(repeated(queries, twin))
+
+
+@given(pareto_batches(), st.sampled_from(RANGES))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_many_matches_per_point_reads_on_pareto_spaces(case, bounds):
+    assert_batch_matches_per_point(*case, *bounds)
+
+
+@given(closed_relations(max_n=8), st.data(), st.sampled_from(RANGES))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_many_matches_per_point_reads_on_finite_preorders(rel, data, bounds):
+    # closures of random pairs have ties (cycles), and the values tie too
+    index = st.integers(0, rel.n - 1)
+    samples = data.draw(st.dictionaries(index, st.sampled_from(VALUES)))
+    queries = data.draw(repeated(list(rel.iter_elements())))
+    assert_batch_matches_per_point(rel, PartialUtility(samples), queries, *bounds)
 
 
 # The arctan squash saturates in doubles, so strictly ordered points far

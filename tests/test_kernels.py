@@ -29,11 +29,11 @@ NUMBERS = st.sampled_from(
 
 def assert_same_scan(oracle, x):
     oracle._last = None  # the one-slot memo: read the index, not the last record
-    got = oracle._scan(x)
+    got = oracle.record(x)
     want = oracle._scan_generic(x)
     assert got == want
     assert [str(b) for b in got[:2]] == [str(b) for b in want[:2]]
-    assert oracle._scan(x) is got  # a repeated query is a memo hit
+    assert oracle.record(x) is got  # a repeated query is a memo hit
 
 
 def with_repeats(draw, queries):
@@ -167,3 +167,19 @@ def test_pareto_index_memory_is_within_twice_the_dominance_masks():
     index = peak(lambda: oracle.lower_sup(points[0]))
     assert oracle._index is not None
     assert index <= 2 * masks
+
+
+@pytest.mark.parametrize(
+    "rel, valid, foreign",
+    [(FinitePreorder.chain(3), 1, 1.0), (ParetoSpace(2), (1, 0), (True, 0))],
+    ids=["finite-float-index", "pareto-bool-coordinate"],
+)
+def test_memo_hit_does_not_skip_validation(rel, valid, foreign):
+    # each foreign query equals the valid one before it; the memo must not
+    # answer it, or it would pass for an element
+    good = (0, 0) if isinstance(rel, ParetoSpace) else 0
+    oracle = FiniteSampleOracle(rel, PartialUtility({good: 0.0}))
+    for read in (oracle.lower_sup, oracle.upper_inf, oracle.contour_occupancy, oracle.record):
+        read(valid)
+        with pytest.raises(ForeignElementError):
+            read(foreign)

@@ -1,12 +1,13 @@
 """The word-parallel relation build against its per-bit references.
 
 ``FinitePreorder.closure`` walks strongly connected components and ORs
-whole rows, ``__init__`` checks transitivity a byte of each row at a time
-through per-block tables and transposes the rows in blocks of bit
-strings.  The loops they replaced live in ``ordext.crosscheck``
-(``warshall_closure``, ``pairwise_check_transitive``,
-``bitwise_transpose``) and must give the same rows, columns, witness and
-error text.
+whole rows, once over the pairs for the rows and once over the reversed
+pairs for the columns.  The constructor checks transitivity a byte of
+each row at a time through per-block tables, and ``FinitePreorder(rows)``
+transposes the rows in blocks of bit strings.  The loops they replaced
+live in ``ordext.crosscheck`` (``warshall_closure``,
+``pairwise_check_transitive``, ``bitwise_transpose``) and must give the
+same rows, columns, witness and error text.
 """
 
 import random
@@ -89,6 +90,17 @@ def ranking_with_ties(rng, n):
        st.integers(0, 2**32 - 1))
 def test_closure_matches_warshall_on_large_relations(n, make, seed):
     assert_closure_matches(n, make(random.Random(seed), n))
+
+
+# closure reads its columns off the reversed pairs; the constructor
+# transposes the rows it is given
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 600), st.sampled_from([random_dag, ranking_with_ties]),
+       st.integers(0, 2**32 - 1))
+def test_closure_columns_are_the_transposed_rows(n, make, seed):
+    rel = FinitePreorder.closure(n, make(random.Random(seed), n))
+    assert list(rel._cols) == _transpose(rel._rows)
+    assert FinitePreorder(rel._rows)._cols == rel._cols
 
 
 @pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
