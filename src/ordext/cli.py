@@ -12,14 +12,13 @@ never reads as a verdict).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from ordext.contours import bound_text
-from ordext.extension import Band
+from ordext.extension import _BANDS, ContourRegion
 from ordext.monotonicity import (
     Verdict,
     check_gap_safe_finite,
@@ -41,6 +40,11 @@ EXIT_OK = 0
 EXIT_NOT_EXTENDABLE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+
+# the label cells, built once: each region's letter, and the S1|S3 text of
+# each band tuple the engine yields (a value of ``_BANDS``, keyed by itself)
+_REGION_CELLS = {region: region.value for region in ContourRegion}
+_BAND_CELLS = {bands: "|".join([band.value for band in bands]) for bands in _BANDS.values()}
 
 
 def _show(inst: ProblemInstance, x) -> str:
@@ -79,8 +83,11 @@ def cmd_check(inst: ProblemInstance) -> int:
 
     rel = inst.relation()
     samples = inst.sample_utility()
-    _verdict_line(inst, "weakly increasing", check_weakly_increasing(rel, samples))
     strict = check_strictly_increasing(rel, samples)
+    # strict increase implies weak increase, so only a strict failure needs
+    # the weak check for its own verdict and witness
+    weak = strict if strict.holds else check_weakly_increasing(rel, samples)
+    _verdict_line(inst, "weakly increasing", weak)
     _verdict_line(inst, "strictly increasing", strict)
     gap = _gap_verdict(inst, strict)
     _verdict_line(inst, "gap-safe increasing", gap)
@@ -101,15 +108,11 @@ def _refuse_if_not_gap_safe(inst: ProblemInstance) -> Optional[int]:
 
 
 def _print_table(header: Sequence[str], rows: List[Sequence[str]]) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    for line in [header] + rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-
-
-def _band_cell(bands: Tuple[Band, ...]) -> str:
-    return "|".join([band.value for band in bands])
+    """Left-aligned columns two spaces apart, trailing blanks cut, one write."""
+    lines = [header, *rows]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    pattern = "  ".join([f"{{:<{w}}}" for w in widths])
+    sys.stdout.write("".join([pattern.format(*line).rstrip() + "\n" for line in lines]))
 
 
 def cmd_extend(inst: ProblemInstance, queries: List) -> int:
@@ -118,7 +121,7 @@ def cmd_extend(inst: ProblemInstance, queries: List) -> int:
         return refusal
     engine = inst.to_engine()
     rows = [
-        (_show(inst, x), format(value, ".12g"), region.value, _band_cell(bands))
+        (_show(inst, x), format(value, ".12g"), _REGION_CELLS[region], _BAND_CELLS[bands])
         for x, (value, region, bands) in zip(queries, engine.evaluate_many(queries))
     ]
     _print_table(("x", "f", "region", "bands"), rows)
@@ -130,7 +133,7 @@ def cmd_regions(inst: ProblemInstance, queries: List) -> int:
     rows = []
     for x in queries:
         a, b, region, bands = engine.describe(x)
-        cells = (bound_text(a), bound_text(b), region.value, _band_cell(bands))
+        cells = (bound_text(a), bound_text(b), _REGION_CELLS[region], _BAND_CELLS[bands])
         rows.append((_show(inst, x), *cells))
     _print_table(("x", "a", "b", "region", "bands"), rows)
     return EXIT_OK
@@ -172,17 +175,18 @@ def cmd_grid(inst: ProblemInstance, bbox: str, resolution: int, out: str) -> int
     xs = grid_axis(x_lo, x_hi, resolution)
     ys = grid_axis(y_lo, y_hi, resolution)
     y_cells = [repr(v2) for v2 in ys]
+    # csv's excel dialect written by hand: no cell (a float repr or a fixed
+    # label) ever holds a comma, quote or line end, so none is quoted
     with open(out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x1", "x2", "f", "alun", "s_labels"])
+        handle.write("x1,x2,f,alun,s_labels\r\n")
         # one row of the grid at a time: the whole grid is never held
         for v1 in xs:
             x_cell = repr(v1)
             results = engine.evaluate_many([(v1, v2) for v2 in ys])
-            writer.writerows(
-                (x_cell, y_cell, repr(value), region.value, _band_cell(bands))
+            handle.write("".join([
+                f"{x_cell},{y_cell},{value!r},{_REGION_CELLS[region]},{_BAND_CELLS[bands]}\r\n"
                 for y_cell, (value, region, bands) in zip(y_cells, results)
-            )
+            ]))
     print(f"wrote {len(xs) * len(ys)} rows to {out}")
     return EXIT_OK
 

@@ -364,7 +364,8 @@ class FinitePreorder(Preorder):
         return self._n
 
     def _check(self, x: Element) -> int:
-        if not (isinstance(x, int) and 0 <= x < self._n):
+        # bool is an int subclass, yet True and False are no element indices
+        if not (isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self._n):
             raise ForeignElementError(f"{x!r} is not an index below {self._n}")
         return x
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -10,9 +11,10 @@ import pytest
 
 import ordext
 from ordext import cli, contours, monotonicity
-from ordext.cli import main
+from ordext.cli import grid_axis, main
 from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
 from ordext.orders import FinitePreorder, ParetoSpace
+from ordext.problemfile import parse_problem
 from ordext.utility import UtilityFn, UtilityKind
 
 GAP_FIXTURE = {"space": {"kind": "fixture", "name": "example-gap"}}
@@ -246,6 +248,89 @@ def test_grid_monotone_along_rows_and_columns(tmp_path):
     for y in ys:
         row = [values[(x, y)] for x in xs]
         assert all(lo < hi for lo, hi in zip(row, row[1:]))
+
+
+# samples (0, 0) -> 0 and (2, 2) -> 1 in the range (0, 1): the box
+# -1..3 reaches every region letter, and (1, 1), with a = 0 and b = 1, is in
+# all four bands
+PARETO_ALL_REGIONS = {
+    "space": {"kind": "pareto", "dimension": 2},
+    "samples": [
+        {"point": [0.0, 0.0], "value": 0.0},
+        {"point": [2.0, 2.0], "value": 1.0},
+    ],
+}
+
+PARETO_EXTREME = {
+    "space": {"kind": "pareto", "dimension": 2},
+    "samples": [
+        {"point": [1e-300, -1e300], "value": 1e-300},
+        {"point": [1e300, 1e300], "value": 3e-300},
+    ],
+}
+
+
+def csv_writer_grid(problem, bbox, resolution):
+    """The grid file as ``csv.writer`` writes it from ``evaluate_many``."""
+    engine = parse_problem(Path(problem).read_text()).to_engine()
+    (x_lo, x_hi), (y_lo, y_hi) = cli._parse_bbox(bbox)
+    points = [(v1, v2) for v1 in grid_axis(x_lo, x_hi, resolution)
+              for v2 in grid_axis(y_lo, y_hi, resolution)]
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["x1", "x2", "f", "alun", "s_labels"])
+    for (v1, v2), (value, region, bands) in zip(points, engine.evaluate_many(points)):
+        writer.writerow([repr(v1), repr(v2), repr(value), region.value,
+                         "|".join(band.value for band in bands)])
+    return text.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "doc, bbox, resolution",
+    [(PARETO_OK, "-0.0,0,1,2", 1), (PARETO_OK, "0,-1,2,1", 3),
+     (PARETO_EXTREME, "-1e300,-1e-300,1e300,1e300", 5),
+     (PARETO_EXTREME, "0,-1e-300,1e-300,3e-300", 4),
+     (PARETO_ALL_REGIONS, "-1,-1,3,3", 5)],
+    ids=["negative-zero-resolution-1", "integer-corners", "huge", "tiny", "all-regions"],
+)
+def test_grid_file_matches_csv_writer(tmp_path, capsys, doc, bbox, resolution):
+    problem = write(tmp_path, "p.json", doc)
+    out_path = tmp_path / "grid.csv"
+    argv = ["grid", problem, f"--bbox={bbox}", f"--resolution={resolution}",
+            f"--out={out_path}"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {resolution ** 2} rows to {out_path}\n"
+    want = csv_writer_grid(problem, bbox, resolution)
+    assert out_path.read_bytes() == want
+    if doc is PARETO_ALL_REGIONS:
+        rows = list(csv.reader(want.decode().splitlines()))[1:]
+        assert {row[3] for row in rows} == {"P", "A", "L", "U", "N"}
+        assert "S1|S2|S3|S4" in {row[4] for row in rows}
+
+
+def ljust_table(header, rows):
+    """The table as one ``print`` per line of ljust-padded cells printed it."""
+    widths = [len(h) for h in header]
+    for row in rows:
+        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+                   for line in [header] + rows)
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [(("x", "f", "region", "bands"), []),
+     (("x", "f", "region", "bands"), [("a", "0.5", "A", "")]),
+     (("x", "f", "region", "bands"),
+      [("long-label-x", "1", "P", ""), ("y", "0.25", "L", "S1|S2|S3|S4"), ("", "", "", "")]),
+     (("x", "a", "b", "region", "bands"),
+      [("{0}", "{}", "-inf", "\u00fc", ""), ("x  ", "{:>9}", "inf", "N", "  ")]),
+     (("x", "f", "region", "bands"), [("tail ", "1", "U", " S4 ")])],
+    ids=["header-only", "empty-last-column", "ragged", "braces-and-blanks", "blank-edges"],
+)
+def test_print_table_matches_the_ljust_loop(capsys, header, rows):
+    cli._print_table(header, rows)
+    assert capsys.readouterr().out == ljust_table(header, rows)
 
 
 def test_grid_rejects_wrong_dimension(tmp_path, capsys):
@@ -542,11 +627,17 @@ def test_pareto_extend_queries_the_index_once_per_point(capsys, monkeypatch):
     assert scanned == [q for i, q in enumerate(points) if i == 0 or q != points[i - 1]]
 
 
-@pytest.mark.parametrize("command, calls", [("check", 1), ("extend", 0)])
+@pytest.mark.parametrize(
+    "command, case, code, calls",
+    [pytest.param("check", "finite-dag", 0, 0, id="check-0"),
+     pytest.param("extend", "finite-dag", 0, 0, id="extend-0"),
+     pytest.param("check", "finite-bad", 1, 2, id="finite-bad-check-2")],
+)
 def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
-        capsys, monkeypatch, command, calls):
-    # check prints the weak verdict itself; the gap check passes on the
-    # strict verdict of finite-dag and needs no weak one
+        capsys, monkeypatch, command, case, code, calls):
+    # strict increase implies weak increase: on finite-dag neither check's
+    # weak line nor the gap check computes it; on finite-bad strict increase
+    # fails, and each of the two runs the weak check once
     weak = monotonicity.check_weakly_increasing
     seen = []
 
@@ -556,10 +647,10 @@ def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
 
     for module in (cli, monotonicity):
         monkeypatch.setattr(module, "check_weakly_increasing", counted)
-    argv = [command, str(GOLDEN_CASES / "finite-dag.json")]
+    argv = [command, str(GOLDEN_CASES / f"{case}.json")]
     if command == "extend":
-        argv += ["--queries", str(GOLDEN_CASES / "finite-dag.queries.json")]
-    assert main(argv) == 0
+        argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]
+    assert main(argv) == code
     capsys.readouterr()
     assert len(seen) == calls
 

@@ -183,3 +183,16 @@ def test_memo_hit_does_not_skip_validation(rel, valid, foreign):
         read(valid)
         with pytest.raises(ForeignElementError):
             read(foreign)
+
+
+@pytest.mark.parametrize("index", [True, False])
+def test_bool_is_no_finite_index(index):
+    # bool is an int, yet no element: a finite space rejects it as a Pareto
+    # space rejects a bool coordinate, and does not read it as 1 or 0
+    chain = FinitePreorder.chain(3)
+    with pytest.raises(ForeignElementError):
+        chain.geq(2, index)
+    oracle = FiniteSampleOracle(chain, PartialUtility({0: 0.0, 2: 1.0}))
+    for read in (oracle.lower_sup, oracle.upper_inf):
+        with pytest.raises(ForeignElementError):
+            read(index)
