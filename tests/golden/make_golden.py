@@ -205,6 +205,15 @@ def build_cases(rng):
     )
     files["finite-witness.queries.json"] = wnames
 
+    # a grid over [0, 1]^2 at resolution 9 (nodes every 0.125): samples on
+    # nodes and off them, inside the box and outside it, with tied values
+    # on incomparable points (-0.0 with 0.0, 1 with 1.0, 2.5 with 2.5)
+    # and int coordinates on the top corner
+    lattice = [((0.0, 0.5), -0.0), ((0.5, 0.0), 0.0), ((-0.0, 0.0), -1.0),
+               ((0.25, 0.75), 1), ((0.75, 0.25), 1.0), ((0.6, 0.6), 1.5),
+               ((1, 1), 3), ((-0.5, -0.5), -2.0), ((2.0, 0.1), 2.5), ((0.3, 1.5), 2.5)]
+    files["pareto2-grid.json"] = _pareto_doc(2, lattice)
+
     files["fixture-gap.json"] = {"space": {"kind": "fixture", "name": "example-gap"}}
     files["fixture-nin.json"] = {"space": {"kind": "fixture", "name": "example-nin"}}
     return files
@@ -234,7 +243,8 @@ def build_commands():
     report("finite-ranking", ["--alpha", "10", "--beta", "11.5", "--base-utility", "levels"],
            "-range")
     for case, bbox, resolution in (("pareto2", "-7,-7,1.2,1.2", 14),
-                                   ("pareto2-bad", "0,0,1,1", 4)):
+                                   ("pareto2-bad", "0,0,1,1", 4),
+                                   ("pareto2-grid", "0,0,1,1", 9)):
         commands.append((f"{case}.grid", ["grid", _case(f"{case}.json"),
                                           f"--bbox={bbox}", "--resolution", str(resolution),
                                           "--out", "grid.csv"]))
