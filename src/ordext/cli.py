@@ -12,8 +12,9 @@ never reads as a verdict).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,9 +43,13 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 # the label cells, built once: each region's letter, and the S1|S3 text of
-# each band tuple the engine yields (a value of ``_BANDS``, keyed by itself)
-_REGION_CELLS = {region: region.value for region in ContourRegion}
-_BAND_CELLS = {bands: "|".join([band.value for band in bands]) for bands in _BANDS.values()}
+# each band tuple the engine yields (a value of ``_BANDS``).  Both are keyed
+# by ``id``: the engine yields these very objects, which live as long as
+# the module, and an Enum's own hash runs Python code on every lookup
+_REGION_CELLS = {id(region): region.value for region in ContourRegion}
+_BAND_CELLS = {
+    id(bands): "|".join([band.value for band in bands]) for bands in _BANDS.values()
+}
 
 
 def _show(inst: ProblemInstance, x) -> str:
@@ -121,7 +126,8 @@ def cmd_extend(inst: ProblemInstance, queries: List) -> int:
         return refusal
     engine = inst.to_engine()
     rows = [
-        (_show(inst, x), format(value, ".12g"), _REGION_CELLS[region], _BAND_CELLS[bands])
+        (_show(inst, x), format(value, ".12g"),
+         _REGION_CELLS[id(region)], _BAND_CELLS[id(bands)])
         for x, (value, region, bands) in zip(queries, engine.evaluate_many(queries))
     ]
     _print_table(("x", "f", "region", "bands"), rows)
@@ -133,7 +139,8 @@ def cmd_regions(inst: ProblemInstance, queries: List) -> int:
     rows = []
     for x in queries:
         a, b, region, bands = engine.describe(x)
-        cells = (bound_text(a), bound_text(b), _REGION_CELLS[region], _BAND_CELLS[bands])
+        labels = (_REGION_CELLS[id(region)], _BAND_CELLS[id(bands)])
+        cells = (bound_text(a), bound_text(b), *labels)
         rows.append((_show(inst, x), *cells))
     _print_table(("x", "a", "b", "region", "bands"), rows)
     return EXIT_OK
@@ -147,17 +154,25 @@ def _parse_bbox(text: str) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         x1, y1, x2, y2 = (float(p) for p in parts)
     except ValueError as exc:
         raise ProblemFileError("bbox", f"bad number in {text!r}") from exc
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ProblemFileError("bbox", "corners must be finite numbers")
     if not (x1 <= x2 and y1 <= y2):
         raise ProblemFileError("bbox", "corner (x1,y1) must not exceed (x2,y2)")
+    # a span past the largest float would make the grid step infinite
+    if not (math.isfinite(x2 - x1) and math.isfinite(y2 - y1)):
+        raise ProblemFileError("bbox", "the spans x2-x1 and y2-y1 must be finite")
     return (x1, x2), (y1, y2)
 
 
 def grid_axis(lo: float, hi: float, resolution: int) -> List[float]:
-    """``resolution`` evenly spaced values from ``lo`` to ``hi``; ``[lo]`` for one."""
+    """``resolution`` evenly spaced values from ``lo`` to ``hi``; ``[lo]`` for one.
+
+    A value that rounds past ``hi`` is ``hi``, so no value overflows.
+    """
     if resolution == 1:
         return [lo]
     step = (hi - lo) / (resolution - 1)
-    return [lo + step * i for i in range(resolution)]
+    return [min(lo + step * i, hi) for i in range(resolution)]
 
 
 def cmd_grid(inst: ProblemInstance, bbox: str, resolution: int, out: str) -> int:
@@ -175,16 +190,20 @@ def cmd_grid(inst: ProblemInstance, bbox: str, resolution: int, out: str) -> int
     xs = grid_axis(x_lo, x_hi, resolution)
     ys = grid_axis(y_lo, y_hi, resolution)
     y_cells = [repr(v2) for v2 in ys]
+    results = engine.evaluate_lattice(xs, ys)
     # csv's excel dialect written by hand: no cell (a float repr or a fixed
     # label) ever holds a comma, quote or line end, so none is quoted
     with open(out, "w", newline="") as handle:
         handle.write("x1,x2,f,alun,s_labels\r\n")
-        # one row of the grid at a time: the whole grid is never held
+        # one write per grid row, so the text of one row is held at a time
+        # (the sweep itself holds one integer table of the grid).  zip stops
+        # at the end of y_cells before it pulls from results, so each row
+        # takes exactly len(ys) results
         for v1 in xs:
             x_cell = repr(v1)
-            results = engine.evaluate_many([(v1, v2) for v2 in ys])
             handle.write("".join([
-                f"{x_cell},{y_cell},{value!r},{_REGION_CELLS[region]},{_BAND_CELLS[bands]}\r\n"
+                f"{x_cell},{y_cell},{value!r},"
+                f"{_REGION_CELLS[id(region)]},{_BAND_CELLS[id(bands)]}\r\n"
                 for y_cell, (value, region, bands) in zip(y_cells, results)
             ]))
     print(f"wrote {len(xs) * len(ys)} rows to {out}")
@@ -231,8 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and kept for later ones."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         inst = parse_problem(Path(args.file).read_text())
         if args.command == "check":

@@ -19,18 +19,24 @@ preorder: a table of both bounds per element on a :class:`FinitePreorder`,
 per-coordinate prefix bitmasks on a :class:`ParetoSpace`.  The augmented
 extremes ``TOP``/``BOTTOM`` and every other preorder go through the
 generic loop (one :func:`compare_augmented` per sample), the reference
-for the indexes.
+for the indexes.  A whole 2-D grid needs no index:
+:meth:`FiniteSampleOracle.lattice` sweeps it once, by 2-D prefix and
+suffix minima over the sample ranks, in O(|P| log R + R²) for R points per
+axis with one R×R integer table, and leaves each point's record in the
+memo as it yields the point.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ordext.orders import (
     Augmented,
@@ -177,6 +183,11 @@ class ContourOracle(ABC):
     @abstractmethod
     def sample_value(self, x: Element) -> float:
         """Value at a sample point; ``KeyError`` otherwise."""
+
+    def lattice(self, xs: Sequence[float], ys: Sequence[float]) -> Iterator[Tuple[float, float]]:
+        """The points of the grid ``xs × ys``, each record memoized as it is
+        yielded; only :meth:`FiniteSampleOracle.lattice` sweeps one."""
+        raise UnsupportedQueryError(f"{type(self).__name__} sweeps no lattice")
 
 
 def _finite_index(rel: FinitePreorder, samples: PartialUtility) -> Callable:
@@ -327,6 +338,102 @@ class FiniteSampleOracle(ContourOracle):
 
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
         return self.record(x)[2:]
+
+    def lattice(
+        self, xs: Sequence[float], ys: Sequence[float]
+    ) -> Iterator[Tuple[float, float]]:
+        """Every point ``(v1, v2)`` of the grid ``xs × ys``, row by row.
+
+        Each point's record goes into the memo before the point is yielded,
+        so the bound queries on it that follow read the memo.  Only a 2-D
+        :class:`ParetoSpace` is swept (:class:`UnsupportedQueryError`
+        otherwise), on axes sorted non-decreasing (``ValueError``
+        otherwise).  Each axis value is validated once, which validates
+        every grid point; all of this happens before the first point.
+
+        One sweep answers the whole grid.  A sample is weakly below grid
+        point ``(i, j)`` iff its lower cell, ``(bisect_left(xs, p1),
+        bisect_left(ys, p2))``, is at most ``(i, j)`` in both indexes, and
+        weakly above iff its upper cell, ``(bisect_right(xs, p1) - 1,
+        bisect_right(ys, p2) - 1)``, is at least ``(i, j)``.  With the
+        samples ranked as :func:`_pareto_index` ranks them, ``a`` is at the
+        2-D prefix minimum of rank over the lower cells, and ``b`` at the
+        2-D suffix minimum over the upper cells of the key
+        ``(last_group - group) * n + rank``: the lowest rank in the tie
+        group of the upper contour's highest rank, the sample
+        :func:`_pareto_index` reports.  Cost O(|P| log R + R²) for R points
+        per axis.  Memory: one R×R integer table, the ``b`` keys; the rows
+        of ``a`` are computed on the fly, and points that share both minima
+        share one record tuple.
+        """
+        rel = self._rel
+        if type(rel) is not ParetoSpace or rel.k != 2:
+            raise UnsupportedQueryError("a lattice sweep needs a 2-D Pareto space")
+        for axis in (xs, ys):
+            for v in axis:
+                rel._check((v, v))
+            if any(lo > hi for lo, hi in zip(axis, axis[1:])):
+                raise ValueError("lattice axes must be sorted non-decreasing")
+        ranked = sorted(self._samples.items(), key=itemgetter(1), reverse=True)
+        values = [v for _, v in ranked]
+        n = len(values)
+        last_group, groups = 0, []  # the tie group of each rank
+        for r, v in enumerate(values):
+            if r and v != values[r - 1]:
+                last_group += 1
+            groups.append(last_group)
+        no_a = n                     # no sample below
+        no_b = (last_group + 1) * n  # no sample above; above every key
+        width, cols = no_b + 1, len(ys)
+        lower = [[] for _ in xs]     # per row: (column, rank)
+        upper = [[] for _ in xs]     # per row: (column, b key)
+        for r, (p, _) in enumerate(ranked):
+            p1, p2 = rel._check(p)
+            i, j = bisect_left(xs, p1), bisect_left(ys, p2)
+            if i < len(xs) and j < cols:
+                lower[i].append((j, r))
+            i, j = bisect_right(xs, p1) - 1, bisect_right(ys, p2) - 1
+            if i >= 0 and j >= 0:
+                upper[i].append((j, (last_group - groups[r]) * n + r))
+
+        def cell_row(hits, empty):
+            row = [empty] * cols
+            for j, key in hits:
+                row[j] = min(row[j], key)
+            return row
+
+        # b keys, swept up from the last row: suffix minima along each row,
+        # then along the columns; rows that hold no upper cell share the
+        # row below them
+        b_rows = [None] * len(xs)
+        b_row = array("q", [no_b]) * cols
+        for i in reversed(range(len(xs))):
+            if upper[i]:
+                run = list(accumulate(reversed(cell_row(upper[i], no_b)), min))
+                b_row = array("q", map(min, b_row, reversed(run)))
+            b_rows[i] = b_row
+
+        def points() -> Iterator[Tuple[float, float]]:
+            records = {}
+            a_row = [no_a] * cols
+            for i, v1 in enumerate(xs):
+                if lower[i]:
+                    a_row = list(map(min, a_row, accumulate(cell_row(lower[i], no_a), min)))
+                for v2, ka, kb in zip(ys, a_row, b_rows[i]):
+                    key = ka * width + kb
+                    entry = records.get(key)
+                    if entry is None:
+                        entry = records[key] = (
+                            values[ka] if ka < no_a else -math.inf,
+                            values[kb % n] if kb < no_b else math.inf,
+                            ka < no_a,
+                            kb < no_b,
+                        )
+                    x = (v1, v2)
+                    self._last = (x, entry)
+                    yield x
+
+        return points()
 
     def in_samples(self, x: Element) -> bool:
         return x in self._samples

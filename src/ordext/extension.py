@@ -13,12 +13,16 @@ value; the unit value is the scaled one mapped affinely, with the
 operands :func:`normalize01` uses.  :meth:`ExtensionEngine.evaluate_many`
 answers a batch: per point it calls ``evaluate`` once and takes the
 region and band labels from the oracle record that call just memoized.
-One helper derives both labels from a record, for the batch,
-:meth:`ExtensionEngine.describe` and the two ``classify_*`` methods
-alike.  The paper's three algebraically equivalent routes (an offset
-form, routing by contour region, routing by band) and
-``evaluate_all_forms`` stay on the engine as the reference that the
-acceptance gate and the tests check ``evaluate`` against.
+:meth:`ExtensionEngine.evaluate_lattice` answers a 2-D grid: the oracle
+sweeps it once (O(|P| log R + R²), one R×R integer table) and memoizes
+each point's record before the one ``evaluate`` call per point, and the
+labels are derived once per distinct record.  One helper derives both
+labels from a record, for the batches, :meth:`ExtensionEngine.describe`
+and the two ``classify_*`` methods alike.  The paper's three
+algebraically equivalent routes (an offset form, routing by contour
+region, routing by band) and ``evaluate_all_forms`` stay on the engine as
+the reference that the acceptance gate and the tests check ``evaluate``
+against.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
 from ordext.monotonicity import check_pareto_set_values
@@ -180,6 +184,29 @@ class ExtensionEngine:
             value = evaluate(x)
             _, _, region, bands = describe(x)
             yield value, region, bands
+
+    def evaluate_lattice(
+        self, xs: Sequence[float], ys: Sequence[float]
+    ) -> Iterator[Tuple[float, ContourRegion, Tuple[Band, ...]]]:
+        """``(value, region, bands)`` at every ``(v1, v2)`` of ``xs × ys``,
+        lazily and row by row.
+
+        The oracle sweeps the whole grid once
+        (:meth:`FiniteSampleOracle.lattice`) and memoizes each point's
+        record before it yields the point, so the one :meth:`evaluate` call
+        per point reads the memo.  The labels are derived once per distinct
+        record and sample membership.
+        """
+        oracle = self._oracle
+        evaluate = self.evaluate
+        labels = {}
+        for x in oracle.lattice(xs, ys):
+            value = evaluate(x)
+            key = (oracle.record(x), oracle.in_samples(x))
+            found = labels.get(key)
+            if found is None:
+                found = labels[key] = self._labels(*key[0], key[1])
+            yield value, found[0], found[1]
 
     def describe(self, x: Element) -> Tuple[float, float, ContourRegion, Tuple[Band, ...]]:
         """``(a, b, region, bands)`` at ``x`` from one oracle record.

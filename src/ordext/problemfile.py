@@ -223,6 +223,15 @@ def _parse_space(doc):
         for i, name in enumerate(names):
             if not isinstance(name, str) or not name:
                 raise ProblemFileError(f"space.elements[{i}]", "expected a non-empty string")
+            # a lone surrogate (a JSON escape like \ud800) cannot be printed;
+            # names in samples and queries must match one of these, so
+            # rejecting it here rejects it there too
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ProblemFileError(
+                    f"space.elements[{i}]", "name cannot be encoded as UTF-8"
+                ) from None
         index = _name_index(names)
         if len(index) != len(names):
             raise ProblemFileError("space.elements", "element names must be unique")

@@ -290,10 +290,18 @@ def csv_writer_grid(problem, bbox, resolution):
     [(PARETO_OK, "-0.0,0,1,2", 1), (PARETO_OK, "0,-1,2,1", 3),
      (PARETO_EXTREME, "-1e300,-1e-300,1e300,1e300", 5),
      (PARETO_EXTREME, "0,-1e-300,1e-300,3e-300", 4),
-     (PARETO_ALL_REGIONS, "-1,-1,3,3", 5)],
-    ids=["negative-zero-resolution-1", "integer-corners", "huge", "tiny", "all-regions"],
+     (PARETO_ALL_REGIONS, "-1,-1,3,3", 5),
+     (PARETO_OK, "0,-0.0,2,0", 3), (PARETO_OK, "1,1,1,1", 2),
+     (PARETO_OK, "0,-1,1.7976931348623157e308,1", 4),
+     ({"space": {"kind": "pareto", "dimension": 2}, "samples": []}, "-1,-1,1,1", 3),
+     ("pareto2-grid", "0,0,1,1", 9), ("pareto2-grid", "-0.25,0.125,1.5,0.875", 8)],
+    ids=["negative-zero-resolution-1", "integer-corners", "huge", "tiny", "all-regions",
+         "flat-y", "one-point-box", "float-max-span", "no-samples",
+         "ties-nodes-outside", "ties-off-nodes"],
 )
 def test_grid_file_matches_csv_writer(tmp_path, capsys, doc, bbox, resolution):
+    if isinstance(doc, str):  # a golden case
+        doc = json.loads((GOLDEN_CASES / f"{doc}.json").read_text())
     problem = write(tmp_path, "p.json", doc)
     out_path = tmp_path / "grid.csv"
     argv = ["grid", problem, f"--bbox={bbox}", f"--resolution={resolution}",
@@ -701,6 +709,101 @@ def test_non_string_names_exit_2(tmp_path, capsys, mangle, queries, message):
     assert captured.out == ""
 
 
+# a lone surrogate (JSON "\ud800") cannot be written as UTF-8: every
+# command rejects the file, wherever the name stands
+SURROGATE_NAMES = [
+    (lambda d: d["space"]["elements"].append("lo\ud800"), ["low"],
+     "error: space.elements[3]: name cannot be encoded as UTF-8"),
+    (lambda d: d["samples"].append({"element": "lo\ud800", "value": 0.5}), ["low"],
+     "error: samples[2].element: unknown element 'lo\\ud800'"),
+    (lambda d: None, ["low", "lo\ud800"], "error: [1]: unknown element 'lo\\ud800'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, mangle, queries, message",
+    [("check", *SURROGATE_NAMES[0]), ("check", *SURROGATE_NAMES[1])]
+    + [(command, *case) for command in ("extend", "regions") for case in SURROGATE_NAMES],
+    ids=["check-elements", "check-sample", "extend-elements", "extend-sample", "extend-query",
+         "regions-elements", "regions-sample", "regions-query"],
+)
+def test_unencodable_names_exit_2(tmp_path, capsys, command, mangle, queries, message):
+    doc = json.loads(json.dumps(FINITE_OK))
+    mangle(doc)
+    problem = write(tmp_path, "p.json", doc)
+    argv = [command, problem]
+    if command != "check":
+        argv += ["--queries", write(tmp_path, "q.json", queries)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "bbox, message",
+    [("-inf,0,inf,1", "corners must be finite numbers"),
+     ("0,nan,1,1", "corners must be finite numbers"),
+     ("-1e308,0,1e308,1", "the spans x2-x1 and y2-y1 must be finite"),
+     ("0,-1e308,1,1e308", "the spans x2-x1 and y2-y1 must be finite")],
+    ids=["infinite-corners", "nan-corner", "x-span-overflows", "y-span-overflows"],
+)
+def test_grid_rejects_non_finite_boxes(tmp_path, capsys, bbox, message):
+    out_path = tmp_path / "g.csv"
+    argv = ["grid", write(tmp_path, "p.json", PARETO_OK), f"--bbox={bbox}",
+            "--out", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bbox: {message}\n"
+    assert not out_path.exists()
+
+
+def test_grid_axis_never_rounds_past_its_end():
+    top = sys.float_info.max
+    for resolution in range(2, 50):
+        axis = grid_axis(0.0, top, resolution)
+        assert axis[0] == 0.0 and axis[-1] <= top
+        assert axis == sorted(axis)
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # back-to-back calls with other subcommands and flags print and exit as
+    # each would alone, with a parser built for it
+    problem = write(tmp_path, "p.json", PARETO_OK)
+    queries = write(tmp_path, "q.json", [[0.5, 0.5], [2.0, -1.0]])
+    calls = [
+        ["extend", problem, "--alpha=-1", "--beta", "2", "--queries", queries],
+        ["extend", problem, "--queries", queries],
+        ["grid", problem, "--bbox=0,0,1,1", "--resolution", "3",
+         "--out", str(tmp_path / "g.csv")],
+        ["regions", problem, "--base-utility", "weighted-sum:2,1", "--queries", queries],
+        ["check", problem],
+        ["grid", problem, "--bbox=0,0,1,1", "--out", str(tmp_path / "g.csv")],
+        ["extend", problem],
+        ["regions", problem, "--queries", queries],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        grid = tmp_path / "g.csv"
+        written = grid.read_bytes() if grid.exists() else None
+        grid.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    cli._parser.cache_clear()
+    together = [run(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    assert together == alone
+    assert [result[0] for result in together] == [0, 0, 0, 0, 0, 0, 2, 0]
+
+
 @pytest.mark.parametrize("command", ["extend", "grid"])
 def test_commands_evaluate_through_evaluate_only(tmp_path, capsys, monkeypatch, command):
     # the reference forms stay on the engine for the tests; the CLI must
@@ -725,7 +828,7 @@ def test_commands_evaluate_through_evaluate_only(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize(
     "command, case, points",
     [("extend", "pareto2", 29), ("extend", "finite-dag", 30), ("grid", "pareto2", 49),
-     ("regions", "pareto2-bad", 0)],
+     ("grid", "pareto2-grid", 49), ("regions", "pareto2-bad", 0)],
 )
 def test_commands_evaluate_and_read_the_utility_once_per_point(
         tmp_path, capsys, monkeypatch, command, case, points):
