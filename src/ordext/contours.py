@@ -23,7 +23,8 @@ for the indexes.  A whole 2-D grid needs no index:
 :meth:`FiniteSampleOracle.lattice` sweeps it once, by 2-D prefix and
 suffix minima over the sample ranks, in O(|P| log R + R²) for R points per
 axis with one R×R integer table, and leaves each point's record in the
-memo as it yields the point.
+memo as it yields the point.  The Pareto index and the sweep take their
+sample ranks, and with them the tie rule of ``b``, from one helper.
 """
 
 from __future__ import annotations
@@ -213,20 +214,27 @@ def _finite_index(rel: FinitePreorder, samples: PartialUtility) -> Callable:
     return lambda x: table[rel._check(x)]
 
 
-def _pareto_index(rel: ParetoSpace, samples: PartialUtility) -> Callable:
-    """Per-coordinate prefix masks; bit r is the r-th sample by falling value.
-
-    Ties keep sample order.  ``prefix[i]`` holds the samples with the i
-    smallest keys: a query ANDs the prefixes at ``bisect_right`` (lower
-    contour) and their complements at ``bisect_left`` (upper contour).
-    ``a`` is at the lowest bit of the lower contour, ``b`` at the lowest
-    bit of the upper one in the tie group of its highest bit.
-    """
+def _ranked(rel: ParetoSpace, samples: PartialUtility) -> Tuple[list, list, list]:
+    """Validated points and their values by falling value, ties in sample order,
+    and ``first[r]``, the first rank of the run of ``==`` values holding rank r."""
     ranked = sorted(samples.items(), key=itemgetter(1), reverse=True)
-    points = [rel._check(p) for p, _ in ranked]
     values = [v for _, v in ranked]
-    # each value's first rank; equal numbers hash alike, so ties share a key
-    first = {v: r for r, v in reversed(list(enumerate(values)))}
+    first = []
+    for r, v in enumerate(values):
+        first.append(first[-1] if r and v == values[r - 1] else r)
+    return [rel._check(p) for p, _ in ranked], values, first
+
+
+def _pareto_index(rel: ParetoSpace, samples: PartialUtility) -> Callable:
+    """Per-coordinate prefix masks; bit r is the sample of rank r (:func:`_ranked`).
+
+    ``prefix[i]`` holds the samples with the i smallest keys: a query ANDs
+    the prefixes at ``bisect_right`` (lower contour) and their complements
+    at ``bisect_left`` (upper contour).  ``a`` is at the lowest bit of the
+    lower contour, ``b`` at the lowest bit of the upper one in the tie group
+    of its highest bit.
+    """
+    points, values, first = _ranked(rel, samples)
     axes = []
     for d in range(rel.k):
         order = sorted(range(len(points)), key=lambda r: points[r][d])
@@ -244,7 +252,7 @@ def _pareto_index(rel: ParetoSpace, samples: PartialUtility) -> Callable:
         a = values[lowest_bit(down)] if down else -math.inf
         if not up:
             return a, math.inf, bool(down), False
-        tie = first[values[up.bit_length() - 1]]
+        tie = first[up.bit_length() - 1]
         return a, values[tie + lowest_bit(up >> tie)], bool(down), True
 
     return query
@@ -356,11 +364,11 @@ class FiniteSampleOracle(ContourOracle):
         bisect_left(ys, p2))``, is at most ``(i, j)`` in both indexes, and
         weakly above iff its upper cell, ``(bisect_right(xs, p1) - 1,
         bisect_right(ys, p2) - 1)``, is at least ``(i, j)``.  With the
-        samples ranked as :func:`_pareto_index` ranks them, ``a`` is at the
-        2-D prefix minimum of rank over the lower cells, and ``b`` at the
-        2-D suffix minimum over the upper cells of the key
-        ``(last_group - group) * n + rank``: the lowest rank in the tie
-        group of the upper contour's highest rank, the sample
+        samples ranked by :func:`_ranked`, as :func:`_pareto_index` ranks
+        them, ``a`` is at the 2-D prefix minimum of rank over the lower
+        cells, and ``b`` at the 2-D suffix minimum over the upper cells of
+        the key ``(n - 1 - first[rank]) * n + rank``: the lowest rank in the
+        tie group of the upper contour's highest rank, the sample
         :func:`_pareto_index` reports.  Cost O(|P| log R + R²) for R points
         per axis.  Memory: one R×R integer table, the ``b`` keys; the rows
         of ``a`` are computed on the fly, and points that share both minima
@@ -374,27 +382,20 @@ class FiniteSampleOracle(ContourOracle):
                 rel._check((v, v))
             if any(lo > hi for lo, hi in zip(axis, axis[1:])):
                 raise ValueError("lattice axes must be sorted non-decreasing")
-        ranked = sorted(self._samples.items(), key=itemgetter(1), reverse=True)
-        values = [v for _, v in ranked]
+        points, values, first = _ranked(rel, self._samples)
         n = len(values)
-        last_group, groups = 0, []  # the tie group of each rank
-        for r, v in enumerate(values):
-            if r and v != values[r - 1]:
-                last_group += 1
-            groups.append(last_group)
-        no_a = n                     # no sample below
-        no_b = (last_group + 1) * n  # no sample above; above every key
+        no_a = n                  # no sample below
+        no_b = n * n              # no sample above; above every b key
         width, cols = no_b + 1, len(ys)
-        lower = [[] for _ in xs]     # per row: (column, rank)
-        upper = [[] for _ in xs]     # per row: (column, b key)
-        for r, (p, _) in enumerate(ranked):
-            p1, p2 = rel._check(p)
+        lower = [[] for _ in xs]  # per row: (column, rank)
+        upper = [[] for _ in xs]  # per row: (column, b key)
+        for r, (p1, p2) in enumerate(points):
             i, j = bisect_left(xs, p1), bisect_left(ys, p2)
             if i < len(xs) and j < cols:
                 lower[i].append((j, r))
             i, j = bisect_right(xs, p1) - 1, bisect_right(ys, p2) - 1
             if i >= 0 and j >= 0:
-                upper[i].append((j, (last_group - groups[r]) * n + r))
+                upper[i].append((j, (n - 1 - first[r]) * n + r))
 
         def cell_row(hits, empty):
             row = [empty] * cols

@@ -485,7 +485,7 @@ def pairwise_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdic
                             ("f_P(x)", samples.value(p)),
                             ("f_P(x')", samples.value(q)),
                         ),
-                        note="equivalent sample points with different values",
+                        note="equivalent points with different values",
                     ),
                 )
     return _PASS

@@ -11,14 +11,14 @@ formula, is the one production evaluator: the CLI calls nothing else
 for a value.  Per point it reads the two bounds and one scaled utility
 value; the unit value is the scaled one mapped affinely, with the
 operands :func:`normalize01` uses.  :meth:`ExtensionEngine.evaluate_many`
-answers a batch: per point it calls ``evaluate`` once and takes the
-region and band labels from the oracle record that call just memoized.
-:meth:`ExtensionEngine.evaluate_lattice` answers a 2-D grid: the oracle
-sweeps it once (O(|P| log R + R²), one R×R integer table) and memoizes
-each point's record before the one ``evaluate`` call per point, and the
-labels are derived once per distinct record.  One helper derives both
-labels from a record, for the batches, :meth:`ExtensionEngine.describe`
-and the two ``classify_*`` methods alike.  The paper's three
+is the one batch evaluator: per point it calls ``evaluate`` once and
+takes the region and band labels from the oracle record that call just
+memoized, derived once per distinct record.  A 2-D grid is the batch of
+the points :meth:`FiniteSampleOracle.lattice` yields: the oracle sweeps
+the grid once (O(|P| log R + R²), one R×R integer table) and memoizes
+each point's record before yielding it.  One helper derives both labels
+from a record, for the batch, :meth:`ExtensionEngine.describe` and the
+two ``classify_*`` methods alike.  The paper's three
 algebraically equivalent routes (an offset form, routing by contour
 region, routing by band) and ``evaluate_all_forms`` stay on the engine as
 the reference that the acceptance gate and the tests check ``evaluate``
@@ -30,13 +30,14 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
 from ordext.monotonicity import check_pareto_set_values
 from ordext.orders import Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError
 from ordext.utility import (
     UtilityFn,
+    check_range,
     finite_utility,
     normalize01,
     pareto_base_utility,
@@ -105,8 +106,7 @@ class ExtensionEngine:
     """
 
     def __init__(self, oracle: ContourOracle, alpha: float, beta: float, utility: UtilityFn):
-        if not (alpha < beta):
-            raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
+        check_range(alpha, beta)
         self._oracle = oracle
         self._alpha = float(alpha)
         self._beta = float(beta)
@@ -176,31 +176,14 @@ class ExtensionEngine:
 
         Each point costs one :meth:`evaluate` call and one more read of
         the oracle record that call just memoized; ``evaluate`` raises
-        :class:`UnboundedContourError` here as it does alone.
-        """
-        evaluate = self.evaluate
-        describe = self.describe
-        for x in points:
-            value = evaluate(x)
-            _, _, region, bands = describe(x)
-            yield value, region, bands
-
-    def evaluate_lattice(
-        self, xs: Sequence[float], ys: Sequence[float]
-    ) -> Iterator[Tuple[float, ContourRegion, Tuple[Band, ...]]]:
-        """``(value, region, bands)`` at every ``(v1, v2)`` of ``xs × ys``,
-        lazily and row by row.
-
-        The oracle sweeps the whole grid once
-        (:meth:`FiniteSampleOracle.lattice`) and memoizes each point's
-        record before it yields the point, so the one :meth:`evaluate` call
-        per point reads the memo.  The labels are derived once per distinct
-        record and sample membership.
+        :class:`UnboundedContourError` here as it does alone.  Labels are
+        derived once per distinct record; pass ``oracle.lattice(xs, ys)``
+        for a 2-D grid.
         """
         oracle = self._oracle
         evaluate = self.evaluate
         labels = {}
-        for x in oracle.lattice(xs, ys):
+        for x in points:
             value = evaluate(x)
             key = (oracle.record(x), oracle.in_samples(x))
             found = labels.get(key)

@@ -17,8 +17,8 @@ order.  Where the reference loops look at unordered pairs (j > i only),
 the violation is symmetric in i and j, so the first i with a violation
 has no violating partner below it and the masks need no j > i cut.
 Gap-safety with finitely many samples is strict increase on the
-samples, for finite relations and Pareto spaces alike, so neither gap
-check reads a bound unless it has a violation to name.  The
+samples, for any preorder, so one gap check decides it for every space
+from one mask pass and reads a bound only to name a violation.  The
 one-comparison-per-pair loops are kept in :mod:`ordext.crosscheck` as
 the references these are tested against.
 """
@@ -26,7 +26,7 @@ the references these are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from ordext.contours import (
     ContourOracle,
@@ -38,7 +38,6 @@ from ordext.contours import (
 from ordext.orders import (
     Augmented,
     Comparison,
-    FinitePreorder,
     Preorder,
     compare_augmented,
     lowest_bit,
@@ -112,15 +111,14 @@ def _pair_witness(samples: PartialUtility, lo, hi, note: str) -> Verdict:
     )
 
 
-def _value_masks(samples: PartialUtility) -> Tuple[List[int], List[int]]:
-    return rank_masks([v for _, v in samples.items()])
-
-
-def check_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
-    """Dominating sample points must not have smaller values."""
+def _sample_masks(rel: Preorder, samples: PartialUtility) -> tuple:
+    """``(points, up, down, ge, gt)``: one dominance pass, one value-rank pass."""
     pts = samples.points
-    up, _ = rel.dominance_masks(pts)
-    ge, _ = _value_masks(samples)
+    return (pts, *rel.dominance_masks(pts), *rank_masks([v for _, v in samples.items()]))
+
+
+def _weak_verdict(samples: PartialUtility, masks: tuple) -> Verdict:
+    pts, up, _, ge, _ = masks
     for i, p in enumerate(pts):
         bad = up[i] & ~ge[i]
         if bad:
@@ -130,11 +128,8 @@ def check_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
     return _PASS
 
 
-def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
-    """Equivalent points share a value; strict domination means a larger value."""
-    pts = samples.points
-    up, down = rel.dominance_masks(pts)
-    ge, gt = _value_masks(samples)
+def _strict_verdict(samples: PartialUtility, masks: tuple) -> Verdict:
+    pts, up, down, ge, gt = masks
     for i, p in enumerate(pts):
         above = up[i]
         below = down[i]
@@ -155,6 +150,16 @@ def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict
     return _PASS
 
 
+def check_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
+    """Dominating sample points must not have smaller values."""
+    return _weak_verdict(samples, _sample_masks(rel, samples))
+
+
+def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
+    """Equivalent points share a value; strict domination means a larger value."""
+    return _strict_verdict(samples, _sample_masks(rel, samples))
+
+
 def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
     return Verdict(
         False,
@@ -171,9 +176,12 @@ def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
 
 
 def check_gap_safe_finite(
-    rel: FinitePreorder, samples: PartialUtility, strict: Optional[Verdict] = None
+    rel: Preorder,
+    samples: PartialUtility,
+    strict: Optional[Verdict] = None,
+    weak: Optional[Verdict] = None,
 ) -> Verdict:
-    """Decide gap-safety over a finite ground set.
+    """Decide gap-safety of a finite sample set, in any preorder.
 
     Gap-safety quantifies over strict pairs of the augmented ground set.
     With finitely many samples it is exactly strict increase on the
@@ -187,14 +195,18 @@ def check_gap_safe_finite(
     a(p) = f_P(p) and b(q) = f_P(q), so the pair is a gap, and it is
     returned with those two bounds, the only ones this check reads.
 
-    ``strict``, when given, is the :func:`check_strictly_increasing`
-    verdict on the same relation and samples.
+    ``strict`` and ``weak``, when given, are the verdicts of
+    :func:`check_strictly_increasing` and :func:`check_weakly_increasing`
+    on the same relation and samples; one mask pass derives the rest.
     """
+    masks = None
     if strict is None:
-        strict = check_strictly_increasing(rel, samples)
+        masks = _sample_masks(rel, samples)
+        strict = _strict_verdict(samples, masks)
     if strict.holds:
         return _PASS
-    weak = check_weakly_increasing(rel, samples)
+    if weak is None:
+        weak = _weak_verdict(samples, masks or _sample_masks(rel, samples))
     if not weak.holds:
         return weak
     # under weak increase equivalent samples share a value, so the strict
@@ -203,6 +215,10 @@ def check_gap_safe_finite(
     return _bound_witness(
         FiniteSampleOracle(rel, samples), w.lo, w.hi, "x' strictly dominates x but b(x') <= a(x)"
     )
+
+
+# a second name of the one gap check, kept for callers of the Pareto name
+check_gap_safe_pareto = check_gap_safe_finite
 
 
 def check_gap_safe_probes(
@@ -227,26 +243,6 @@ def check_gap_safe_probes(
     return _PASS
 
 
-def check_gap_safe_pareto(
-    space: Preorder, samples: PartialUtility, strict: Optional[Verdict] = None
-) -> Verdict:
-    """Gap-safety for a finite sample set in a Pareto space.
-
-    With finitely many samples both bound functions are automatically
-    finite, and gap-safety collapses to strict increase on the samples:
-    a strict grid pair x' > x with occupied contours yields sample
-    points q >= x' > x >= p, so strict increase forces
-    f_P(q) > f_P(p), i.e. b(x') > a(x).  The grid refuter in the
-    verification layer re-validates this reduction by sampling.
-
-    ``strict``, when given, is the :func:`check_strictly_increasing`
-    verdict on the same space and samples, and is returned as is.
-    """
-    if strict is not None:
-        return strict
-    return check_strictly_increasing(space, samples)
-
-
 class NotAParetoSetError(ValueError):
     """The sample set contains a strictly dominating pair."""
 
@@ -263,19 +259,11 @@ def check_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdict:
     Requires the sample points to be mutually undominated (raises
     :class:`NotAParetoSetError` otherwise).  With finitely many samples
     the contour-boundedness half of the criterion is automatic, so the
-    check reduces to value constancy on equivalence classes.
+    check reduces to value constancy on equivalence classes: strict
+    increase, on samples with no strict pair.
     """
-    pts = samples.points
-    up, down = rel.dominance_masks(pts)
+    pts, up, down, _, _ = masks = _sample_masks(rel, samples)
     pair = strict_pair(pts, up, down)
     if pair is not None:
         raise NotAParetoSetError(pair)
-    ge, gt = _value_masks(samples)
-    for i, p in enumerate(pts):
-        bad = up[i] & down[i] & ~(ge[i] ^ gt[i])
-        if bad:
-            return _pair_witness(
-                samples, p, pts[lowest_bit(bad)],
-                "equivalent sample points with different values",
-            )
-    return _PASS
+    return _strict_verdict(samples, masks)

@@ -102,6 +102,13 @@ def pareto_base_utility(
     return UtilityFn(fn=fn, kind=UtilityKind.BASE)
 
 
+def check_range(alpha: float, beta: float) -> None:
+    """Reject an empty range, or one whose span is not finite (every value NaN)."""
+    if not (alpha < beta and math.isfinite(beta - alpha)):
+        raise ValueError(
+            f"need alpha < beta and a finite span beta - alpha, got ({alpha}, {beta})")
+
+
 def squash(u: UtilityFn, alpha: float, beta: float) -> UtilityFn:
     """Compress a utility's range strictly inside (alpha, beta) via arctan.
 
@@ -110,8 +117,7 @@ def squash(u: UtilityFn, alpha: float, beta: float) -> UtilityFn:
     same output, so callers needing strictness must keep their base
     utility values resolvably spaced (integer-valued utilities are).
     """
-    if not (alpha < beta):
-        raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
+    check_range(alpha, beta)
     span = beta - alpha
 
     def fn(x: Element) -> float:

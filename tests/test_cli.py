@@ -639,13 +639,14 @@ def test_pareto_extend_queries_the_index_once_per_point(capsys, monkeypatch):
     "command, case, code, calls",
     [pytest.param("check", "finite-dag", 0, 0, id="check-0"),
      pytest.param("extend", "finite-dag", 0, 0, id="extend-0"),
-     pytest.param("check", "finite-bad", 1, 2, id="finite-bad-check-2")],
+     pytest.param("check", "finite-bad", 1, 1, id="finite-bad-check-1")],
 )
 def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
         capsys, monkeypatch, command, case, code, calls):
     # strict increase implies weak increase: on finite-dag neither check's
     # weak line nor the gap check computes it; on finite-bad strict increase
-    # fails, and each of the two runs the weak check once
+    # fails, and check computes the weak verdict once for its own line and
+    # hands it to the gap check
     weak = monotonicity.check_weakly_increasing
     seen = []
 
@@ -661,6 +662,64 @@ def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
     assert main(argv) == code
     capsys.readouterr()
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "command, case, budget",
+    [("check", "finite-bad", 2), ("extend", "finite-bad", 1),
+     ("check", "pareto2-bad", 2), ("extend", "pareto2-bad", 1), ("grid", "pareto2-bad", 1),
+     ("check", "pareto2-tie", 2), ("extend", "pareto2-tie", 1), ("grid", "pareto2-tie", 1)],
+)
+def test_failing_gap_checks_keep_to_their_mask_pass_budget(
+        tmp_path, capsys, monkeypatch, command, case, budget):
+    # a refusal derives both the strict and the weak verdict from one
+    # dominance pass; check makes one pass per printed verdict and hands
+    # both to the gap check, which then makes none
+    passes = []
+    for cls in (FinitePreorder, ParetoSpace):
+        masks = cls.dominance_masks
+
+        def counted(self, points, masks=masks):
+            passes.append(points)
+            return masks(self, points)
+
+        monkeypatch.setattr(cls, "dominance_masks", counted)
+    argv = [command, str(GOLDEN_CASES / f"{case}.json")]
+    if command == "extend":
+        argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]
+    if command == "grid":
+        argv += ["--bbox=0,0,1,1", f"--out={tmp_path / 'g.csv'}"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    if command == "check":
+        assert 1 <= len(passes) <= budget
+    else:
+        assert len(passes) == budget
+
+
+def test_finite_and_pareto_files_print_the_same_gap_witness(tmp_path, capsys):
+    # the chain x < x' with f(x) = 1.0 and f(x') = 0.0, once as a finite
+    # relation whose names are the labels the 1-D Pareto file prints for
+    # its points, and once as that Pareto file: one gap rule, one witness
+    finite = {
+        "space": {"kind": "finite", "elements": ["(0.0)", "(1.0)"],
+                  "geq": [["(1.0)", "(0.0)"]]},
+        "samples": [{"element": "(0.0)", "value": 1.0}, {"element": "(1.0)", "value": 0.0}],
+    }
+    pareto = {
+        "space": {"kind": "pareto", "dimension": 1},
+        "samples": [{"point": [0.0], "value": 1.0}, {"point": [1.0], "value": 0.0}],
+    }
+    witness = ("  witness: x=(0.0), x'=(1.0), f_P(x)=1.0, f_P(x')=0.0 "
+               "(x' dominates x but has a smaller value)\n")
+    for doc in (finite, pareto):
+        problem = write(tmp_path, "p.json", doc)
+        assert main(["check", problem]) == 1
+        assert f"gap-safe increasing: NO\n{witness}" in capsys.readouterr().out
+        queries = write(tmp_path, "q.json", ["(0.0)"] if doc is finite else [[0.5]])
+        assert main(["extend", problem, "--queries", queries]) == 1
+        assert capsys.readouterr().err == (
+            f"refusing: instance is not gap-safe increasing\n{witness}")
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from ordext.extension import (
     UnboundedContourError,
     make_engine,
 )
-from ordext.utility import UtilityKind, finite_utility, pareto_base_utility, squash
+from ordext.utility import UtilityFn, UtilityKind, finite_utility, pareto_base_utility, squash
 
 
 def unit_line_engine(alpha=0.0, beta=1.0):
@@ -162,6 +162,24 @@ def test_engine_rejects_bad_interval():
     oracle = FiniteSampleOracle(space, PartialUtility({(0.0,): 0.0}))
     with pytest.raises(ValueError):
         make_engine(oracle, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)],
+)
+def test_engine_rejects_a_range_whose_span_is_not_finite(alpha, beta):
+    # an infinite span made every value NaN; the parser already rejects it
+    space = ParetoSpace(1)
+    oracle = FiniteSampleOracle(space, PartialUtility({(0.0,): 0.5}))
+    with pytest.raises(ValueError, match="finite span"):
+        make_engine(oracle, alpha=alpha, beta=beta)
+    base = pareto_base_utility(space)
+    with pytest.raises(ValueError, match="finite span"):
+        squash(base, alpha, beta)
+    squashed = UtilityFn(fn=base, kind=UtilityKind.SQUASHED, lo=alpha, hi=beta)
+    with pytest.raises(ValueError, match="finite span"):
+        ExtensionEngine(oracle, alpha, beta, squashed)
 
 
 def test_engine_takes_one_squashed_utility_and_derives_the_unit_one():

@@ -102,7 +102,7 @@ def test_lattice_needs_a_2d_pareto_space(rel, samples):
 def test_only_sample_oracles_sweep_a_lattice():
     engine = make_engine(get_fixture("example-gap"))
     with pytest.raises(UnsupportedQueryError):
-        next(engine.evaluate_lattice([0.0], [0.0]))
+        engine.oracle.lattice([0.0], [0.0])
 
 
 @pytest.mark.parametrize(
@@ -120,13 +120,14 @@ def test_lattice_rejects_bad_axes_before_the_first_point(xs, ys, error):
 
 
 @given(lattices())
-def test_evaluate_lattice_matches_evaluate_many(case):
+def test_evaluate_many_over_a_lattice_matches_per_point_reads(case):
     # finite samples never make a bound unbounded the wrong way, so both
-    # paths evaluate every point, gap-safe or not
+    # paths evaluate every point, gap-safe or not; the reference reads each
+    # point alone, with no sweep and no label cache
     oracle, xs, ys = case
     engine = make_engine(oracle)
     reference = make_engine(FiniteSampleOracle(oracle.rel, oracle.samples))
     points = [(v1, v2) for v1 in xs for v2 in ys]
-    want = [(repr(v), r, b) for v, r, b in reference.evaluate_many(points)]
-    got = [(repr(v), r, b) for v, r, b in engine.evaluate_lattice(xs, ys)]
+    want = [(repr(reference.evaluate(x)), *reference.describe(x)[2:]) for x in points]
+    got = [(repr(v), r, b) for v, r, b in engine.evaluate_many(oracle.lattice(xs, ys))]
     assert got == want

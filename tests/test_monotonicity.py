@@ -218,11 +218,8 @@ def test_gap_safe_pareto_examples():
     assert (verdict.witness.lo, verdict.witness.hi) == ((0.0, 0.0), (1.0, 1.0))
 
 
-def test_gap_safe_pareto_reuses_strict_verdict():
-    space = ParetoSpace(2)
-    dec = PartialUtility({(0.0, 0.0): 1.0, (1.0, 1.0): 0.0})
-    strict = check_strictly_increasing(space, dec)
-    assert check_gap_safe_pareto(space, dec, strict) is strict
+def test_one_gap_check_for_every_space():
+    assert check_gap_safe_pareto is check_gap_safe_finite
 
 
 def test_gap_safe_pareto_antichain_any_values():
