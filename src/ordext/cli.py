@@ -264,13 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             queries = parse_queries(Path(args.queries).read_text(), inst)
             return cmd_regions(inst, queries)
         return cmd_grid(inst, args.bbox, args.resolution, args.out)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except UnsupportedQueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ProblemFileError, UnsupportedQueryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:

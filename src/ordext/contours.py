@@ -18,8 +18,10 @@ envelopes, from one index per sample set picked by the exact type of the
 preorder: a table of both bounds per element on a :class:`FinitePreorder`,
 per-coordinate prefix bitmasks on a :class:`ParetoSpace`.  The augmented
 extremes ``TOP``/``BOTTOM`` and every other preorder go through the
-generic loop (one :func:`compare_augmented` per sample), the reference
-for the indexes.  A whole 2-D grid needs no index:
+reference scan, the max and min of the values over :func:`lower_contour`
+and :func:`upper_contour`, which ask the preorder's ``compare`` (on a
+Pareto space, two ``geq`` calls) once per sample and contour; the index
+tests compare against it.  A whole 2-D grid needs no index:
 :meth:`FiniteSampleOracle.lattice` sweeps it once, by 2-D prefix and
 suffix minima over the sample ranks, in O(|P| log R + R²) for R points per
 axis with one R×R integer table, and leaves each point's record in the
@@ -262,29 +264,16 @@ def _pareto_index(rel: ParetoSpace, samples: PartialUtility) -> Callable:
 _MAKE_INDEX = {FinitePreorder: _finite_index, ParetoSpace: _pareto_index}
 
 
-def _same_query(last, x) -> bool:
-    """Whether the memoized query ``last`` may answer for ``x``.
-
-    Equality alone is not enough: ``1.0 == 1`` and ``(True, 0) == (1, 0)``,
-    yet only the second of each pair is an element, so an equal query must
-    also match in type, coordinate by coordinate.  ``-0.0`` and ``0.0`` do.
-    """
-    if type(last) is not type(x) or last != x:
-        return False
-    return not isinstance(x, tuple) or all(
-        type(p) is type(q) for p, q in zip(last, x)
-    )
-
-
 class FiniteSampleOracle(ContourOracle):
     """Bounds computed from a finite sample set.
 
     The index is built on the first interior query that needs it, and only
-    the last query and its record are memoized: a query hits the memo when
-    it is the same object or an equal one of the same types
-    (:func:`_same_query`), so the memo never skips a validation.  Of
-    equal values (``-0.0`` and ``0.0``, ``1`` and ``1.0``) every path keeps
-    the first in sample order, as ``max`` and ``min`` do in the generic loop.
+    the last query and its record are memoized.  A query hits the memo only
+    when it is the same object, as every re-read by the engine and the
+    lattice sweep is, so the memo never skips a validation; an equal but
+    distinct query reads the index again.  Of equal values (``-0.0`` and
+    ``0.0``, ``1`` and ``1.0``) every path keeps the first in sample order,
+    as ``max`` and ``min`` do in the reference scan.
     """
 
     def __init__(self, rel: Preorder, samples: PartialUtility):
@@ -307,7 +296,7 @@ class FiniteSampleOracle(ContourOracle):
         if isinstance(x, Augmented) and x.is_interior:
             x = x.element
         last = self._last
-        if last is not None and (last[0] is x or _same_query(last[0], x)):
+        if last is not None and last[0] is x:
             return last[1]
         if self._make_index is None or isinstance(x, Augmented):
             entry = self._scan_generic(x)
@@ -318,19 +307,10 @@ class FiniteSampleOracle(ContourOracle):
         return entry
 
     def _scan_generic(self, x) -> Tuple[float, float, bool, bool]:
-        """Reference scan: one augmented comparison per sample."""
-        aug = as_augmented(x)
-        below = []
-        above = []
-        for p, v in self._samples.items():
-            cmp = compare_augmented(self._rel, aug, interior(p))
-            if cmp is Comparison.EQUIVALENT:
-                below.append(v)
-                above.append(v)
-            elif cmp is Comparison.STRICTLY_GREATER:
-                below.append(v)
-            elif cmp is Comparison.STRICTLY_LESS:
-                above.append(v)
+        """Reference scan: max and min of the values over the two contour sets."""
+        points, value = self._samples.points, self._samples.value
+        below = [value(p) for p in lower_contour(self._rel, points, x)]
+        above = [value(p) for p in upper_contour(self._rel, points, x)]
         return (
             max(below, default=-math.inf),
             min(above, default=math.inf),

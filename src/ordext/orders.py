@@ -474,24 +474,6 @@ class ParetoSpace(Preorder):
         y = self._check(y)
         return all(xi >= yi for xi, yi in zip(x, y))
 
-    def compare(self, x: Element, y: Element) -> Comparison:
-        # single coordinate pass; the default would validate and scan twice
-        x = self._check(x)
-        y = self._check(y)
-        fwd = back = True
-        for xi, yi in zip(x, y):
-            if xi < yi:
-                fwd = False
-            elif xi > yi:
-                back = False
-        if fwd and back:
-            return Comparison.EQUIVALENT
-        if fwd:
-            return Comparison.STRICTLY_GREATER
-        if back:
-            return Comparison.STRICTLY_LESS
-        return Comparison.INCOMPARABLE
-
     def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
         """Intersect, over the coordinates, the rank masks of ``>=`` and ``<=``."""
         pts = [self._check(p) for p in points]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -89,13 +90,35 @@ def _as_number(value, location, *args):
     return value
 
 
-def _check_range(alpha, beta):
+# The range must leave room for evaluate's arithmetic (extension.py).  With M
+# the largest |sample value| and R = max(|alpha|, |beta|), evaluate blends bounds
+# a <= b, each a sample value or infinite, with a unit value 0 <= u <= 1:
+#   lo = max(a, min(b, beta) - beta + alpha)   every term within M + 2R
+#   hi = min(b, max(a, alpha) - alpha + beta)  every term within M + 2R
+#   lo + (hi - lo) * u                         0 <= hi - lo <= beta - alpha <= 2R,
+#                                              and the blend lies in [lo, hi]
+# so, exactly, every intermediate lies within M + 2R.  The ten roundings on
+# the way move these values by less than 16 * 2**-53 * (M + 2R) in all, so
+# M + 2R at most _ROOM, a relative 2**-40 below the largest float, keeps
+# every intermediate finite.  The squash into (alpha, beta) stays within 2R
+# by the same margin.
+_ROOM = (1 - 2**-40) * sys.float_info.max
+
+
+def _check_range(alpha, beta, samples):
     if not alpha < beta:
         raise ProblemFileError("alpha", f"alpha must be below beta (got {alpha} >= {beta})")
     # the engine and the squash divide by and scale with beta - alpha
     if not math.isfinite(beta - alpha):
         raise ProblemFileError(
             "beta", f"beta - alpha must be finite (got alpha={alpha}, beta={beta})"
+        )
+    top = max((abs(v) for _, v in samples), default=0.0)
+    if not top + 2 * max(abs(alpha), abs(beta)) <= _ROOM:
+        raise ProblemFileError(
+            "beta",
+            f"max |sample value| + 2 * max(|alpha|, |beta|) must be at most {_ROOM} "
+            f"(got max |sample value|={top}, alpha={alpha}, beta={beta})",
         )
 
 
@@ -173,7 +196,7 @@ class ProblemInstance:
     def with_range(self, alpha: Optional[float], beta: Optional[float]) -> "ProblemInstance":
         new_alpha = self.alpha if alpha is None else alpha
         new_beta = self.beta if beta is None else beta
-        _check_range(new_alpha, new_beta)
+        _check_range(new_alpha, new_beta, self.samples)
         return replace(self, alpha=new_alpha, beta=new_beta)
 
     def with_base_utility(self, descriptor) -> "ProblemInstance":
@@ -341,10 +364,10 @@ def parse_problem(text: str) -> ProblemInstance:
     _known_keys(doc, {"space", "samples", "alpha", "beta", "base_utility"}, "$")
     alpha = _as_number(doc.get("alpha", 0.0), "alpha")
     beta = _as_number(doc.get("beta", 1.0), "beta")
-    _check_range(alpha, beta)
     samples = _parse_samples(
         doc, kind, space.get("element_index"), space.get("dimension", 0)
     )
+    _check_range(alpha, beta, samples)
     base = _parse_base_descriptor(doc, kind, space.get("dimension", 0))
     return ProblemInstance(
         kind=kind,

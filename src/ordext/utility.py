@@ -11,8 +11,10 @@ beta), produced here by an arctan squash, plus its normalization to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -97,7 +99,14 @@ def pareto_base_utility(
         raise ValueError("weights must be finite and strictly positive")
 
     def fn(x: Tuple[float, ...]) -> float:
-        return sum(map(mul, weights, x))
+        total = sum(map(mul, weights, x))
+        if total != total:
+            # NaN: terms overflowed to both infinities, so round the exact sum
+            exact = sum(map(mul, map(Fraction, weights), map(Fraction, x)))
+            if abs(exact) <= sys.float_info.max:
+                return float(exact)
+            return math.inf if exact > 0 else -math.inf
+        return total
 
     return UtilityFn(fn=fn, kind=UtilityKind.BASE)
 

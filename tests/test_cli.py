@@ -526,6 +526,73 @@ def test_overflowing_range_flags_rejected(tmp_path, capsys, flags):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where", ["file", "flags"])
+@pytest.mark.parametrize("command", ["extend", "grid"])
+def test_range_without_room_for_the_sample_values_rejected(tmp_path, capsys, command, where):
+    # a sample value of -1e308 under the range (-8.98e307, 8.98e307):
+    # min(b, beta) - beta + alpha overflowed to -inf, and extend printed nan
+    # at (-1.0), grid wrote nan into the CSV, both with exit 0
+    k = 1 if command == "extend" else 2
+    doc = {"space": {"kind": "pareto", "dimension": k},
+           "samples": [{"point": [0] * k, "value": -1e308}]}
+    flags = ["--alpha=-8.98e307", "--beta=8.98e307"]
+    if where == "file":
+        doc.update(alpha=-8.98e307, beta=8.98e307)
+        flags = []
+    problem = write(tmp_path, "p.json", doc)
+    out = tmp_path / "g.csv"
+    if command == "extend":
+        queries = tmp_path / "q.json"
+        queries.write_text("[[-1], [0], [1]]")
+        argv = ["extend", problem, *flags, "--queries", str(queries)]
+    else:
+        argv = ["grid", problem, *flags, "--bbox=-1,-1,1,1", "--resolution=2", f"--out={out}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: beta: max |sample value| + 2 * max(|alpha|, |beta|) must be at most ")
+    assert not out.exists()
+    assert main(["check", problem]) == (2 if where == "file" else 0)
+
+
+def test_sample_values_of_1e308_under_the_unit_range_stay_finite(tmp_path, capsys):
+    doc = {"space": {"kind": "pareto", "dimension": 2},
+           "samples": [{"point": [0, 0], "value": -1e308}, {"point": [1, 1], "value": 1e308}]}
+    problem = write(tmp_path, "p.json", doc)
+    queries = tmp_path / "q.json"
+    queries.write_text("[[0, 0], [1, 1], [-1, -1], [0.5, 0.5], [2, 2], [-1, 2]]")
+    assert main(["extend", problem, "--queries", str(queries)]) == 0
+    values = [float(line.split()[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert values[:2] == [-1e308, 1e308]
+    assert all(map(math.isfinite, values))
+    out = tmp_path / "g.csv"
+    assert main(["grid", problem, "--bbox=-1,-1,2,2", "--resolution=4", f"--out={out}"]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as handle:
+        cells = [float(row["f"]) for row in csv.DictReader(handle)]
+    assert len(cells) == 16 and all(map(math.isfinite, cells))
+
+
+def test_weighted_sum_whose_terms_overflow_both_ways_stays_finite(tmp_path, capsys):
+    # 2 * 1e308 and 2 * -1e308 overflow to inf and -inf, whose sum is nan;
+    # the exact sum, 0, is used instead
+    problem = write(tmp_path, "p.json", PARETO_OK)
+    queries = tmp_path / "q.json"
+    queries.write_text("[[1e308, -1e308], [1e308, -5e307]]")
+    argv = ["extend", problem, "--base-utility", "weighted-sum:2,2", "--queries", str(queries)]
+    assert main(argv) == 0
+    values = [float(line.split()[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert all(map(math.isfinite, values)) and values[0] < values[1]
+    out = tmp_path / "g.csv"
+    argv = ["grid", problem, "--base-utility", "weighted-sum:2,2",
+            "--bbox=0,-1e308,1e308,0", "--resolution=2", f"--out={out}"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(out, newline="") as handle:
+        assert all(math.isfinite(float(row["f"])) for row in csv.DictReader(handle))
+
+
 @pytest.mark.parametrize("command", ["check", "extend"])
 def test_finite_command_builds_relation_once(tmp_path, capsys, monkeypatch, command):
     closure = FinitePreorder.closure.__func__
@@ -631,8 +698,10 @@ def test_pareto_extend_queries_the_index_once_per_point(capsys, monkeypatch):
     capsys.readouterr()
     assert len(builds) == 1
     points = [tuple(q) for q in json.loads(queries.read_text())]
-    # -0.0 == 0.0, so a point equal to the one before it is a memo hit
-    assert scanned == [q for i, q in enumerate(points) if i == 0 or q != points[i - 1]]
+    # the memo matches by identity: each query object reads the index once,
+    # also where it equals the one before it (-0.0 == 0.0)
+    assert scanned == points
+    assert len(set(map(id, scanned))) == len(points)
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,24 @@ def test_memo_hit_does_not_skip_validation(rel, valid, foreign):
             read(foreign)
 
 
+def test_memo_matches_the_same_query_object_only():
+    # the same object is a memo hit and gets the memoized record back; an
+    # equal but distinct query reads the index again
+    oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0, 0): 0.0, (1, 1): 1.0}))
+    x = (0.5, 0.5)
+    first = oracle.record(x)
+    index, reads = oracle._index, []
+    oracle._index = lambda q: reads.append(q) or index(q)
+    assert oracle.record(x) is first
+    assert reads == []
+    twin = tuple([0.5, 0.5])
+    assert twin == x and twin is not x
+    assert oracle.record(twin) == first
+    assert len(reads) == 1 and reads[0] is twin
+    assert oracle.record(twin) == first
+    assert len(reads) == 1
+
+
 @pytest.mark.parametrize("index", [True, False])
 def test_bool_is_no_finite_index(index):
     # bool is an int, yet no element: a finite space rejects it as a Pareto
