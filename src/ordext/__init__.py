@@ -42,7 +42,6 @@ from ordext.orders import (
     Preorder,
     UnsupportedQueryError,
     compare_augmented,
-    interior,
     is_pareto_set,
 )
 from ordext.utility import (
@@ -87,7 +86,6 @@ __all__ = [
     "compare_augmented",
     "finite_utility",
     "get_fixture",
-    "interior",
     "is_pareto_set",
     "lower_contour",
     "make_engine",

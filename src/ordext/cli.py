@@ -54,9 +54,7 @@ _BAND_CELLS = {
 
 def _show(inst: ProblemInstance, x) -> str:
     if isinstance(x, Augmented):
-        if not x.is_interior:
-            return str(x)
-        x = x.element
+        return str(x)
     return inst.element_label(x)
 
 

@@ -7,7 +7,8 @@ values over the lower contour (``lower_sup``) and the infimum over the
 upper contour (``upper_inf``), with ``sup empty = -inf`` and
 ``inf empty = +inf``.  A bound is the sample value itself (an ``int``,
 ``float`` or ``Fraction``) or ``-math.inf``/``math.inf``: Python orders
-all of these correctly against each other, so no wrapper type is needed.
+all of these correctly against each other, so no wrapper type is needed;
+nor is one for a query point, which is an element or ``TOP``/``BOTTOM``.
 :func:`bound_text` prints a bound as ``-inf``, ``+inf`` or ``str(v)``.
 
 Oracles hide how the bounds are produced.  :class:`AnalyticFixture`
@@ -50,7 +51,6 @@ from ordext.orders import (
     Preorder,
     UnsupportedQueryError,
     compare_augmented,
-    interior,
     lowest_bit,
 )
 
@@ -59,15 +59,10 @@ __all__ = [
     "ContourOracle",
     "FiniteSampleOracle",
     "PartialUtility",
-    "as_augmented",
     "bound_text",
     "lower_contour",
     "upper_contour",
 ]
-
-
-def as_augmented(x) -> Augmented:
-    return x if isinstance(x, Augmented) else interior(x)
 
 
 def bound_text(v: float) -> str:
@@ -124,7 +119,7 @@ class PartialUtility:
         return f"PartialUtility({self._values!r})"
 
 
-def _dominates(rel: Preorder, hi: Augmented, lo: Augmented) -> bool:
+def _dominates(rel: Preorder, hi, lo) -> bool:
     return compare_augmented(rel, hi, lo) in (
         Comparison.EQUIVALENT,
         Comparison.STRICTLY_GREATER,
@@ -132,15 +127,13 @@ def _dominates(rel: Preorder, hi: Augmented, lo: Augmented) -> bool:
 
 
 def lower_contour(rel: Preorder, points: Iterable[Element], x) -> list:
-    """Sample points weakly below ``x`` (which may be augmented)."""
-    x = as_augmented(x)
-    return [p for p in points if _dominates(rel, x, interior(p))]
+    """Sample points weakly below ``x`` (an element, ``TOP`` or ``BOTTOM``)."""
+    return [p for p in points if _dominates(rel, x, p)]
 
 
 def upper_contour(rel: Preorder, points: Iterable[Element], x) -> list:
-    """Sample points weakly above ``x`` (which may be augmented)."""
-    x = as_augmented(x)
-    return [p for p in points if _dominates(rel, interior(p), x)]
+    """Sample points weakly above ``x`` (an element, ``TOP`` or ``BOTTOM``)."""
+    return [p for p in points if _dominates(rel, p, x)]
 
 
 class ContourOracle(ABC):
@@ -267,7 +260,7 @@ _MAKE_INDEX = {FinitePreorder: _finite_index, ParetoSpace: _pareto_index}
 class FiniteSampleOracle(ContourOracle):
     """Bounds computed from a finite sample set.
 
-    The index is built on the first interior query that needs it, and only
+    The index is built on the first element query that needs it, and only
     the last query and its record are memoized.  A query hits the memo only
     when it is the same object, as every re-read by the engine and the
     lattice sweep is, so the memo never skips a validation; an equal but
@@ -293,8 +286,6 @@ class FiniteSampleOracle(ContourOracle):
 
     def record(self, x) -> Tuple[float, float, bool, bool]:
         """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``."""
-        if isinstance(x, Augmented) and x.is_interior:
-            x = x.element
         last = self._last
         if last is not None and last[0] is x:
             return last[1]
@@ -427,21 +418,22 @@ class FiniteSampleOracle(ContourOracle):
 class AnalyticFixture(ContourOracle):
     """Closed-form bounds for ground sets too large to enumerate.
 
-    The fixture author supplies the bound functions over augmented
-    inputs, a derivation note, and refuting probe pairs ``(x, x_prime)``
-    with ``x_prime`` strictly above ``x``.  Probes are re-validated at
-    construction time.  The bound functions return plain numbers, with
+    The fixture author supplies the bound functions over the augmented
+    ground set, a derivation note, and refuting probe pairs ``(x, x_prime)``
+    with ``x_prime`` strictly above ``x``.  The bound and occupancy
+    functions get the query itself: an element of ``ambient``, ``TOP`` or
+    ``BOTTOM``.  Probes are re-validated at construction time.  The bound functions return plain numbers, with
     ``-math.inf``/``math.inf`` for the infinities; a NaN bound raises
     ``ValueError`` when it is read.
     """
 
     name: str
     ambient: Preorder
-    lower_sup_fn: Callable[[Augmented], float]
-    upper_inf_fn: Callable[[Augmented], float]
-    probes: Tuple[Tuple[Augmented, Augmented], ...]
+    lower_sup_fn: Callable[[object], float]  # an element, TOP or BOTTOM
+    upper_inf_fn: Callable[[object], float]
+    probes: Tuple[Tuple[object, object], ...]
     derivation: str
-    occupancy_fn: Optional[Callable[[Augmented], Tuple[bool, bool]]] = None
+    occupancy_fn: Optional[Callable[[object], Tuple[bool, bool]]] = None
     sample_membership_fn: Optional[Callable[[Element], bool]] = None
     sample_value_fn: Optional[Callable[[Element], float]] = None
 
@@ -462,8 +454,8 @@ class AnalyticFixture(ContourOracle):
     def rel(self) -> Preorder:
         return self.ambient
 
-    def _bound(self, fn: Callable[[Augmented], float], x) -> float:
-        v = fn(as_augmented(x))
+    def _bound(self, fn: Callable[[object], float], x) -> float:
+        v = fn(x)
         if isinstance(v, float) and math.isnan(v):
             raise ValueError(f"fixture {self.name!r}: bound at {x!r} is NaN")
         return v
@@ -479,7 +471,7 @@ class AnalyticFixture(ContourOracle):
             raise UnsupportedQueryError(
                 f"fixture {self.name!r} declares no contour occupancy"
             )
-        return self.occupancy_fn(as_augmented(x))
+        return self.occupancy_fn(x)
 
     def in_samples(self, x: Element) -> bool:
         if self.sample_membership_fn is None:

@@ -53,7 +53,6 @@ from ordext.orders import (
     Preorder,
     _check_reflexive,
     _check_transitive,
-    interior,
 )
 from ordext.utility import finite_utility
 
@@ -506,9 +505,9 @@ def pairwise_gap_safe_finite(rel: FinitePreorder, samples: PartialUtility) -> Ve
     oracle = FiniteSampleOracle(rel, samples)
     for x in rel.iter_elements():
         if not (oracle.lower_sup(x) < math.inf):
-            return _bound_witness(oracle, interior(x), TOP, "a(x) is not below +inf")
+            return _bound_witness(oracle, x, TOP, "a(x) is not below +inf")
         if not (oracle.upper_inf(x) > -math.inf):
-            return _bound_witness(oracle, BOTTOM, interior(x), "b(x) is not above -inf")
+            return _bound_witness(oracle, BOTTOM, x, "b(x) is not above -inf")
 
     for x in rel.iter_elements():
         for y in rel.iter_elements():

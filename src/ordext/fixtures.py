@@ -2,7 +2,8 @@
 
 Closed forms are derived by hand and recorded in each fixture's
 ``derivation``; the probe lists carry the strict pairs that refute
-gap-safety where applicable.
+gap-safety where applicable.  Each bound function gets an element of the
+fixture's ground set, or the sentinel ``TOP`` or ``BOTTOM``.
 """
 
 from __future__ import annotations
@@ -13,18 +14,16 @@ from ordext.contours import AnalyticFixture
 from ordext.orders import (
     BOTTOM,
     TOP,
-    Augmented,
     Element,
     ForeignElementError,
     ParetoSpace,
     Preorder,
-    interior,
 )
 
 __all__ = ["FIXTURE_NAMES", "example_gap", "example_nin", "get_fixture"]
 
 
-def _line_bound(x: Augmented) -> float:
+def _line_bound(x) -> float:
     """Shared bound for the split-line instance; both bounds coincide.
 
     Samples are the reals <= 0 valued identically and the reals > 1
@@ -33,11 +32,11 @@ def _line_bound(x: Augmented) -> float:
     The inf of values above v traces the same three cases, because the
     value ranges below and above any v share their endpoint.
     """
-    if x.is_bottom:
+    if x is BOTTOM:
         return -math.inf
-    if x.is_top:
+    if x is TOP:
         return math.inf
-    (v,) = x.element
+    (v,) = x
     if v <= 0.0:
         return v
     if v <= 1.0:
@@ -56,10 +55,10 @@ def _line_value(p: Element) -> float:
     return v if v <= 0.0 else v - 1.0
 
 
-def _line_occupancy(x: Augmented):
-    if x.is_bottom:
+def _line_occupancy(x):
+    if x is BOTTOM:
         return (False, True)
-    if x.is_top:
+    if x is TOP:
         return (True, False)
     # samples reach below and above every real point
     return (True, True)
@@ -79,9 +78,9 @@ def example_gap() -> AnalyticFixture:
         lower_sup_fn=_line_bound,
         upper_inf_fn=_line_bound,
         probes=(
-            (interior((-2.0,)), interior((-1.0,))),
-            (interior((1.5,)), interior((2.5,))),
-            (interior((0.0,)), interior((1.0,))),
+            ((-2.0,), (-1.0,)),
+            ((1.5,), (2.5,)),
+            ((0.0,), (1.0,)),
         ),
         derivation=(
             "Samples: v on the ray v <= 0, v - 1 on the ray v > 1. "
@@ -111,38 +110,36 @@ class _DominantZeroOrder(Preorder):
         return x == y or x == 0
 
 
-def _nin_lower_sup(x: Augmented) -> float:
-    if x.is_bottom:
+def _nin_lower_sup(x) -> float:
+    if x is BOTTOM:
         return -math.inf
-    if x.is_top:
+    if x is TOP:
         # sup of sample values over the whole sample set, which is unbounded
         return math.inf
-    v = x.element
-    if v == 0:
+    if x == 0:
         # every sample sits below zero, so the sup again diverges
         return math.inf
-    return float(-v)
+    return float(-x)
 
 
-def _nin_upper_inf(x: Augmented) -> float:
-    if x.is_bottom:
+def _nin_upper_inf(x) -> float:
+    if x is BOTTOM:
         # inf over the whole sample set: values are 1, 2, 3, ...
         return 1.0
-    if x.is_top:
+    if x is TOP:
         return math.inf
-    v = x.element
-    if v == 0:
+    if x == 0:
         # no sample dominates zero
         return math.inf
-    return float(-v)
+    return float(-x)
 
 
-def _nin_occupancy(x: Augmented):
-    if x.is_bottom:
+def _nin_occupancy(x):
+    if x is BOTTOM:
         return (False, True)
-    if x.is_top:
+    if x is TOP:
         return (True, False)
-    if x.element == 0:
+    if x == 0:
         return (True, False)
     return (True, True)
 
@@ -153,7 +150,7 @@ def example_nin() -> AnalyticFixture:
     Samples are the negative integers valued by their magnitude; the
     extra point zero dominates all of them.  Any strictly increasing
     total map would need a real value at zero above every sample value,
-    which is impossible.  All interior strict pairs still satisfy the
+    which is impossible.  All strict pairs of elements still satisfy the
     gap condition; only the pair (zero, Top) refutes it.
     """
     return AnalyticFixture(
@@ -162,9 +159,9 @@ def example_nin() -> AnalyticFixture:
         lower_sup_fn=_nin_lower_sup,
         upper_inf_fn=_nin_upper_inf,
         probes=(
-            (BOTTOM, interior(-5)),
-            (interior(-1), interior(0)),
-            (interior(0), TOP),
+            (BOTTOM, -5),
+            (-1, 0),
+            (0, TOP),
         ),
         derivation=(
             "Samples: value -p at each negative integer p.  At a "

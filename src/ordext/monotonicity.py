@@ -32,11 +32,9 @@ from ordext.contours import (
     ContourOracle,
     FiniteSampleOracle,
     PartialUtility,
-    as_augmented,
     bound_text,
 )
 from ordext.orders import (
-    Augmented,
     Comparison,
     Preorder,
     compare_augmented,
@@ -62,7 +60,7 @@ __all__ = [
 class Witness:
     """A re-checkable counterexample.
 
-    ``lo`` and ``hi`` are the offending elements (possibly augmented),
+    ``lo`` and ``hi`` are the offending elements (or ``TOP``/``BOTTOM``),
     oriented so that ``hi`` is the dominating side of the violated
     condition.  ``context`` holds labelled numeric evidence.
     """
@@ -223,7 +221,7 @@ check_gap_safe_pareto = check_gap_safe_finite
 
 def check_gap_safe_probes(
     oracle: ContourOracle,
-    probes: Iterable[Tuple[Augmented, Augmented]],
+    probes: Iterable[Tuple[object, object]],
 ) -> Verdict:
     """Probe-driven refuter for ground sets that cannot be enumerated.
 
@@ -232,8 +230,6 @@ def check_gap_safe_probes(
     gap-safety.  A passing verdict only means no supplied probe refutes.
     """
     for x, x_prime in probes:
-        x = as_augmented(x)
-        x_prime = as_augmented(x_prime)
         if compare_augmented(oracle.rel, x_prime, x) is not Comparison.STRICTLY_GREATER:
             raise ValueError(f"probe ({x}, {x_prime}) is not a strict pair")
         if not (oracle.upper_inf(x_prime) > oracle.lower_sup(x)):

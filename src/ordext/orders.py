@@ -9,7 +9,9 @@ Two concrete ground-set flavours are supported:
 
 Both expose the same query surface through :class:`Preorder`.  The
 augmented ground set adds two artificial extremes, one strictly above
-and one strictly below everything, via :class:`Augmented`.
+and one strictly below everything: the sentinels ``TOP`` and ``BOTTOM``,
+the only instances of :class:`Augmented`.  Its other points are the
+elements themselves.
 
 Pairwise questions about a list of points (which sample dominates
 which) are answered word-parallel: :meth:`Preorder.dominance_masks`
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 from operator import itemgetter
@@ -49,7 +50,6 @@ __all__ = [
     "Preorder",
     "TOP",
     "UnsupportedQueryError",
-    "interior",
     "is_pareto_set",
     "lowest_bit",
     "rank_masks",
@@ -492,56 +492,35 @@ class ParetoSpace(Preorder):
         return f"ParetoSpace(k={self._k})"
 
 
-class _AugKind(Enum):
-    BOTTOM = "bottom"
-    INTERIOR = "interior"
-    TOP = "top"
-
-
-@dataclass(frozen=True)
 class Augmented:
-    """An element of the augmented ground set: Bottom, an interior point, or Top."""
+    """One of the two artificial extremes of the augmented ground set.
 
-    kind: _AugKind
-    element: Element = None
+    Only ``TOP`` and ``BOTTOM`` exist; every other point of the augmented
+    set is an element itself.
+    """
 
-    @property
-    def is_top(self) -> bool:
-        return self.kind is _AugKind.TOP
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.kind is _AugKind.BOTTOM
-
-    @property
-    def is_interior(self) -> bool:
-        return self.kind is _AugKind.INTERIOR
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self) -> str:
-        if self.is_top:
-            return "Top"
-        if self.is_bottom:
-            return "Bottom"
-        return str(self.element)
+        return self.name
+
+    __repr__ = __str__
 
 
-TOP = Augmented(_AugKind.TOP)
-BOTTOM = Augmented(_AugKind.BOTTOM)
+TOP = Augmented("Top")
+BOTTOM = Augmented("Bottom")
 
 
-def interior(x: Element) -> Augmented:
-    return Augmented(_AugKind.INTERIOR, x)
-
-
-def compare_augmented(rel: Preorder, x: Augmented, y: Augmented) -> Comparison:
+def compare_augmented(rel: Preorder, x, y) -> Comparison:
     """Comparison on the augmented set: Top above all, Bottom below all."""
-    if x.kind is y.kind and not x.is_interior:
+    if x is y and isinstance(x, Augmented):
         return Comparison.EQUIVALENT
-    if x.is_top or y.is_bottom:
+    if x is TOP or y is BOTTOM:
         return Comparison.STRICTLY_GREATER
-    if x.is_bottom or y.is_top:
+    if x is BOTTOM or y is TOP:
         return Comparison.STRICTLY_LESS
-    return rel.compare(x.element, y.element)
+    return rel.compare(x, y)
 
 
 def is_pareto_set(

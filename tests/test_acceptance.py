@@ -24,7 +24,7 @@ from ordext.crosscheck import (
 from ordext.extension import Band, ContourRegion, make_engine
 from ordext.fixtures import get_fixture
 from ordext.monotonicity import check_gap_safe_finite, check_strictly_increasing
-from ordext.orders import FinitePreorder, ParetoSpace, interior
+from ordext.orders import FinitePreorder, ParetoSpace
 from ordext.utility import finite_utility, normalize01, pareto_base_utility, squash
 
 RESULTS = []
@@ -63,8 +63,8 @@ def test_criterion_1(tmp_path, capsys):
 
     start = time.perf_counter()
     fixture = get_fixture("example-gap")
-    assert fixture.lower_sup(interior((0.0,))) == 0.0
-    assert fixture.upper_inf(interior((1.0,))) == 0.0
+    assert fixture.lower_sup((0.0,)) == 0.0
+    assert fixture.upper_inf((1.0,)) == 0.0
 
     path = tmp_path / "gap.json"
     path.write_text(json.dumps({"space": {"kind": "fixture", "name": "example-gap"}}))
@@ -83,7 +83,7 @@ def test_criterion_2(tmp_path, capsys):
 
     start = time.perf_counter()
     fixture = get_fixture("example-nin")
-    assert fixture.lower_sup(interior(0)) == math.inf
+    assert fixture.lower_sup(0) == math.inf
 
     path = tmp_path / "nin.json"
     path.write_text(json.dumps({"space": {"kind": "fixture", "name": "example-nin"}}))

@@ -125,15 +125,15 @@ def _line_fixture(bound):
     return AnalyticFixture(
         name="line",
         ambient=ParetoSpace(1),
-        lower_sup_fn=lambda x: -math.inf if x.is_bottom else bound(x),
-        upper_inf_fn=lambda x: math.inf if x.is_top else bound(x),
+        lower_sup_fn=lambda x: -math.inf if x is BOTTOM else bound(x),
+        upper_inf_fn=lambda x: math.inf if x is TOP else bound(x),
         probes=(),
         derivation="test",
     )
 
 
 def test_fixture_bounds_reject_nan_and_keep_infinities():
-    fx = _line_fixture(lambda x: math.inf if x.is_top else -math.inf)
+    fx = _line_fixture(lambda x: math.inf if x is TOP else -math.inf)
     assert fx.lower_sup(TOP) == math.inf and fx.upper_inf(BOTTOM) == -math.inf
     assert fx.lower_sup((0.0,)) == -math.inf
     nan = _line_fixture(lambda x: math.nan)
@@ -141,6 +141,28 @@ def test_fixture_bounds_reject_nan_and_keep_infinities():
         nan.lower_sup((0.0,))
     with pytest.raises(ValueError, match="NaN"):
         nan.upper_inf((0.0,))
+
+
+def test_fixture_hands_each_query_itself_to_its_functions():
+    seen = []
+
+    def record(result):
+        return lambda x: seen.append(x) or result(x)
+
+    fx = AnalyticFixture(
+        name="spy",
+        ambient=ParetoSpace(1),
+        lower_sup_fn=record(lambda x: -math.inf if x is BOTTOM else 0.0),
+        upper_inf_fn=record(lambda x: math.inf if x is TOP else 0.0),
+        probes=(),
+        derivation="test",
+        occupancy_fn=record(lambda x: (True, True)),
+    )
+    for query in ((0.5,), TOP, BOTTOM):
+        for read in (fx.lower_sup, fx.upper_inf, fx.contour_occupancy):
+            seen.clear()
+            read(query)
+            assert len(seen) == 1 and seen[0] is query, (read, query)
 
 
 def test_occupancy_and_membership():

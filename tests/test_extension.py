@@ -405,12 +405,12 @@ def test_evaluate_many_matches_per_point_reads_on_finite_preorders(rel, data, bo
 
 
 # The arctan squash saturates in doubles, so strictly ordered points far
-# from the samples can get equal values.  ROADMAP item 5 (strict increase
+# from the samples can get equal values.  ROADMAP item 4 (strict increase
 # made exact) is to fix these; until then they are expected failures.
-ITEM_5 = "ROADMAP item 5: the float squash saturates and strict pairs collide"
+ITEM_4 = "ROADMAP item 4: the float squash saturates and strict pairs collide"
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_5)
+@pytest.mark.xfail(strict=True, reason=ITEM_4)
 def test_far_points_stay_strictly_ordered_after_a_passing_gap_check():
     space = ParetoSpace(1)
     samples = PartialUtility({(0,): 0, (1e300,): 1})
@@ -419,8 +419,24 @@ def test_far_points_stay_strictly_ordered_after_a_passing_gap_check():
     assert engine.evaluate((1e308,)) > engine.evaluate((1e301,))
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_5)
+@pytest.mark.xfail(strict=True, reason=ITEM_4)
 def test_neighbours_far_from_the_samples_stay_strictly_ordered():
     samples = PartialUtility({(0, 0): 0})
     engine = make_engine(FiniteSampleOracle(ParetoSpace(2), samples), -1.0, 1.0)
     assert engine.evaluate((1e9 + 1, 0)) > engine.evaluate((1e9, 0))
+
+
+# a sample value far outside the range (0, 1): the point strictly below
+# or above the sample gets the sample's own value
+@pytest.mark.xfail(strict=True, reason=ITEM_4)
+def test_point_below_a_sample_far_under_the_range_stays_below():
+    samples = PartialUtility({(0.0,): -1e17})
+    engine = make_engine(FiniteSampleOracle(ParetoSpace(1), samples), 0.0, 1.0)
+    assert engine.evaluate((-1.0,)) < engine.evaluate((0.0,))
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_4)
+def test_point_above_a_sample_far_over_the_range_stays_above():
+    samples = PartialUtility({(0.0,): 1e17})
+    engine = make_engine(FiniteSampleOracle(ParetoSpace(1), samples), 0.0, 1.0)
+    assert engine.evaluate((1.0,)) > engine.evaluate((0.0,))

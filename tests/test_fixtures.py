@@ -7,7 +7,7 @@ import pytest
 from ordext.contours import FiniteSampleOracle, PartialUtility
 from ordext.fixtures import example_gap, example_nin, get_fixture
 from ordext.monotonicity import check_gap_safe_probes
-from ordext.orders import BOTTOM, TOP, interior
+from ordext.orders import BOTTOM, TOP
 
 
 def test_registry_lookup():
@@ -33,8 +33,8 @@ def test_gap_fixture_is_refuted_at_the_gap_pair():
     fx = example_gap()
     verdict = check_gap_safe_probes(fx, fx.probes)
     assert not verdict.holds
-    assert verdict.witness.lo == interior((0.0,))
-    assert verdict.witness.hi == interior((1.0,))
+    assert verdict.witness.lo == (0.0,)
+    assert verdict.witness.hi == (1.0,)
 
 
 def test_gap_fixture_closed_form_matches_sampled_enumeration():
@@ -75,7 +75,7 @@ def test_nin_fixture_refuted_only_at_the_top_pair():
     fx = example_nin()
     verdict = check_gap_safe_probes(fx, fx.probes)
     assert not verdict.holds
-    assert verdict.witness.lo == interior(0)
+    assert verdict.witness.lo == 0
     assert verdict.witness.hi == TOP
     # interior strict pairs alone do not refute
     interior_probes = [(x, y) for x, y in fx.probes if y != TOP]

@@ -23,7 +23,6 @@ from ordext.orders import (
     FinitePreorder,
     ParetoSpace,
     UnsupportedQueryError,
-    interior,
 )
 
 
@@ -184,18 +183,18 @@ def test_probe_checker_requires_strict_pairs():
     rel = FinitePreorder.chain(2)
     oracle = FiniteSampleOracle(rel, PartialUtility({0: 0.0, 1: 1.0}))
     with pytest.raises(ValueError, match="strict"):
-        check_gap_safe_probes(oracle, [(interior(1), interior(0))])
+        check_gap_safe_probes(oracle, [(1, 0)])
 
 
 def test_probe_checker_passes_strict_chain():
     rel = FinitePreorder.chain(3)
     oracle = FiniteSampleOracle(rel, PartialUtility({0: 0.0, 1: 1.0, 2: 2.0}))
     probes = [
-        (interior(0), interior(1)),
-        (interior(1), interior(2)),
-        (interior(0), interior(2)),
-        (BOTTOM, interior(0)),
-        (interior(2), TOP),
+        (0, 1),
+        (1, 2),
+        (0, 2),
+        (BOTTOM, 0),
+        (2, TOP),
         (BOTTOM, TOP),
     ]
     assert check_gap_safe_probes(oracle, probes).holds
@@ -204,7 +203,7 @@ def test_probe_checker_passes_strict_chain():
 def test_probe_checker_refutes_plateau():
     rel = FinitePreorder.chain(2)
     oracle = FiniteSampleOracle(rel, PartialUtility({0: 1.0, 1: 1.0}))
-    verdict = check_gap_safe_probes(oracle, [(interior(0), interior(1))])
+    verdict = check_gap_safe_probes(oracle, [(0, 1)])
     assert not verdict.holds
 
 
@@ -253,9 +252,9 @@ def test_failing_verdict_must_carry_witness():
 def test_witness_describe_labels_both_elements():
     from ordext.monotonicity import Witness
 
-    w = Witness(lo=interior(0), hi=TOP, context=(("a(x)", "1.0"), ("b(x')", "+inf")), note="n")
+    w = Witness(lo=0, hi=TOP, context=(("a(x)", "1.0"), ("b(x')", "+inf")), note="n")
     assert w.describe() == "x=0, x'=Top, a(x)=1.0, b(x')=+inf (n)"
     names = {0: "low"}
-    label = lambda x: names[x.element] if x.is_interior else str(x)  # noqa: E731
+    label = lambda x: str(x) if x is TOP or x is BOTTOM else names[x]  # noqa: E731
     assert w.describe(label) == "x=low, x'=Top, a(x)=1.0, b(x')=+inf (n)"
     assert Witness(lo=1, hi=2).describe(lambda x: f"e{x}") == "x=e1, x'=e2"

@@ -26,7 +26,6 @@ from ordext.orders import (
     ParetoSpace,
     UnsupportedQueryError,
     compare_augmented,
-    interior,
     is_pareto_set,
 )
 
@@ -169,13 +168,34 @@ def test_compare_antisymmetry_of_labels(spec, data):
 
 def test_augmented_order():
     rel = FinitePreorder.antichain(2)
-    x = interior(0)
+    x = 0
     assert compare_augmented(rel, TOP, x) is Comparison.STRICTLY_GREATER
     assert compare_augmented(rel, x, BOTTOM) is Comparison.STRICTLY_GREATER
     assert compare_augmented(rel, TOP, TOP) is Comparison.EQUIVALENT
     assert compare_augmented(rel, BOTTOM, BOTTOM) is Comparison.EQUIVALENT
     assert compare_augmented(rel, TOP, BOTTOM) is Comparison.STRICTLY_GREATER
-    assert compare_augmented(rel, interior(0), interior(1)) is Comparison.INCOMPARABLE
+    assert compare_augmented(rel, 0, 1) is Comparison.INCOMPARABLE
+    # interior points are the plain elements, compared by the preorder itself
+    tied = FinitePreorder.closure(3, [(1, 0), (2, 1), (1, 2)])
+    space = ParetoSpace(2)
+    cases = [
+        (tied, 1, 0, Comparison.STRICTLY_GREATER),
+        (tied, 0, 2, Comparison.STRICTLY_LESS),
+        (tied, 1, 2, Comparison.EQUIVALENT),
+        (tied, 2, 2, Comparison.EQUIVALENT),
+        (tied, BOTTOM, 0, Comparison.STRICTLY_LESS),
+        (tied, 2, TOP, Comparison.STRICTLY_LESS),
+        (space, (1.0, 2.0), (0.0, 2.0), Comparison.STRICTLY_GREATER),
+        (space, (0.0, 0.0), (-0.0, 0), Comparison.EQUIVALENT),
+        (space, (1.0, 0.0), (0.0, 1.0), Comparison.INCOMPARABLE),
+        (space, (1e300, 1e300), TOP, Comparison.STRICTLY_LESS),
+        (space, BOTTOM, (-1e300, -1e300), Comparison.STRICTLY_LESS),
+        (space, TOP, BOTTOM, Comparison.STRICTLY_GREATER),
+    ]
+    for rel, x, y, expected in cases:
+        assert compare_augmented(rel, x, y) is expected, (rel, x, y)
+    with pytest.raises(ForeignElementError):
+        compare_augmented(space, (0.0,), (0.0, 0.0))
 
 
 def test_pareto_set_detection():
