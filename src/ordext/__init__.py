@@ -46,7 +46,6 @@ from ordext.orders import (
 )
 from ordext.utility import (
     UtilityFn,
-    UtilityKind,
     finite_utility,
     normalize01,
     pareto_base_utility,
@@ -75,7 +74,6 @@ __all__ = [
     "UnboundedContourError",
     "UnsupportedQueryError",
     "UtilityFn",
-    "UtilityKind",
     "Verdict",
     "Witness",
     "check_gap_safe_finite",

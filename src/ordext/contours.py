@@ -51,6 +51,7 @@ from ordext.orders import (
     Preorder,
     UnsupportedQueryError,
     compare_augmented,
+    is_finite_real,
     lowest_bit,
 )
 
@@ -78,18 +79,18 @@ class PartialUtility:
     """Finite sample set with one finite real value per sample.
 
     Values must be ``int`` (``bool`` included), ``float`` or ``Fraction``
-    (``TypeError`` otherwise), and finite (``ValueError`` otherwise).
+    (``TypeError`` otherwise), and finite: a non-finite float, or an
+    ``int`` or ``Fraction`` too large for any float, raises ``ValueError``.
     """
 
     __slots__ = ("_points", "_values")
 
     def __init__(self, values: Mapping[Element, float]):
         for p, v in values.items():
-            if isinstance(v, float):
-                if not math.isfinite(v):
-                    raise ValueError(f"sample {p!r} has non-finite value {v!r}")
-            elif not isinstance(v, (int, Fraction)):
+            if not isinstance(v, (float, int, Fraction)):
                 raise TypeError(f"sample {p!r} has non-numeric value {v!r}")
+            if not is_finite_real(v):
+                raise ValueError(f"sample {p!r} has non-finite value {v!r}")
         self._points = tuple(values)
         self._values = dict(values)
 

@@ -1,19 +1,20 @@
 """The strictly increasing extension and its equivalent evaluation forms.
 
 Given contour bounds a(x) (lower supremum) and b(x) (upper infimum), an
-interval (alpha, beta), and a utility representation squashed into
-(alpha, beta), the engine blends the bounds with the utility so that the
-result restricts to the sample values and increases strictly with the
-preorder.
+interval (alpha, beta), and a utility representation of the preorder,
+the engine squashes the utility into (alpha, beta) and blends the bounds
+with it so that the result restricts to the sample values and increases
+strictly with the preorder.
 
 :meth:`ExtensionEngine.evaluate`, the capped blend of the defining
 formula, is the one production evaluator: the CLI calls nothing else
 for a value.  Per point it reads the two bounds and one scaled utility
-value; the unit value is the scaled one mapped affinely, with the
-operands :func:`normalize01` uses.  :meth:`ExtensionEngine.evaluate_many`
-is the one batch evaluator: per point it calls ``evaluate`` once and
-takes the region and band labels from the oracle record that call just
-memoized, derived once per distinct record.  A 2-D grid is the batch of
+value; the unit value is the scaled one mapped affinely, with the float
+alpha and beta :func:`normalize01` was given.
+:meth:`ExtensionEngine.evaluate_many` is the one batch evaluator: per
+point it calls ``evaluate`` once and takes the region and band labels
+from the oracle record that call just memoized, derived once per
+distinct record.  A 2-D grid is the batch of
 the points :meth:`FiniteSampleOracle.lattice` yields: the oracle sweeps
 the grid once (O(|P| log R + R²), one R×R integer table) and memoizes
 each point's record before yielding it.  One helper derives both labels
@@ -35,14 +36,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
 from ordext.monotonicity import check_pareto_set_values
 from ordext.orders import Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError
-from ordext.utility import (
-    UtilityFn,
-    check_range,
-    finite_utility,
-    normalize01,
-    pareto_base_utility,
-    squash,
-)
+from ordext.utility import UtilityFn, finite_utility, normalize01, pareto_base_utility, squash
 
 __all__ = [
     "Band",
@@ -99,22 +93,20 @@ _BANDS = {
 class ExtensionEngine:
     """Evaluator bundle for one extension instance.
 
-    Immutable after construction.  ``utility`` must be squashed into
-    (alpha, beta) (see :func:`squash`); the engine derives its
-    normalization to (0, 1) with :func:`normalize01`, which rejects any
-    other kind or range.
+    Immutable after construction.  ``utility`` is a utility representation
+    of the preorder (see :func:`finite_utility`,
+    :func:`pareto_base_utility`); the engine squashes it into (alpha, beta)
+    with :func:`squash`, which rejects a bad range, and normalizes that to
+    (0, 1) with :func:`normalize01`.
     """
 
     def __init__(self, oracle: ContourOracle, alpha: float, beta: float, utility: UtilityFn):
-        check_range(alpha, beta)
+        alpha, beta = float(alpha), float(beta)
         self._oracle = oracle
-        self._alpha = float(alpha)
-        self._beta = float(beta)
-        self._scaled = utility
-        self._unit = normalize01(utility, alpha, beta)
-        # normalize01's own operands, so that evaluate's unit value is
-        # bit-identical to self._unit(x) while calling the utility once
-        self._unit_alpha, self._unit_span = alpha, beta - alpha
+        self._alpha = alpha
+        self._beta = beta
+        self._scaled = squash(utility, alpha, beta)
+        self._unit = normalize01(self._scaled, alpha, beta)
         self._pareto_set_checked = False
 
     @property
@@ -164,9 +156,10 @@ class ExtensionEngine:
     def evaluate(self, x: Element) -> float:
         """The defining capped blend; the production evaluator."""
         a, b = self._bounded_floats(x)
-        u = (self._scaled(x) - self._unit_alpha) / self._unit_span
-        lo = max(a, min(b, self._beta) - self._beta + self._alpha)
-        hi = min(b, max(a, self._alpha) - self._alpha + self._beta)
+        alpha, beta = self._alpha, self._beta
+        u = (self._scaled(x) - alpha) / (beta - alpha)
+        lo = max(a, min(b, beta) - beta + alpha)
+        hi = min(b, max(a, alpha) - alpha + beta)
         return lo + (hi - lo) * u
 
     def evaluate_many(
@@ -353,11 +346,11 @@ def make_engine(
     beta: float = 1.0,
     base_utility: Optional[UtilityFn] = None,
 ) -> ExtensionEngine:
-    """Assemble an engine, deriving utilities from the oracle's preorder.
+    """Assemble an engine, deriving its utility from the oracle's preorder.
 
     Without an explicit base utility, finite preorders get the layered
-    integer utility and Pareto spaces the coordinate sum.  The base is
-    squashed into (alpha, beta); the engine derives the normalized one.
+    integer utility and Pareto spaces the coordinate sum.  The engine
+    squashes the base into (alpha, beta) itself.
     """
     rel = oracle.rel
     if base_utility is None:
@@ -369,4 +362,4 @@ def make_engine(
             raise ValueError(
                 f"no default base utility for {type(rel).__name__}; pass one"
             )
-    return ExtensionEngine(oracle, alpha, beta, squash(base_utility, alpha, beta))
+    return ExtensionEngine(oracle, alpha, beta, base_utility)

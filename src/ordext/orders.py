@@ -50,6 +50,7 @@ __all__ = [
     "Preorder",
     "TOP",
     "UnsupportedQueryError",
+    "is_finite_real",
     "is_pareto_set",
     "lowest_bit",
     "rank_masks",
@@ -63,6 +64,14 @@ class ForeignElementError(ValueError):
 
 class UnsupportedQueryError(RuntimeError):
     """The query needs an enumerable ground set and got an infinite one."""
+
+
+def is_finite_real(value) -> bool:
+    """``math.isfinite``, but False for a number too large for any float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class Comparison(Enum):
@@ -440,7 +449,8 @@ class ParetoSpace(Preorder):
 
     Coordinates must be real numbers: ``int`` and ``float`` (tested by
     exact type first), or any other :class:`numbers.Real` except
-    ``bool``.  Strings and other orderable objects are foreign.
+    ``bool``.  Strings and other orderable objects are foreign, and so is
+    a coordinate too large for any float.
     """
 
     __slots__ = ("_k",)
@@ -462,11 +472,10 @@ class ParetoSpace(Preorder):
             if kind is float:
                 if not math.isfinite(coord):
                     raise ForeignElementError(f"{x!r} has a non-finite coordinate")
-            elif kind is not int:
-                if kind is bool or not isinstance(coord, Real):
-                    raise ForeignElementError(f"{x!r} has a non-numeric coordinate")
-                if not math.isfinite(coord):
-                    raise ForeignElementError(f"{x!r} has a non-finite coordinate")
+            elif kind is not int and (kind is bool or not isinstance(coord, Real)):
+                raise ForeignElementError(f"{x!r} has a non-numeric coordinate")
+            elif not is_finite_real(coord):
+                raise ForeignElementError(f"{x!r} has a non-finite coordinate")
         return x
 
     def geq(self, x: Element, y: Element) -> bool:

@@ -2,10 +2,10 @@
 
 A utility representation is a total, strictly increasing map from the
 ground set to the reals: equivalent elements share a value, strictly
-dominating elements get strictly more.  The extension engine consumes a
-representation with values strictly inside a chosen interval (alpha,
-beta), produced here by an arctan squash, plus its normalization to
-(0, 1).
+dominating elements get strictly more.  The extension engine takes one
+such representation and squashes it itself: :func:`squash` maps it by
+arctan strictly inside a chosen interval (alpha, beta), and
+:func:`normalize01` maps that affinely onto (0, 1).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
@@ -22,7 +21,6 @@ from ordext.orders import Element, FinitePreorder, ParetoSpace
 
 __all__ = [
     "UtilityFn",
-    "UtilityKind",
     "finite_utility",
     "normalize01",
     "pareto_base_utility",
@@ -30,24 +28,11 @@ __all__ = [
 ]
 
 
-class UtilityKind(Enum):
-    BASE = "base"
-    SQUASHED = "squashed"
-    NORMALIZED01 = "normalized01"
-
-
 @dataclass(frozen=True)
 class UtilityFn:
-    """A total utility map with provenance metadata.
-
-    ``lo``/``hi`` record the declared open range for squashed and
-    normalized variants; base utilities carry no range promise.
-    """
+    """A total utility map from elements to floats."""
 
     fn: Callable[[Element], float]
-    kind: UtilityKind
-    lo: Optional[float] = None
-    hi: Optional[float] = None
 
     def __call__(self, x: Element) -> float:
         return self.fn(x)
@@ -83,7 +68,7 @@ def finite_utility(rel: FinitePreorder) -> UtilityFn:
         level[x] = lv
 
     values = {x: float(level[x]) for x in range(n)}
-    return UtilityFn(fn=values.__getitem__, kind=UtilityKind.BASE)
+    return UtilityFn(values.__getitem__)
 
 
 def pareto_base_utility(
@@ -108,14 +93,7 @@ def pareto_base_utility(
             return math.inf if exact > 0 else -math.inf
         return total
 
-    return UtilityFn(fn=fn, kind=UtilityKind.BASE)
-
-
-def check_range(alpha: float, beta: float) -> None:
-    """Reject an empty range, or one whose span is not finite (every value NaN)."""
-    if not (alpha < beta and math.isfinite(beta - alpha)):
-        raise ValueError(
-            f"need alpha < beta and a finite span beta - alpha, got ({alpha}, {beta})")
+    return UtilityFn(fn)
 
 
 def squash(u: UtilityFn, alpha: float, beta: float) -> UtilityFn:
@@ -125,8 +103,12 @@ def squash(u: UtilityFn, alpha: float, beta: float) -> UtilityFn:
     closer together than the local arctan resolution can round to the
     same output, so callers needing strictness must keep their base
     utility values resolvably spaced (integer-valued utilities are).
+    Rejects an empty range, or one whose span is not finite (every value
+    would be NaN).
     """
-    check_range(alpha, beta)
+    if not (alpha < beta and math.isfinite(beta - alpha)):
+        raise ValueError(
+            f"need alpha < beta and a finite span beta - alpha, got ({alpha}, {beta})")
     span = beta - alpha
 
     def fn(x: Element) -> float:
@@ -138,20 +120,14 @@ def squash(u: UtilityFn, alpha: float, beta: float) -> UtilityFn:
             out = math.nextafter(alpha, beta)
         return out
 
-    return UtilityFn(fn=fn, kind=UtilityKind.SQUASHED, lo=alpha, hi=beta)
+    return UtilityFn(fn)
 
 
 def normalize01(u_ab: UtilityFn, alpha: float, beta: float) -> UtilityFn:
-    """Affine rescale of a squashed utility from (alpha, beta) onto (0, 1)."""
-    if u_ab.kind is not UtilityKind.SQUASHED:
-        raise ValueError(f"expected a squashed utility, got {u_ab.kind.value}")
-    if (u_ab.lo, u_ab.hi) != (alpha, beta):
-        raise ValueError(
-            f"utility was squashed into ({u_ab.lo}, {u_ab.hi}), not ({alpha}, {beta})"
-        )
+    """Affine rescale of a utility squashed into (alpha, beta) onto (0, 1)."""
     span = beta - alpha
 
     def fn(x: Element) -> float:
         return (u_ab(x) - alpha) / span
 
-    return UtilityFn(fn=fn, kind=UtilityKind.NORMALIZED01, lo=0.0, hi=1.0)
+    return UtilityFn(fn)

@@ -29,6 +29,11 @@ def test_partial_utility_rejects_non_finite_values():
         PartialUtility({0: math.inf})
     with pytest.raises(ValueError):
         PartialUtility({0: math.nan})
+    # an int or Fraction too large for any float passed the gap check and
+    # then overflowed in evaluate
+    for value in (10**400, -10**400, Fraction(10**400), Fraction(-10**400, 3)):
+        with pytest.raises(ValueError, match="non-finite value"):
+            PartialUtility({(0.0,): value})
 
 
 @pytest.mark.parametrize("value", ["a", None, [1.0], complex(1, 0)])
@@ -38,7 +43,7 @@ def test_partial_utility_rejects_non_numeric_values(value):
 
 
 def test_partial_utility_accepts_int_float_fraction_and_bool():
-    values = {0: 1, 1: 2.5, 2: Fraction(1, 3), 3: True}
+    values = {0: 1, 1: 2.5, 2: Fraction(1, 3), 3: True, 4: 2**1000, 5: Fraction(1, 10**400)}
     assert dict(PartialUtility(values).items()) == values
 
 

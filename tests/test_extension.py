@@ -17,7 +17,7 @@ from ordext.extension import (
     UnboundedContourError,
     make_engine,
 )
-from ordext.utility import UtilityFn, UtilityKind, finite_utility, pareto_base_utility, squash
+from ordext.utility import finite_utility, normalize01, pareto_base_utility, squash
 
 
 def unit_line_engine(alpha=0.0, beta=1.0):
@@ -177,24 +177,26 @@ def test_engine_rejects_a_range_whose_span_is_not_finite(alpha, beta):
     base = pareto_base_utility(space)
     with pytest.raises(ValueError, match="finite span"):
         squash(base, alpha, beta)
-    squashed = UtilityFn(fn=base, kind=UtilityKind.SQUASHED, lo=alpha, hi=beta)
     with pytest.raises(ValueError, match="finite span"):
-        ExtensionEngine(oracle, alpha, beta, squashed)
+        ExtensionEngine(oracle, alpha, beta, base)
 
 
-def test_engine_takes_one_squashed_utility_and_derives_the_unit_one():
+def test_engine_squashes_its_utility_and_derives_the_unit_one():
     space = ParetoSpace(1)
     oracle = FiniteSampleOracle(space, PartialUtility({(0.0,): 0.0}))
     base = pareto_base_utility(space)
-    engine = ExtensionEngine(oracle, -2.0, 2.0, squash(base, -2.0, 2.0))
-    x = (0.5,)
-    assert engine.unit_utility.kind is UtilityKind.NORMALIZED01
-    assert engine.unit_utility(x) == (engine.scaled_utility(x) + 2.0) / 4.0
-    # a base utility, or one squashed into another range, is refused
-    with pytest.raises(ValueError, match="expected a squashed utility"):
-        ExtensionEngine(oracle, -2.0, 2.0, base)
-    with pytest.raises(ValueError, match="not \\(-2.0, 2.0\\)"):
-        ExtensionEngine(oracle, -2.0, 2.0, squash(base, 0.0, 1.0))
+    scaled = squash(base, -2.0, 2.0)
+    unit = normalize01(scaled, -2.0, 2.0)
+    # int bounds are converted to float once, before the squash
+    engine = ExtensionEngine(oracle, -2, 2, base)
+    for v in (-1e300, -3.0, -0.0, 0.5, 7.0, 1e300):
+        x = (v,)
+        assert engine.scaled_utility(x).hex() == scaled(x).hex()
+        assert engine.unit_utility(x).hex() == unit(x).hex()
+        assert engine.unit_utility(x) == (engine.scaled_utility(x) + 2.0) / 4.0
+    # the squash still refuses an empty range
+    with pytest.raises(ValueError, match="need alpha < beta"):
+        ExtensionEngine(oracle, 2.0, -2.0, base)
 
 
 @given(closed_relations(), st.data())
@@ -324,8 +326,9 @@ def test_custom_base_utility_is_used():
 # evaluate_many against the per-point methods on a second engine whose
 # one-slot memo is cleared before every read, so each reference value
 # comes from the index.  Values must match normalize01's to the bit, also
-# for int and Fraction ranges; for the Fraction one, float(beta) - float(alpha)
-# is not float(beta - alpha)
+# for int and Fraction ranges: the engine converts alpha and beta to float
+# once and hands the same floats to squash and normalize01, and for the
+# Fraction one float(beta) - float(alpha) is not float(beta - alpha)
 RANGES = [(0.0, 1.0), (0, 1), (-2.0, 3.0), (0.25, 0.5), (Fraction(-1), Fraction(-2, 3))]
 VALUES = [-3, -1.5, -0.0, 0, 0.0, Fraction(1, 3), 0.5, 1, 1.0, 2.5, 7]
 

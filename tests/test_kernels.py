@@ -112,8 +112,10 @@ def test_int_and_float_coordinates_compare_as_numbers():
 
 @pytest.mark.parametrize(
     "query",
-    [(0.0,), (0.0, 0.0, 0.0), (math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), [0.0, 0.0]],
-    ids=["short", "long", "inf", "-inf", "nan", "list"],
+    [(0.0,), (0.0, 0.0, 0.0), (math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), [0.0, 0.0],
+     (10**400, 0.0), (0.0, Fraction(-10**400))],
+    ids=["short", "long", "inf", "-inf", "nan", "list", "int-beyond-float",
+         "fraction-beyond-float"],
 )
 def test_pareto_kernel_rejects_foreign_queries(query):
     oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0.0, 0.0): 0.0}))

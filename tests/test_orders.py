@@ -130,9 +130,11 @@ class Subfloat(float):
 @pytest.mark.parametrize(
     "point",
     [("a", "b"), (1.0, "b"), (None, 0.0), (True, 0.0), (1j, 0.0), (Decimal("1"), 0.0),
-     (Fraction(1, 3), math.inf), (0.0, Subfloat("nan"))],
+     (Fraction(1, 3), math.inf), (0.0, Subfloat("nan")), (10**400, 0.0), (0.0, -10**400),
+     (Fraction(10**400), 0.0)],
     ids=["strings", "one-string", "none", "bool", "complex", "decimal", "inf-next-to-fraction",
-         "float-subclass-nan"],
+         "float-subclass-nan", "int-beyond-float", "negative-int-beyond-float",
+         "fraction-beyond-float"],
 )
 def test_pareto_rejects_non_numeric_coordinates(point):
     space = ParetoSpace(2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ordext.orders import FinitePreorder, ParetoSpace
 from ordext.utility import (
-    UtilityKind,
+    UtilityFn,
     finite_utility,
     normalize01,
     pareto_base_utility,
@@ -155,15 +155,6 @@ def test_squash_saturation_stays_inside_open_interval():
     assert s((-1e300,)) > 0.0
 
 
-def test_normalize01_requires_squashed_input():
-    u = pareto_base_utility(ParetoSpace(1))
-    with pytest.raises(ValueError, match="squashed"):
-        normalize01(u, 0.0, 1.0)
-    s = squash(u, 0.0, 2.0)
-    with pytest.raises(ValueError, match="squashed into"):
-        normalize01(s, 0.0, 1.0)
-
-
 def test_normalize01_identity_when_already_unit():
     u = pareto_base_utility(ParetoSpace(1))
     s = squash(u, 0.0, 1.0)
@@ -174,9 +165,7 @@ def test_normalize01_identity_when_already_unit():
 
 def test_normalize01_affine_example():
     # a squashed value of 0 inside (-2, 6) sits a quarter of the way up
-    from ordext.utility import UtilityFn
-
-    s = UtilityFn(fn=lambda x: 0.0, kind=UtilityKind.SQUASHED, lo=-2.0, hi=6.0)
+    s = UtilityFn(lambda x: 0.0)
     n = normalize01(s, -2.0, 6.0)
     assert n(None) == 0.25
 
@@ -199,12 +188,3 @@ def test_normalized_matches_direct_unit_squash(v, alpha, width):
     n = normalize01(squash(u, alpha, beta), alpha, beta)
     direct = squash(u, 0.0, 1.0)
     assert abs(n((v,)) - direct((v,))) <= 1e-12
-
-
-def test_utility_kind_metadata():
-    u = pareto_base_utility(ParetoSpace(1))
-    s = squash(u, -1.0, 3.0)
-    n = normalize01(s, -1.0, 3.0)
-    assert u.kind is UtilityKind.BASE
-    assert (s.kind, s.lo, s.hi) == (UtilityKind.SQUASHED, -1.0, 3.0)
-    assert (n.kind, n.lo, n.hi) == (UtilityKind.NORMALIZED01, 0.0, 1.0)
