@@ -53,6 +53,7 @@ from ordext.orders import (
     compare_augmented,
     is_finite_real,
     lowest_bit,
+    safe_repr,
 )
 
 __all__ = [
@@ -88,9 +89,9 @@ class PartialUtility:
     def __init__(self, values: Mapping[Element, float]):
         for p, v in values.items():
             if not isinstance(v, (float, int, Fraction)):
-                raise TypeError(f"sample {p!r} has non-numeric value {v!r}")
+                raise TypeError(f"sample {safe_repr(p)} has non-numeric value {safe_repr(v)}")
             if not is_finite_real(v):
-                raise ValueError(f"sample {p!r} has non-finite value {v!r}")
+                raise ValueError(f"sample {safe_repr(p)} has non-finite value {safe_repr(v)}")
         self._points = tuple(values)
         self._values = dict(values)
 
@@ -102,7 +103,7 @@ class PartialUtility:
         try:
             return self._values[p]
         except KeyError:
-            raise KeyError(f"{p!r} is not a sample point") from None
+            raise KeyError(f"{safe_repr(p)} is not a sample point") from None
 
     def __contains__(self, p: Element) -> bool:
         return p in self._values

@@ -18,6 +18,7 @@ from ordext.orders import (
     ForeignElementError,
     ParetoSpace,
     Preorder,
+    safe_repr,
 )
 
 __all__ = ["FIXTURE_NAMES", "example_gap", "example_nin", "get_fixture"]
@@ -46,7 +47,7 @@ def _line_bound(x) -> float:
 
 def _line_in_samples(p: Element) -> bool:
     if not (isinstance(p, tuple) and len(p) == 1):
-        raise ForeignElementError(f"{p!r} is not a 1-vector")
+        raise ForeignElementError(f"{safe_repr(p)} is not a 1-vector")
     return p[0] <= 0.0 or p[0] > 1.0
 
 
@@ -101,7 +102,7 @@ class _DominantZeroOrder(Preorder):
 
     def _check(self, x: Element) -> int:
         if not isinstance(x, int) or x > 0:
-            raise ForeignElementError(f"{x!r} is not a nonpositive integer")
+            raise ForeignElementError(f"{safe_repr(x)} is not a nonpositive integer")
         return x
 
     def geq(self, x: Element, y: Element) -> bool:

@@ -7,6 +7,14 @@ Two concrete ground-set flavours are supported:
   as good as ``j``.
 * :class:`ParetoSpace` compares k-vectors of finite reals coordinatewise.
 
+A finite relation is built one of two ways.  ``FinitePreorder.closure``
+closes a list of pairs by one Tarjan walk and checks the walk's rows
+with a certificate from the same walk (:func:`_certify`, O(n + m)), so
+it never re-proves transitivity; a failed certificate raises
+:class:`CertificateError`, a fault in this module.
+``FinitePreorder(rows)`` takes rows from its caller and checks them:
+reflexive, and transitive by byte-table ORs (:func:`_check_transitive`).
+
 Both expose the same query surface through :class:`Preorder`.  The
 augmented ground set adds two artificial extremes, one strictly above
 and one strictly below everything: the sentinels ``TOP`` and ``BOTTOM``,
@@ -33,7 +41,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from enum import Enum
-from numbers import Real
+from numbers import Rational, Real
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -42,6 +50,7 @@ Element = Any  # int for finite ground sets, tuple of floats for Pareto spaces
 __all__ = [
     "Augmented",
     "BOTTOM",
+    "CertificateError",
     "Comparison",
     "Element",
     "FinitePreorder",
@@ -54,6 +63,7 @@ __all__ = [
     "is_pareto_set",
     "lowest_bit",
     "rank_masks",
+    "safe_repr",
     "strict_pair",
 ]
 
@@ -66,12 +76,39 @@ class UnsupportedQueryError(RuntimeError):
     """The query needs an enumerable ground set and got an infinite one."""
 
 
+class CertificateError(RuntimeError):
+    """The relation build failed its own certificate: a fault in ordext, not in the input."""
+
+
 def is_finite_real(value) -> bool:
     """``math.isfinite``, but False for a number too large for any float."""
     try:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def safe_repr(value) -> str:
+    """``repr(value)``, safe for error messages about huge numbers.
+
+    An ``int`` or ``Fraction`` with more digits than ``repr`` will write
+    (``sys.get_int_max_str_digits``) shows as its type and bit length,
+    inside a tuple too, where ``repr`` itself would raise ``ValueError``.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            parts = [safe_repr(v) for v in value]
+            return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+        if not isinstance(value, Rational):
+            raise
+        num, den = value.numerator, value.denominator
+        size = f"{abs(num).bit_length()} bits"
+        if den != 1:
+            size += f" over {den.bit_length()} bits"
+        sign = "negative " if num < 0 else ""
+        return f"<{sign}{type(value).__name__} of {size}>"
 
 
 class Comparison(Enum):
@@ -242,8 +279,8 @@ def _transpose(rows: Sequence[int]) -> List[int]:
     return cols
 
 
-def _reach_rows(succ: Sequence[Sequence[int]]) -> List[int]:
-    """Per element, the bitmask of elements reachable from it, itself included.
+def _tarjan(succ: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """The strongly connected components in the order they close, and each row.
 
     An iterative Tarjan walk finds the strongly connected components in
     reverse topological order, so every successor outside a component
@@ -255,6 +292,7 @@ def _reach_rows(succ: Sequence[Sequence[int]]) -> List[int]:
     index = [-1] * n
     low = [0] * n
     rows = [0] * n
+    components: List[List[int]] = []
     stack: List[int] = []
     counter = 0
     for root in range(n):
@@ -292,7 +330,85 @@ def _reach_rows(succ: Sequence[Sequence[int]]) -> List[int]:
                             row |= rows[w]
                     for m in members:
                         rows[m] = row
-    return rows
+                    components.append(members)
+    return components, rows
+
+
+def _certify(
+    succ: Sequence[Sequence[int]],
+    pred: Sequence[Sequence[int]],
+    components: Sequence[Sequence[int]],
+    rows: Sequence[int],
+) -> None:
+    """Raise :class:`CertificateError` unless ``rows`` close the pairs ``succ``.
+
+    ``components`` are listed in the order they closed and ``pred`` holds
+    the reversed pairs.  Four checks, O(n + m) operations on rows:
+
+    1. every element is in exactly one component;
+    2. every pair leads to its own component or to an earlier one;
+    3. each member's row is its component's bits ORed with the rows of
+       the earlier components that the component's pairs reach;
+    4. each component of more than one member is strongly connected.
+
+    By 2 and 4 the components are the strongly connected components in
+    reverse topological order, and then by induction over that order 3
+    says each row is the set of elements reachable from its element.
+    """
+    n = len(succ)
+    comp = [-1] * n
+    for c, members in enumerate(components):
+        for m in members:
+            if comp[m] >= 0:
+                raise CertificateError(f"element {m} is in components {comp[m]} and {c}")
+            comp[m] = c
+    if -1 in comp:
+        raise CertificateError(f"element {comp.index(-1)} is in no component")
+    for c, members in enumerate(components):
+        row = 0
+        for m in members:
+            row |= 1 << m
+        for m in members:
+            for w in succ[m]:
+                if comp[w] > c:
+                    raise CertificateError(f"pair ({m}, {w}) leads into a later component")
+                if comp[w] < c:
+                    row |= rows[w]
+        for m in members:
+            if rows[m] != row:
+                raise CertificateError(f"row {m} is not the closure of its pairs")
+        if len(members) > 1:
+            for adj in (succ, pred):
+                seen = {members[0]}
+                todo = [members[0]]
+                while todo:
+                    for w in adj[todo.pop()]:
+                        if comp[w] == c and w not in seen:
+                            seen.add(w)
+                            todo.append(w)
+                if len(seen) < len(members):
+                    raise CertificateError(f"component {c} is not strongly connected")
+
+
+def _fold_columns(pred: Sequence[Sequence[int]], components: Sequence[Sequence[int]]) -> List[int]:
+    """Per element, the bitmask of elements that reach it, itself included.
+
+    The components are taken last closed first, which is topological
+    order once :func:`_certify` has passed, so every predecessor outside
+    a component already holds its final column; one inside it still
+    reads 0 and adds nothing.
+    """
+    cols = [0] * len(pred)
+    for members in reversed(components):
+        col = 0
+        for m in members:
+            col |= 1 << m
+        for m in members:
+            for u in pred[m]:
+                col |= cols[u]
+        for m in members:
+            cols[m] = col
+    return cols
 
 
 class FinitePreorder(Preorder):
@@ -305,10 +421,6 @@ class FinitePreorder(Preorder):
     __slots__ = ("_n", "_rows", "_cols")
 
     def __init__(self, rows: Sequence[int]):
-        self._store(rows, None)
-
-    def _store(self, rows: Sequence[int], cols: Optional[Sequence[int]]) -> None:
-        """Validate ``rows`` and keep them with their columns (``None``: transpose)."""
         n = len(rows)
         limit = 1 << n
         for i, row in enumerate(rows):
@@ -322,25 +434,34 @@ class FinitePreorder(Preorder):
             raise ValueError(f"relation is not transitive through pair {bad}")
         self._n = n
         self._rows = tuple(rows)
-        self._cols = tuple(_transpose(self._rows) if cols is None else cols)
+        self._cols = tuple(_transpose(self._rows))
 
     @classmethod
     def closure(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "FinitePreorder":
         """Smallest reflexive-transitive relation containing the pairs.
 
-        The columns are the rows of the reversed relation, so they come
-        from a second reachability walk over the reversed pairs, which is
-        cheaper than transposing the rows.
+        One Tarjan walk over the pairs yields the components and the rows;
+        :func:`_certify` proves the rows are the closure of the pairs,
+        in O(n + m), so the transitivity check of ``FinitePreorder(rows)``
+        is not run.  The columns are one fold over the same components,
+        in topological order over the reversed pairs.  A failed
+        certificate raises :class:`CertificateError`.
         """
         succ: List[List[int]] = [[] for _ in range(n)]
         pred: List[List[int]] = [[] for _ in range(n)]
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
-                raise ForeignElementError(f"pair ({i}, {j}) out of range for n={n}")
+                raise ForeignElementError(
+                    f"pair ({safe_repr(i)}, {safe_repr(j)}) out of range for n={n}"
+                )
             succ[i].append(j)
             pred[j].append(i)
+        components, rows = _tarjan(succ)
+        _certify(succ, pred, components, rows)
         rel = cls.__new__(cls)
-        rel._store(_reach_rows(succ), _reach_rows(pred))
+        rel._n = n
+        rel._rows = tuple(rows)
+        rel._cols = tuple(_fold_columns(pred, components))
         return rel
 
     @classmethod
@@ -375,7 +496,7 @@ class FinitePreorder(Preorder):
     def _check(self, x: Element) -> int:
         # bool is an int subclass, yet True and False are no element indices
         if not (isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self._n):
-            raise ForeignElementError(f"{x!r} is not an index below {self._n}")
+            raise ForeignElementError(f"{safe_repr(x)} is not an index below {self._n}")
         return x
 
     def geq(self, x: Element, y: Element) -> bool:
@@ -466,16 +587,16 @@ class ParetoSpace(Preorder):
 
     def _check(self, x: Element) -> Tuple[float, ...]:
         if not isinstance(x, tuple) or len(x) != self._k:
-            raise ForeignElementError(f"{x!r} is not a {self._k}-vector")
+            raise ForeignElementError(f"{safe_repr(x)} is not a {self._k}-vector")
         for coord in x:
             kind = type(coord)
             if kind is float:
                 if not math.isfinite(coord):
-                    raise ForeignElementError(f"{x!r} has a non-finite coordinate")
+                    raise ForeignElementError(f"{safe_repr(x)} has a non-finite coordinate")
             elif kind is not int and (kind is bool or not isinstance(coord, Real)):
-                raise ForeignElementError(f"{x!r} has a non-numeric coordinate")
+                raise ForeignElementError(f"{safe_repr(x)} has a non-numeric coordinate")
             elif not is_finite_real(coord):
-                raise ForeignElementError(f"{x!r} has a non-finite coordinate")
+                raise ForeignElementError(f"{safe_repr(x)} has a non-finite coordinate")
         return x
 
     def geq(self, x: Element, y: Element) -> bool:

@@ -36,6 +36,23 @@ def test_partial_utility_rejects_non_finite_values():
             PartialUtility({(0.0,): value})
 
 
+@pytest.mark.parametrize("value, shown", [
+    (10**5000, "<int of 16610 bits>"),
+    (Fraction(-(10**5000), 3), "<negative Fraction of 16610 bits over 2 bits>"),
+], ids=["int", "negative-fraction"])
+def test_partial_utility_names_huge_values_by_size(value, shown):
+    # repr of an int past the 4300-digit limit raises ValueError itself
+    with pytest.raises(ValueError) as err:
+        PartialUtility({0: value})
+    assert str(err.value) == f"sample 0 has non-finite value {shown}"
+    with pytest.raises(ValueError) as err:
+        PartialUtility({(value,): math.inf})
+    assert str(err.value) == f"sample ({shown},) has non-finite value inf"
+    with pytest.raises(KeyError) as err:
+        PartialUtility({0: 1.0}).value(value)
+    assert err.value.args == (f"{shown} is not a sample point",)
+
+
 @pytest.mark.parametrize("value", ["a", None, [1.0], complex(1, 0)])
 def test_partial_utility_rejects_non_numeric_values(value):
     with pytest.raises(TypeError, match="non-numeric value"):

@@ -7,7 +7,7 @@ import pytest
 from ordext.contours import FiniteSampleOracle, PartialUtility
 from ordext.fixtures import example_gap, example_nin, get_fixture
 from ordext.monotonicity import check_gap_safe_probes
-from ordext.orders import BOTTOM, TOP
+from ordext.orders import BOTTOM, TOP, ForeignElementError
 
 
 def test_registry_lookup():
@@ -112,3 +112,11 @@ def test_fixture_occupancy():
     assert fx.contour_occupancy(BOTTOM) == (False, True)
     gap = example_gap()
     assert gap.contour_occupancy((0.5,)) == (True, True)
+
+
+def test_foreign_points_name_huge_ints_by_size():
+    # repr of an int past the 4300-digit limit raises ValueError itself
+    with pytest.raises(ForeignElementError, match=r"^<int of 16610 bits> is not a nonpositive"):
+        example_nin().ambient.geq(10**5000, 0)
+    with pytest.raises(ForeignElementError, match=r"^<int of 16610 bits> is not a 1-vector"):
+        example_gap().in_samples(10**5000)

@@ -144,6 +144,32 @@ def test_pareto_rejects_non_numeric_coordinates(point):
         space.dominance_masks([(0.0, 0.0), point])
 
 
+# repr of an int past the interpreter's 4300-digit limit itself raises
+# ValueError; the messages name the type and bit length instead
+@pytest.mark.parametrize("coord, shown", [
+    (10**5000, "<int of 16610 bits>"),
+    (-(10**5000), "<negative int of 16610 bits>"),
+    (Fraction(10**5000, 3), "<Fraction of 16610 bits over 2 bits>"),
+], ids=["int", "negative-int", "fraction"])
+def test_foreign_errors_name_huge_numbers_by_size(coord, shown):
+    with pytest.raises(ForeignElementError) as err:
+        ParetoSpace(1).geq((coord,), (0.0,))
+    assert str(err.value) == f"({shown},) has a non-finite coordinate"
+    with pytest.raises(ForeignElementError) as err:
+        ParetoSpace(2).geq((0.0, coord), (0.0, 0.0))
+    assert str(err.value) == f"(0.0, {shown}) has a non-finite coordinate"
+    with pytest.raises(ForeignElementError) as err:
+        ParetoSpace(2).geq(coord, (0.0, 0.0))
+    assert str(err.value) == f"{shown} is not a 2-vector"
+    if isinstance(coord, int):
+        with pytest.raises(ForeignElementError) as err:
+            FinitePreorder.chain(3).geq(coord, 0)
+        assert str(err.value) == f"{shown} is not an index below 3"
+        with pytest.raises(ForeignElementError) as err:
+            FinitePreorder.closure(3, [(0, 1), (coord, 0)])
+        assert str(err.value) == f"pair ({shown}, 0) out of range for n=3"
+
+
 def test_pareto_accepts_int_float_and_other_real_coordinates():
     space = ParetoSpace(2)
     assert space.compare((1, 2.0), (1.0, 2)) is Comparison.EQUIVALENT

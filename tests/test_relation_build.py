@@ -1,31 +1,41 @@
 """The word-parallel relation build against its per-bit references.
 
-``FinitePreorder.closure`` walks strongly connected components and ORs
-whole rows, once over the pairs for the rows and once over the reversed
-pairs for the columns.  The constructor checks transitivity a byte of
-each row at a time through per-block tables, and ``FinitePreorder(rows)``
-transposes the rows in blocks of bit strings.  The loops they replaced
-live in ``ordext.crosscheck`` (``warshall_closure``,
-``pairwise_check_transitive``, ``bitwise_transpose``) and must give the
-same rows, columns, witness and error text.
+``FinitePreorder.closure`` makes one Tarjan walk over the pairs, which
+closes the strongly connected components and ORs whole rows, checks the
+rows with the walk's certificate (``orders._certify``) and folds the
+columns over the same components in topological order.  The constructor
+``FinitePreorder(rows)`` checks transitivity a byte of each row at a
+time through per-block tables and transposes the rows in blocks of bit
+strings.  The loops they replaced live in ``ordext.crosscheck``
+(``warshall_closure``, ``pairwise_check_transitive``,
+``bitwise_transpose``) and must give the same rows, columns, witness and
+error text; a tampered certificate must raise.
 """
 
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordext import orders
+from ordext.cli import EXIT_INTERNAL, main
 from ordext.crosscheck import (
     bitwise_transpose,
     pairwise_check_transitive,
     warshall_closure,
 )
 from ordext.orders import (
+    CertificateError,
     FinitePreorder,
     ForeignElementError,
     _absorbed,
+    _certify,
     _check_transitive,
+    _tarjan,
     _transpose,
 )
 
@@ -92,8 +102,8 @@ def test_closure_matches_warshall_on_large_relations(n, make, seed):
     assert_closure_matches(n, make(random.Random(seed), n))
 
 
-# closure reads its columns off the reversed pairs; the constructor
-# transposes the rows it is given
+# closure folds its columns over the components, in topological order
+# over the reversed pairs; the constructor transposes the rows it is given
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 600), st.sampled_from([random_dag, ranking_with_ties]),
        st.integers(0, 2**32 - 1))
@@ -242,3 +252,133 @@ def test_transpose_at_block_and_byte_boundaries(n):
 @given(square_rows)
 def test_transpose_matches_reference_on_random_rows(rows):
     assert _transpose(rows) == bitwise_transpose(rows)
+
+
+def walked(n, pairs):
+    """The pairs both ways, and the components and rows of one walk."""
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for i, j in pairs:
+        succ[i].append(j)
+        pred[j].append(i)
+    return (succ, pred, *_tarjan(succ))
+
+
+# 2 >= 1 >= 0, and 3 ~ 4 above 2
+CERTIFIED_PAIRS = [(1, 0), (2, 1), (3, 4), (4, 3), (3, 2)]
+
+
+def component_of(components, element):
+    return next(c for c, members in enumerate(components) if element in members)
+
+
+def merge_unconnected(components, rows):
+    # 0 and 1 share a row, but 0 reaches nothing
+    c0, c1 = sorted((component_of(components, 0), component_of(components, 1)))
+    components[c0] = [0, 1]
+    del components[c1]
+    rows[0] = rows[1]
+
+
+def pair_into_later(components, rows):
+    c0, c1 = component_of(components, 0), component_of(components, 1)
+    components[c0], components[c1] = components[c1], components[c0]
+
+
+def drop_successor_bits(components, rows):
+    rows[2] &= ~1          # 2 >= 1 >= 0, yet row 2 lacks 0
+
+
+def add_extra_bit(components, rows):
+    rows[1] |= 1 << 4      # 1 does not reach 4
+
+
+def in_two_components(components, rows):
+    components.append([0])
+
+
+def in_no_component(components, rows):
+    del components[component_of(components, 0)]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (merge_unconnected, "component 0 is not strongly connected"),
+    (pair_into_later, r"pair \(1, 0\) leads into a later component"),
+    (drop_successor_bits, "row 2 is not the closure of its pairs"),
+    (add_extra_bit, "row 1 is not the closure of its pairs"),
+    (in_two_components, "element 0 is in components 0 and 4"),
+    (in_no_component, "element 0 is in no component"),
+])
+def test_tampered_certificate_raises(tamper, message):
+    succ, pred, components, rows = walked(5, CERTIFIED_PAIRS)
+    _certify(succ, pred, components, rows)
+    assert rows == warshall_closure(5, CERTIFIED_PAIRS)
+    tamper(components, rows)
+    with pytest.raises(CertificateError, match=message):
+        _certify(succ, pred, components, rows)
+
+
+def test_closure_does_not_prove_transitivity_again(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("closure re-proved transitivity")
+
+    monkeypatch.setattr(orders, "_check_transitive", refuse)
+    monkeypatch.setattr(orders, "_absorbed", refuse)
+    n = 300
+    pairs = ranking_with_ties(random.Random(3), n)
+    rel = FinitePreorder.closure(n, pairs)
+    assert list(rel._rows) == warshall_closure(n, pairs)
+    with pytest.raises(AssertionError, match="re-proved"):
+        FinitePreorder(rel._rows)
+
+
+GOLDEN_CASES = Path(__file__).parent / "golden" / "cases"
+
+
+def test_failed_certificate_is_an_internal_error(monkeypatch, capsys):
+    def faulty_walk(succ):
+        # the last element's row loses its own bit
+        components, rows = _tarjan(succ)
+        rows[-1] &= ~(1 << (len(rows) - 1))
+        return components, rows
+
+    monkeypatch.setattr(orders, "_tarjan", faulty_walk)
+    with pytest.raises(CertificateError):
+        FinitePreorder.closure(2, [(1, 0)])
+    assert main(["check", str(GOLDEN_CASES / "finite-dag.json")]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: CertificateError: ")
+
+
+def sparse_random_dag(rng, n, pairs_per_element=3):
+    """``pairs_per_element * n`` random pairs, all down a random order.
+
+    ``random_dag`` draws once per ordered pair, too slow at n = 20000.
+    """
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = []
+    for _ in range(pairs_per_element * n):
+        lo, hi = sorted(rng.sample(range(n), 2))
+        pairs.append((order[hi], order[lo]))
+    return pairs
+
+
+# closure holds little beside the rows and columns it returns.  Proving
+# its rows transitive took a byte table and a second set of rows: the
+# peak was 2.2 times the output at n = 20000 then, and is 1.1 with the
+# certificate
+@pytest.mark.slow
+def test_closure_peak_memory_stays_near_its_output():
+    n = 20000
+    pairs = sparse_random_dag(random.Random(n), n)
+    tracemalloc.start()
+    try:
+        rel = FinitePreorder.closure(n, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # members of one component share their row object: count each once
+    output = {id(mask): sys.getsizeof(mask) for mask in rel._rows + rel._cols}
+    assert peak <= 1.5 * sum(output.values())
