@@ -114,9 +114,6 @@ class PartialUtility:
     def items(self) -> Iterator[Tuple[Element, float]]:
         return iter(self._values.items())
 
-    def restrict(self, points: Iterable[Element]) -> "PartialUtility":
-        return PartialUtility({p: self._values[p] for p in points})
-
     def __repr__(self) -> str:
         return f"PartialUtility({self._values!r})"
 

@@ -19,8 +19,8 @@ has no violating partner below it and the masks need no j > i cut.
 Gap-safety with finitely many samples is strict increase on the
 samples, for any preorder, so one gap check decides it for every space
 from one mask pass and reads a bound only to name a violation.  The
-one-comparison-per-pair loops are kept in :mod:`ordext.crosscheck` as
-the references these are tested against.
+one-comparison-per-pair loops are kept beside the tests, in
+``tests/reference.py``, as the references these are tested against.
 """
 
 from __future__ import annotations

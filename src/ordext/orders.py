@@ -532,14 +532,6 @@ class FinitePreorder(Preorder):
             [remap(self._rows[e]) for e in elems],
         )
 
-    def pairs(self) -> Iterator[Tuple[int, int]]:
-        """All related pairs (i, j) with geq(i, j)."""
-        for i in range(self._n):
-            row = self._rows[i]
-            for j in range(self._n):
-                if (row >> j) & 1:
-                    yield (i, j)
-
     def equivalence_classes(self) -> list[Tuple[int, ...]]:
         """Classes of mutual domination, each sorted, ordered by least member."""
         seen = 0

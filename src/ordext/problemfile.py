@@ -1,4 +1,4 @@
-"""Problem-file parsing, validation, and serialization.
+"""Problem-file parsing and validation.
 
 A problem file is one JSON document.  Keys are order-insensitive and
 unknown keys are rejected so typos surface as errors, not silence.
@@ -45,7 +45,6 @@ __all__ = [
     "parse_base_utility_flag",
     "parse_problem",
     "parse_queries",
-    "serialize_problem",
 ]
 
 
@@ -353,7 +352,7 @@ def _parse_base_descriptor(doc, kind, dimension):
 def parse_problem(text: str) -> ProblemInstance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, deep nesting
         raise ProblemFileError("$", f"not valid JSON: {exc}") from exc
     doc = _as_object(doc, "$")
     space = _parse_space(doc)
@@ -381,47 +380,11 @@ def parse_problem(text: str) -> ProblemInstance:
     )
 
 
-def serialize_problem(inst: ProblemInstance) -> str:
-    """Canonical JSON; parsing it back yields an equal instance."""
-    if inst.kind == "fixture":
-        doc = {"space": {"kind": "fixture", "name": inst.fixture_name}}
-        return json.dumps(doc, indent=2, sort_keys=True)
-    if inst.kind == "finite":
-        space = {
-            "kind": "finite",
-            "elements": list(inst.element_names),
-            "geq": [list(p) for p in inst.geq_pairs],
-        }
-        samples = [
-            {"element": name, "value": value} for name, value in inst.samples
-        ]
-    else:
-        space = {"kind": "pareto", "dimension": inst.dimension}
-        samples = [
-            {"point": list(point), "value": value} for point, value in inst.samples
-        ]
-    doc = {
-        "space": space,
-        "samples": samples,
-        "alpha": inst.alpha,
-        "beta": inst.beta,
-    }
-    if inst.base_utility is not None:
-        if inst.base_utility[0] == "levels":
-            doc["base_utility"] = {"kind": "levels"}
-        else:
-            doc["base_utility"] = {
-                "kind": "weighted-sum",
-                "weights": list(inst.base_utility[1]),
-            }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def parse_queries(text: str, inst: ProblemInstance) -> List[Element]:
     """A queries file is a JSON array of element names or coordinate arrays."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, deep nesting
         raise ProblemFileError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ProblemFileError("$", "expected an array of queries")

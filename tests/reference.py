@@ -1,7 +1,9 @@
-"""Independent verification machinery: seeded generators, a brute-force
-extendability oracle, a sampling grid refuter, exhaustive preorder
-enumeration at desk scale, the pairwise reference checks, and the paper's
-restatements of weak increase through the bound functions.
+"""Independent verification machinery for the tests: seeded generators, a
+brute-force extendability oracle, exhaustive preorder enumeration at desk
+scale, the pairwise reference checks, the paper's restatements of weak
+increase through the bound functions, and a problem-file serializer for
+round trips.  It sits beside the tests, not in the installed package; the
+tests import it as ``reference``.
 
 Everything here deliberately avoids the contour-bound machinery it is
 meant to validate; the brute oracle decides extendability by explicit
@@ -17,7 +19,9 @@ of gap-safety over every element pair, and may name another gap pair.
 ``warshall_closure``, ``bitwise_transpose`` and
 ``pairwise_check_transitive`` are the per-bit loops that the
 word-parallel relation build of :class:`ordext.orders.FinitePreorder`
-replaced, kept as its reference in the same way.
+replaced, kept as its reference in the same way.  The relation audit
+``is_transitive`` runs ``pairwise_check_transitive`` and ``is_reflexive``
+tests the diagonal bit by bit, so neither calls the check it audits.
 :class:`WeakIncreaseForm` and :func:`check_weak_increase_form` state weak
 increase six ways; the acceptance gate checks that all six agree.
 """
@@ -25,6 +29,7 @@ increase six ways; the acceptance gate checks that all six agree.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -32,7 +37,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ordext.cli import grid_axis
 from ordext.contours import FiniteSampleOracle, PartialUtility, bound_text
 from ordext.monotonicity import (
     NotAParetoSetError,
@@ -49,11 +53,9 @@ from ordext.orders import (
     Element,
     FinitePreorder,
     ForeignElementError,
-    ParetoSpace,
     Preorder,
-    _check_reflexive,
-    _check_transitive,
 )
+from ordext.problemfile import ProblemInstance
 from ordext.utility import finite_utility
 
 __all__ = [
@@ -63,7 +65,6 @@ __all__ = [
     "brute_extendability",
     "build_instance",
     "check_weak_increase_form",
-    "grid_refuter",
     "is_antisymmetric",
     "is_connected",
     "is_maximal",
@@ -83,6 +84,7 @@ __all__ = [
     "random_adversarial_samples",
     "random_finite_preorder",
     "random_gap_safe_samples",
+    "serialize_problem",
     "warshall_closure",
 ]
 
@@ -244,56 +246,6 @@ def brute_extendability(rel: FinitePreorder, samples: PartialUtility) -> bool:
             if rel.equivalent(y, x) and total[y] != total[x]:
                 return False
     return True
-
-
-def grid_refuter(
-    space: ParetoSpace,
-    samples: PartialUtility,
-    bbox: Sequence[Tuple[float, float]],
-    resolution: int,
-) -> Verdict:
-    """Sound sampling refuter for the gap condition in a Pareto space.
-
-    Scans all strict pairs among grid points (sample points are added to
-    the grid) for an upper infimum not exceeding a lower supremum.  A
-    pass only certifies the scanned pairs.
-    """
-    if len(bbox) != space.k:
-        raise ValueError(f"bbox has {len(bbox)} ranges for a {space.k}-dim space")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
-
-    axes = [grid_axis(lo, hi, resolution) for lo, hi in bbox]
-    points = [tuple(c) for c in itertools.product(*axes)]
-    seen = set(points)
-    for p in samples.points:
-        if p not in seen:
-            points.append(p)
-            seen.add(p)
-
-    oracle = FiniteSampleOracle(space, samples)
-    lows = [float(oracle.lower_sup(x)) for x in points]
-    highs = [float(oracle.upper_inf(x)) for x in points]
-
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            # cheap numeric screen first; order test only on candidates
-            if highs[j] > lows[i] or i == j:
-                continue
-            if space.strictly_greater(y, x):
-                return Verdict(
-                    False,
-                    Witness(
-                        lo=x,
-                        hi=y,
-                        context=(
-                            ("a(x)", lows[i]),
-                            ("b(x')", highs[j]),
-                        ),
-                        note="x' strictly dominates x but b(x') <= a(x)",
-                    ),
-                )
-    return Verdict(True)
 
 
 def pm_one_assignments(points: Sequence[Element]) -> Iterator[PartialUtility]:
@@ -618,15 +570,15 @@ def is_minimal(rel: Preorder, x: Element) -> bool:
     return not any(rel.strictly_greater(x, y) for y in rel.iter_elements())
 
 
-# Relation audits, used by the tests.  A validated FinitePreorder passes
-# the first two by construction; the rest classify the relation further.
+# Relation audits.  A validated FinitePreorder passes the first two by
+# construction; the rest classify the relation further.
 
 def is_reflexive(rel: FinitePreorder) -> bool:
-    return _check_reflexive(rel._rows) is None
+    return all((row >> i) & 1 for i, row in enumerate(rel._rows))
 
 
 def is_transitive(rel: FinitePreorder) -> bool:
-    return _check_transitive(rel._rows) is None
+    return pairwise_check_transitive(rel._rows) is None
 
 
 def is_symmetric(rel: FinitePreorder) -> bool:
@@ -640,3 +592,39 @@ def is_antisymmetric(rel: FinitePreorder) -> bool:
 def is_connected(rel: FinitePreorder) -> bool:
     full = (1 << rel.n) - 1
     return all(row | col == full for row, col in zip(rel._rows, rel._cols))
+
+
+def serialize_problem(inst: ProblemInstance) -> str:
+    """Canonical JSON; parsing it back yields an equal instance."""
+    if inst.kind == "fixture":
+        doc = {"space": {"kind": "fixture", "name": inst.fixture_name}}
+        return json.dumps(doc, indent=2, sort_keys=True)
+    if inst.kind == "finite":
+        space = {
+            "kind": "finite",
+            "elements": list(inst.element_names),
+            "geq": [list(p) for p in inst.geq_pairs],
+        }
+        samples = [
+            {"element": name, "value": value} for name, value in inst.samples
+        ]
+    else:
+        space = {"kind": "pareto", "dimension": inst.dimension}
+        samples = [
+            {"point": list(point), "value": value} for point, value in inst.samples
+        ]
+    doc = {
+        "space": space,
+        "samples": samples,
+        "alpha": inst.alpha,
+        "beta": inst.beta,
+    }
+    if inst.base_utility is not None:
+        if inst.base_utility[0] == "levels":
+            doc["base_utility"] = {"kind": "levels"}
+        else:
+            doc["base_utility"] = {
+                "kind": "weighted-sum",
+                "weights": list(inst.base_utility[1]),
+            }
+    return json.dumps(doc, indent=2, sort_keys=True)

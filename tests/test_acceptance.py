@@ -11,7 +11,13 @@ import random
 import time
 
 from ordext.contours import FiniteSampleOracle, PartialUtility
-from ordext.crosscheck import (
+from ordext.extension import Band, ContourRegion, make_engine
+from ordext.fixtures import get_fixture
+from ordext.monotonicity import check_gap_safe_finite, check_strictly_increasing
+from ordext.orders import FinitePreorder, ParetoSpace
+from ordext.utility import finite_utility, normalize01, pareto_base_utility, squash
+
+from reference import (
     InstanceSpec,
     WeakIncreaseForm,
     brute_extendability,
@@ -21,11 +27,6 @@ from ordext.crosscheck import (
     pm_one_assignments,
     random_finite_preorder,
 )
-from ordext.extension import Band, ContourRegion, make_engine
-from ordext.fixtures import get_fixture
-from ordext.monotonicity import check_gap_safe_finite, check_strictly_increasing
-from ordext.orders import FinitePreorder, ParetoSpace
-from ordext.utility import finite_utility, normalize01, pareto_base_utility, squash
 
 RESULTS = []
 

@@ -641,6 +641,43 @@ def test_big_json_integers_rejected(tmp_path, capsys, place):
         assert "internal error" not in err
 
 
+# json.loads refuses these with a ValueError or a RecursionError that is no
+# JSONDecodeError: an int literal past the int digit limit (4300 digits by
+# default), and arrays nested past the recursion limit.  Where ints have no
+# digit limit, the long literal parses and is rejected as not finite.
+LONG_INT = "1" * 5000
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+DEEP = "[" * 100_000 + "]" * 100_000
+REFUSED_JSON = {
+    "sample value": ('{"space": {"kind": "pareto", "dimension": 1}, '
+                     '"samples": [{"point": [0], "value": %s}]}' % LONG_INT, None),
+    "sample coordinate": ('{"space": {"kind": "pareto", "dimension": 1}, '
+                          '"samples": [{"point": [%s], "value": 0}]}' % LONG_INT, None),
+    "nested problem": (DEEP, None),
+    "query coordinate": (None, "[[%s]]" % LONG_INT),
+    "nested queries": (None, DEEP),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_JSON)
+def test_json_refused_by_the_decoder_is_invalid_input(tmp_path, capsys, case):
+    problem, queries = REFUSED_JSON[case]
+    path = tmp_path / "p.json"
+    if problem is None:
+        path.write_text(json.dumps(UNIT_LINE))
+        (tmp_path / "q.json").write_text(queries)
+        argv = ["extend", str(path), "--queries", str(tmp_path / "q.json")]
+    else:
+        path.write_text(problem)
+        argv = ["check", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if 0 < DIGIT_LIMIT < len(LONG_INT) or "nested" in case:
+        assert captured.err.startswith("error: $: not valid JSON: ")
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "1e400"])
 def test_non_finite_base_utility_weight_rejected(tmp_path, capsys, weight):
     doc = {"space": {"kind": "pareto", "dimension": 1},
@@ -989,12 +1026,22 @@ def test_commands_evaluate_and_read_the_utility_once_per_point(
     assert sorted(calls.values()) == [points] * (2 if points else 0)
 
 
-def test_importing_cli_leaves_crosscheck_unloaded():
-    # the verification layer is not part of the production import graph
+def test_package_holds_only_the_production_modules():
+    # the reference checks live beside the tests, so the package has no
+    # verification module, and the CLI loads every production module
     src = str(Path(ordext.__file__).resolve().parents[1])
-    code = "import sys, ordext.cli; print('ordext.crosscheck' in sys.modules)"
+    code = (
+        "import importlib.util, json, sys\n"
+        "import ordext, ordext.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('ordext.'))\n"
+        "print(json.dumps([importlib.util.find_spec('ordext.crosscheck') is None, loaded]))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.stdout == "False\n"
+    absent, loaded = json.loads(result.stdout)
+    assert absent
+    assert loaded == [f"ordext.{name}" for name in (
+        "cli", "contours", "extension", "fixtures", "monotonicity", "orders",
+        "problemfile", "utility")]

@@ -254,7 +254,7 @@ def test_inclusion_monotonicity_of_bounds(inst):
     n, pairs, values, psize = inst
     rel = FinitePreorder.closure(n, pairs)
     big = PartialUtility({i: float(values[i]) for i in range(psize)})
-    small = big.restrict(list(big.points)[: max(0, psize - 1)])
+    small = PartialUtility({i: big.value(i) for i in range(max(0, psize - 1))})
     grown = FiniteSampleOracle(rel, big)
     shrunk = FiniteSampleOracle(rel, small)
     for x in range(n):

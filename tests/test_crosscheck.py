@@ -4,14 +4,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordext.contours import FiniteSampleOracle, PartialUtility
-from ordext.crosscheck import (
+from ordext.contours import PartialUtility
+from ordext.monotonicity import check_gap_safe_finite
+from ordext.orders import FinitePreorder
+
+from reference import (
     InstanceSpec,
     WeakIncreaseForm,
     brute_extendability,
     build_instance,
     check_weak_increase_form,
-    grid_refuter,
     iter_all_preorders,
     pairwise_gap_safe_finite,
     pm_one_assignments,
@@ -19,8 +21,6 @@ from ordext.crosscheck import (
     random_finite_preorder,
     random_gap_safe_samples,
 )
-from ordext.monotonicity import check_gap_safe_finite
-from ordext.orders import FinitePreorder, ParetoSpace
 
 
 def six_forms_agree(rel, samples):
@@ -182,58 +182,6 @@ def test_brute_matches_checker_hypothesis(data):
     assert brute == check_gap_safe_finite(rel, samples).holds
     # the paper's definition, read literally, against explicit construction
     assert brute == pairwise_gap_safe_finite(rel, samples).holds
-
-
-# --- grid refuter ---
-
-
-def test_grid_refuter_increasing_passes():
-    space = ParetoSpace(2)
-    samples = PartialUtility({(0.0, 0.0): 0.0, (1.0, 1.0): 1.0})
-    verdict = grid_refuter(space, samples, [(-1.0, 2.0), (-1.0, 2.0)], 9)
-    assert verdict.holds
-
-
-def test_grid_refuter_finds_violation_and_witness_rechecks():
-    space = ParetoSpace(2)
-    samples = PartialUtility({(0.0, 0.0): 1.0, (1.0, 1.0): 0.0})
-    verdict = grid_refuter(space, samples, [(-1.0, 2.0), (-1.0, 2.0)], 4)
-    assert not verdict.holds
-    w = verdict.witness
-    assert space.strictly_greater(w.hi, w.lo)
-    oracle = FiniteSampleOracle(space, samples)
-    assert not (
-        float(oracle.upper_inf(w.hi)) > float(oracle.lower_sup(w.lo))
-    )
-
-
-def test_grid_refuter_scans_samples_outside_bbox():
-    space = ParetoSpace(1)
-    samples = PartialUtility({(5.0,): 1.0, (6.0,): 0.0})
-    verdict = grid_refuter(space, samples, [(0.0, 1.0)], 3)
-    assert not verdict.holds
-
-
-def test_grid_refuter_empty_samples():
-    space = ParetoSpace(2)
-    verdict = grid_refuter(
-        space, PartialUtility({}), [(0.0, 1.0), (0.0, 1.0)], 5
-    )
-    assert verdict.holds
-
-
-def test_grid_refuter_resolution_one():
-    space = ParetoSpace(1)
-    verdict = grid_refuter(space, PartialUtility({}), [(0.0, 1.0)], 1)
-    assert verdict.holds
-
-
-def test_grid_refuter_validates_input():
-    space = ParetoSpace(2)
-    with pytest.raises(ValueError):
-        grid_refuter(space, PartialUtility({}), [(0.0, 1.0)], 5)
-    with pytest.raises(ValueError):
-        grid_refuter(space, PartialUtility({}), [(0.0, 1.0), (0.0, 1.0)], 0)
 
 
 # --- exhaustive enumeration ---

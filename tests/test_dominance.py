@@ -3,10 +3,10 @@
 ``check_weakly_increasing``, ``check_strictly_increasing``,
 ``is_pareto_set`` and ``check_pareto_set_values`` decide every sample
 pair with bitmask algebra over positions.  The one-comparison-per-pair
-loops they replaced live in ``ordext.crosscheck`` and must give the same
-verdict and the same witness: the same pair, the same note, and context
-values that print the same (so a tie between ``-0.0`` and ``0.0``, or
-``1`` and ``1.0``, must pick the same sample).
+loops they replaced live in the test tree's ``reference`` module and
+must give the same verdict and the same witness: the same pair, the same
+note, and context values that print the same (so a tie between ``-0.0``
+and ``0.0``, or ``1`` and ``1.0``, must pick the same sample).
 
 ``check_gap_safe_finite`` decides gap-safety by strict increase on the
 samples.  Its verdict must equal that of ``pairwise_gap_safe_finite``,
@@ -22,13 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordext.contours import FiniteSampleOracle, PartialUtility, bound_text
-from ordext.crosscheck import (
-    pairwise_gap_safe_finite,
-    pairwise_is_pareto_set,
-    pairwise_pareto_set_values,
-    pairwise_strictly_increasing,
-    pairwise_weakly_increasing,
-)
 from ordext.monotonicity import (
     NotAParetoSetError,
     check_gap_safe_finite,
@@ -43,6 +36,14 @@ from ordext.orders import (
     Preorder,
     is_pareto_set,
     rank_masks,
+)
+
+from reference import (
+    pairwise_gap_safe_finite,
+    pairwise_is_pareto_set,
+    pairwise_pareto_set_values,
+    pairwise_strictly_increasing,
+    pairwise_weakly_increasing,
 )
 
 # the pool of tests/test_kernels.py without its Fractions: few magnitudes,

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordext.contours import FiniteSampleOracle, PartialUtility
-from ordext.crosscheck import WeakIncreaseForm, check_weak_increase_form
 from ordext.monotonicity import (
     NotAParetoSetError,
     check_gap_safe_finite,
@@ -24,6 +23,8 @@ from ordext.orders import (
     ParetoSpace,
     UnsupportedQueryError,
 )
+
+from reference import WeakIncreaseForm, check_weak_increase_form
 
 
 def finite_instances(max_n=6, lo=-4, hi=4):

@@ -11,8 +11,9 @@ from ordext.problemfile import (
     parse_base_utility_flag,
     parse_problem,
     parse_queries,
-    serialize_problem,
 )
+
+from reference import serialize_problem
 
 FINITE_DOC = {
     "space": {

@@ -6,8 +6,8 @@ rows with the walk's certificate (``orders._certify``) and folds the
 columns over the same components in topological order.  The constructor
 ``FinitePreorder(rows)`` checks transitivity a byte of each row at a
 time through per-block tables and transposes the rows in blocks of bit
-strings.  The loops they replaced live in ``ordext.crosscheck``
-(``warshall_closure``, ``pairwise_check_transitive``,
+strings.  The loops they replaced live in the test tree's ``reference``
+module (``warshall_closure``, ``pairwise_check_transitive``,
 ``bitwise_transpose``) and must give the same rows, columns, witness and
 error text; a tampered certificate must raise.
 """
@@ -23,11 +23,6 @@ from hypothesis import strategies as st
 
 from ordext import orders
 from ordext.cli import EXIT_INTERNAL, main
-from ordext.crosscheck import (
-    bitwise_transpose,
-    pairwise_check_transitive,
-    warshall_closure,
-)
 from ordext.orders import (
     CertificateError,
     FinitePreorder,
@@ -37,6 +32,12 @@ from ordext.orders import (
     _check_transitive,
     _tarjan,
     _transpose,
+)
+
+from reference import (
+    bitwise_transpose,
+    pairwise_check_transitive,
+    warshall_closure,
 )
 
 
