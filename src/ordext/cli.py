@@ -240,6 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    """The text of a problem or queries file, which JSON requires to be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError("$", f"not valid UTF-8: {exc}") from exc
+
+
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first :func:`main` call and kept for later ones."""
@@ -249,17 +257,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        inst = parse_problem(Path(args.file).read_text())
+        inst = parse_problem(_read(args.file))
         if args.command == "check":
             return cmd_check(inst)
         inst = inst.with_range(args.alpha, args.beta)
         if args.base_utility is not None:
             inst = parse_base_utility_flag(args.base_utility, inst)
         if args.command == "extend":
-            queries = parse_queries(Path(args.queries).read_text(), inst)
+            queries = parse_queries(_read(args.queries), inst)
             return cmd_extend(inst, queries)
         if args.command == "regions":
-            queries = parse_queries(Path(args.queries).read_text(), inst)
+            queries = parse_queries(_read(args.queries), inst)
             return cmd_regions(inst, queries)
         return cmd_grid(inst, args.bbox, args.resolution, args.out)
     except (ProblemFileError, UnsupportedQueryError, OSError) as exc:

@@ -50,6 +50,7 @@ from ordext.orders import (
     ParetoSpace,
     Preorder,
     UnsupportedQueryError,
+    all_finite_floats,
     compare_augmented,
     is_finite_real,
     lowest_bit,
@@ -76,22 +77,30 @@ def bound_text(v: float) -> str:
     return str(v)
 
 
+def _check_values(values: Mapping[Element, float]) -> None:
+    """The sample values one by one; raises on the first that is not a finite real."""
+    for p, v in values.items():
+        if not isinstance(v, (float, int, Fraction)):
+            raise TypeError(f"sample {safe_repr(p)} has non-numeric value {safe_repr(v)}")
+        if not is_finite_real(v):
+            raise ValueError(f"sample {safe_repr(p)} has non-finite value {safe_repr(v)}")
+
+
 class PartialUtility:
     """Finite sample set with one finite real value per sample.
 
     Values must be ``int`` (``bool`` included), ``float`` or ``Fraction``
     (``TypeError`` otherwise), and finite: a non-finite float, or an
     ``int`` or ``Fraction`` too large for any float, raises ``ValueError``.
+    All-float values are checked in bulk (:func:`all_finite_floats`), and
+    any others one by one, so the first bad value is the one named.
     """
 
     __slots__ = ("_points", "_values")
 
     def __init__(self, values: Mapping[Element, float]):
-        for p, v in values.items():
-            if not isinstance(v, (float, int, Fraction)):
-                raise TypeError(f"sample {safe_repr(p)} has non-numeric value {safe_repr(v)}")
-            if not is_finite_real(v):
-                raise ValueError(f"sample {safe_repr(p)} has non-finite value {safe_repr(v)}")
+        if not all_finite_floats(values.values()):
+            _check_values(values)
         self._points = tuple(values)
         self._values = dict(values)
 
@@ -216,7 +225,7 @@ def _ranked(rel: ParetoSpace, samples: PartialUtility) -> Tuple[list, list, list
     first = []
     for r, v in enumerate(values):
         first.append(first[-1] if r and v == values[r - 1] else r)
-    return [rel._check(p) for p, _ in ranked], values, first
+    return rel._check_points([p for p, _ in ranked]), values, first
 
 
 def _pareto_index(rel: ParetoSpace, samples: PartialUtility) -> Callable:

@@ -109,8 +109,21 @@ def _pair_witness(samples: PartialUtility, lo, hi, note: str) -> Verdict:
     )
 
 
+# A failing check_strictly_increasing leaves its pass here, as (rel,
+# samples, masks), for the check_weakly_increasing that reports it next (as
+# ``ordext check`` does).  Every _sample_masks call takes it out, and uses
+# it only for the same rel and samples (by identity), so it never outlives
+# the next pass, and the quadratic masks of two sample sets are never held
+# at once.
+_left_masks: Optional[tuple] = None
+
+
 def _sample_masks(rel: Preorder, samples: PartialUtility) -> tuple:
     """``(points, up, down, ge, gt)``: one dominance pass, one value-rank pass."""
+    global _left_masks
+    left, _left_masks = _left_masks, None
+    if left is not None and left[0] is rel and left[1] is samples:
+        return left[2]
     pts = samples.points
     return (pts, *rel.dominance_masks(pts), *rank_masks([v for _, v in samples.items()]))
 
@@ -155,7 +168,12 @@ def check_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
 
 def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Equivalent points share a value; strict domination means a larger value."""
-    return _strict_verdict(samples, _sample_masks(rel, samples))
+    global _left_masks
+    masks = _sample_masks(rel, samples)
+    verdict = _strict_verdict(samples, masks)
+    if not verdict.holds:
+        _left_masks = (rel, samples, masks)
+    return verdict
 
 
 def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:

@@ -27,13 +27,24 @@ returns, per position, the bitmask of positions weakly above and weakly
 below it, so a caller tests all partners of a point with a few integer
 operations instead of one comparison per pair.
 
-* :class:`ParetoSpace` validates each point once, ranks the points on
-  each coordinate with :func:`rank_masks` (one sort, ties grouped by
-  ``==``) and ANDs the k per-coordinate masks: O(k n log n) comparisons
-  plus O(k n) operations on n-bit integers.
+* :class:`ParetoSpace` checks the points in bulk (``_check_points``,
+  below), ranks them on each coordinate with :func:`rank_masks` (one
+  sort, ties grouped by ``==``) and ANDs the k per-coordinate masks:
+  O(k n log n) comparisons plus O(k n) operations on n-bit integers.
 * :class:`FinitePreorder` remaps each point's stored up-set and
   down-set bitmask from element bits onto position bits.
 * Any other preorder falls back to one ``geq`` per ordered pair.
+
+A list of points or values, from a file or a caller, is checked in bulk
+where it can be: :func:`all_finite_floats` and :func:`all_float_vectors`
+accept a list only when every entry is an exact, finite ``float`` (or a
+fixed-length container of them), by a few C-level passes (``map``,
+``set``, ``all``, ``math.isfinite``) instead of one Python call per
+coordinate.  Any other list (an ``int``, ``bool``, ``Fraction``, NaN, an
+infinity, a wrong length) goes through the per-entry check, which names
+the first bad entry.  The parser, :class:`~ordext.contours.PartialUtility`,
+``ParetoSpace.dominance_masks`` and the Pareto bound index each check
+the lists they are handed this way.
 """
 
 from __future__ import annotations
@@ -41,8 +52,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from enum import Enum
+from itertools import chain, compress
 from numbers import Rational, Real
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Element = Any  # int for finite ground sets, tuple of floats for Pareto spaces
@@ -59,6 +71,8 @@ __all__ = [
     "Preorder",
     "TOP",
     "UnsupportedQueryError",
+    "all_finite_floats",
+    "all_float_vectors",
     "is_finite_real",
     "is_pareto_set",
     "lowest_bit",
@@ -86,6 +100,28 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def all_finite_floats(values: Iterable) -> bool:
+    """True iff every value is an exact ``float`` and finite (True for none).
+
+    Two C-level passes over ``values``, which must be re-iterable: a list,
+    tuple or dict view.  False says only that the fast check declined.
+    """
+    return set(map(type, values)) <= {float} and all(map(math.isfinite, values))
+
+
+def all_float_vectors(rows: Sequence, kind: type, k: int) -> bool:
+    """True iff every row is exactly a ``kind`` (``list`` or ``tuple``) of
+    length ``k`` whose entries pass :func:`all_finite_floats` (True for no rows).
+
+    The flattened entries are a list local to the call.
+    """
+    return (
+        set(map(type, rows)) <= {kind}
+        and set(map(len, rows)) <= {k}
+        and all_finite_floats(list(chain.from_iterable(rows)))
+    )
 
 
 def safe_repr(value) -> str:
@@ -177,31 +213,29 @@ def lowest_bit(mask: int) -> int:
 def rank_masks(keys: Sequence) -> Tuple[List[int], List[int]]:
     """Per position i, the positions whose key is ``>=`` and ``>`` ``keys[i]``.
 
-    The keys must be totally ordered (finite reals).  One sort, a walk
-    from the largest key down that groups ties with ``==`` (so ``-0.0``
-    ties ``0.0`` and ``1`` ties ``1.0``), and one OR per distinct key;
-    positions with equal keys share their mask objects.
+    The keys must be totally ordered (finite reals).  One sort, largest
+    key first, and one walk that ORs each position's bit into the running
+    mask, as if no two keys tied.  Then the runs of keys equal by ``==``
+    (so ``-0.0`` ties ``0.0`` and ``1`` ties ``1.0``), found by one C-level
+    pass over the sorted keys, are mended: every member of a run takes the
+    ``gt`` of its first member and the ``ge`` of its last, so positions
+    with equal keys share their mask objects.
     """
     n = len(keys)
-    order = sorted(range(n), key=keys.__getitem__)
+    order = sorted(range(n), key=keys.__getitem__, reverse=True)
     ge = [0] * n
     gt = [0] * n
     above = 0
-    end = n
-    while end:
-        key = keys[order[end - 1]]
-        start = end - 1
-        while start and keys[order[start - 1]] == key:
-            start -= 1
-        group = order[start:end]
-        at_least = above
-        for i in group:
-            at_least |= 1 << i
-        for i in group:
-            ge[i] = at_least
-            gt[i] = above
-        above = at_least
-        end = start
+    for i in order:
+        gt[i] = above
+        above |= 1 << i
+        ge[i] = above
+    ranked = list(map(keys.__getitem__, order))
+    tied = list(compress(range(1, n), map(eq, ranked, ranked[1:])))
+    for r in tied:
+        gt[order[r]] = gt[order[r - 1]]
+    for r in reversed(tied):
+        ge[order[r - 1]] = ge[order[r]]
     return ge, gt
 
 
@@ -591,6 +625,14 @@ class ParetoSpace(Preorder):
                 raise ForeignElementError(f"{safe_repr(x)} has a non-finite coordinate")
         return x
 
+    def _check_points(self, points: Sequence[Element]) -> List[Tuple[float, ...]]:
+        """``[self._check(p) for p in points]``, by :func:`all_float_vectors`
+        when every point is a tuple of finite floats; any other list is
+        checked point by point, so the first foreign point is the one named."""
+        if all_float_vectors(points, tuple, self._k):
+            return list(points)
+        return [self._check(p) for p in points]
+
     def geq(self, x: Element, y: Element) -> bool:
         x = self._check(x)
         y = self._check(y)
@@ -598,7 +640,9 @@ class ParetoSpace(Preorder):
 
     def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
         """Intersect, over the coordinates, the rank masks of ``>=`` and ``<=``."""
-        pts = [self._check(p) for p in points]
+        pts = self._check_points(points)
+        if not pts:
+            return [], []
         n = len(pts)
         full = (1 << n) - 1
         up = [full] * n

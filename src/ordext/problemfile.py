@@ -22,6 +22,15 @@ reflexive-transitive closure.  Pareto spaces use
 ``{"kind": "weighted-sum", "weights": [...]}``.  A fixture document is
 just ``{"space": {"kind": "fixture", "name": "example-gap"}}``; fixtures
 carry their own sample structure and support diagnosis only.
+
+Every value is checked here, where a bad one can be named by its
+location.  Pareto samples and queries are checked in bulk first: a list
+in which every coordinate and value is written as a finite decimal with
+a point or an exponent (a JSON float) is accepted by a few C-level
+passes over the whole list (:func:`ordext.orders.all_float_vectors`).  Any other
+list is checked entry by entry, and the first bad entry raises the
+:class:`ProblemFileError` naming it.  The engine's layers check what
+they are handed again, in bulk the same way.
 """
 
 from __future__ import annotations
@@ -31,12 +40,21 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordext.contours import AnalyticFixture, FiniteSampleOracle, PartialUtility
 from ordext.extension import ExtensionEngine, make_engine
 from ordext.fixtures import FIXTURE_NAMES, get_fixture
-from ordext.orders import Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError
+from ordext.orders import (
+    Element,
+    FinitePreorder,
+    ParetoSpace,
+    Preorder,
+    UnsupportedQueryError,
+    all_finite_floats,
+    all_float_vectors,
+)
 from ordext.utility import pareto_base_utility
 
 __all__ = [
@@ -112,7 +130,7 @@ def _check_range(alpha, beta, samples):
         raise ProblemFileError(
             "beta", f"beta - alpha must be finite (got alpha={alpha}, beta={beta})"
         )
-    top = max((abs(v) for _, v in samples), default=0.0)
+    top = max(map(abs, map(itemgetter(1), samples)), default=0.0)
     if not top + 2 * max(abs(alpha), abs(beta)) <= _ROOM:
         raise ProblemFileError(
             "beta",
@@ -291,10 +309,41 @@ def _parse_space(doc):
     raise ProblemFileError("space.kind", "expected 'finite', 'pareto', or 'fixture'")
 
 
+def _float_samples(raw, dimension):
+    """``(point, value)`` per Pareto sample entry, checked in bulk, or None.
+
+    Accepts only a list in which every entry is an object holding exactly
+    a ``point`` of ``dimension`` finite floats and a finite float
+    ``value``, and no two points are equal; whatever this declines,
+    :func:`_each_sample` checks entry by entry.
+    """
+    if not (set(map(type, raw)) <= {dict} and set(map(len, raw)) <= {2}):
+        return None
+    try:
+        points = list(map(itemgetter("point"), raw))
+        values = list(map(itemgetter("value"), raw))
+    except KeyError:
+        return None
+    if not (all_finite_floats(values) and all_float_vectors(points, list, dimension)):
+        return None
+    keys = list(map(tuple, points))
+    if len(set(keys)) < len(keys):  # a repeated point, -0.0 and 0.0 alike
+        return None
+    return list(zip(keys, values))
+
+
 def _parse_samples(doc, kind, element_index, dimension):
     raw = doc.get("samples", [])
     if not isinstance(raw, list):
         raise ProblemFileError("samples", "expected an array of sample entries")
+    out = _float_samples(raw, dimension) if kind == "pareto" else None
+    if out is None:
+        out = _each_sample(raw, kind, element_index, dimension)
+    return tuple(sorted(out, key=lambda kv: repr(kv[0])))
+
+
+def _each_sample(raw, kind, element_index, dimension):
+    """``(key, value)`` per sample entry, checked one by one; raises on the first bad one."""
     seen = set()
     out = []
     for i, entry in enumerate(raw):
@@ -320,7 +369,7 @@ def _parse_samples(doc, kind, element_index, dimension):
             raise ProblemFileError(f"samples[{i}]", f"duplicate sample for {key!r}")
         seen.add(key)
         out.append((key, value))
-    return tuple(sorted(out, key=lambda kv: repr(kv[0])))
+    return out
 
 
 def _weights(values):
@@ -388,6 +437,13 @@ def parse_queries(text: str, inst: ProblemInstance) -> List[Element]:
         raise ProblemFileError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ProblemFileError("$", "expected an array of queries")
+    if inst.kind == "pareto" and all_float_vectors(doc, list, inst.dimension):
+        return list(map(tuple, doc))
+    return _each_query(doc, inst)
+
+
+def _each_query(doc: list, inst: ProblemInstance) -> List[Element]:
+    """The queries checked one by one; raises on the first bad one."""
     out: List[Element] = []
     for i, entry in enumerate(doc):
         if inst.kind == "finite":

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ordext
-from ordext import cli, contours, monotonicity
+from ordext import cli, contours, monotonicity, orders
 from ordext.cli import grid_axis, main
 from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
 from ordext.orders import FinitePreorder, ParetoSpace
@@ -771,6 +771,20 @@ def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
     assert len(seen) == calls
 
 
+def count_mask_passes(monkeypatch):
+    """Wrap both ``dominance_masks`` overrides; returns the points of each pass."""
+    passes = []
+    for cls in (FinitePreorder, ParetoSpace):
+        masks = cls.dominance_masks
+
+        def counted(self, points, masks=masks):
+            passes.append(points)
+            return masks(self, points)
+
+        monkeypatch.setattr(cls, "dominance_masks", counted)
+    return passes
+
+
 @pytest.mark.parametrize(
     "command, case, budget",
     [("check", "finite-bad", 2), ("extend", "finite-bad", 1),
@@ -782,15 +796,7 @@ def test_failing_gap_checks_keep_to_their_mask_pass_budget(
     # a refusal derives both the strict and the weak verdict from one
     # dominance pass; check makes one pass per printed verdict and hands
     # both to the gap check, which then makes none
-    passes = []
-    for cls in (FinitePreorder, ParetoSpace):
-        masks = cls.dominance_masks
-
-        def counted(self, points, masks=masks):
-            passes.append(points)
-            return masks(self, points)
-
-        monkeypatch.setattr(cls, "dominance_masks", counted)
+    passes = count_mask_passes(monkeypatch)
     argv = [command, str(GOLDEN_CASES / f"{case}.json")]
     if command == "extend":
         argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]
@@ -802,6 +808,46 @@ def test_failing_gap_checks_keep_to_their_mask_pass_budget(
         assert 1 <= len(passes) <= budget
     else:
         assert len(passes) == budget
+
+
+@pytest.mark.parametrize("case", ["finite-bad", "pareto2-bad"])
+def test_failing_check_makes_one_mask_pass(capsys, monkeypatch, case):
+    # the failing strict check leaves its pass for the weak check that
+    # follows it, and the gap check gets both verdicts
+    passes = count_mask_passes(monkeypatch)
+    assert main(["check", str(GOLDEN_CASES / f"{case}.json")]) == 1
+    capsys.readouterr()
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "extend"])
+def test_no_samples_make_no_rank_pass_per_coordinate(tmp_path, capsys, monkeypatch, command):
+    # with no points there is nothing to rank, whatever the dimension
+    calls = []
+    monkeypatch.setattr(orders, "rank_masks", lambda keys: calls.append(keys))
+    doc = {"space": {"kind": "pareto", "dimension": 10**6}, "samples": []}
+    argv = [command, write(tmp_path, "p.json", doc)]
+    if command == "extend":
+        argv += ["--queries", write(tmp_path, "q.json", [])]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+@pytest.mark.parametrize("which", ["problem", "queries"])
+def test_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys, which):
+    problem = tmp_path / "p.json"
+    queries = tmp_path / "q.json"
+    problem.write_text(json.dumps(UNIT_LINE))
+    queries.write_text("[[0.5]]")
+    (problem if which == "problem" else queries).write_bytes(b"\xff\xfe{}")
+    assert main(["extend", str(problem), "--queries", str(queries)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: $: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
 
 
 def test_finite_and_pareto_files_print_the_same_gap_witness(tmp_path, capsys):
