@@ -205,6 +205,32 @@ def build_cases(rng):
     )
     files["finite-witness.queries.json"] = wnames
 
+    # not weakly increasing: p1 and p3 are equivalent only through k, and
+    # differ in value.  The first sample with a strict violation is p1, the
+    # first with a weak one is p3, so the two witnesses name the pair in
+    # opposite orders
+    files["finite-weak.json"] = _finite_doc(
+        ["p1", "k", "p2", "p3", "z"],
+        [("p1", "k"), ("k", "p3"), ("p3", "p1"), ("p2", "p1"), ("p1", "z")],
+        [("p1", 0.5), ("p2", 3.0), ("p3", 1.0), ("z", -0.0)],
+    )
+    files["finite-weak.queries.json"] = ["p1", "k", "p2", "p3", "z"]
+
+    # weakly increasing, not strictly: the first sample with a violation,
+    # a, is the upper one, and its lowest partner b sits below it only
+    # through m1 and m2 (c, below a by a pair of its own, comes later).
+    # Apart from them, incomparable samples valued 0.0 and -0.0 in both
+    # listing orders: the first in sample order decides the printed a(x)
+    # of the elements above them and b(x) of those below
+    onames = ["h1", "h2", "h3", "h4", "m2", "c", "s4", "s3", "s2", "s1", "m1", "b", "a"]
+    ogeq = [("a", "m1"), ("m1", "m2"), ("m2", "b"), ("a", "c"),
+            ("h1", "s1"), ("h1", "s2"), ("s1", "h2"), ("s2", "h2"),
+            ("h3", "s3"), ("h3", "s4"), ("s3", "h4"), ("s4", "h4")]
+    osamples = [("a", 2.0), ("b", 2.0), ("c", 2.0),
+                ("s1", 0.0), ("s2", -0.0), ("s3", -0.0), ("s4", 0.0)]
+    files["finite-order.json"] = _finite_doc(onames, ogeq, osamples)
+    files["finite-order.queries.json"] = onames
+
     # a grid over [0, 1]^2 at resolution 9 (nodes every 0.125): samples on
     # nodes and off them, inside the box and outside it, with tied values
     # on incomparable points (-0.0 with 0.0, 1 with 1.0, 2.5 with 2.5)
@@ -236,7 +262,8 @@ def build_commands():
                              [cmd, problem, *extra, "--queries", queries]))
 
     for case in ("pareto1", "pareto2", "pareto3", "pareto2-bad",
-                 "finite-dag", "finite-ranking", "finite-chain", "finite-bad"):
+                 "finite-dag", "finite-ranking", "finite-chain", "finite-bad",
+                 "finite-weak", "finite-order"):
         report(case)
     report("pareto2", ["--alpha=-3", "--beta", "0.5"], "-range")
     report("pareto2", ["--base-utility", "weighted-sum:2,0.5"], "-weighted")
