@@ -96,13 +96,14 @@ class PartialUtility:
     any others one by one, so the first bad value is the one named.
     """
 
-    __slots__ = ("_points", "_values")
+    __slots__ = ("_points", "_values", "_bounds")
 
     def __init__(self, values: Mapping[Element, float]):
         if not all_finite_floats(values.values()):
             _check_values(values)
         self._points = tuple(values)
         self._values = dict(values)
+        self._bounds: Optional["ComponentBounds"] = None  # see ComponentBounds.of
 
     @property
     def points(self) -> Tuple[Element, ...]:
@@ -194,27 +195,65 @@ class ContourOracle(ABC):
         raise UnsupportedQueryError(f"{type(self).__name__} sweeps no lattice")
 
 
-def _finite_index(rel: FinitePreorder, samples: PartialUtility) -> Callable:
-    """Both bounds of every element, by one sweep over the samples per bound.
+class ComponentBounds:
+    """The sample bounds of every component of a :class:`FinitePreorder`.
 
-    By falling value (a stable sort), each sample writes ``a`` to the
-    elements of its up-set no earlier sample reached; by rising value,
-    ``b`` to its down-set.  An infinite bound marks an empty contour.
+    Four passes over the condensation (:meth:`FinitePreorder.down_min`
+    and :meth:`FinitePreorder.up_min`), O(n + m) in all, on sample ranks:
+    rank r is the r-th sample by falling value in ``lows`` and by rising
+    value in ``highs``, equal values in sample order (stable sorts), and
+    rank ``len(values)`` is the empty contour, ``-inf`` and ``+inf``.  Per
+    component c, ``a[c]`` is the rank of a(x) for its elements, the
+    largest sample value weakly below, and ``a_strict[c]`` that of the
+    largest strictly below; ``b[c]`` and ``b_strict[c]`` those of the
+    smallest weakly and strictly above; ``top[c]`` and ``bottom[c]`` those
+    of its own largest and smallest sample value.  The least rank wins, so
+    of equal values the first in sample order is the one kept.
+
+    Build it with :meth:`of`, which keeps the last one on the sample set,
+    so the gap check and the bound index of one command share it.
     """
-    bounds = []
-    sweeps = ((rel.leq_mask, True, -math.inf), (rel.geq_mask, False, math.inf))
-    for reach, falling, empty in sweeps:
-        bound = [empty] * rel.n
-        todo = (1 << rel.n) - 1
-        for p, v in sorted(samples.items(), key=itemgetter(1), reverse=falling):
-            hit = reach(p) & todo
-            todo ^= hit
-            while hit:
-                bound[lowest_bit(hit)] = v
-                hit &= hit - 1
-        bounds.append(bound)
-    table = [(a, b, a != -math.inf, b != math.inf) for a, b in zip(*bounds)]
-    return lambda x: table[rel._check(x)]
+
+    __slots__ = ("rel", "elems", "values", "lows", "highs",
+                 "top", "bottom", "a", "a_strict", "b", "b_strict")
+
+    def __init__(self, rel: FinitePreorder, samples: PartialUtility):
+        self.rel = rel
+        self.elems = elems = rel._check_points(samples.points)
+        self.values = values = [v for _, v in samples.items()]
+        empty = len(values)
+        falling = sorted(range(empty), key=values.__getitem__, reverse=True)
+        rising = sorted(range(empty), key=values.__getitem__)
+        self.lows = [*map(values.__getitem__, falling), -math.inf]
+        self.highs = [*map(values.__getitem__, rising), math.inf]
+        comp = rel.component_index
+        top = [empty] * len(rel.condensation)
+        bottom = top.copy()
+        # walked from the last rank down, so each component keeps its least
+        for r in reversed(range(empty)):
+            top[comp[elems[falling[r]]]] = r
+            bottom[comp[elems[rising[r]]]] = r
+        self.top, self.bottom = top, bottom
+        self.a, self.a_strict = rel.down_min(top, empty)
+        self.b, self.b_strict = rel.up_min(bottom, empty)
+
+    @classmethod
+    def of(cls, rel: FinitePreorder, samples: PartialUtility) -> "ComponentBounds":
+        """The bounds of ``samples`` in ``rel``, reused while ``rel`` is the last asked."""
+        bounds = samples._bounds
+        if bounds is None or bounds.rel is not rel:
+            bounds = samples._bounds = cls(rel, samples)
+        return bounds
+
+
+def _finite_index(rel: FinitePreorder, samples: PartialUtility) -> Callable:
+    """Both bounds of every element: one record per component, from
+    :class:`ComponentBounds`.  An infinite bound marks an empty contour."""
+    bounds = ComponentBounds.of(rel, samples)
+    lows, highs, empty = bounds.lows, bounds.highs, len(bounds.values)
+    table = [(lows[a], highs[b], a < empty, b < empty) for a, b in zip(bounds.a, bounds.b)]
+    comp = rel.component_index
+    return lambda x: table[comp[rel._check(x)]]
 
 
 def _ranked(rel: ParetoSpace, samples: PartialUtility) -> Tuple[list, list, list]:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
 from ordext.contours import (
+    ComponentBounds,
     ContourOracle,
     FiniteSampleOracle,
     PartialUtility,
@@ -36,6 +37,7 @@ from ordext.contours import (
 )
 from ordext.orders import (
     Comparison,
+    FinitePreorder,
     Preorder,
     compare_augmented,
     lowest_bit,
@@ -161,14 +163,72 @@ def _strict_verdict(samples: PartialUtility, masks: tuple) -> Verdict:
     return _PASS
 
 
+# On a FinitePreorder the checks read per-component aggregates
+# (ComponentBounds) instead of masks.  A sample has a violating partner
+# iff a value of its own component differs from its own, or the largest
+# value strictly below it is not smaller, or the smallest strictly above
+# is not larger (weak: the smallest weakly above is smaller): O(1) per
+# sample.  The first such sample is the i of the mask loops; one walk down
+# and one up from its component then give the lowest partner j.
+
+
+def _weak_on_components(samples: PartialUtility, bounds: ComponentBounds) -> Verdict:
+    comp, highs, b = bounds.rel.component_index, bounds.highs, bounds.b
+    for i, (e, v) in enumerate(zip(bounds.elems, bounds.values)):
+        if highs[b[comp[e]]] < v:
+            up = bounds.rel.up_set(comp[e])
+            pts = samples.points
+            j = next(j for j, (f, w) in enumerate(zip(bounds.elems, bounds.values))
+                     if w < v and comp[f] in up)
+            return _pair_witness(samples, pts[i], pts[j], "x' dominates x but has a smaller value")
+    return _PASS
+
+
+def _strict_on_components(samples: PartialUtility, bounds: ComponentBounds) -> Verdict:
+    rel, lows, highs = bounds.rel, bounds.lows, bounds.highs
+    comp, top, bottom = rel.component_index, bounds.top, bounds.bottom
+    a_strict, b_strict = bounds.a_strict, bounds.b_strict
+    for i, (e, v) in enumerate(zip(bounds.elems, bounds.values)):
+        c = comp[e]
+        if (lows[top[c]] != highs[bottom[c]] or lows[a_strict[c]] >= v
+                or highs[b_strict[c]] <= v):
+            return _strict_witness(samples, bounds, i, c, v)
+    return _PASS
+
+
+def _strict_witness(samples: PartialUtility, bounds: ComponentBounds, i: int, c: int, v) -> Verdict:
+    """The strict witness of sample i, in component c: its lowest violating partner."""
+    rel, pts = bounds.rel, samples.points
+    comp = rel.component_index
+    below, above = rel.down_set(c), rel.up_set(c)
+    note = "strict domination without a strictly larger value"
+    for j, (f, w) in enumerate(zip(bounds.elems, bounds.values)):
+        d = comp[f]
+        if d == c:
+            if w != v:
+                return _pair_witness(
+                    samples, pts[i], pts[j], "equivalent points with different values"
+                )
+        elif d in above:
+            if w <= v:
+                return _pair_witness(samples, pts[i], pts[j], note)
+        elif d in below and w >= v:
+            return _pair_witness(samples, pts[j], pts[i], note)
+    raise AssertionError("a violating sample without a violating partner")
+
+
 def check_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Dominating sample points must not have smaller values."""
+    if type(rel) is FinitePreorder:
+        return _weak_on_components(samples, ComponentBounds.of(rel, samples))
     return _weak_verdict(samples, _sample_masks(rel, samples))
 
 
 def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Equivalent points share a value; strict domination means a larger value."""
     global _left_masks
+    if type(rel) is FinitePreorder:
+        return _strict_on_components(samples, ComponentBounds.of(rel, samples))
     masks = _sample_masks(rel, samples)
     verdict = _strict_verdict(samples, masks)
     if not verdict.holds:
@@ -215,14 +275,18 @@ def check_gap_safe_finite(
     :func:`check_strictly_increasing` and :func:`check_weakly_increasing`
     on the same relation and samples; one mask pass derives the rest.
     """
-    masks = None
+    if type(rel) is FinitePreorder:
+        make, strict_of, weak_of = ComponentBounds.of, _strict_on_components, _weak_on_components
+    else:
+        make, strict_of, weak_of = _sample_masks, _strict_verdict, _weak_verdict
+    data = None
     if strict is None:
-        masks = _sample_masks(rel, samples)
-        strict = _strict_verdict(samples, masks)
+        data = make(rel, samples)
+        strict = strict_of(samples, data)
     if strict.holds:
         return _PASS
     if weak is None:
-        weak = _weak_verdict(samples, masks or _sample_masks(rel, samples))
+        weak = weak_of(samples, data or make(rel, samples))
     if not weak.holds:
         return weak
     # under weak increase equivalent samples share a value, so the strict

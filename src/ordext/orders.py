@@ -313,24 +313,32 @@ def _transpose(rows: Sequence[int]) -> List[int]:
     return cols
 
 
-def _tarjan(succ: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """The strongly connected components in the order they close, and each row.
+def _set_bits(row: int, n: int) -> List[int]:
+    """The set bits of an n-bit row, lowest first."""
+    return list(compress(range(n), map(int, reversed(format(row, f"0{n}b")))))
 
-    An iterative Tarjan walk finds the strongly connected components in
-    reverse topological order, so every successor outside a component
-    already holds its final row when the component closes; its members
-    share the OR of their own bits and those rows.  A member's successor
-    inside the component still reads 0 then, and adds nothing.
+
+def _tarjan(succ: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The strongly connected components of the pairs ``succ``, in the order they close.
+
+    One iterative Tarjan walk; it closes the components in reverse
+    topological order, so every pair leads into its own component or
+    into one closed earlier.  A closed element's index is set to n, above
+    every lowlink, so it is never read as an ancestor again; an element
+    with no pairs closes at once, without a frame of its own.
     """
     n = len(succ)
     index = [-1] * n
     low = [0] * n
-    rows = [0] * n
     components: List[List[int]] = []
     stack: List[int] = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
+            continue
+        if not succ[root]:
+            index[root] = n
+            components.append([root])
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -339,120 +347,180 @@ def _tarjan(succ: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
         while calls:
             v, it = calls[-1]
             for w in it:
-                if index[w] < 0:
+                iw = index[w]
+                if iw < 0:
+                    if not succ[w]:
+                        index[w] = n
+                        components.append([w])
+                        continue
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     calls.append((w, iter(succ[w])))
                     break
-                # rows[w] stays 0 while w's component is open on the stack
-                if not rows[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if iw < low[v]:
+                    low[v] = iw
             else:
                 calls.pop()
-                if calls and low[v] < low[calls[-1][0]]:
-                    low[calls[-1][0]] = low[v]
-                if low[v] == index[v]:
+                lv = low[v]
+                if calls and lv < low[calls[-1][0]]:
+                    low[calls[-1][0]] = lv
+                if lv == index[v]:
                     members = [stack.pop()]
                     while members[-1] != v:
                         members.append(stack.pop())
-                    row = 0
                     for m in members:
-                        row |= 1 << m
-                    for m in members:
-                        for w in succ[m]:
-                            row |= rows[w]
-                    for m in members:
-                        rows[m] = row
+                        index[m] = n
                     components.append(members)
-    return components, rows
+    return components
+
+
+def _strongly_connected(members: Sequence[int], inside: Sequence[Tuple[int, int]]) -> bool:
+    """True iff the pairs ``inside`` connect ``members`` both ways from the first."""
+    for forward in (True, False):
+        adj: dict = {}
+        for m, w in inside:
+            if forward:
+                adj.setdefault(m, []).append(w)
+            else:
+                adj.setdefault(w, []).append(m)
+        seen = {members[0]}
+        todo = [members[0]]
+        while todo:
+            for w in adj.get(todo.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) < len(members):
+            return False
+    return True
+
+
+def _condense(
+    succ: Sequence[Sequence[int]], components: Sequence[Sequence[int]]
+) -> Tuple[List[int], List[List[int]]]:
+    """Each element's component, and per component the earlier ones its pairs reach.
+
+    Raises :class:`CertificateError` unless ``components``, listed in the
+    order a walk closed them, pass three checks, O(n + m) in all:
+
+    1. every element is in exactly one component;
+    2. every pair leads to its own component or to an earlier one;
+    4. each component of more than one member is strongly connected.
+
+    By 2 and 4 the components are the strongly connected components in
+    reverse topological order.  The lists returned are the edges of the
+    condensation DAG, one per pair between components (so a component
+    may be listed more than once), each to an earlier component.  Check 3
+    is the row check of :func:`_certify`.
+    """
+    comp = [-1] * len(succ)
+    c = 0
+    for members in components:
+        for m in members:
+            if comp[m] >= 0:
+                raise CertificateError(f"element {m} is in components {comp[m]} and {c}")
+            comp[m] = c
+        c += 1
+    if -1 in comp:
+        raise CertificateError(f"element {comp.index(-1)} is in no component")
+    below = []
+    c = 0
+    for members in components:
+        down = []
+        inside = []
+        for m in members:
+            for w in succ[m]:
+                d = comp[w]
+                if d == c:
+                    inside.append((m, w))
+                elif d < c:
+                    down.append(d)
+                else:
+                    raise CertificateError(f"pair ({m}, {w}) leads into a later component")
+        if len(members) > 1 and not _strongly_connected(members, inside):
+            raise CertificateError(f"component {c} is not strongly connected")
+        below.append(down)
+        c += 1
+    return comp, below
 
 
 def _certify(
     succ: Sequence[Sequence[int]],
-    pred: Sequence[Sequence[int]],
     components: Sequence[Sequence[int]],
     rows: Sequence[int],
 ) -> None:
     """Raise :class:`CertificateError` unless ``rows`` close the pairs ``succ``.
 
-    ``components`` are listed in the order they closed and ``pred`` holds
-    the reversed pairs.  Four checks, O(n + m) operations on rows:
-
-    1. every element is in exactly one component;
-    2. every pair leads to its own component or to an earlier one;
-    3. each member's row is its component's bits ORed with the rows of
-       the earlier components that the component's pairs reach;
-    4. each component of more than one member is strongly connected.
-
+    ``components`` are listed in the order a walk closed them.  Checks 1,
+    2 and 4 are those of :func:`_condense`; check 3, O(n + m) operations
+    on rows, is that each member's row is its component's bits ORed with
+    the rows of the earlier components that the component's pairs reach.
     By 2 and 4 the components are the strongly connected components in
     reverse topological order, and then by induction over that order 3
     says each row is the set of elements reachable from its element.
     """
-    n = len(succ)
-    comp = [-1] * n
-    for c, members in enumerate(components):
-        for m in members:
-            if comp[m] >= 0:
-                raise CertificateError(f"element {m} is in components {comp[m]} and {c}")
-            comp[m] = c
-    if -1 in comp:
-        raise CertificateError(f"element {comp.index(-1)} is in no component")
+    comp, _ = _condense(succ, components)
     for c, members in enumerate(components):
         row = 0
         for m in members:
             row |= 1 << m
         for m in members:
             for w in succ[m]:
-                if comp[w] > c:
-                    raise CertificateError(f"pair ({m}, {w}) leads into a later component")
                 if comp[w] < c:
                     row |= rows[w]
         for m in members:
             if rows[m] != row:
                 raise CertificateError(f"row {m} is not the closure of its pairs")
-        if len(members) > 1:
-            for adj in (succ, pred):
-                seen = {members[0]}
-                todo = [members[0]]
-                while todo:
-                    for w in adj[todo.pop()]:
-                        if comp[w] == c and w not in seen:
-                            seen.add(w)
-                            todo.append(w)
-                if len(seen) < len(members):
-                    raise CertificateError(f"component {c} is not strongly connected")
 
 
-def _fold_columns(pred: Sequence[Sequence[int]], components: Sequence[Sequence[int]]) -> List[int]:
-    """Per element, the bitmask of elements that reach it, itself included.
+def _fold_matrix(
+    components: Sequence[Sequence[int]], below: Sequence[Sequence[int]], comp: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """Per element, the bitmasks of the elements it reaches and that reach it.
 
-    The components are taken last closed first, which is topological
-    order once :func:`_certify` has passed, so every predecessor outside
-    a component already holds its final column; one inside it still
-    reads 0 and adds nothing.
+    One fold over the condensation in the order the components closed
+    gives each component's row, its members' bits ORed with the rows
+    below it; one fold in the reverse order pushes each component's
+    column into the components below it.  Members share their masks.
     """
-    cols = [0] * len(pred)
-    for members in reversed(components):
-        col = 0
+    rows: List[int] = []
+    for members, down in zip(components, below):
+        row = 0
         for m in members:
+            row |= 1 << m
+        for d in down:
+            row |= rows[d]
+        rows.append(row)
+    cols = [0] * len(components)
+    for c in reversed(range(len(components))):
+        col = cols[c]
+        for m in components[c]:
             col |= 1 << m
-        for m in members:
-            for u in pred[m]:
-                col |= cols[u]
-        for m in members:
-            cols[m] = col
-    return cols
+        cols[c] = col
+        for d in below[c]:
+            cols[d] |= col
+    return list(map(rows.__getitem__, comp)), list(map(cols.__getitem__, comp))
 
 
 class FinitePreorder(Preorder):
-    """A preorder on ``{0, .., n-1}`` stored as a closed bitmask matrix.
+    """A preorder on ``{0, .., n-1}``, held as the condensation of its pairs.
 
-    ``_rows[i]`` has bit ``j`` set iff ``geq(i, j)``; ``_cols`` is the
-    transpose, used for upper-contour queries.
+    Every instance holds the pairs it was built from, the strongly
+    connected components of one Tarjan walk over them (checked by
+    :func:`_condense`), each element's component, and the condensation
+    DAG's edges.  The passes :meth:`down_min`, :meth:`up_min`,
+    :meth:`down_set` and :meth:`up_set` answer from these in O(n + m).
+
+    The closed bitmask matrix is built on first use, by the methods that
+    test single pairs or whole rows (``geq``, ``geq_mask``, ``leq_mask``,
+    ``dominance_masks``, ``==``, ``hash``): ``_rows[i]`` has bit ``j``
+    set iff ``geq(i, j)``, and ``_cols`` is the transpose.  Rows that the
+    walk builds pass :func:`_certify` there; rows a caller hands to the
+    constructor are kept as they are, after its own checks.
     """
 
-    __slots__ = ("_n", "_rows", "_cols")
+    __slots__ = ("_n", "_succ", "_components", "_comp", "_below", "_matrix")
 
     def __init__(self, rows: Sequence[int]):
         n = len(rows)
@@ -466,36 +534,36 @@ class FinitePreorder(Preorder):
         bad = _check_transitive(rows)
         if bad is not None:
             raise ValueError(f"relation is not transitive through pair {bad}")
-        self._n = n
-        self._rows = tuple(rows)
-        self._cols = tuple(_transpose(self._rows))
+        self._walk([_set_bits(row, n) for row in rows])
+        self._matrix = (tuple(rows), tuple(_transpose(rows)))
+
+    def _walk(self, succ: List[List[int]]) -> None:
+        """Condense the pairs ``succ``: one walk, checked by :func:`_condense`."""
+        self._n = len(succ)
+        self._succ = succ
+        self._components = _tarjan(succ)
+        self._comp, self._below = _condense(succ, self._components)
+        self._matrix = None
 
     @classmethod
     def closure(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "FinitePreorder":
         """Smallest reflexive-transitive relation containing the pairs.
 
-        One Tarjan walk over the pairs yields the components and the rows;
-        :func:`_certify` proves the rows are the closure of the pairs,
-        in O(n + m), so the transitivity check of ``FinitePreorder(rows)``
-        is not run.  The columns are one fold over the same components,
-        in topological order over the reversed pairs.  A failed
-        certificate raises :class:`CertificateError`.
+        One Tarjan walk over the pairs yields the components in reverse
+        topological order; :func:`_condense` checks them in O(n + m) and
+        a failed check raises :class:`CertificateError`.  No row is built
+        here: the matrix waits for its first use, where :func:`_certify`
+        checks it.
         """
         succ: List[List[int]] = [[] for _ in range(n)]
-        pred: List[List[int]] = [[] for _ in range(n)]
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ForeignElementError(
                     f"pair ({safe_repr(i)}, {safe_repr(j)}) out of range for n={n}"
                 )
             succ[i].append(j)
-            pred[j].append(i)
-        components, rows = _tarjan(succ)
-        _certify(succ, pred, components, rows)
         rel = cls.__new__(cls)
-        rel._n = n
-        rel._rows = tuple(rows)
-        rel._cols = tuple(_fold_columns(pred, components))
+        rel._walk(succ)
         return rel
 
     @classmethod
@@ -516,12 +584,12 @@ class FinitePreorder(Preorder):
     @classmethod
     def chain(cls, n: int) -> "FinitePreorder":
         """Total order 0 < 1 < .. < n-1."""
-        return cls([((1 << (i + 1)) - 1) for i in range(n)])
+        return cls.closure(n, [(i + 1, i) for i in range(n - 1)])
 
     @classmethod
     def antichain(cls, n: int) -> "FinitePreorder":
         """Discrete order: only reflexive pairs."""
-        return cls([1 << i for i in range(n)])
+        return cls.closure(n, [])
 
     @property
     def n(self) -> int:
@@ -532,6 +600,105 @@ class FinitePreorder(Preorder):
         if not (isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self._n):
             raise ForeignElementError(f"{safe_repr(x)} is not an index below {self._n}")
         return x
+
+    def _check_points(self, points: Sequence[Element]) -> List[int]:
+        """``[self._check(p) for p in points]``, by two C-level passes when every
+        point is an exact ``int`` in range; otherwise point by point, so the
+        first foreign point is the one named."""
+        if set(map(type, points)) <= {int} and (
+            not points or (min(points) >= 0 and max(points) < self._n)
+        ):
+            return list(points)
+        return [self._check(p) for p in points]
+
+    # ---- the condensation ------------------------------------------------
+
+    @property
+    def component_index(self) -> List[int]:
+        """Per element, its component: the position of its equivalence class
+        in the order the walk closed them, a reverse topological order."""
+        return self._comp
+
+    @property
+    def condensation(self) -> List[List[int]]:
+        """Per component, the components its pairs lead to directly, all earlier."""
+        return self._below
+
+    def down_min(self, own: Sequence, empty) -> Tuple[list, list]:
+        """Per component, the least of ``own`` weakly below it and strictly below it.
+
+        ``own[c]`` is the component's own entry; ``empty`` is the result of
+        no entry at all and must not be below any of them.  One fold in the
+        order the components closed.
+        """
+        weak = list(own)
+        strict = [empty] * len(weak)
+        c = 0
+        for down in self._below:
+            s = empty
+            for d in down:
+                if weak[d] < s:
+                    s = weak[d]
+            strict[c] = s
+            if s < weak[c]:
+                weak[c] = s
+            c += 1
+        return weak, strict
+
+    def up_min(self, own: Sequence, empty) -> Tuple[list, list]:
+        """Per component, the least of ``own`` weakly above it and strictly above it.
+
+        One fold in the reverse order, which pushes each component's weak
+        entry into the components below it.
+        """
+        below = self._below
+        weak = [empty] * len(below)
+        strict = [empty] * len(below)
+        for c in reversed(range(len(below))):
+            o, s = own[c], strict[c]
+            w = weak[c] = o if o < s else s
+            for d in below[c]:
+                if w < strict[d]:
+                    strict[d] = w
+        return weak, strict
+
+    def down_set(self, c: int) -> set:
+        """The components weakly below component ``c``: one walk down from it."""
+        below = self._below
+        seen = {c}
+        todo = [c]
+        while todo:
+            for d in below[todo.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        return seen
+
+    def up_set(self, c: int) -> set:
+        """The components weakly above component ``c``: one pass over the later ones."""
+        below = self._below
+        seen = {c}
+        for d in range(c + 1, len(below)):
+            if not seen.isdisjoint(below[d]):
+                seen.add(d)
+        return seen
+
+    # ---- the matrix, built on first use ---------------------------------
+
+    def _built(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        if self._matrix is None:
+            rows, cols = _fold_matrix(self._components, self._below, self._comp)
+            _certify(self._succ, self._components, rows)
+            self._matrix = (tuple(rows), tuple(cols))
+        return self._matrix
+
+    @property
+    def _rows(self) -> Tuple[int, ...]:
+        return self._built()[0]
+
+    @property
+    def _cols(self) -> Tuple[int, ...]:
+        return self._built()[1]
 
     def geq(self, x: Element, y: Element) -> bool:
         return bool((self._rows[self._check(x)] >> self._check(y)) & 1)
@@ -549,9 +716,10 @@ class FinitePreorder(Preorder):
 
     def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
         """Each point's ``leq_mask``/``geq_mask``, remapped onto point positions."""
-        elems = [self._check(p) for p in points]
+        elems = self._check_points(points)
         if not elems:
             return [], []
+        rows, cols = self._built()
         # format() writes element bit e at text offset n-1-e; picking the
         # offsets of the positions from last to first spells the remapped
         # mask most significant bit first
@@ -561,23 +729,11 @@ class FinitePreorder(Preorder):
         def remap(mask: int) -> int:
             return int("".join(pick(format(mask, width))), 2)
 
-        return (
-            [remap(self._cols[e]) for e in elems],
-            [remap(self._rows[e]) for e in elems],
-        )
+        return [remap(cols[e]) for e in elems], [remap(rows[e]) for e in elems]
 
     def equivalence_classes(self) -> list[Tuple[int, ...]]:
         """Classes of mutual domination, each sorted, ordered by least member."""
-        seen = 0
-        classes = []
-        for i in range(self._n):
-            if (seen >> i) & 1:
-                continue
-            mutual = self._rows[i] & self._cols[i]
-            seen |= mutual
-            members = tuple(j for j in range(self._n) if (mutual >> j) & 1)
-            classes.append(members)
-        return classes
+        return sorted(tuple(sorted(members)) for members in self._components)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePreorder):

@@ -46,28 +46,23 @@ def finite_utility(rel: FinitePreorder) -> UtilityFn:
     down-set, and therefore their value; a strictly dominated element
     sits strictly lower.
 
-    Elements are visited in a topological order of the strict order: a
-    strictly dominated element has a strictly smaller strict down-set, so
-    sorting by down-set size puts it first.  An element's level is then
-    one above the highest level whose members meet its strict down-set,
-    found by bitmask tests from the top level down; no recursion, so a
-    chain of any length is fine.
+    The level is the longest-path pass over the condensation DAG
+    (:attr:`FinitePreorder.condensation`): in the order the walk closed
+    the components, every component it leads to is already levelled, and
+    its level is one above the highest of theirs (0 for none).  O(n + m),
+    no recursion, so a chain of any length is fine.
     """
-    n = rel.n
-    strict_below = [rel.geq_mask(x) & ~rel.leq_mask(x) for x in range(n)]
-    level = [0] * n
-    at_level: list[int] = []  # bitmask of the elements given each level so far
-    for x in sorted(range(n), key=lambda x: strict_below[x].bit_count()):
-        below = strict_below[x]
-        lv = len(at_level)
-        while lv and not below & at_level[lv - 1]:
-            lv -= 1
-        if lv == len(at_level):
-            at_level.append(0)
-        at_level[lv] |= 1 << x
-        level[x] = lv
-
-    values = {x: float(level[x]) for x in range(n)}
+    below = rel.condensation
+    level = [0] * len(below)
+    c = 0
+    for down in below:
+        top = -1
+        for d in down:
+            if level[d] > top:
+                top = level[d]
+        level[c] = top + 1
+        c += 1
+    values = dict(enumerate(map(float, map(level.__getitem__, rel.component_index))))
     return UtilityFn(values.__getitem__)
 
 

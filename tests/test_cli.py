@@ -785,18 +785,34 @@ def count_mask_passes(monkeypatch):
     return passes
 
 
+def count_row_builds(monkeypatch):
+    """Wrap the build of a relation's rows and columns; returns one entry per build."""
+    builds = []
+    fold = orders._fold_matrix
+
+    def counted(*args):
+        builds.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(orders, "_fold_matrix", counted)
+    return builds
+
+
 @pytest.mark.parametrize(
     "command, case, budget",
-    [("check", "finite-bad", 2), ("extend", "finite-bad", 1),
+    [("check", "finite-bad", 0), ("extend", "finite-bad", 0),
      ("check", "pareto2-bad", 2), ("extend", "pareto2-bad", 1), ("grid", "pareto2-bad", 1),
      ("check", "pareto2-tie", 2), ("extend", "pareto2-tie", 1), ("grid", "pareto2-tie", 1)],
 )
 def test_failing_gap_checks_keep_to_their_mask_pass_budget(
         tmp_path, capsys, monkeypatch, command, case, budget):
-    # a refusal derives both the strict and the weak verdict from one
-    # dominance pass; check makes one pass per printed verdict and hands
-    # both to the gap check, which then makes none
+    # a Pareto refusal derives both the strict and the weak verdict from
+    # one dominance pass; check makes one pass per printed verdict and
+    # hands both to the gap check, which then makes none.  A finite
+    # relation makes no mask pass and builds no rows: its verdicts come
+    # from passes over the condensation
     passes = count_mask_passes(monkeypatch)
+    builds = count_row_builds(monkeypatch)
     argv = [command, str(GOLDEN_CASES / f"{case}.json")]
     if command == "extend":
         argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]
@@ -804,20 +820,43 @@ def test_failing_gap_checks_keep_to_their_mask_pass_budget(
         argv += ["--bbox=0,0,1,1", f"--out={tmp_path / 'g.csv'}"]
     assert main(argv) == 1
     capsys.readouterr()
-    if command == "check":
+    if command == "check" and budget:
         assert 1 <= len(passes) <= budget
     else:
         assert len(passes) == budget
+    assert builds == []
 
 
 @pytest.mark.parametrize("case", ["finite-bad", "pareto2-bad"])
 def test_failing_check_makes_one_mask_pass(capsys, monkeypatch, case):
     # the failing strict check leaves its pass for the weak check that
-    # follows it, and the gap check gets both verdicts
+    # follows it, and the gap check gets both verdicts; a finite relation
+    # makes no pass and builds no rows
     passes = count_mask_passes(monkeypatch)
+    builds = count_row_builds(monkeypatch)
     assert main(["check", str(GOLDEN_CASES / f"{case}.json")]) == 1
     capsys.readouterr()
-    assert len(passes) == 1
+    assert len(passes) == (0 if case.startswith("finite") else 1)
+    assert builds == []
+
+
+FINITE_GOLDEN = [
+    entry for entry in json.loads((GOLDEN_CASES.parent / "manifest.json").read_text())
+    if entry["argv"][1].startswith("{cases}/finite")
+]
+
+
+@pytest.mark.parametrize("entry", FINITE_GOLDEN, ids=[e["id"] for e in FINITE_GOLDEN])
+def test_finite_commands_build_no_rows(capsys, monkeypatch, entry):
+    # check, extend and regions on a finite relation read the condensation
+    # only: no dominance masks and no rows or columns
+    passes = count_mask_passes(monkeypatch)
+    builds = count_row_builds(monkeypatch)
+    argv = [arg.replace("{cases}", str(GOLDEN_CASES)) for arg in entry["argv"]]
+    assert main(argv) == entry["exit"]
+    capsys.readouterr()
+    assert passes == []
+    assert builds == []
 
 
 @pytest.mark.parametrize("command", ["check", "extend"])

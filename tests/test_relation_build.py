@@ -1,9 +1,10 @@
 """The word-parallel relation build against its per-bit references.
 
 ``FinitePreorder.closure`` makes one Tarjan walk over the pairs, which
-closes the strongly connected components and ORs whole rows, checks the
-rows with the walk's certificate (``orders._certify``) and folds the
-columns over the same components in topological order.  The constructor
+closes the strongly connected components, and checks them
+(``orders._condense``).  The rows and columns wait for their first use:
+two folds over the same components build them, and the walk's
+certificate (``orders._certify``) checks the rows there.  The constructor
 ``FinitePreorder(rows)`` checks transitivity a byte of each row at a
 time through per-block tables and transposes the rows in blocks of bit
 strings.  The loops they replaced live in the test tree's ``reference``
@@ -30,6 +31,8 @@ from ordext.orders import (
     _absorbed,
     _certify,
     _check_transitive,
+    _condense,
+    _fold_matrix,
     _tarjan,
     _transpose,
 )
@@ -256,13 +259,14 @@ def test_transpose_matches_reference_on_random_rows(rows):
 
 
 def walked(n, pairs):
-    """The pairs both ways, and the components and rows of one walk."""
+    """The pairs, and the components of one walk and the rows folded over them."""
     succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
     for i, j in pairs:
         succ[i].append(j)
-        pred[j].append(i)
-    return (succ, pred, *_tarjan(succ))
+    components = _tarjan(succ)
+    comp, below = _condense(succ, components)
+    rows, _ = _fold_matrix(components, below, comp)
+    return succ, components, rows
 
 
 # 2 >= 1 >= 0, and 3 ~ 4 above 2
@@ -311,12 +315,12 @@ def in_no_component(components, rows):
     (in_no_component, "element 0 is in no component"),
 ])
 def test_tampered_certificate_raises(tamper, message):
-    succ, pred, components, rows = walked(5, CERTIFIED_PAIRS)
-    _certify(succ, pred, components, rows)
+    succ, components, rows = walked(5, CERTIFIED_PAIRS)
+    _certify(succ, components, rows)
     assert rows == warshall_closure(5, CERTIFIED_PAIRS)
     tamper(components, rows)
     with pytest.raises(CertificateError, match=message):
-        _certify(succ, pred, components, rows)
+        _certify(succ, components, rows)
 
 
 def test_closure_does_not_prove_transitivity_again(monkeypatch):
@@ -338,10 +342,8 @@ GOLDEN_CASES = Path(__file__).parent / "golden" / "cases"
 
 def test_failed_certificate_is_an_internal_error(monkeypatch, capsys):
     def faulty_walk(succ):
-        # the last element's row loses its own bit
-        components, rows = _tarjan(succ)
-        rows[-1] &= ~(1 << (len(rows) - 1))
-        return components, rows
+        # the components in the order opposite to the one they closed in
+        return _tarjan(succ)[::-1]
 
     monkeypatch.setattr(orders, "_tarjan", faulty_walk)
     with pytest.raises(CertificateError):
@@ -350,6 +352,19 @@ def test_failed_certificate_is_an_internal_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: CertificateError: ")
+
+
+def test_faulty_row_build_fails_its_certificate_on_first_use(monkeypatch):
+    def faulty_fold(components, below, comp):
+        # the last element's row loses its own bit
+        rows, cols = _fold_matrix(components, below, comp)
+        rows[-1] &= ~(1 << (len(rows) - 1))
+        return rows, cols
+
+    monkeypatch.setattr(orders, "_fold_matrix", faulty_fold)
+    rel = FinitePreorder.closure(2, [(1, 0)])
+    with pytest.raises(CertificateError, match="row 1 is not the closure of its pairs"):
+        rel.geq(1, 0)
 
 
 def sparse_random_dag(rng, n, pairs_per_element=3):
@@ -366,9 +381,9 @@ def sparse_random_dag(rng, n, pairs_per_element=3):
     return pairs
 
 
-# closure holds little beside the rows and columns it returns.  Proving
-# its rows transitive took a byte table and a second set of rows: the
-# peak was 2.2 times the output at n = 20000 then, and is 1.1 with the
+# the closure and its rows hold little beside the rows and columns.
+# Proving the rows transitive took a byte table and a second set of rows:
+# the peak was 2.2 times the output at n = 20000 then, and is 1.1 with the
 # certificate
 @pytest.mark.slow
 def test_closure_peak_memory_stays_near_its_output():
@@ -377,6 +392,7 @@ def test_closure_peak_memory_stays_near_its_output():
     tracemalloc.start()
     try:
         rel = FinitePreorder.closure(n, pairs)
+        rel.geq(0, 0)  # builds the rows and columns
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
