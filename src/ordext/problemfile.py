@@ -30,7 +30,13 @@ a point or an exponent (a JSON float) is accepted by a few C-level
 passes over the whole list (:func:`ordext.orders.all_float_vectors`).  Any other
 list is checked entry by entry, and the first bad entry raises the
 :class:`ProblemFileError` naming it.  The engine's layers check what
-they are handed again, in bulk the same way.
+they are handed again, in bulk the same way.  A finite space's element
+names and ``geq`` pairs are checked in bulk too: the names by their
+types, one UTF-8 encode of their concatenation and a uniqueness count,
+and the pairs by their shapes and one ``map(index.get, ...)`` pass that
+resolves every name to its position, so the relation is built from
+positions and no name is looked up twice.  Anything the bulk pass
+declines goes through the per-entry loop.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -147,7 +154,7 @@ class ProblemInstance:
     alpha: float = 0.0
     beta: float = 1.0
     element_names: Tuple[str, ...] = ()
-    geq_pairs: Tuple[Tuple[str, str], ...] = ()
+    geq_pairs: Tuple[Tuple[int, int], ...] = ()  # (above, below) positions in element_names
     dimension: int = 0
     fixture_name: str = ""
     samples: Tuple[Tuple[Any, float], ...] = ()
@@ -165,9 +172,7 @@ class ProblemInstance:
     @cached_property
     def _relation(self) -> Preorder:
         if self.kind == "finite":
-            index = self._element_index
-            pairs = [(index[hi], index[lo]) for hi, lo in self.geq_pairs]
-            return FinitePreorder.closure(len(self.element_names), pairs)
+            return FinitePreorder.closure(len(self.element_names), self.geq_pairs)
         if self.kind == "pareto":
             return ParetoSpace(self.dimension)
         return self.fixture().ambient
@@ -244,12 +249,76 @@ def _validate_base(descriptor, kind, dimension, location):
 
 
 def _name_index(names: Sequence[str]) -> Dict[str, int]:
-    return {name: i for i, name in enumerate(names)}
+    return dict(zip(names, range(len(names))))
 
 
 def _lookup(index: Mapping[str, int], name) -> Optional[int]:
     """Position of an element name, or None; a non-string is never a name."""
     return index.get(name) if isinstance(name, str) else None
+
+
+def _names_in_bulk(names: list) -> Optional[Dict[str, int]]:
+    """The index of the element names, checked in bulk, or None.
+
+    Accepts only a list of non-empty strings that encode as UTF-8 and are
+    unique, by a few C-level passes; whatever this declines,
+    :func:`_each_name` checks name by name.
+    """
+    if not (set(map(type, names)) <= {str} and all(names)):
+        return None
+    try:
+        "".join(names).encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+    index = _name_index(names)
+    return index if len(index) == len(names) else None
+
+
+def _each_name(names: list) -> Dict[str, int]:
+    """The index of the element names, checked one by one; raises on the first bad one."""
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or not name:
+            raise ProblemFileError(f"space.elements[{i}]", "expected a non-empty string")
+        # a lone surrogate (a JSON escape like \ud800) cannot be printed;
+        # names in samples and queries must match one of these, so
+        # rejecting it here rejects it there too
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ProblemFileError(
+                f"space.elements[{i}]", "name cannot be encoded as UTF-8"
+            ) from None
+    index = _name_index(names)
+    if len(index) != len(names):
+        raise ProblemFileError("space.elements", "element names must be unique")
+    return index
+
+
+def _pairs_in_bulk(raw: list, index: Mapping[str, int]) -> Optional[List[Tuple[int, int]]]:
+    """The ``geq`` pairs as positions, resolved in one ``map(index.get, ...)``
+    pass, or None; whatever this declines, :func:`_each_pair` checks pair by pair."""
+    if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}):
+        return None
+    names = list(chain.from_iterable(raw))
+    if not set(map(type, names)) <= {str}:
+        return None
+    positions = list(map(index.get, names))
+    if None in positions:
+        return None
+    return list(zip(positions[::2], positions[1::2]))
+
+
+def _each_pair(raw: list, index: Mapping[str, int]) -> List[Tuple[int, int]]:
+    """The ``geq`` pairs as positions, checked one by one; raises on the first bad one."""
+    pairs = []
+    for i, pair in enumerate(raw):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ProblemFileError(f"space.geq[{i}]", "expected a [above, below] pair")
+        for name in pair:
+            if _lookup(index, name) is None:
+                raise ProblemFileError(f"space.geq[{i}]", f"unknown element {name!r}")
+        pairs.append((index[pair[0]], index[pair[1]]))
+    return pairs
 
 
 def _parse_space(doc):
@@ -260,32 +329,15 @@ def _parse_space(doc):
         names = space.get("elements")
         if not isinstance(names, list) or not names:
             raise ProblemFileError("space.elements", "expected a non-empty array of names")
-        for i, name in enumerate(names):
-            if not isinstance(name, str) or not name:
-                raise ProblemFileError(f"space.elements[{i}]", "expected a non-empty string")
-            # a lone surrogate (a JSON escape like \ud800) cannot be printed;
-            # names in samples and queries must match one of these, so
-            # rejecting it here rejects it there too
-            try:
-                name.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ProblemFileError(
-                    f"space.elements[{i}]", "name cannot be encoded as UTF-8"
-                ) from None
-        index = _name_index(names)
-        if len(index) != len(names):
-            raise ProblemFileError("space.elements", "element names must be unique")
-        pairs = []
+        index = _names_in_bulk(names)
+        if index is None:
+            index = _each_name(names)
         raw_pairs = space.get("geq", [])
         if not isinstance(raw_pairs, list):
             raise ProblemFileError("space.geq", "expected an array of [above, below] pairs")
-        for i, pair in enumerate(raw_pairs):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ProblemFileError(f"space.geq[{i}]", "expected a [above, below] pair")
-            for name in pair:
-                if _lookup(index, name) is None:
-                    raise ProblemFileError(f"space.geq[{i}]", f"unknown element {name!r}")
-            pairs.append((pair[0], pair[1]))
+        pairs = _pairs_in_bulk(raw_pairs, index)
+        if pairs is None:
+            pairs = _each_pair(raw_pairs, index)
         return {
             "kind": "finite",
             "element_names": tuple(names),

@@ -71,12 +71,14 @@ def pareto_base_utility(
 ) -> UtilityFn:
     """Weighted coordinate sum; strictly increasing in every coordinate."""
     if weights is None:
-        weights = (1.0,) * space.k
-    weights = tuple(float(w) for w in weights)
-    if len(weights) != space.k:
-        raise ValueError(f"expected {space.k} weights, got {len(weights)}")
-    if not all(0 < w < math.inf for w in weights):
-        raise ValueError("weights must be finite and strictly positive")
+        weights = (1.0,) * space.k  # valid as they are
+    else:
+        # C-level passes, with no Python step per coordinate
+        weights = tuple(map(float, weights))
+        if len(weights) != space.k:
+            raise ValueError(f"expected {space.k} weights, got {len(weights)}")
+        if not (all(map(math.isfinite, weights)) and min(weights) > 0):
+            raise ValueError("weights must be finite and strictly positive")
 
     def fn(x: Tuple[float, ...]) -> float:
         total = sum(map(mul, weights, x))

@@ -603,7 +603,7 @@ def serialize_problem(inst: ProblemInstance) -> str:
         space = {
             "kind": "finite",
             "elements": list(inst.element_names),
-            "geq": [list(p) for p in inst.geq_pairs],
+            "geq": [[inst.element_names[i] for i in p] for p in inst.geq_pairs],
         }
         samples = [
             {"element": name, "value": value} for name, value in inst.samples

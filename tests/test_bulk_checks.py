@@ -3,7 +3,10 @@
 A list of Pareto sample entries, queries, sample values or points is first
 checked in bulk (``problemfile._float_samples``, ``orders.all_float_vectors``
 and ``all_finite_floats``), which accepts only exact, finite floats in
-containers of the right type and length.  Whatever it declines goes to the
+containers of the right type and length.  A finite space's element names
+and ``geq`` pairs are too (``problemfile._names_in_bulk`` and
+``_pairs_in_bulk``), which accept only unique, non-empty, UTF-8-encodable
+names and two-name pairs of known names.  Whatever it declines goes to the
 per-entry check, which names the first bad entry.  Each test draws lists
 that mix plain floats with every input class that must decline (``int``,
 ``bool``, ``Fraction``, NaN, infinities, huge ints, wrong types and lengths,
@@ -173,3 +176,45 @@ def test_pareto_point_check_matches_the_per_entry_path(case):
     got = outcome(lambda: rel._check_points(points))
     want = outcome(lambda: [rel._check(p) for p in points])
     assert got == want
+
+
+NAMES = st.sampled_from(["a", "b", "c", "d", "é", "long name"])
+# what a JSON document can carry in place of an element name
+ODD_NAME = st.sampled_from(["", "\ud800", "zz", 0, 1.5, True, None, ["a"], {"a": 1}])
+
+
+def spoiled_pair(draw, pair):
+    return draw(st.sampled_from([
+        [pair[0]], [*pair, pair[0]], "a", None, {"pair": pair},
+        [draw(ODD_NAME), pair[1]], [pair[0], draw(ODD_NAME)],
+    ]))
+
+
+@st.composite
+def finite_documents(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    pairs = draw(st.lists(st.lists(st.sampled_from(names), min_size=2, max_size=2), max_size=8))
+    if draw(st.booleans()):
+        names = spoil(draw, names, [lambda draw, name: draw(ODD_NAME | NAMES)])
+    pairs = spoil(draw, pairs, [spoiled_pair])
+    samples = [{"element": name, "value": 0.5} for name in names[:1] if isinstance(name, str)]
+    return {"space": {"kind": "finite", "elements": names, "geq": pairs}, "samples": samples}
+
+
+@MANY
+@given(finite_documents())
+def test_finite_space_matches_the_per_entry_path(doc):
+    text = json.dumps(doc)
+    got = outcome(lambda: parse_problem(text))
+    with mock.patch.object(problemfile, "_names_in_bulk", return_value=None), \
+            mock.patch.object(problemfile, "_pairs_in_bulk", return_value=None):
+        want = outcome(lambda: parse_problem(text))
+    assert got == want
+    # where the bulk checks accept, they return what the per-entry loops do
+    space = json.loads(text)["space"]
+    index = problemfile._names_in_bulk(space["elements"])
+    if index is not None:
+        assert index == problemfile._each_name(space["elements"])
+        pairs = problemfile._pairs_in_bulk(space["geq"], index)
+        if pairs is not None:
+            assert pairs == problemfile._each_pair(space["geq"], index)

@@ -79,12 +79,15 @@ def test_finite_relation_closure():
 
 def test_names_map_by_element_names_of_each_instance():
     # the name -> index map is derived from element_names, so an instance
-    # built directly or through replace() cannot carry a stale one
+    # built directly or through replace() cannot carry a stale one.  The
+    # geq pairs are positions in element_names, resolved once by the
+    # parser, so they stay with the positions: what was listed third is
+    # still on top, under its new name
     inst = parse_problem(text(FINITE_DOC))
     flipped = replace(inst, element_names=("high", "mid", "low"))
     low, mid, high = 2, 1, 0
     rel = flipped.relation()
-    assert rel.geq(high, low) and not rel.geq(low, high)
+    assert rel.geq(low, high) and not rel.geq(high, low)
     assert flipped.sample_utility().value(high) == 1.0
     assert parse_queries('["mid", "low"]', flipped) == [mid, low]
     direct = ProblemInstance(

@@ -1,6 +1,7 @@
 """Utility construction, squashing, and normalization laws."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -89,6 +90,40 @@ def test_pareto_base_utility_rejects_bad_weights():
 def test_pareto_base_utility_rejects_non_finite_weights(weight):
     with pytest.raises(ValueError):
         pareto_base_utility(ParetoSpace(2), weights=[1.0, weight])
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([1.0, 0.0], "weights must be finite and strictly positive"),
+    ([1.0, -0.0], "weights must be finite and strictly positive"),
+    ([-2.0, 1.0], "weights must be finite and strictly positive"),
+    ([1.0, math.inf], "weights must be finite and strictly positive"),
+    ([math.nan, 1.0], "weights must be finite and strictly positive"),
+    ([1.0], "expected 2 weights, got 1"),
+    ([1.0, 1.0, 1.0], "expected 2 weights, got 3"),
+])
+def test_pareto_base_utility_rejection_messages(weights, message):
+    with pytest.raises(ValueError) as err:
+        pareto_base_utility(ParetoSpace(2), weights=weights)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("weights", [None, [1.0] * 10**5], ids=["default", "given"])
+def test_weights_are_checked_without_a_python_step_per_coordinate(weights):
+    # a generator over the weights would resume once per coordinate, and
+    # each resumption is a call event of the profiler
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        u = pareto_base_utility(ParetoSpace(10**5), weights=weights)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) < 10
+    assert u((1.0,) * 10**5) == 10**5
 
 
 @given(
