@@ -16,8 +16,10 @@ carries closed forms supplied by a fixture author, which is the only
 honest way to represent infinite sample sets.  :class:`FiniteSampleOracle`
 reads the bounds of a finite sample set, its max and min isotonic
 envelopes, from one index per sample set picked by the exact type of the
-preorder: a table of both bounds per element on a :class:`FinitePreorder`,
-per-coordinate prefix bitmasks on a :class:`ParetoSpace`.  The augmented
+preorder: on a :class:`FinitePreorder`, a table of both bounds per
+component of its condensation, from the passes of
+:class:`ComponentBounds` (which the finite sample checks read too); on a
+:class:`ParetoSpace`, per-coordinate prefix bitmasks.  The augmented
 extremes ``TOP``/``BOTTOM`` and every other preorder go through the
 reference scan, the max and min of the values over :func:`lower_contour`
 and :func:`upper_contour`, which ask the preorder's ``compare`` (on a

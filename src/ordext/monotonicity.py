@@ -5,8 +5,11 @@ Every check returns a :class:`Verdict`.  A failing verdict carries a
 :class:`Witness` naming the offending pair together with the numeric
 context needed to re-verify the violation from scratch.
 
-The pairwise checks run on bitmasks over sample positions instead of
-one order comparison per pair.  :meth:`Preorder.dominance_masks` gives
+On a :class:`FinitePreorder` the pairwise checks read per-component
+aggregates of the relation's condensation (:class:`ComponentBounds`),
+O(n + m) in all; see the comment above :func:`_weak_on_components`.
+Elsewhere they run on bitmasks over sample positions instead of one
+order comparison per pair.  :meth:`Preorder.dominance_masks` gives
 each sample's weak up-set and down-set among the samples, and
 :func:`rank_masks` on the values gives ``ge[i]``/``gt[i]``, the samples
 whose value is ``>=``/``>`` ``f(p_i)`` (so ``ge[i] ^ gt[i]`` holds the
@@ -18,7 +21,7 @@ the violation is symmetric in i and j, so the first i with a violation
 has no violating partner below it and the masks need no j > i cut.
 Gap-safety with finitely many samples is strict increase on the
 samples, for any preorder, so one gap check decides it for every space
-from one mask pass and reads a bound only to name a violation.  The
+from one pass and reads a bound only to name a violation.  The
 one-comparison-per-pair loops are kept beside the tests, in
 ``tests/reference.py``, as the references these are tested against.
 """
@@ -173,14 +176,17 @@ def _strict_verdict(samples: PartialUtility, masks: tuple) -> Verdict:
 
 
 def _weak_on_components(samples: PartialUtility, bounds: ComponentBounds) -> Verdict:
-    comp, highs, b = bounds.rel.component_index, bounds.highs, bounds.b
+    rel, highs, b = bounds.rel, bounds.highs, bounds.b
+    comp = rel.component_index
     for i, (e, v) in enumerate(zip(bounds.elems, bounds.values)):
         if highs[b[comp[e]]] < v:
-            up = bounds.rel.up_set(comp[e])
-            pts = samples.points
+            above = rel.up_set(comp[e])
             j = next(j for j, (f, w) in enumerate(zip(bounds.elems, bounds.values))
-                     if w < v and comp[f] in up)
-            return _pair_witness(samples, pts[i], pts[j], "x' dominates x but has a smaller value")
+                     if w < v and comp[f] in above)
+            pts = samples.points
+            return _pair_witness(
+                samples, pts[i], pts[j], "x' dominates x but has a smaller value"
+            )
     return _PASS
 
 
@@ -196,7 +202,9 @@ def _strict_on_components(samples: PartialUtility, bounds: ComponentBounds) -> V
     return _PASS
 
 
-def _strict_witness(samples: PartialUtility, bounds: ComponentBounds, i: int, c: int, v) -> Verdict:
+def _strict_witness(
+    samples: PartialUtility, bounds: ComponentBounds, i: int, c: int, v
+) -> Verdict:
     """The strict witness of sample i, in component c: its lowest violating partner."""
     rel, pts = bounds.rel, samples.points
     comp = rel.component_index

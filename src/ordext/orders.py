@@ -2,18 +2,27 @@
 
 Two concrete ground-set flavours are supported:
 
-* :class:`FinitePreorder` stores a closed boolean relation on indices
-  ``0..n-1`` as per-row bitmasks; ``geq(i, j)`` means ``i`` is at least
-  as good as ``j``.
+* :class:`FinitePreorder` holds a relation on indices ``0..n-1`` as the
+  condensation of its pairs; ``geq(i, j)`` means ``i`` is at least as good
+  as ``j``.
 * :class:`ParetoSpace` compares k-vectors of finite reals coordinatewise.
 
-A finite relation is built one of two ways.  ``FinitePreorder.closure``
-closes a list of pairs by one Tarjan walk and checks the walk's rows
-with a certificate from the same walk (:func:`_certify`, O(n + m)), so
-it never re-proves transitivity; a failed certificate raises
-:class:`CertificateError`, a fault in this module.
-``FinitePreorder(rows)`` takes rows from its caller and checks them:
-reflexive, and transitive by byte-table ORs (:func:`_check_transitive`).
+A finite relation is condensed, never closed, when it is built.  One
+Tarjan walk over its pairs (:func:`_tarjan`) gives the strongly connected
+components in the order they close, a reverse topological order, and
+:func:`_condense` checks them in O(n + m): every element in exactly one
+component, every pair into its own component or an earlier one, every
+component strongly connected.  A failed check raises
+:class:`CertificateError`, a fault in this module.  Every bound, level
+and verdict the CLI prints is then a pass over the components in that
+order or its reverse (:meth:`FinitePreorder.down_min`, ``up_min``,
+``down_set``, ``up_set``).  The closed bitmask rows and columns are built
+only on the first call that tests single pairs or whole rows, by two
+folds over the same components, and checked there by the certificate of
+:func:`_certify`.  ``FinitePreorder.closure`` condenses a list of pairs;
+``FinitePreorder(rows)`` takes closed rows from its caller, checks them
+(reflexive, and transitive by byte-table ORs, :func:`_check_transitive`),
+keeps them, and condenses the pairs they name on the first pass.
 
 Both expose the same query surface through :class:`Preorder`.  The
 augmented ground set adds two artificial extremes, one strictly above
@@ -31,8 +40,8 @@ operations instead of one comparison per pair.
   below), ranks them on each coordinate with :func:`rank_masks` (one
   sort, ties grouped by ``==``) and ANDs the k per-coordinate masks:
   O(k n log n) comparisons plus O(k n) operations on n-bit integers.
-* :class:`FinitePreorder` remaps each point's stored up-set and
-  down-set bitmask from element bits onto position bits.
+* :class:`FinitePreorder` remaps each point's up-set and down-set
+  bitmask, built on first use, from element bits onto position bits.
 * Any other preorder falls back to one ``geq`` per ordered pair.
 
 A list of points or values, from a file or a caller, is checked in bulk
@@ -506,11 +515,13 @@ def _fold_matrix(
 class FinitePreorder(Preorder):
     """A preorder on ``{0, .., n-1}``, held as the condensation of its pairs.
 
-    Every instance holds the pairs it was built from, the strongly
-    connected components of one Tarjan walk over them (checked by
-    :func:`_condense`), each element's component, and the condensation
-    DAG's edges.  The passes :meth:`down_min`, :meth:`up_min`,
-    :meth:`down_set` and :meth:`up_set` answer from these in O(n + m).
+    The condensation is the pairs, the strongly connected components of
+    one Tarjan walk over them (checked by :func:`_condense`), each
+    element's component, and the condensation DAG's edges.  The passes
+    :meth:`down_min`, :meth:`up_min`, :meth:`down_set` and :meth:`up_set`
+    answer from it in O(n + m).  ``closure``, ``chain`` and ``antichain``
+    condense their pairs at once; ``FinitePreorder(rows)`` condenses the
+    pairs its rows name on the first pass.
 
     The closed bitmask matrix is built on first use, by the methods that
     test single pairs or whole rows (``geq``, ``geq_mask``, ``leq_mask``,
@@ -534,7 +545,8 @@ class FinitePreorder(Preorder):
         bad = _check_transitive(rows)
         if bad is not None:
             raise ValueError(f"relation is not transitive through pair {bad}")
-        self._walk([_set_bits(row, n) for row in rows])
+        self._n = n
+        self._succ = None  # the pairs the rows name, condensed on first use
         self._matrix = (tuple(rows), tuple(_transpose(rows)))
 
     def _walk(self, succ: List[List[int]]) -> None:
@@ -543,7 +555,6 @@ class FinitePreorder(Preorder):
         self._succ = succ
         self._components = _tarjan(succ)
         self._comp, self._below = _condense(succ, self._components)
-        self._matrix = None
 
     @classmethod
     def closure(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "FinitePreorder":
@@ -564,6 +575,7 @@ class FinitePreorder(Preorder):
             succ[i].append(j)
         rel = cls.__new__(cls)
         rel._walk(succ)
+        rel._matrix = None
         return rel
 
     @classmethod
@@ -613,16 +625,21 @@ class FinitePreorder(Preorder):
 
     # ---- the condensation ------------------------------------------------
 
+    def _condensed(self) -> "FinitePreorder":
+        if self._succ is None:
+            self._walk([_set_bits(row, self._n) for row in self._rows])
+        return self
+
     @property
     def component_index(self) -> List[int]:
         """Per element, its component: the position of its equivalence class
         in the order the walk closed them, a reverse topological order."""
-        return self._comp
+        return self._condensed()._comp
 
     @property
     def condensation(self) -> List[List[int]]:
         """Per component, the components its pairs lead to directly, all earlier."""
-        return self._below
+        return self._condensed()._below
 
     def down_min(self, own: Sequence, empty) -> Tuple[list, list]:
         """Per component, the least of ``own`` weakly below it and strictly below it.
@@ -634,7 +651,7 @@ class FinitePreorder(Preorder):
         weak = list(own)
         strict = [empty] * len(weak)
         c = 0
-        for down in self._below:
+        for down in self.condensation:
             s = empty
             for d in down:
                 if weak[d] < s:
@@ -651,7 +668,7 @@ class FinitePreorder(Preorder):
         One fold in the reverse order, which pushes each component's weak
         entry into the components below it.
         """
-        below = self._below
+        below = self.condensation
         weak = [empty] * len(below)
         strict = [empty] * len(below)
         for c in reversed(range(len(below))):
@@ -664,7 +681,7 @@ class FinitePreorder(Preorder):
 
     def down_set(self, c: int) -> set:
         """The components weakly below component ``c``: one walk down from it."""
-        below = self._below
+        below = self.condensation
         seen = {c}
         todo = [c]
         while todo:
@@ -676,7 +693,7 @@ class FinitePreorder(Preorder):
 
     def up_set(self, c: int) -> set:
         """The components weakly above component ``c``: one pass over the later ones."""
-        below = self._below
+        below = self.condensation
         seen = {c}
         for d in range(c + 1, len(below)):
             if not seen.isdisjoint(below[d]):
@@ -733,7 +750,7 @@ class FinitePreorder(Preorder):
 
     def equivalence_classes(self) -> list[Tuple[int, ...]]:
         """Classes of mutual domination, each sorted, ordered by least member."""
-        return sorted(tuple(sorted(members)) for members in self._components)
+        return sorted(tuple(sorted(members)) for members in self._condensed()._components)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePreorder):

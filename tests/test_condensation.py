@@ -94,8 +94,11 @@ def test_passes_match_the_closure_references(case):
         ra, rb, ref_lower, ref_upper = slow._scan_generic(x)
         assert (typed(a), typed(b), has_lower, has_upper) == (
             typed(ra), typed(rb), ref_lower, ref_upper)
+        # a relation built from rows condenses the pairs its rows name
+        assert slow.record(x) == fast.record(x)
     levels = finite_utility(rel)
     assert [levels(x) for x in range(n)] == reference_levels(ref._rows)
+    assert [finite_utility(ref)(x) for x in range(n)] == reference_levels(ref._rows)
     assert rel._matrix is None  # nothing above read a row
 
     weak = pairwise_weakly_increasing(ref, samples)
@@ -142,17 +145,20 @@ def test_check_at_n_100000_holds_no_closure(tmp_path, capsys):
     for _ in range(3 * n):
         lo, hi = sorted(rng.sample(range(n), 2))
         pairs.append([f"e{order[hi]}", f"e{order[lo]}"])
-    samples = [{"element": f"e{order[r]}", "value": float(r)} for r in rng.sample(range(n), n // 5)]
-    doc = {"space": {"kind": "finite", "elements": [f"e{x}" for x in range(n)], "geq": pairs},
-           "samples": samples}
+    samples = [
+        {"element": f"e{order[r]}", "value": float(r)} for r in rng.sample(range(n), n // 5)
+    ]
+    names = [f"e{x}" for x in range(n)]
+    doc = {"space": {"kind": "finite", "elements": names, "geq": pairs}, "samples": samples}
     path = tmp_path / "large.json"
     path.write_text(json.dumps(doc))
-    del doc, pairs, samples
+    del doc, names, pairs, samples
     tracemalloc.start()
     try:
         assert main(["check", str(path)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert capsys.readouterr().out.endswith("extendable: a strictly increasing total extension exists\n")
+    out = capsys.readouterr().out
+    assert out.endswith("extendable: a strictly increasing total extension exists\n")
     assert peak <= 500 * (n + 3 * n)
