@@ -281,7 +281,7 @@ def check_gap_safe_finite(
 
     ``strict`` and ``weak``, when given, are the verdicts of
     :func:`check_strictly_increasing` and :func:`check_weakly_increasing`
-    on the same relation and samples; one mask pass derives the rest.
+    on the same relation and samples; one pass derives the rest.
     """
     if type(rel) is FinitePreorder:
         make, strict_of, weak_of = ComponentBounds.of, _strict_on_components, _weak_on_components

@@ -424,18 +424,15 @@ def _condense(
     is the row check of :func:`_certify`.
     """
     comp = [-1] * len(succ)
-    c = 0
-    for members in components:
+    for c, members in enumerate(components):
         for m in members:
             if comp[m] >= 0:
                 raise CertificateError(f"element {m} is in components {comp[m]} and {c}")
             comp[m] = c
-        c += 1
     if -1 in comp:
         raise CertificateError(f"element {comp.index(-1)} is in no component")
     below = []
-    c = 0
-    for members in components:
+    for c, members in enumerate(components):
         down = []
         inside = []
         for m in members:
@@ -450,7 +447,6 @@ def _condense(
         if len(members) > 1 and not _strongly_connected(members, inside):
             raise CertificateError(f"component {c} is not strongly connected")
         below.append(down)
-        c += 1
     return comp, below
 
 
@@ -650,8 +646,7 @@ class FinitePreorder(Preorder):
         """
         weak = list(own)
         strict = [empty] * len(weak)
-        c = 0
-        for down in self.condensation:
+        for c, down in enumerate(self.condensation):
             s = empty
             for d in down:
                 if weak[d] < s:
@@ -659,7 +654,6 @@ class FinitePreorder(Preorder):
             strict[c] = s
             if s < weak[c]:
                 weak[c] = s
-            c += 1
         return weak, strict
 
     def up_min(self, own: Sequence, empty) -> Tuple[list, list]:

@@ -54,14 +54,12 @@ def finite_utility(rel: FinitePreorder) -> UtilityFn:
     """
     below = rel.condensation
     level = [0] * len(below)
-    c = 0
-    for down in below:
+    for c, down in enumerate(below):
         top = -1
         for d in down:
             if level[d] > top:
                 top = level[d]
         level[c] = top + 1
-        c += 1
     values = dict(enumerate(map(float, map(level.__getitem__, rel.component_index))))
     return UtilityFn(values.__getitem__)
 
