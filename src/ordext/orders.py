@@ -20,9 +20,9 @@ order or its reverse (:meth:`FinitePreorder.down_min`, ``up_min``,
 only on the first call that tests single pairs or whole rows, by two
 folds over the same components, and checked there by the certificate of
 :func:`_certify`.  ``FinitePreorder.closure`` condenses a list of pairs;
-``FinitePreorder(rows)`` takes closed rows from its caller, checks them
-(reflexive, and transitive by byte-table ORs, :func:`_check_transitive`),
-keeps them, and condenses the pairs they name on the first pass.
+``FinitePreorder(rows)`` condenses the pairs that closed rows from its
+caller name, folds and certifies their matrix at once, and accepts the
+rows only if they are that matrix: reflexive and transitive.
 
 Both expose the same query surface through :class:`Preorder`.  The
 augmented ground set adds two artificial extremes, one strictly above
@@ -248,83 +248,19 @@ def rank_masks(keys: Sequence) -> Tuple[List[int], List[int]]:
     return ge, gt
 
 
-def _check_reflexive(rows: Sequence[int]) -> Optional[int]:
-    for i, row in enumerate(rows):
-        if not (row >> i) & 1:
-            return i
-    return None
+def _is_index(x: Element, n: int) -> bool:
+    """True iff ``x`` is an element index below n."""
+    # bool is an int subclass, yet True and False are no element indices
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
-# A row i is transitive iff the OR of the rows it contains adds no bit to
-# it.  The OR is taken a byte of row i at a time, one 8-element block
-# after another: a block's table, filled on first use and dropped after
-# the block, maps a byte to the OR of the rows its set bits name, so a
-# row costs n/8 lookups and ORs, not one per bit, and at most one table
-# (256 ORs of n bits) is alive at once.
-_BLOCK_BITS = 8
-_BYTE_MEMBERS = [
-    tuple(k for k in range(_BLOCK_BITS) if (byte >> k) & 1) for byte in range(1 << _BLOCK_BITS)
-]
-
-
-def _absorbed(rows: Sequence[int]) -> List[int]:
-    """Per row i, the OR of ``rows[j]`` over the set bits j of ``rows[i]``."""
-    n = len(rows)
-    size = (n + _BLOCK_BITS - 1) // _BLOCK_BITS
-    # row i's bytes sit at text[i * size:(i + 1) * size], so block b of
-    # every row is the strided slice text[b::size]
-    text = b"".join([row.to_bytes(size, "little") for row in rows])
-    reach = [0] * n
-    for block in range(size):
-        base = block * _BLOCK_BITS
-        table: dict = {}
-        for i, byte in enumerate(text[block::size]):
-            if byte:
-                ored = table.get(byte)
-                if ored is None:
-                    ored = 0
-                    for k in _BYTE_MEMBERS[byte]:
-                        ored |= rows[base + k]
-                    table[byte] = ored
-                reach[i] |= ored
-    return reach
-
-
-def _check_transitive(rows: Sequence[int]) -> Optional[Tuple[int, int]]:
-    for i, (row, reach) in enumerate(zip(rows, _absorbed(rows))):
-        if reach & ~row:
-            # i >= j forces row(i) to absorb row(j); name the first j missed
-            rest = row
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if rows[j] & ~row:
-                    return (i, j)
-    return None
-
-
-# The transpose formats a block of rows as bit strings, bit j of each row
-# at text offset j, and joins them last row first: then column j of the
-# block is the strided slice text[j::n], most significant row first.
-_TRANSPOSE_BLOCK = 64
-
-
-def _transpose(rows: Sequence[int]) -> List[int]:
-    """Columns of a square bit matrix: bit i of ``cols[j]`` is bit j of ``rows[i]``."""
-    n = len(rows)
-    cols = [0] * n
-    width = f"0{n}b"
-    for base in range(0, n, _TRANSPOSE_BLOCK):
-        block = rows[base:base + _TRANSPOSE_BLOCK]
-        text = "".join([format(row, width)[::-1] for row in reversed(block)])
-        for j in range(n):
-            cols[j] |= int(text[j::n], 2) << base
-    return cols
+# maps the digits of a bit string to the bytes 0 and 1, which compress reads
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _set_bits(row: int, n: int) -> List[int]:
     """The set bits of an n-bit row, lowest first."""
-    return list(compress(range(n), map(int, reversed(format(row, f"0{n}b")))))
+    return list(compress(range(n), format(row, f"0{n}b")[::-1].encode().translate(_BIT_FLAGS)))
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -453,19 +389,19 @@ def _condense(
 def _certify(
     succ: Sequence[Sequence[int]],
     components: Sequence[Sequence[int]],
+    comp: Sequence[int],
     rows: Sequence[int],
 ) -> None:
     """Raise :class:`CertificateError` unless ``rows`` close the pairs ``succ``.
 
-    ``components`` are listed in the order a walk closed them.  Checks 1,
-    2 and 4 are those of :func:`_condense`; check 3, O(n + m) operations
-    on rows, is that each member's row is its component's bits ORed with
-    the rows of the earlier components that the component's pairs reach.
-    By 2 and 4 the components are the strongly connected components in
+    ``components`` and ``comp`` are those of a walk that passed checks 1,
+    2 and 4 of :func:`_condense`.  Check 3, O(n + m) operations on rows,
+    is that each member's row is its component's bits ORed with the rows
+    of the earlier components that the component's pairs reach.  By 2
+    and 4 the components are the strongly connected components in
     reverse topological order, and then by induction over that order 3
     says each row is the set of elements reachable from its element.
     """
-    comp, _ = _condense(succ, components)
     for c, members in enumerate(components):
         row = 0
         for m in members:
@@ -515,35 +451,42 @@ class FinitePreorder(Preorder):
     one Tarjan walk over them (checked by :func:`_condense`), each
     element's component, and the condensation DAG's edges.  The passes
     :meth:`down_min`, :meth:`up_min`, :meth:`down_set` and :meth:`up_set`
-    answer from it in O(n + m).  ``closure``, ``chain`` and ``antichain``
-    condense their pairs at once; ``FinitePreorder(rows)`` condenses the
-    pairs its rows name on the first pass.
+    answer from it in O(n + m).  Every constructor condenses its pairs at
+    once: ``closure``, ``chain`` and ``antichain`` the pairs they are
+    given, ``FinitePreorder(rows)`` the pairs its rows name.
 
     The closed bitmask matrix is built on first use, by the methods that
     test single pairs or whole rows (``geq``, ``geq_mask``, ``leq_mask``,
     ``dominance_masks``, ``==``, ``hash``): ``_rows[i]`` has bit ``j``
-    set iff ``geq(i, j)``, and ``_cols`` is the transpose.  Rows that the
-    walk builds pass :func:`_certify` there; rows a caller hands to the
-    constructor are kept as they are, after its own checks.
+    set iff ``geq(i, j)``, and ``_cols`` is the transpose.  Two folds
+    over the components build it and :func:`_certify` checks the rows.
     """
 
     __slots__ = ("_n", "_succ", "_components", "_comp", "_below", "_matrix")
 
     def __init__(self, rows: Sequence[int]):
+        """Condense the pairs that closed rows name; ``rows[i]`` has bit ``j``
+        set iff ``geq(i, j)``.
+
+        Rows that are not reflexive, or that the certified fold of their
+        own pairs would change (not transitive), raise ``ValueError``,
+        which names the first such row and, for transitivity, its first
+        member whose row it does not contain.
+        """
         n = len(rows)
         limit = 1 << n
         for i, row in enumerate(rows):
-            if not 0 <= row < limit:
+            if type(row) is not int or not 0 <= row < limit:
                 raise ValueError(f"row {i} is not a bitmask over elements 0..{n - 1}")
-        bad = _check_reflexive(rows)
-        if bad is not None:
-            raise ValueError(f"relation is not reflexive at element {bad}")
-        bad = _check_transitive(rows)
-        if bad is not None:
-            raise ValueError(f"relation is not transitive through pair {bad}")
-        self._n = n
-        self._succ = None  # the pairs the rows name, condensed on first use
-        self._matrix = (tuple(rows), tuple(_transpose(rows)))
+        for i, row in enumerate(rows):
+            if not (row >> i) & 1:
+                raise ValueError(f"relation is not reflexive at element {i}")
+        self._walk([_set_bits(row, n) for row in rows])
+        self._matrix = None
+        for i, (row, closed) in enumerate(zip(rows, self._rows)):
+            if row != closed:
+                j = next(j for j in self._succ[i] if rows[j] & ~row)
+                raise ValueError(f"relation is not transitive through pair ({i}, {j})")
 
     def _walk(self, succ: List[List[int]]) -> None:
         """Condense the pairs ``succ``: one walk, checked by :func:`_condense`."""
@@ -556,15 +499,21 @@ class FinitePreorder(Preorder):
     def closure(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "FinitePreorder":
         """Smallest reflexive-transitive relation containing the pairs.
 
-        One Tarjan walk over the pairs yields the components in reverse
-        topological order; :func:`_condense` checks them in O(n + m) and
-        a failed check raises :class:`CertificateError`.  No row is built
-        here: the matrix waits for its first use, where :func:`_certify`
-        checks it.
+        Each endpoint must be an index below n by the rule of ``_check``;
+        a pair of exact ``int`` in range passes by one test of type and
+        range beside its append.  One Tarjan walk over the pairs yields
+        the components in reverse topological order; :func:`_condense`
+        checks them in O(n + m) and a failed check raises
+        :class:`CertificateError`.  No row is built here: the matrix waits
+        for its first use, where :func:`_certify` checks it.
         """
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
         succ: List[List[int]] = [[] for _ in range(n)]
         for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
+            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n) and not (
+                _is_index(i, n) and _is_index(j, n)
+            ):
                 raise ForeignElementError(
                     f"pair ({safe_repr(i)}, {safe_repr(j)}) out of range for n={n}"
                 )
@@ -604,8 +553,7 @@ class FinitePreorder(Preorder):
         return self._n
 
     def _check(self, x: Element) -> int:
-        # bool is an int subclass, yet True and False are no element indices
-        if not (isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self._n):
+        if not _is_index(x, self._n):
             raise ForeignElementError(f"{safe_repr(x)} is not an index below {self._n}")
         return x
 
@@ -621,21 +569,16 @@ class FinitePreorder(Preorder):
 
     # ---- the condensation ------------------------------------------------
 
-    def _condensed(self) -> "FinitePreorder":
-        if self._succ is None:
-            self._walk([_set_bits(row, self._n) for row in self._rows])
-        return self
-
     @property
     def component_index(self) -> List[int]:
         """Per element, its component: the position of its equivalence class
         in the order the walk closed them, a reverse topological order."""
-        return self._condensed()._comp
+        return self._comp
 
     @property
     def condensation(self) -> List[List[int]]:
         """Per component, the components its pairs lead to directly, all earlier."""
-        return self._condensed()._below
+        return self._below
 
     def down_min(self, own: Sequence, empty) -> Tuple[list, list]:
         """Per component, the least of ``own`` weakly below it and strictly below it.
@@ -699,7 +642,7 @@ class FinitePreorder(Preorder):
     def _built(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         if self._matrix is None:
             rows, cols = _fold_matrix(self._components, self._below, self._comp)
-            _certify(self._succ, self._components, rows)
+            _certify(self._succ, self._components, self._comp, rows)
             self._matrix = (tuple(rows), tuple(cols))
         return self._matrix
 
@@ -744,7 +687,7 @@ class FinitePreorder(Preorder):
 
     def equivalence_classes(self) -> list[Tuple[int, ...]]:
         """Classes of mutual domination, each sorted, ordered by least member."""
-        return sorted(tuple(sorted(members)) for members in self._condensed()._components)
+        return sorted(tuple(sorted(members)) for members in self._components)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePreorder):

@@ -17,9 +17,9 @@ verdicts and witnesses and serve as the differential-test reference.
 ``pairwise_gap_safe_finite`` is the exception: it reads the definition
 of gap-safety over every element pair, and may name another gap pair.
 ``warshall_closure``, ``bitwise_transpose`` and
-``pairwise_check_transitive`` are the per-bit loops that the
-word-parallel relation build of :class:`ordext.orders.FinitePreorder`
-replaced, kept as its reference in the same way.  The relation audit
+``pairwise_check_transitive`` are per-bit references for the relation
+build of :class:`ordext.orders.FinitePreorder`: its rows, its columns,
+and the witness of its transitivity error.  The relation audit
 ``is_transitive`` runs ``pairwise_check_transitive`` and ``is_reflexive``
 tests the diagonal bit by bit, so neither calls the check it audits.
 :class:`WeakIncreaseForm` and :func:`check_weak_increase_form` state weak
@@ -290,7 +290,8 @@ def warshall_closure(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
     """Reference for ``FinitePreorder.closure``: rows of the Warshall sweep."""
     rows = [1 << i for i in range(n)]
     for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
+        # an index is an int in range, not a bool
+        if not all(type(x) is not bool and isinstance(x, int) and 0 <= x < n for x in (i, j)):
             raise ForeignElementError(f"pair ({i}, {j}) out of range for n={n}")
         rows[i] |= 1 << j
     # Warshall sweep on bitmask rows: after step k, row i holds every j
@@ -304,7 +305,7 @@ def warshall_closure(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
 
 
 def bitwise_transpose(rows: Sequence[int]) -> List[int]:
-    """Reference for the blocked transpose of ``FinitePreorder``: one test per bit."""
+    """Reference for the columns of ``FinitePreorder``: one test per bit."""
     n = len(rows)
     cols = [0] * n
     for i, row in enumerate(rows):
@@ -316,7 +317,9 @@ def bitwise_transpose(rows: Sequence[int]) -> List[int]:
 
 
 def pairwise_check_transitive(rows: Sequence[int]) -> Optional[Tuple[int, int]]:
-    """Reference for the byte-table transitivity check: one test per set bit."""
+    """Reference for the transitivity error of ``FinitePreorder(rows)``: the
+    first row that misses a bit of a row it contains, and the first such
+    member, found by one test per set bit."""
     # i >= j forces row(i) to absorb row(j); a missing bit is a witness.
     for i, row in enumerate(rows):
         rest = row

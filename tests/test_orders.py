@@ -62,6 +62,11 @@ def test_closure_two_cycle_makes_equivalence():
 def test_closure_rejects_out_of_range():
     with pytest.raises(ForeignElementError):
         FinitePreorder.closure(2, [(0, 5)])
+    # a negative size is no ground set, not an empty one
+    for build, n in [(lambda n: FinitePreorder.closure(n, []), -3),
+                     (FinitePreorder.chain, -2), (FinitePreorder.antichain, -1)]:
+        with pytest.raises(ValueError, match=f"^n must be non-negative, got {n}$"):
+            build(n)
 
 
 def test_matrix_validation_rejects_non_reflexive():
@@ -71,8 +76,8 @@ def test_matrix_validation_rejects_non_reflexive():
 
 @pytest.mark.parametrize(
     "rows, bad",
-    [([0b11], 0), ([1, 2 | 1 << 40], 1), ([-1], 0)],
-    ids=["bit-at-n", "far-bit", "negative"],
+    [([0b11], 0), ([1, 2 | 1 << 40], 1), ([-1], 0), ([1.0], 0)],
+    ids=["bit-at-n", "far-bit", "negative", "float"],
 )
 def test_rows_outside_the_ground_set_rejected(rows, bad):
     with pytest.raises(ValueError, match=f"^row {bad} is not a bitmask over elements 0..{len(rows) - 1}$"):

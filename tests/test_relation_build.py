@@ -1,15 +1,15 @@
-"""The word-parallel relation build against its per-bit references.
+"""The relation build against its per-bit references.
 
 ``FinitePreorder.closure`` makes one Tarjan walk over the pairs, which
 closes the strongly connected components, and checks them
 (``orders._condense``).  The rows and columns wait for their first use:
 two folds over the same components build them, and the walk's
 certificate (``orders._certify``) checks the rows there.  The constructor
-``FinitePreorder(rows)`` checks transitivity a byte of each row at a
-time through per-block tables and transposes the rows in blocks of bit
-strings.  The loops they replaced live in the test tree's ``reference``
-module (``warshall_closure``, ``pairwise_check_transitive``,
-``bitwise_transpose``) and must give the same rows, columns, witness and
+``FinitePreorder(rows)`` takes the same path over the pairs its rows
+name, folds and certifies at once, and rejects rows that differ from
+the fold.  The per-bit loops of the test tree's ``reference`` module
+(``warshall_closure``, ``pairwise_check_transitive``,
+``bitwise_transpose``) must give the same rows, columns, witness and
 error text; a tampered certificate must raise.
 """
 
@@ -28,13 +28,10 @@ from ordext.orders import (
     CertificateError,
     FinitePreorder,
     ForeignElementError,
-    _absorbed,
     _certify,
-    _check_transitive,
     _condense,
     _fold_matrix,
     _tarjan,
-    _transpose,
 )
 
 from reference import (
@@ -106,14 +103,14 @@ def test_closure_matches_warshall_on_large_relations(n, make, seed):
     assert_closure_matches(n, make(random.Random(seed), n))
 
 
-# closure folds its columns over the components, in topological order
-# over the reversed pairs; the constructor transposes the rows it is given
+# the columns are folded over the components, in topological order over
+# the reversed pairs, for closure and the constructor alike
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 600), st.sampled_from([random_dag, ranking_with_ties]),
        st.integers(0, 2**32 - 1))
 def test_closure_columns_are_the_transposed_rows(n, make, seed):
     rel = FinitePreorder.closure(n, make(random.Random(seed), n))
-    assert list(rel._cols) == _transpose(rel._rows)
+    assert list(rel._cols) == bitwise_transpose(rel._rows)
     assert FinitePreorder(rel._rows)._cols == rel._cols
 
 
@@ -150,6 +147,9 @@ def test_closure_of_2000_antichain(big_antichain):
     ([(0, 1), (2, 3), (1, 0)], (2, 3)),
     ([(0, 1), (-1, 0)], (-1, 0)),
     ([(0, 3), (3, 0)], (0, 3)),
+    # an endpoint is an int, not a bool or a float
+    ([(0, 1), (True, False)], (True, False)),
+    ([(0, 1), (1.0, 0), (5, 0)], (1.0, 0)),
 ])
 def test_closure_rejects_first_out_of_range_pair(pairs, bad):
     message = f"pair {bad} out of range for n=3"
@@ -182,13 +182,16 @@ def transitivity_error(rows):
     return None
 
 
+def assert_transitivity_error_matches_reference(rows):
+    witness = pairwise_check_transitive(rows)
+    expected = None if witness is None else f"relation is not transitive through pair {witness}"
+    assert transitivity_error(rows) == expected
+
+
 @settings(max_examples=250, deadline=None)
 @given(perturbed_rows())
 def test_transitivity_check_matches_reference(rows):
-    witness = pairwise_check_transitive(rows)
-    assert _check_transitive(rows) == witness
-    expected = None if witness is None else f"relation is not transitive through pair {witness}"
-    assert transitivity_error(rows) == expected
+    assert_transitivity_error_matches_reference(rows)
 
 
 @settings(max_examples=10, deadline=None)
@@ -200,31 +203,7 @@ def test_transitivity_check_matches_reference_on_large_relations(n, make, seed, 
     for _ in range(flips):
         i, j = rng.randrange(n), rng.randrange(n)
         rows[i] = (rows[i] ^ (1 << j)) | (1 << i)
-    assert _check_transitive(rows) == pairwise_check_transitive(rows)
-
-
-def absorbed_by_bits(rows):
-    out = []
-    for row in rows:
-        reach = 0
-        for j in range(len(rows)):
-            if (row >> j) & 1:
-                reach |= rows[j]
-        out.append(reach)
-    return out
-
-
-square_rows = st.integers(0, 150).flatmap(
-    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-
-
-# the transitivity verdict only reads whether a row absorbs new bits, and a
-# false alarm is cleared by the per-bit witness scan, so the byte table's
-# OR is checked exactly on its own
-@settings(max_examples=100, deadline=None)
-@given(square_rows | perturbed_rows())
-def test_byte_table_or_matches_per_bit_or(rows):
-    assert list(_absorbed(rows)) == absorbed_by_bits(rows)
+    assert_transitivity_error_matches_reference(rows)
 
 
 def test_matrix_rejection_keeps_message_and_witness():
@@ -242,31 +221,16 @@ def test_matrix_rejection_keeps_message_and_witness():
     assert str(err.value) == "relation is not reflexive at element 1"
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 129])
-def test_transpose_at_block_and_byte_boundaries(n):
-    rng = random.Random(n)
-    for density in (0.0, 0.1, 0.5, 1.0):
-        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
-        assert _transpose(rows) == bitwise_transpose(rows)
-    single = [1 << (n - 1 - i) for i in range(n)]
-    assert _transpose(single) == bitwise_transpose(single)
-
-
-@settings(max_examples=100, deadline=None)
-@given(square_rows)
-def test_transpose_matches_reference_on_random_rows(rows):
-    assert _transpose(rows) == bitwise_transpose(rows)
-
-
 def walked(n, pairs):
-    """The pairs, and the components of one walk and the rows folded over them."""
+    """The pairs, the components and component index of one walk, and the
+    rows folded over them."""
     succ = [[] for _ in range(n)]
     for i, j in pairs:
         succ[i].append(j)
     components = _tarjan(succ)
     comp, below = _condense(succ, components)
     rows, _ = _fold_matrix(components, below, comp)
-    return succ, components, rows
+    return succ, components, comp, rows
 
 
 # 2 >= 1 >= 0, and 3 ~ 4 above 2
@@ -315,26 +279,15 @@ def in_no_component(components, rows):
     (in_no_component, "element 0 is in no component"),
 ])
 def test_tampered_certificate_raises(tamper, message):
-    succ, components, rows = walked(5, CERTIFIED_PAIRS)
-    _certify(succ, components, rows)
+    succ, components, comp, rows = walked(5, CERTIFIED_PAIRS)
+    _certify(succ, components, comp, rows)
     assert rows == warshall_closure(5, CERTIFIED_PAIRS)
     tamper(components, rows)
     with pytest.raises(CertificateError, match=message):
-        _certify(succ, components, rows)
-
-
-def test_closure_does_not_prove_transitivity_again(monkeypatch):
-    def refuse(rows):
-        raise AssertionError("closure re-proved transitivity")
-
-    monkeypatch.setattr(orders, "_check_transitive", refuse)
-    monkeypatch.setattr(orders, "_absorbed", refuse)
-    n = 300
-    pairs = ranking_with_ties(random.Random(3), n)
-    rel = FinitePreorder.closure(n, pairs)
-    assert list(rel._rows) == warshall_closure(n, pairs)
-    with pytest.raises(AssertionError, match="re-proved"):
-        FinitePreorder(rel._rows)
+        if tamper in (drop_successor_bits, add_extra_bit):
+            _certify(succ, components, comp, rows)  # check 3, of the rows
+        else:
+            _condense(succ, components)  # checks 1, 2 and 4, of the walk
 
 
 GOLDEN_CASES = Path(__file__).parent / "golden" / "cases"
@@ -354,7 +307,18 @@ def test_failed_certificate_is_an_internal_error(monkeypatch, capsys):
     assert err.startswith("internal error: CertificateError: ")
 
 
-def test_faulty_row_build_fails_its_certificate_on_first_use(monkeypatch):
+def geq_of_closure():
+    rel = FinitePreorder.closure(2, [(1, 0)])  # no row is built yet
+    rel.geq(1, 0)
+
+
+def rows_constructor():
+    FinitePreorder([0b01, 0b11])  # the constructor builds the rows itself
+
+
+@pytest.mark.parametrize("first_use", [geq_of_closure, rows_constructor],
+                         ids=["closure", "rows"])
+def test_faulty_row_build_fails_its_certificate_on_first_use(monkeypatch, first_use):
     def faulty_fold(components, below, comp):
         # the last element's row loses its own bit
         rows, cols = _fold_matrix(components, below, comp)
@@ -362,9 +326,8 @@ def test_faulty_row_build_fails_its_certificate_on_first_use(monkeypatch):
         return rows, cols
 
     monkeypatch.setattr(orders, "_fold_matrix", faulty_fold)
-    rel = FinitePreorder.closure(2, [(1, 0)])
     with pytest.raises(CertificateError, match="row 1 is not the closure of its pairs"):
-        rel.geq(1, 0)
+        first_use()
 
 
 def sparse_random_dag(rng, n, pairs_per_element=3):
