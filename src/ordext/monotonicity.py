@@ -43,9 +43,9 @@ from ordext.orders import (
     FinitePreorder,
     Preorder,
     compare_augmented,
+    is_pareto_set,
     lowest_bit,
     rank_masks,
-    strict_pair,
 )
 
 __all__ = [
@@ -348,8 +348,7 @@ def check_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdict:
     check reduces to value constancy on equivalence classes: strict
     increase, on samples with no strict pair.
     """
-    pts, up, down, _, _ = masks = _sample_masks(rel, samples)
-    pair = strict_pair(pts, up, down)
-    if pair is not None:
+    ok, pair = is_pareto_set(rel, samples.points)
+    if not ok:
         raise NotAParetoSetError(pair)
-    return _strict_verdict(samples, masks)
+    return check_strictly_increasing(rel, samples)

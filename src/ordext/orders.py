@@ -16,13 +16,13 @@ component strongly connected.  A failed check raises
 :class:`CertificateError`, a fault in this module.  Every bound, level
 and verdict the CLI prints is then a pass over the components in that
 order or its reverse (:meth:`FinitePreorder.down_min`, ``up_min``,
-``down_set``, ``up_set``).  The closed bitmask rows and columns are built
-only on the first call that tests single pairs or whole rows, by two
-folds over the same components, and checked there by the certificate of
-:func:`_certify`.  ``FinitePreorder.closure`` condenses a list of pairs;
+``down_set``, ``up_set``).  The closed bitmask rows are built only on the
+first ``geq``, ``==`` or ``hash``, by one fold over the same components,
+and checked there by the certificate of :func:`_certify`.
+``FinitePreorder.closure`` condenses a list of pairs;
 ``FinitePreorder(rows)`` condenses the pairs that closed rows from its
-caller name, folds and certifies their matrix at once, and accepts the
-rows only if they are that matrix: reflexive and transitive.
+caller name and accepts the rows as the matrix only if they pass that
+certificate: reflexive rows pass it exactly when they are transitive.
 
 Both expose the same query surface through :class:`Preorder`.  The
 augmented ground set adds two artificial extremes, one strictly above
@@ -40,9 +40,8 @@ operations instead of one comparison per pair.
   below), ranks them on each coordinate with :func:`rank_masks` (one
   sort, ties grouped by ``==``) and ANDs the k per-coordinate masks:
   O(k n log n) comparisons plus O(k n) operations on n-bit integers.
-* :class:`FinitePreorder` remaps each point's up-set and down-set
-  bitmask, built on first use, from element bits onto position bits.
-* Any other preorder falls back to one ``geq`` per ordered pair.
+* Any other preorder, :class:`FinitePreorder` too, falls back to one
+  ``geq`` per ordered pair; the finite checks read the condensation.
 
 A list of points or values, from a file or a caller, is checked in bulk
 where it can be: :func:`all_finite_floats` and :func:`all_float_vectors`
@@ -63,7 +62,7 @@ from abc import ABC, abstractmethod
 from enum import Enum
 from itertools import chain, compress
 from numbers import Rational, Real
-from operator import eq, itemgetter
+from operator import eq
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Element = Any  # int for finite ground sets, tuple of floats for Pareto spaces
@@ -200,8 +199,8 @@ class Preorder(ABC):
 
         Bit j of ``up[i]`` is set iff ``geq(points[j], points[i])``, and
         bit j of ``down[i]`` iff ``geq(points[i], points[j])``.  This
-        generic version asks ``geq`` once per ordered pair; the concrete
-        spaces override it with word-parallel constructions.
+        generic version asks ``geq`` once per ordered pair;
+        :class:`ParetoSpace` overrides it with a word-parallel construction.
         """
         n = len(points)
         up = [0] * n
@@ -252,6 +251,14 @@ def _is_index(x: Element, n: int) -> bool:
     """True iff ``x`` is an element index below n."""
     # bool is an int subclass, yet True and False are no element indices
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
+def _check_size(n) -> None:
+    """Raise ``ValueError`` unless ``n`` is an exact ``int`` (not ``bool``), at least 0."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {safe_repr(n)}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
 
 
 # maps the digits of a bit string to the bytes 0 and 1, which compress reads
@@ -415,15 +422,14 @@ def _certify(
                 raise CertificateError(f"row {m} is not the closure of its pairs")
 
 
-def _fold_matrix(
+def _fold_rows(
     components: Sequence[Sequence[int]], below: Sequence[Sequence[int]], comp: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """Per element, the bitmasks of the elements it reaches and that reach it.
+) -> List[int]:
+    """Per element, the bitmask of the elements it reaches.
 
     One fold over the condensation in the order the components closed
     gives each component's row, its members' bits ORed with the rows
-    below it; one fold in the reverse order pushes each component's
-    column into the components below it.  Members share their masks.
+    below it.  Members share their row.
     """
     rows: List[int] = []
     for members, down in zip(components, below):
@@ -433,15 +439,7 @@ def _fold_matrix(
         for d in down:
             row |= rows[d]
         rows.append(row)
-    cols = [0] * len(components)
-    for c in reversed(range(len(components))):
-        col = cols[c]
-        for m in components[c]:
-            col |= 1 << m
-        cols[c] = col
-        for d in below[c]:
-            cols[d] |= col
-    return list(map(rows.__getitem__, comp)), list(map(cols.__getitem__, comp))
+    return list(map(rows.__getitem__, comp))
 
 
 class FinitePreorder(Preorder):
@@ -455,11 +453,11 @@ class FinitePreorder(Preorder):
     once: ``closure``, ``chain`` and ``antichain`` the pairs they are
     given, ``FinitePreorder(rows)`` the pairs its rows name.
 
-    The closed bitmask matrix is built on first use, by the methods that
-    test single pairs or whole rows (``geq``, ``geq_mask``, ``leq_mask``,
-    ``dominance_masks``, ``==``, ``hash``): ``_rows[i]`` has bit ``j``
-    set iff ``geq(i, j)``, and ``_cols`` is the transpose.  Two folds
-    over the components build it and :func:`_certify` checks the rows.
+    The matrix is its closed bitmask rows, ``_rows[i]`` with bit ``j``
+    set iff ``geq(i, j)``, which only ``geq``, ``==`` and ``hash`` read.
+    ``closure`` builds them on first use, by one fold over the components
+    that :func:`_certify` checks; ``FinitePreorder(rows)`` certifies the
+    rows it is given and keeps them.
     """
 
     __slots__ = ("_n", "_succ", "_components", "_comp", "_below", "_matrix")
@@ -468,10 +466,11 @@ class FinitePreorder(Preorder):
         """Condense the pairs that closed rows name; ``rows[i]`` has bit ``j``
         set iff ``geq(i, j)``.
 
-        Rows that are not reflexive, or that the certified fold of their
-        own pairs would change (not transitive), raise ``ValueError``,
-        which names the first such row and, for transitivity, its first
-        member whose row it does not contain.
+        The rows are the matrix if they pass :func:`_certify` over their
+        own pairs, which reflexive rows do exactly when they are
+        transitive.  Other rows raise ``ValueError``, which names the first
+        row that is not reflexive or not closed, and for the second its
+        first member whose row it does not contain.
         """
         n = len(rows)
         limit = 1 << n
@@ -482,11 +481,17 @@ class FinitePreorder(Preorder):
             if not (row >> i) & 1:
                 raise ValueError(f"relation is not reflexive at element {i}")
         self._walk([_set_bits(row, n) for row in rows])
-        self._matrix = None
-        for i, (row, closed) in enumerate(zip(rows, self._rows)):
-            if row != closed:
-                j = next(j for j in self._succ[i] if rows[j] & ~row)
-                raise ValueError(f"relation is not transitive through pair ({i}, {j})")
+        try:
+            _certify(self._succ, self._components, self._comp, rows)
+        except CertificateError:
+            for i, row in enumerate(rows):
+                for j in self._succ[i]:
+                    if rows[j] & ~row:
+                        raise ValueError(
+                            f"relation is not transitive through pair ({i}, {j})"
+                        ) from None
+            raise
+        self._matrix = tuple(rows)
 
     def _walk(self, succ: List[List[int]]) -> None:
         """Condense the pairs ``succ``: one walk, checked by :func:`_condense`."""
@@ -507,8 +512,7 @@ class FinitePreorder(Preorder):
         :class:`CertificateError`.  No row is built here: the matrix waits
         for its first use, where :func:`_certify` checks it.
         """
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
+        _check_size(n)
         succ: List[List[int]] = [[] for _ in range(n)]
         for i, j in pairs:
             if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n) and not (
@@ -541,6 +545,7 @@ class FinitePreorder(Preorder):
     @classmethod
     def chain(cls, n: int) -> "FinitePreorder":
         """Total order 0 < 1 < .. < n-1."""
+        _check_size(n)
         return cls.closure(n, [(i + 1, i) for i in range(n - 1)])
 
     @classmethod
@@ -639,51 +644,19 @@ class FinitePreorder(Preorder):
 
     # ---- the matrix, built on first use ---------------------------------
 
-    def _built(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        if self._matrix is None:
-            rows, cols = _fold_matrix(self._components, self._below, self._comp)
-            _certify(self._succ, self._components, self._comp, rows)
-            self._matrix = (tuple(rows), tuple(cols))
-        return self._matrix
-
     @property
     def _rows(self) -> Tuple[int, ...]:
-        return self._built()[0]
-
-    @property
-    def _cols(self) -> Tuple[int, ...]:
-        return self._built()[1]
+        if self._matrix is None:
+            rows = _fold_rows(self._components, self._below, self._comp)
+            _certify(self._succ, self._components, self._comp, rows)
+            self._matrix = tuple(rows)
+        return self._matrix
 
     def geq(self, x: Element, y: Element) -> bool:
         return bool((self._rows[self._check(x)] >> self._check(y)) & 1)
 
     def iter_elements(self) -> Iterator[int]:
         return iter(range(self._n))
-
-    def geq_mask(self, x: int) -> int:
-        """Bitmask of ``{y | x geq y}`` (the weak down-set of ``x``)."""
-        return self._rows[self._check(x)]
-
-    def leq_mask(self, x: int) -> int:
-        """Bitmask of ``{y | y geq x}`` (the weak up-set of ``x``)."""
-        return self._cols[self._check(x)]
-
-    def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
-        """Each point's ``leq_mask``/``geq_mask``, remapped onto point positions."""
-        elems = self._check_points(points)
-        if not elems:
-            return [], []
-        rows, cols = self._built()
-        # format() writes element bit e at text offset n-1-e; picking the
-        # offsets of the positions from last to first spells the remapped
-        # mask most significant bit first
-        width = f"0{self._n}b"
-        pick = itemgetter(*[self._n - 1 - e for e in reversed(elems)])
-
-        def remap(mask: int) -> int:
-            return int("".join(pick(format(mask, width))), 2)
-
-        return [remap(cols[e]) for e in elems], [remap(rows[e]) for e in elems]
 
     def equivalence_classes(self) -> list[Tuple[int, ...]]:
         """Classes of mutual domination, each sorted, ordered by least member."""
@@ -713,6 +686,8 @@ class ParetoSpace(Preorder):
     __slots__ = ("_k",)
 
     def __init__(self, k: int):
+        if type(k) is not int:
+            raise ValueError(f"dimension must be an int, got {safe_repr(k)}")
         if k < 1:
             raise ValueError("dimension must be positive")
         self._k = k
@@ -805,10 +780,30 @@ def is_pareto_set(
     """True iff no point strictly dominates another; else (False, (winner, loser)).
 
     The pair reported is the first in position order (i, then j > i).
+    On a :class:`FinitePreorder` each component carries the lowest
+    position of a point in it, and one ``down_min`` and one ``up_min``
+    pass give, per component, the lowest position strictly below and
+    strictly above it: O(n + m) in all, and the first point with such a
+    position has it as its lowest partner.  Elsewhere :func:`strict_pair`
+    reads the :meth:`Preorder.dominance_masks` of the points.
     """
     pts = list(points)
-    pair = strict_pair(pts, *rel.dominance_masks(pts))
-    return (True, None) if pair is None else (False, pair)
+    if type(rel) is not FinitePreorder:
+        pair = strict_pair(pts, *rel.dominance_masks(pts))
+        return (True, None) if pair is None else (False, pair)
+    comp = rel.component_index
+    cs = [comp[e] for e in rel._check_points(pts)]
+    absent = len(pts)  # the position of no point
+    lowest = [absent] * len(rel.condensation)
+    for i in reversed(range(absent)):
+        lowest[cs[i]] = i
+    below = rel.down_min(lowest, absent)[1]
+    above = rel.up_min(lowest, absent)[1]
+    for i, c in enumerate(cs):
+        j = min(below[c], above[c])
+        if j < absent:
+            return False, ((pts[i], pts[j]) if below[c] < above[c] else (pts[j], pts[i]))
+    return True, None
 
 
 def strict_pair(

@@ -16,12 +16,12 @@ the mask-based checks of :mod:`ordext.monotonicity` and
 verdicts and witnesses and serve as the differential-test reference.
 ``pairwise_gap_safe_finite`` is the exception: it reads the definition
 of gap-safety over every element pair, and may name another gap pair.
-``warshall_closure``, ``bitwise_transpose`` and
-``pairwise_check_transitive`` are per-bit references for the relation
-build of :class:`ordext.orders.FinitePreorder`: its rows, its columns,
-and the witness of its transitivity error.  The relation audit
+``warshall_closure`` and ``pairwise_check_transitive`` are per-bit
+references for the relation build of :class:`ordext.orders.FinitePreorder`:
+its rows and the witness of its transitivity error.  The relation audit
 ``is_transitive`` runs ``pairwise_check_transitive`` and ``is_reflexive``
-tests the diagonal bit by bit, so neither calls the check it audits.
+tests the diagonal bit by bit, so neither calls the check it audits; the
+other audits read the rows beside their ``bitwise_transpose``.
 :class:`WeakIncreaseForm` and :func:`check_weak_increase_form` state weak
 increase six ways; the acceptance gate checks that all six agree.
 """
@@ -305,7 +305,7 @@ def warshall_closure(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
 
 
 def bitwise_transpose(rows: Sequence[int]) -> List[int]:
-    """Reference for the columns of ``FinitePreorder``: one test per bit."""
+    """The columns of bitmask rows: one test per bit."""
     n = len(rows)
     cols = [0] * n
     for i, row in enumerate(rows):
@@ -585,16 +585,17 @@ def is_transitive(rel: FinitePreorder) -> bool:
 
 
 def is_symmetric(rel: FinitePreorder) -> bool:
-    return rel._rows == rel._cols
+    return list(rel._rows) == bitwise_transpose(rel._rows)
 
 
 def is_antisymmetric(rel: FinitePreorder) -> bool:
-    return all(row & col == 1 << i for i, (row, col) in enumerate(zip(rel._rows, rel._cols)))
+    cols = bitwise_transpose(rel._rows)
+    return all(row & col == 1 << i for i, (row, col) in enumerate(zip(rel._rows, cols)))
 
 
 def is_connected(rel: FinitePreorder) -> bool:
     full = (1 << rel.n) - 1
-    return all(row | col == full for row, col in zip(rel._rows, rel._cols))
+    return all(row | col == full for row, col in zip(rel._rows, bitwise_transpose(rel._rows)))
 
 
 def serialize_problem(inst: ProblemInstance) -> str:

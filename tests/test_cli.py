@@ -14,7 +14,7 @@ import ordext
 from ordext import cli, contours, monotonicity, orders
 from ordext.cli import grid_axis, main
 from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
-from ordext.orders import FinitePreorder, ParetoSpace
+from ordext.orders import FinitePreorder, ParetoSpace, Preorder
 from ordext.problemfile import parse_problem
 from ordext.utility import UtilityFn
 
@@ -772,9 +772,10 @@ def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
 
 
 def count_mask_passes(monkeypatch):
-    """Wrap both ``dominance_masks`` overrides; returns the points of each pass."""
+    """Wrap ``dominance_masks``, the generic one a ``FinitePreorder``
+    inherits and the Pareto override; returns the points of each pass."""
     passes = []
-    for cls in (FinitePreorder, ParetoSpace):
+    for cls in (Preorder, ParetoSpace):
         masks = cls.dominance_masks
 
         def counted(self, points, masks=masks):
@@ -786,15 +787,15 @@ def count_mask_passes(monkeypatch):
 
 
 def count_row_builds(monkeypatch):
-    """Wrap the build of a relation's rows and columns; returns one entry per build."""
+    """Wrap the build of a relation's rows; returns one entry per build."""
     builds = []
-    fold = orders._fold_matrix
+    fold = orders._fold_rows
 
     def counted(*args):
         builds.append(args)
         return fold(*args)
 
-    monkeypatch.setattr(orders, "_fold_matrix", counted)
+    monkeypatch.setattr(orders, "_fold_rows", counted)
     return builds
 
 
@@ -849,7 +850,7 @@ FINITE_GOLDEN = [
 @pytest.mark.parametrize("entry", FINITE_GOLDEN, ids=[e["id"] for e in FINITE_GOLDEN])
 def test_finite_commands_build_no_rows(capsys, monkeypatch, entry):
     # check, extend and regions on a finite relation read the condensation
-    # only: no dominance masks and no rows or columns
+    # only: no dominance masks and no rows
     passes = count_mask_passes(monkeypatch)
     builds = count_row_builds(monkeypatch)
     argv = [arg.replace("{cases}", str(GOLDEN_CASES)) for arg in entry["argv"]]

@@ -132,8 +132,8 @@ def test_down_and_up_sets_are_the_closure(case):
         assert rel.up_set(comp[x]) == up
 
 
-# check at n = 100000 with 3n pairs: the closure's rows and columns alone
-# would take 2 n^2 bits, 2.5 GB; the passes hold O(n + m) and peak near
+# check at n = 100000 with 3n pairs: the closure's rows alone would take
+# n^2 bits, 1.25 GB; the passes hold O(n + m) and peak near
 # 120 MB, most of it the parsed JSON document
 @pytest.mark.slow
 def test_check_at_n_100000_holds_no_closure(tmp_path, capsys):

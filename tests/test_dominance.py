@@ -1,8 +1,10 @@
-"""Mask-based pairwise checks against the pairwise reference loops.
+"""Mask-based and condensation-based pairwise checks against the
+pairwise reference loops.
 
 ``check_weakly_increasing``, ``check_strictly_increasing``,
 ``is_pareto_set`` and ``check_pareto_set_values`` decide every sample
-pair with bitmask algebra over positions.  The one-comparison-per-pair
+pair with bitmask algebra over positions, or on a ``FinitePreorder``
+with passes over its condensation.  The one-comparison-per-pair
 loops they replaced live in the test tree's ``reference`` module and
 must give the same verdict and the same witness: the same pair, the same
 note, and context values that print the same (so a tie between ``-0.0``
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordext import orders
 from ordext.contours import FiniteSampleOracle, PartialUtility, bound_text
 from ordext.monotonicity import (
     NotAParetoSetError,
@@ -37,6 +40,7 @@ from ordext.orders import (
     is_pareto_set,
     rank_masks,
 )
+from ordext.utility import finite_utility
 
 from reference import (
     pairwise_gap_safe_finite,
@@ -196,10 +200,32 @@ def finite_cases(draw):
 
 
 @given(finite_cases())
-def test_finite_dominance_masks_match_pairwise_geq(case):
+def test_finite_is_pareto_set_matches_reference(case):
     rel, samples, points = case
+    # the points list repeats elements
     for pts in (list(samples.points), points, list(range(rel.n))):
-        assert rel.dominance_masks(pts) == pairwise_masks(rel, pts)
+        assert_same_pareto_set(rel, pts)
+
+
+def test_finite_pareto_checks_build_no_rows(monkeypatch):
+    builds = []
+    fold = orders._fold_rows
+
+    def counted(*args):
+        builds.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(orders, "_fold_rows", counted)
+    # 0 ~ 1, both above 2, and 3 apart
+    rel = FinitePreorder.closure(4, [(0, 1), (1, 0), (1, 2)])
+    assert is_pareto_set(rel, [2, 0, 3]) == (False, (0, 2))
+    assert is_pareto_set(rel, [3, 1, 0, 1]) == (True, None)
+    with pytest.raises(NotAParetoSetError) as err:
+        check_pareto_set_values(rel, PartialUtility({3: 0.0, 2: 1.0, 1: 2.0}))
+    assert err.value.pair == (1, 2)
+    verdict = check_pareto_set_values(rel, PartialUtility({1: 1.0, 3: 0.0, 0: 2.0}))
+    assert (verdict.holds, verdict.witness.lo, verdict.witness.hi) == (False, 1, 0)
+    assert builds == []
 
 
 @settings(max_examples=300)
@@ -221,20 +247,21 @@ def test_gap_check_matches_reference_on_larger_relations(seed, n, shape):
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
     rel = FinitePreorder.closure(n, pairs)
     points = rng.sample(range(n), rng.randint(0, n // 4))
-    levels = {x: bin(rel.geq_mask(x)).count("1") for x in points}
+    level = finite_utility(rel)
+    levels = {x: level(x) for x in points}
     # mostly increasing values with occasional ties and dips
     samples = PartialUtility({p: levels[p] + rng.choice([0, 0, 0, -1, 0.5]) for p in points})
     assert_gap_rule(rel, samples, pairwise_gap_safe_finite(rel, samples).holds)
+    assert_same_pareto_set(rel, points)
+    assert_same_pareto_values(rel, samples)
 
 
 def test_gap_check_reads_no_bounds_when_it_passes(monkeypatch):
     rng = random.Random(600)
     n = 600
     rel = FinitePreorder.closure(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)])
-    # the count of elements below is a strictly increasing level
-    samples = PartialUtility(
-        {p: bin(rel.geq_mask(p)).count("1") for p in rng.sample(range(n), n // 4)}
-    )
+    level = finite_utility(rel)
+    samples = PartialUtility({p: level(p) for p in rng.sample(range(n), n // 4)})
 
     def no_bounds(oracle, x):
         raise AssertionError("a passing gap check read a contour bound")

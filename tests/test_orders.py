@@ -67,6 +67,25 @@ def test_closure_rejects_out_of_range():
                      (FinitePreorder.chain, -2), (FinitePreorder.antichain, -1)]:
         with pytest.raises(ValueError, match=f"^n must be non-negative, got {n}$"):
             build(n)
+    # a size is an exact int, as an element index is
+    for build in (lambda n: FinitePreorder.closure(n, []), FinitePreorder.chain,
+                  FinitePreorder.antichain):
+        for n, shown in [(True, "True"), (2.0, "2.0"), ("3", "'3'")]:
+            with pytest.raises(ValueError, match=f"^n must be an int, got {shown}$"):
+                build(n)
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "dimension must be positive"),
+    (-1, "dimension must be positive"),
+    (True, "dimension must be an int, got True"),
+    (2.5, "dimension must be an int, got 2.5"),
+    ("3", "dimension must be an int, got '3'"),
+])
+def test_pareto_space_rejects_a_dimension_that_is_no_positive_int(k, message):
+    with pytest.raises(ValueError) as err:
+        ParetoSpace(k)
+    assert str(err.value) == message
 
 
 def test_matrix_validation_rejects_non_reflexive():
@@ -285,6 +304,6 @@ def test_relation_audits():
 
 def test_masks_match_pair_queries():
     rel = FinitePreorder.closure(3, [(0, 1), (1, 2)])
-    assert rel.geq_mask(0) == 0b111
-    assert rel.leq_mask(2) == 0b111
-    assert rel.leq_mask(0) == 0b001
+    assert all(rel.geq(0, y) for y in range(3))
+    assert all(rel.geq(x, 2) for x in range(3))
+    assert [rel.geq(x, 0) for x in range(3)] == [True, False, False]

@@ -2,14 +2,14 @@
 
 ``FinitePreorder.closure`` makes one Tarjan walk over the pairs, which
 closes the strongly connected components, and checks them
-(``orders._condense``).  The rows and columns wait for their first use:
-two folds over the same components build them, and the walk's
-certificate (``orders._certify``) checks the rows there.  The constructor
-``FinitePreorder(rows)`` takes the same path over the pairs its rows
-name, folds and certifies at once, and rejects rows that differ from
-the fold.  The per-bit loops of the test tree's ``reference`` module
-(``warshall_closure``, ``pairwise_check_transitive``,
-``bitwise_transpose``) must give the same rows, columns, witness and
+(``orders._condense``).  The rows wait for their first use: one fold
+over the same components builds them, and the walk's certificate
+(``orders._certify``) checks them there.  The constructor
+``FinitePreorder(rows)`` condenses the pairs its rows name by the same
+walk, runs the same certificate on the rows it is given and keeps them,
+with no fold; rows that fail it are not transitive.  The per-bit loops
+of the test tree's ``reference`` module (``warshall_closure``,
+``pairwise_check_transitive``) must give the same rows, witness and
 error text; a tampered certificate must raise.
 """
 
@@ -30,22 +30,16 @@ from ordext.orders import (
     ForeignElementError,
     _certify,
     _condense,
-    _fold_matrix,
+    _fold_rows,
     _tarjan,
 )
 
-from reference import (
-    bitwise_transpose,
-    pairwise_check_transitive,
-    warshall_closure,
-)
+from reference import pairwise_check_transitive, warshall_closure
 
 
 def assert_closure_matches(n, pairs):
     rel = FinitePreorder.closure(n, pairs)
-    rows = warshall_closure(n, pairs)
-    assert list(rel._rows) == rows
-    assert list(rel._cols) == bitwise_transpose(rows)
+    assert list(rel._rows) == warshall_closure(n, pairs)
 
 
 @st.composite
@@ -103,15 +97,24 @@ def test_closure_matches_warshall_on_large_relations(n, make, seed):
     assert_closure_matches(n, make(random.Random(seed), n))
 
 
-# the columns are folded over the components, in topological order over
-# the reversed pairs, for closure and the constructor alike
+# closed rows are the matrix as they are: the constructor certifies
+# them and folds nothing, on the first geq too
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 600), st.sampled_from([random_dag, ranking_with_ties]),
        st.integers(0, 2**32 - 1))
-def test_closure_columns_are_the_transposed_rows(n, make, seed):
-    rel = FinitePreorder.closure(n, make(random.Random(seed), n))
-    assert list(rel._cols) == bitwise_transpose(rel._rows)
-    assert FinitePreorder(rel._rows)._cols == rel._cols
+def test_rows_constructor_folds_nothing_and_equals_the_closure(n, make, seed):
+    pairs = make(random.Random(seed), n)
+    rows = warshall_closure(n, pairs)
+
+    def no_fold(*args):
+        raise AssertionError("the rows constructor folded its rows")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orders, "_fold_rows", no_fold)
+        rel = FinitePreorder(rows)
+        assert rel.geq(n - 1, n - 1)
+        assert rel._rows == tuple(rows)
+    assert rel == FinitePreorder.closure(n, pairs)
 
 
 @pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
@@ -124,23 +127,21 @@ def test_closure_of_2000_chain(big_chain, top_first, backwards):
     if top_first:
         # element 0 is the top: each element sits above the next one
         pairs = [(i, i + 1) for i in range(n - 1)]
-        rows, cols = up_sets, down_sets
+        rows = up_sets
     else:
         pairs = [(i + 1, i) for i in range(n - 1)]
-        rows, cols = down_sets, up_sets
+        rows = down_sets
     if backwards:
         pairs.reverse()
     rel = FinitePreorder.closure(n, pairs)
     assert rel._rows == tuple(rows)
-    assert rel._cols == tuple(cols)
     if not top_first:
         assert rel == big_chain
-        assert rel._cols == big_chain._cols
 
 
 def test_closure_of_2000_antichain(big_antichain):
     rel = FinitePreorder.closure(2000, [(i, i) for i in range(0, 2000, 3)])
-    assert rel._rows == rel._cols == big_antichain._cols == tuple(1 << i for i in range(2000))
+    assert rel._rows == big_antichain._rows == tuple(1 << i for i in range(2000))
 
 
 @pytest.mark.parametrize("pairs, bad", [
@@ -229,7 +230,7 @@ def walked(n, pairs):
         succ[i].append(j)
     components = _tarjan(succ)
     comp, below = _condense(succ, components)
-    rows, _ = _fold_matrix(components, below, comp)
+    rows = _fold_rows(components, below, comp)
     return succ, components, comp, rows
 
 
@@ -307,27 +308,17 @@ def test_failed_certificate_is_an_internal_error(monkeypatch, capsys):
     assert err.startswith("internal error: CertificateError: ")
 
 
-def geq_of_closure():
-    rel = FinitePreorder.closure(2, [(1, 0)])  # no row is built yet
-    rel.geq(1, 0)
-
-
-def rows_constructor():
-    FinitePreorder([0b01, 0b11])  # the constructor builds the rows itself
-
-
-@pytest.mark.parametrize("first_use", [geq_of_closure, rows_constructor],
-                         ids=["closure", "rows"])
-def test_faulty_row_build_fails_its_certificate_on_first_use(monkeypatch, first_use):
+def test_faulty_row_build_fails_its_certificate_on_first_use(monkeypatch):
     def faulty_fold(components, below, comp):
         # the last element's row loses its own bit
-        rows, cols = _fold_matrix(components, below, comp)
+        rows = _fold_rows(components, below, comp)
         rows[-1] &= ~(1 << (len(rows) - 1))
-        return rows, cols
+        return rows
 
-    monkeypatch.setattr(orders, "_fold_matrix", faulty_fold)
+    monkeypatch.setattr(orders, "_fold_rows", faulty_fold)
+    rel = FinitePreorder.closure(2, [(1, 0)])  # no row is built yet
     with pytest.raises(CertificateError, match="row 1 is not the closure of its pairs"):
-        first_use()
+        rel.geq(1, 0)
 
 
 def sparse_random_dag(rng, n, pairs_per_element=3):
@@ -344,10 +335,8 @@ def sparse_random_dag(rng, n, pairs_per_element=3):
     return pairs
 
 
-# the closure and its rows hold little beside the rows and columns.
-# Proving the rows transitive took a byte table and a second set of rows:
-# the peak was 2.2 times the output at n = 20000 then, and is 1.1 with the
-# certificate
+# building and certifying the rows holds little beside them: the peak is
+# about 1.15 times the rows at n = 20000
 @pytest.mark.slow
 def test_closure_peak_memory_stays_near_its_output():
     n = 20000
@@ -355,10 +344,10 @@ def test_closure_peak_memory_stays_near_its_output():
     tracemalloc.start()
     try:
         rel = FinitePreorder.closure(n, pairs)
-        rel.geq(0, 0)  # builds the rows and columns
+        rel.geq(0, 0)  # builds the rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # members of one component share their row object: count each once
-    output = {id(mask): sys.getsizeof(mask) for mask in rel._rows + rel._cols}
+    output = {id(mask): sys.getsizeof(mask) for mask in rel._rows}
     assert peak <= 1.5 * sum(output.values())
