@@ -98,7 +98,7 @@ class PartialUtility:
     any others one by one, so the first bad value is the one named.
     """
 
-    __slots__ = ("_points", "_values", "_bounds")
+    __slots__ = ("_points", "_values", "_bounds", "_verdicts")
 
     def __init__(self, values: Mapping[Element, float]):
         if not all_finite_floats(values.values()):
@@ -106,6 +106,7 @@ class PartialUtility:
         self._points = tuple(values)
         self._values = dict(values)
         self._bounds: Optional["ComponentBounds"] = None  # see ComponentBounds.of
+        self._verdicts: Optional[tuple] = None  # see monotonicity._verdicts
 
     @property
     def points(self) -> Tuple[Element, ...]:

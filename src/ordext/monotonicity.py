@@ -20,8 +20,11 @@ order.  Where the reference loops look at unordered pairs (j > i only),
 the violation is symmetric in i and j, so the first i with a violation
 has no violating partner below it and the masks need no j > i cut.
 Gap-safety with finitely many samples is strict increase on the
-samples, for any preorder, so one gap check decides it for every space
-from one pass and reads a bound only to name a violation.  The
+samples, for any preorder.  So one pass per sample set
+(:func:`_verdicts`) runs the strict check, and the weak check only when
+strict fails; both verdicts are kept on the sample set, the masks are
+not, and all three checks read them.  The gap check reads a bound only
+to name a violation.  The
 one-comparison-per-pair loops are kept beside the tests, in
 ``tests/reference.py``, as the references these are tested against.
 """
@@ -112,25 +115,6 @@ def _pair_witness(samples: PartialUtility, lo, hi, note: str) -> Verdict:
             note=note,
         ),
     )
-
-
-# A failing check_strictly_increasing leaves its pass here, as (rel,
-# samples, masks), for the check_weakly_increasing that reports it next (as
-# ``ordext check`` does).  Every _sample_masks call takes it out, and uses
-# it only for the same rel and samples (by identity), so it never outlives
-# the next pass, and the quadratic masks of two sample sets are never held
-# at once.
-_left_masks: Optional[tuple] = None
-
-
-def _sample_masks(rel: Preorder, samples: PartialUtility) -> tuple:
-    """``(points, up, down, ge, gt)``: one dominance pass, one value-rank pass."""
-    global _left_masks
-    left, _left_masks = _left_masks, None
-    if left is not None and left[0] is rel and left[1] is samples:
-        return left[2]
-    pts = samples.points
-    return (pts, *rel.dominance_masks(pts), *rank_masks([v for _, v in samples.items()]))
 
 
 def _weak_verdict(samples: PartialUtility, masks: tuple) -> Verdict:
@@ -225,23 +209,39 @@ def _strict_witness(
     raise AssertionError("a violating sample without a violating partner")
 
 
+def _verdicts(rel: Preorder, samples: PartialUtility) -> Tuple[Verdict, Verdict]:
+    """``(strict, weak)`` of ``samples`` in ``rel``, kept on the sample set
+    while ``rel`` is the last relation asked.
+
+    One pass: the component bounds of a :class:`FinitePreorder`, otherwise
+    the dominance and value-rank masks, which are dropped with it.  Strict
+    increase implies weak increase, so the weak pass runs only when strict
+    fails.
+    """
+    kept = samples._verdicts
+    if kept is not None and kept[0] is rel:
+        return kept[1:]
+    if type(rel) is FinitePreorder:
+        data = ComponentBounds.of(rel, samples)
+        strict_of, weak_of = _strict_on_components, _weak_on_components
+    else:
+        pts = samples.points
+        data = (pts, *rel.dominance_masks(pts), *rank_masks([v for _, v in samples.items()]))
+        strict_of, weak_of = _strict_verdict, _weak_verdict
+    strict = strict_of(samples, data)
+    weak = strict if strict.holds else weak_of(samples, data)
+    samples._verdicts = (rel, strict, weak)
+    return strict, weak
+
+
 def check_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Dominating sample points must not have smaller values."""
-    if type(rel) is FinitePreorder:
-        return _weak_on_components(samples, ComponentBounds.of(rel, samples))
-    return _weak_verdict(samples, _sample_masks(rel, samples))
+    return _verdicts(rel, samples)[1]
 
 
 def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Equivalent points share a value; strict domination means a larger value."""
-    global _left_masks
-    if type(rel) is FinitePreorder:
-        return _strict_on_components(samples, ComponentBounds.of(rel, samples))
-    masks = _sample_masks(rel, samples)
-    verdict = _strict_verdict(samples, masks)
-    if not verdict.holds:
-        _left_masks = (rel, samples, masks)
-    return verdict
+    return _verdicts(rel, samples)[0]
 
 
 def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
@@ -259,12 +259,7 @@ def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
     )
 
 
-def check_gap_safe_finite(
-    rel: Preorder,
-    samples: PartialUtility,
-    strict: Optional[Verdict] = None,
-    weak: Optional[Verdict] = None,
-) -> Verdict:
+def check_gap_safe_finite(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Decide gap-safety of a finite sample set, in any preorder.
 
     Gap-safety quantifies over strict pairs of the augmented ground set.
@@ -278,23 +273,10 @@ def check_gap_safe_finite(
     strict sample pair q > p with f_P(q) <= f_P(p); weak increase gives
     a(p) = f_P(p) and b(q) = f_P(q), so the pair is a gap, and it is
     returned with those two bounds, the only ones this check reads.
-
-    ``strict`` and ``weak``, when given, are the verdicts of
-    :func:`check_strictly_increasing` and :func:`check_weakly_increasing`
-    on the same relation and samples; one pass derives the rest.
     """
-    if type(rel) is FinitePreorder:
-        make, strict_of, weak_of = ComponentBounds.of, _strict_on_components, _weak_on_components
-    else:
-        make, strict_of, weak_of = _sample_masks, _strict_verdict, _weak_verdict
-    data = None
-    if strict is None:
-        data = make(rel, samples)
-        strict = strict_of(samples, data)
+    strict, weak = _verdicts(rel, samples)
     if strict.holds:
         return _PASS
-    if weak is None:
-        weak = weak_of(samples, data or make(rel, samples))
     if not weak.holds:
         return weak
     # under weak increase equivalent samples share a value, so the strict

@@ -329,13 +329,12 @@ def _tarjan(succ: Sequence[Sequence[int]]) -> List[List[int]]:
 
 def _strongly_connected(members: Sequence[int], inside: Sequence[Tuple[int, int]]) -> bool:
     """True iff the pairs ``inside`` connect ``members`` both ways from the first."""
-    for forward in (True, False):
-        adj: dict = {}
-        for m, w in inside:
-            if forward:
-                adj.setdefault(m, []).append(w)
-            else:
-                adj.setdefault(w, []).append(m)
+    forward: dict = {}
+    backward: dict = {}
+    for m, w in inside:
+        forward.setdefault(m, []).append(w)
+        backward.setdefault(w, []).append(m)
+    for adj in (forward, backward):
         seen = {members[0]}
         todo = [members[0]]
         while todo:

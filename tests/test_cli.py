@@ -750,19 +750,17 @@ def test_pareto_extend_queries_the_index_once_per_point(capsys, monkeypatch):
 )
 def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
         capsys, monkeypatch, command, case, code, calls):
-    # strict increase implies weak increase: on finite-dag neither check's
-    # weak line nor the gap check computes it; on finite-bad strict increase
-    # fails, and check computes the weak verdict once for its own line and
-    # hands it to the gap check
-    weak = monotonicity.check_weakly_increasing
+    # strict increase implies weak increase: on finite-dag no weak pass runs,
+    # for check's weak line or for the gap check; on finite-bad strict
+    # increase fails, and one weak pass serves check's line and the gap check
+    weak = monotonicity._weak_on_components
     seen = []
 
-    def counted(rel, samples):
-        seen.append(rel)
-        return weak(rel, samples)
+    def counted(samples, bounds):
+        seen.append(bounds)
+        return weak(samples, bounds)
 
-    for module in (cli, monotonicity):
-        monkeypatch.setattr(module, "check_weakly_increasing", counted)
+    monkeypatch.setattr(monotonicity, "_weak_on_components", counted)
     argv = [command, str(GOLDEN_CASES / f"{case}.json")]
     if command == "extend":
         argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]
@@ -802,16 +800,16 @@ def count_row_builds(monkeypatch):
 @pytest.mark.parametrize(
     "command, case, budget",
     [("check", "finite-bad", 0), ("extend", "finite-bad", 0),
-     ("check", "pareto2-bad", 2), ("extend", "pareto2-bad", 1), ("grid", "pareto2-bad", 1),
-     ("check", "pareto2-tie", 2), ("extend", "pareto2-tie", 1), ("grid", "pareto2-tie", 1)],
+     ("check", "pareto2-bad", 1), ("extend", "pareto2-bad", 1), ("grid", "pareto2-bad", 1),
+     ("check", "pareto2-tie", 1), ("extend", "pareto2-tie", 1), ("grid", "pareto2-tie", 1)],
 )
 def test_failing_gap_checks_keep_to_their_mask_pass_budget(
         tmp_path, capsys, monkeypatch, command, case, budget):
-    # a Pareto refusal derives both the strict and the weak verdict from
-    # one dominance pass; check makes one pass per printed verdict and
-    # hands both to the gap check, which then makes none.  A finite
-    # relation makes no mask pass and builds no rows: its verdicts come
-    # from passes over the condensation
+    # a Pareto sample set's strict and weak verdicts come from one
+    # dominance pass and are kept on the sample set, so check's three
+    # lines and a refusal make one pass.  A finite relation makes no mask
+    # pass and builds no rows: its verdicts come from passes over the
+    # condensation
     passes = count_mask_passes(monkeypatch)
     builds = count_row_builds(monkeypatch)
     argv = [command, str(GOLDEN_CASES / f"{case}.json")]
@@ -821,18 +819,15 @@ def test_failing_gap_checks_keep_to_their_mask_pass_budget(
         argv += ["--bbox=0,0,1,1", f"--out={tmp_path / 'g.csv'}"]
     assert main(argv) == 1
     capsys.readouterr()
-    if command == "check" and budget:
-        assert 1 <= len(passes) <= budget
-    else:
-        assert len(passes) == budget
+    assert len(passes) == budget
     assert builds == []
 
 
 @pytest.mark.parametrize("case", ["finite-bad", "pareto2-bad"])
 def test_failing_check_makes_one_mask_pass(capsys, monkeypatch, case):
-    # the failing strict check leaves its pass for the weak check that
-    # follows it, and the gap check gets both verdicts; a finite relation
-    # makes no pass and builds no rows
+    # the failing strict check's pass also decides the weak verdict, and
+    # the weak and gap checks read both from the sample set; a finite
+    # relation makes no pass and builds no rows
     passes = count_mask_passes(monkeypatch)
     builds = count_row_builds(monkeypatch)
     assert main(["check", str(GOLDEN_CASES / f"{case}.json")]) == 1

@@ -17,7 +17,9 @@ pair the pairwise strict-increase loop reports first, with that pair's
 two bounds.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -76,9 +78,11 @@ def assert_same_verdict(got, want):
 GAP_NOTE = "x' strictly dominates x but b(x') <= a(x)"
 
 
-def assert_gap_rule(rel, samples, holds):
-    """``check_gap_safe_finite`` gives the verdict ``holds`` and a re-checkable witness."""
-    got = check_gap_safe_finite(rel, samples)
+def assert_gap_rule(rel, samples, holds, got=None):
+    """``check_gap_safe_finite`` gives the verdict ``holds`` and a re-checkable
+    witness; ``got``, when given, is a verdict it already gave."""
+    if got is None:
+        got = check_gap_safe_finite(rel, samples)
     assert got.holds == holds
     if holds:
         assert got.witness is None
@@ -293,6 +297,76 @@ def test_gap_check_on_2000_element_chain_and_antichain(big_chain, big_antichain,
     samples = PartialUtility(samples)
     assert_gap_rule(big_antichain, samples, True)
     assert_gap_rule(big_chain, samples, pairwise_strictly_increasing(big_chain, samples).holds)
+
+
+# ---- verdicts kept on the sample set ----------------------------------------
+
+
+def test_interleaved_sample_sets_make_one_mask_pass_each(monkeypatch):
+    # A fails weak increase; B only strict increase, by a tie on a strict
+    # pair, so its gap verdict is a bound witness
+    space = ParetoSpace(2)
+    a = PartialUtility({(0.0, 0.0): 1.0, (2.0, 0.5): 3.0, (1.0, 1.0): 0.0, (0.0, 3.0): 4.0})
+    b = PartialUtility({(0.0, 2.0): 5.0, (0.0, 0.0): 1.0, (3.0, 0.0): 2.0, (1.0, 1.0): 1.0})
+    passes = []
+    masks = ParetoSpace.dominance_masks
+
+    def counted(self, points):
+        passes.append(points)
+        return masks(self, points)
+
+    monkeypatch.setattr(ParetoSpace, "dominance_masks", counted)
+    strict = {"a": check_strictly_increasing(space, a), "b": check_strictly_increasing(space, b)}
+    weak = {"a": check_weakly_increasing(space, a), "b": check_weakly_increasing(space, b)}
+    gap = {"a": check_gap_safe_finite(space, a), "b": check_gap_safe_finite(space, b)}
+    assert len(passes) == 2
+    monkeypatch.undo()
+    for name, samples in (("a", a), ("b", b)):
+        assert_same_verdict(strict[name], pairwise_strictly_increasing(space, samples))
+        assert_same_verdict(weak[name], pairwise_weakly_increasing(space, samples))
+        assert_gap_rule(space, samples, False, gap[name])
+    assert not weak["a"].holds and weak["b"].holds
+
+
+def test_failing_check_keeps_no_masks_past_its_sample_set():
+    # 2,000 points: the masks of one pass take megabytes, the kept verdicts
+    # a few objects, and both go with the sample set
+    space = ParetoSpace(2)
+    rng = random.Random(22)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        points = [(rng.random(), rng.random()) for _ in range(2000)]
+        values = {p: p[0] + p[1] for p in points}
+        values[max(values, key=values.get)] = -1.0
+        del points
+        samples = PartialUtility(values)
+        del values
+        assert not check_strictly_increasing(space, samples).holds
+        del samples
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024
+
+
+def test_kept_verdicts_follow_the_relation_asked():
+    # one sample set under a chain, where its falling values fail, and an
+    # antichain, where no pair is strict, in turn
+    n = 6
+    chain, antichain = FinitePreorder.chain(n), FinitePreorder.antichain(n)
+    samples = PartialUtility({i: float(n - i) for i in range(0, n, 2)})
+    for rel in (chain, antichain, chain, antichain):
+        assert_same_verdict(
+            check_strictly_increasing(rel, samples), pairwise_strictly_increasing(rel, samples)
+        )
+        assert_same_verdict(
+            check_weakly_increasing(rel, samples), pairwise_weakly_increasing(rel, samples)
+        )
+        assert_gap_rule(rel, samples, pairwise_gap_safe_finite(rel, samples).holds)
+    assert not check_strictly_increasing(chain, samples).holds
+    assert check_strictly_increasing(antichain, samples).holds
 
 
 # ---- other preorders -------------------------------------------------------
