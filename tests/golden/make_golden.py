@@ -190,6 +190,20 @@ def build_cases(rng):
             ((1.0, 1.0), 2.0), ((2.0, 1.0), 2.0), ((3.0, 3.0), 4.0)]
     files["pareto2-tie.json"] = _pareto_doc(2, tie2)
     files["pareto2-tie.queries.json"] = [[0.5, 0.5], [1.5, 1.0], [2.0, 2.0]]
+    # k = 3, not weakly increasing: d, the first sample in file order,
+    # is dominated by b (1.0) and c (1.5), smaller than its 2, and by e,
+    # which ties it (2.0); the lowest-placed partner, b, is neither the
+    # largest-valued weak partner, c, nor the largest-valued strict one, e.
+    # Coordinates mix -0.0 with 0.0 and 1 with 1.0; g and h, valued -0.0
+    # and 0.0, are incomparable to every sample but the top one
+    bad3 = [((-0.0, 0.0, 0.25), 2), ((0.0, 0.5, 1), 1.0), ((0.5, 0.0, 0.75), 2.0),
+            ((1.0, 1, 1.0), 1.5), ((2, 2, 2), 10.0), ((-1.0, 1.5, -0.5), -0.0),
+            ((1.5, -1.0, -0.5), 0.0)]
+    files["pareto3-bad.json"] = _pareto_doc(3, bad3)
+    files["pareto3-bad.queries.json"] = [
+        [0.0, 0.0, 0.25], [-0.0, -0.0, 0.25], [0.5, 0.5, 1.0], [1, 1, 1], [0.5, 0.0, 1],
+        [2.0, 2.0, 2.0], [-1.0, 1.5, 0.0], [1.5, 1.5, -0.5], [-2, -2, -2], [3.0, 3.0, 3.0],
+    ]
     tnames = [f"t{i}" for i in range(6)]
     tgeq = [("t5", "t4"), ("t4", "t3"), ("t5", "t2"), ("t2", "t1"), ("t1", "t0")]
     tsamples = [("t0", 0.0), ("t2", 1.0), ("t3", 1.0), ("t4", 1.0), ("t5", 3.0)]
@@ -261,7 +275,7 @@ def build_commands():
             commands.append((f"{case}.{cmd}{suffix}",
                              [cmd, problem, *extra, "--queries", queries]))
 
-    for case in ("pareto1", "pareto2", "pareto3", "pareto2-bad",
+    for case in ("pareto1", "pareto2", "pareto3", "pareto2-bad", "pareto3-bad",
                  "finite-dag", "finite-ranking", "finite-chain", "finite-bad",
                  "finite-weak", "finite-order"):
         report(case)
