@@ -15,33 +15,28 @@ Oracles hide how the bounds are produced.  :class:`AnalyticFixture`
 carries closed forms supplied by a fixture author, which is the only
 honest way to represent infinite sample sets.  :class:`FiniteSampleOracle`
 reads the bounds of a finite sample set, its max and min isotonic
-envelopes, from one index per sample set picked by the exact type of the
-preorder: on a :class:`FinitePreorder`, a table of both bounds per
-component of its condensation, from the passes of
-:class:`ComponentBounds` (which the finite sample checks read too); on a
-:class:`ParetoSpace`, per-coordinate prefix bitmasks.  The augmented
+envelopes, from one structure per sample set picked by the exact type of
+the preorder, which the sample checks read too: on a :class:`FinitePreorder`,
+both bounds per component of its condensation (:class:`ComponentBounds`);
+on a :class:`ParetoSpace`, the samples ranked by value and per-coordinate
+prefix bitmasks (:class:`ParetoBounds`).  The augmented
 extremes ``TOP``/``BOTTOM`` and every other preorder go through the
 reference scan, the max and min of the values over :func:`lower_contour`
 and :func:`upper_contour`, which ask the preorder's ``compare`` (on a
 Pareto space, two ``geq`` calls) once per sample and contour; the index
-tests compare against it.  A whole 2-D grid needs no index:
-:meth:`FiniteSampleOracle.lattice` sweeps it once, by 2-D prefix and
-suffix minima over the sample ranks, in O(|P| log R + R²) for R points per
-axis with one R×R integer table, and leaves each point's record in the
-memo as it yields the point.  The Pareto index and the sweep take their
-sample ranks, and with them the tie rule of ``b``, from one helper.
+tests compare against it.  :meth:`FiniteSampleOracle.lattice` reads a
+whole 2-D grid from the same Pareto structure, one prefix read per row
+and per column, and leaves each point's record in the memo as it yields
+the point.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ordext.orders import (
@@ -51,6 +46,7 @@ from ordext.orders import (
     FinitePreorder,
     ParetoSpace,
     Preorder,
+    PrefixChains,
     UnsupportedQueryError,
     all_finite_floats,
     compare_augmented,
@@ -105,7 +101,7 @@ class PartialUtility:
             _check_values(values)
         self._points = tuple(values)
         self._values = dict(values)
-        self._bounds: Optional["ComponentBounds"] = None  # see ComponentBounds.of
+        self._bounds = None  # see ComponentBounds.of, shared by ParetoBounds
         self._verdicts: Optional[tuple] = None  # see monotonicity._verdicts
 
     @property
@@ -241,70 +237,76 @@ class ComponentBounds:
         self.b, self.b_strict = rel.up_min(bottom, empty)
 
     @classmethod
-    def of(cls, rel: FinitePreorder, samples: PartialUtility) -> "ComponentBounds":
+    def of(cls, rel: Preorder, samples: PartialUtility):
         """The bounds of ``samples`` in ``rel``, reused while ``rel`` is the last asked."""
         bounds = samples._bounds
         if bounds is None or bounds.rel is not rel:
             bounds = samples._bounds = cls(rel, samples)
         return bounds
 
-
-def _finite_index(rel: FinitePreorder, samples: PartialUtility) -> Callable:
-    """Both bounds of every element: one record per component, from
-    :class:`ComponentBounds`.  An infinite bound marks an empty contour."""
-    bounds = ComponentBounds.of(rel, samples)
-    lows, highs, empty = bounds.lows, bounds.highs, len(bounds.values)
-    table = [(lows[a], highs[b], a < empty, b < empty) for a, b in zip(bounds.a, bounds.b)]
-    comp = rel.component_index
-    return lambda x: table[comp[rel._check(x)]]
+    def record(self, x) -> Tuple[float, float, bool, bool]:
+        """Both bounds of the element ``x``; an infinite one marks an empty contour."""
+        c = self.rel.component_index[self.rel._check(x)]
+        a, b, empty = self.a[c], self.b[c], len(self.values)
+        return self.lows[a], self.highs[b], a < empty, b < empty
 
 
-def _ranked(rel: ParetoSpace, samples: PartialUtility) -> Tuple[list, list, list]:
-    """Validated points and their values by falling value, ties in sample order,
-    and ``first[r]``, the first rank of the run of ``==`` values holding rank r."""
-    ranked = sorted(samples.items(), key=itemgetter(1), reverse=True)
-    values = [v for _, v in ranked]
-    first = []
-    for r, v in enumerate(values):
-        first.append(first[-1] if r and v == values[r - 1] else r)
-    return rel._check_points([p for p, _ in ranked]), values, first
+class SampleRanks:
+    """The samples by falling value, ties (by ``==``) in sample order: rank r
+    has value ``values[r]`` and position ``pos[r]``, position i rank
+    ``rank[i]``; the ranks below ``end[r]`` hold the values ``>=``
+    ``values[r]``, and those from ``first[r]`` on the values ``<=`` it.
+    ``masks()``, set where the samples' dominance is known, yields each
+    sample's rank bits weakly below and above it, in sample order."""
+
+    __slots__ = ("values", "pos", "rank", "first", "end", "masks")
+
+    def __init__(self, samples: PartialUtility):
+        values = [v for _, v in samples.items()]
+        n = len(values)
+        self.pos = pos = sorted(range(n), key=values.__getitem__, reverse=True)
+        self.values = ranked = list(map(values.__getitem__, pos))
+        self.rank = sorted(range(n), key=pos.__getitem__)
+        self.first, self.end = first, end = list(range(n)), list(range(1, n + 1))
+        for r in range(1, n):
+            if ranked[r] == ranked[r - 1]:
+                first[r] = first[r - 1]
+        for r in reversed(range(n - 1)):
+            if ranked[r] == ranked[r + 1]:
+                end[r] = end[r + 1]
 
 
-def _pareto_index(rel: ParetoSpace, samples: PartialUtility) -> Callable:
-    """Per-coordinate prefix masks; bit r is the sample of rank r (:func:`_ranked`).
+class ParetoBounds(SampleRanks):
+    """The ranked samples of a :class:`ParetoSpace` and their :class:`PrefixChains`
+    over rank bits, kept on the sample set by :meth:`of`: the sample checks read
+    ``masks()``, each sample's in turn, and the index and the lattice the chains."""
 
-    ``prefix[i]`` holds the samples with the i smallest keys: a query ANDs
-    the prefixes at ``bisect_right`` (lower contour) and their complements
-    at ``bisect_left`` (upper contour).  ``a`` is at the lowest bit of the
-    lower contour, ``b`` at the lowest bit of the upper one in the tie group
-    of its highest bit.
-    """
-    points, values, first = _ranked(rel, samples)
-    axes = []
-    for d in range(rel.k):
-        order = sorted(range(len(points)), key=lambda r: points[r][d])
-        prefix = [0]
-        for r in order:
-            prefix.append(prefix[-1] | 1 << r)
-        axes.append(([points[r][d] for r in order], prefix))
-    full = (1 << len(points)) - 1
+    __slots__ = ("rel", "chains")
 
-    def query(x) -> Tuple[float, float, bool, bool]:
-        down = up = full
-        for xi, (keys, prefix) in zip(rel._check(x), axes):
-            down &= prefix[bisect_right(keys, xi)]
-            up &= ~prefix[bisect_left(keys, xi)]
+    def __init__(self, rel: ParetoSpace, samples: PartialUtility):
+        self.rel = rel
+        points = rel._check_points(samples.points)  # before any sort
+        super().__init__(samples)
+        self.chains = PrefixChains(points, self.rank)
+        self.masks = self.chains.of_points
+
+    of = classmethod(ComponentBounds.of.__func__)
+
+    def record(self, x) -> Tuple[float, float, bool, bool]:
+        """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``:
+        ``a`` at the lowest rank below, ``b`` at the lowest rank above in the
+        tie run of the highest, so of equal values the first in sample order."""
+        down, up = self.chains.contours(self.rel._check(x))
+        values = self.values
         a = values[lowest_bit(down)] if down else -math.inf
         if not up:
             return a, math.inf, bool(down), False
-        tie = first[up.bit_length() - 1]
+        tie = self.first[up.bit_length() - 1]
         return a, values[tie + lowest_bit(up >> tie)], bool(down), True
-
-    return query
 
 
 # by exact preorder type: subclasses may redefine the order
-_MAKE_INDEX = {FinitePreorder: _finite_index, ParetoSpace: _pareto_index}
+_MAKE_INDEX = {FinitePreorder: ComponentBounds.of, ParetoSpace: ParetoBounds.of}
 
 
 class FiniteSampleOracle(ContourOracle):
@@ -342,7 +344,7 @@ class FiniteSampleOracle(ContourOracle):
         if self._make_index is None or isinstance(x, Augmented):
             entry = self._scan_generic(x)
         else:
-            self._index = self._index or self._make_index(self._rel, self._samples)
+            self._index = self._index or self._make_index(self._rel, self._samples).record
             entry = self._index(x)
         self._last = (x, entry)
         return entry
@@ -380,20 +382,14 @@ class FiniteSampleOracle(ContourOracle):
         otherwise).  Each axis value is validated once, which validates
         every grid point; all of this happens before the first point.
 
-        One sweep answers the whole grid.  A sample is weakly below grid
-        point ``(i, j)`` iff its lower cell, ``(bisect_left(xs, p1),
-        bisect_left(ys, p2))``, is at most ``(i, j)`` in both indexes, and
-        weakly above iff its upper cell, ``(bisect_right(xs, p1) - 1,
-        bisect_right(ys, p2) - 1)``, is at least ``(i, j)``.  With the
-        samples ranked by :func:`_ranked`, as :func:`_pareto_index` ranks
-        them, ``a`` is at the 2-D prefix minimum of rank over the lower
-        cells, and ``b`` at the 2-D suffix minimum over the upper cells of
-        the key ``(n - 1 - first[rank]) * n + rank``: the lowest rank in the
-        tie group of the upper contour's highest rank, the sample
-        :func:`_pareto_index` reports.  Cost O(|P| log R + R²) for R points
-        per axis.  Memory: one R×R integer table, the ``b`` keys; the rows
-        of ``a`` are computed on the fly, and points that share both minima
-        share one record tuple.
+        A sample is weakly below or above a grid point iff it is on both
+        coordinates, so each row's and each column's prefix reads of the
+        :class:`ParetoBounds` chains are taken once, and a point's two masks
+        are one AND of its row's and its column's: its record then follows
+        as :meth:`ParetoBounds.record` derives it, and points that share
+        both bounds share one record tuple.  Cost O(R log |P|) reads for R
+        points per axis, then two ANDs of |P|-bit integers per point, in
+        O(R) memory besides the chains.
         """
         rel = self._rel
         if type(rel) is not ParetoSpace or rel.k != 2:
@@ -403,54 +399,32 @@ class FiniteSampleOracle(ContourOracle):
                 rel._check((v, v))
             if any(lo > hi for lo, hi in zip(axis, axis[1:])):
                 raise ValueError("lattice axes must be sorted non-decreasing")
-        points, values, first = _ranked(rel, self._samples)
+        bounds = ParetoBounds.of(rel, self._samples)
+        values, first = bounds.values, bounds.first
         n = len(values)
-        no_a = n                  # no sample below
-        no_b = n * n              # no sample above; above every b key
-        width, cols = no_b + 1, len(ys)
-        lower = [[] for _ in xs]  # per row: (column, rank)
-        upper = [[] for _ in xs]  # per row: (column, b key)
-        for r, (p1, p2) in enumerate(points):
-            i, j = bisect_left(xs, p1), bisect_left(ys, p2)
-            if i < len(xs) and j < cols:
-                lower[i].append((j, r))
-            i, j = bisect_right(xs, p1) - 1, bisect_right(ys, p2) - 1
-            if i >= 0 and j >= 0:
-                upper[i].append((j, (n - 1 - first[r]) * n + r))
-
-        def cell_row(hits, empty):
-            row = [empty] * cols
-            for j, key in hits:
-                row[j] = min(row[j], key)
-            return row
-
-        # b keys, swept up from the last row: suffix minima along each row,
-        # then along the columns; rows that hold no upper cell share the
-        # row below them
-        b_rows = [None] * len(xs)
-        b_row = array("q", [no_b]) * cols
-        for i in reversed(range(len(xs))):
-            if upper[i]:
-                run = list(accumulate(reversed(cell_row(upper[i], no_b)), min))
-                b_row = array("q", map(min, b_row, reversed(run)))
-            b_rows[i] = b_row
+        width = n + 1  # a record key a * width + b per pair of ranks
+        # the samples whose first coordinate is at most (at least) v are those
+        # weakly below (v, +inf) (above (v, -inf)); likewise per column
+        contours, inf = bounds.chains.contours, math.inf
+        rows = [(contours((v, inf))[0], contours((v, -inf))[1]) for v in xs]
+        cols = [(contours((inf, v))[0], contours((-inf, v))[1]) for v in ys]
 
         def points() -> Iterator[Tuple[float, float]]:
             records = {}
-            a_row = [no_a] * cols
-            for i, v1 in enumerate(xs):
-                if lower[i]:
-                    a_row = list(map(min, a_row, accumulate(cell_row(lower[i], no_a), min)))
-                for v2, ka, kb in zip(ys, a_row, b_rows[i]):
-                    key = ka * width + kb
+            for v1, (row_down, row_up) in zip(xs, rows):
+                for v2, (down, up) in zip(ys, cols):
+                    down &= row_down
+                    up &= row_up
+                    # the ranks of a and b, as record reads them
+                    a, b = lowest_bit(down) if down else n, n
+                    if up:
+                        tie = first[up.bit_length() - 1]
+                        b = tie + lowest_bit(up >> tie)
+                    key = a * width + b
                     entry = records.get(key)
                     if entry is None:
-                        entry = records[key] = (
-                            values[ka] if ka < no_a else -math.inf,
-                            values[kb % n] if kb < no_b else math.inf,
-                            ka < no_a,
-                            kb < no_b,
-                        )
+                        entry = records[key] = (values[a] if down else -math.inf,
+                                                values[b] if up else math.inf, bool(down), bool(up))
                     x = (v1, v2)
                     self._last = (x, entry)
                     yield x

@@ -15,9 +15,9 @@ alpha and beta :func:`normalize01` was given.
 point it calls ``evaluate`` once and takes the region and band labels
 from the oracle record that call just memoized, derived once per
 distinct record.  A 2-D grid is the batch of
-the points :meth:`FiniteSampleOracle.lattice` yields: the oracle sweeps
-the grid once (O(|P| log R + R²), one R×R integer table) and memoizes
-each point's record before yielding it.  One helper derives both labels
+the points :meth:`FiniteSampleOracle.lattice` yields: the oracle reads
+each row's and column's sample masks once, ANDs one pair per point, and
+memoizes each point's record before yielding it.  One helper derives both labels
 from a record, for the batch, :meth:`ExtensionEngine.describe` and the
 two ``classify_*`` methods alike.  The paper's three
 algebraically equivalent routes (an offset form, routing by contour

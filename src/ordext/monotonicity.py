@@ -8,17 +8,17 @@ context needed to re-verify the violation from scratch.
 On a :class:`FinitePreorder` the pairwise checks read per-component
 aggregates of the relation's condensation (:class:`ComponentBounds`),
 O(n + m) in all; see the comment above :func:`_weak_on_components`.
-Elsewhere they run on bitmasks over sample positions instead of one
-order comparison per pair.  :meth:`Preorder.dominance_masks` gives
-each sample's weak up-set and down-set among the samples, and
-:func:`rank_masks` on the values gives ``ge[i]``/``gt[i]``, the samples
-whose value is ``>=``/``>`` ``f(p_i)`` (so ``ge[i] ^ gt[i]`` holds the
-samples of equal value).  Each check is then one pass
-over i with a few mask operations; the witness is the lowest set bit of
-the first non-empty violation mask, which is the first pair in position
-order.  Where the reference loops look at unordered pairs (j > i only),
-the violation is symmetric in i and j, so the first i with a violation
-has no violating partner below it and the masks need no j > i cut.
+Elsewhere they run on bitmasks over value ranks (:class:`SampleRanks`)
+instead of one order comparison per pair, so a value test is a bit
+range.  Each sample's weak up-set and down-set among the samples comes
+from the :class:`ParetoBounds` of a :class:`ParetoSpace`, computed per
+sample inside the pass, or from :meth:`Preorder.dominance_masks`.  Each
+check is then one pass over i with a few mask operations; the witness is
+the first i with a violation and the lowest position in its violation
+mask, which is the first pair in position order.  Where the reference
+loops look at unordered pairs (j > i only), the violation is symmetric
+in i and j, so the first i with a violation has no violating partner
+below it and the masks need no j > i cut.
 Gap-safety with finitely many samples is strict increase on the
 samples, for any preorder.  So one pass per sample set
 (:func:`_verdicts`) runs the strict check, and the weak check only when
@@ -38,17 +38,20 @@ from ordext.contours import (
     ComponentBounds,
     ContourOracle,
     FiniteSampleOracle,
+    ParetoBounds,
     PartialUtility,
+    SampleRanks,
     bound_text,
 )
 from ordext.orders import (
     Comparison,
     FinitePreorder,
+    ParetoSpace,
     Preorder,
     compare_augmented,
+    first_violation,
     is_pareto_set,
-    lowest_bit,
-    rank_masks,
+    strict_pair,
 )
 
 __all__ = [
@@ -117,37 +120,27 @@ def _pair_witness(samples: PartialUtility, lo, hi, note: str) -> Verdict:
     )
 
 
-def _weak_verdict(samples: PartialUtility, masks: tuple) -> Verdict:
-    pts, up, _, ge, _ = masks
-    for i, p in enumerate(pts):
-        bad = up[i] & ~ge[i]
-        if bad:
-            return _pair_witness(
-                samples, p, pts[lowest_bit(bad)], "x' dominates x but has a smaller value"
-            )
-    return _PASS
+def _weak_verdict(samples: PartialUtility, ranks: SampleRanks) -> Verdict:
+    end = ranks.end  # the ranks from end[r] on hold the smaller values
+    found = first_violation(samples.points, ranks.rank, ranks.masks(),
+                            lambda r, down, up: up >> end[r] << end[r])
+    return _PASS if found is None else _pair_witness(
+        samples, *found[:2], "x' dominates x but has a smaller value")
 
 
-def _strict_verdict(samples: PartialUtility, masks: tuple) -> Verdict:
-    pts, up, down, ge, gt = masks
-    for i, p in enumerate(pts):
-        above = up[i]
-        below = down[i]
-        unequal = above & below & ~(ge[i] ^ gt[i])
-        not_larger = above & ~below & ~gt[i]
-        not_smaller = below & ~above & ge[i]
-        bad = unequal | not_larger | not_smaller
-        if bad:
-            j = lowest_bit(bad)
-            if (unequal >> j) & 1:
-                return _pair_witness(
-                    samples, p, pts[j], "equivalent points with different values"
-                )
-            note = "strict domination without a strictly larger value"
-            if (not_larger >> j) & 1:
-                return _pair_witness(samples, p, pts[j], note)
-            return _pair_witness(samples, pts[j], p, note)
-    return _PASS
+def _strict_verdict(samples: PartialUtility, ranks: SampleRanks) -> Verdict:
+    # above and not larger (ranks from first[r] on), or below and not smaller
+    # (below end[r]): every rank is one or both, so XOR keeps unequal equivalents
+    first, end = ranks.first, ranks.end
+    found = first_violation(samples.points, ranks.rank, ranks.masks(), lambda r, down, up:
+                            (up >> first[r] << first[r]) ^ (down & (1 << end[r]) - 1))
+    if found is None:
+        return _PASS
+    p, q, above, below = found
+    if above and below:
+        return _pair_witness(samples, p, q, "equivalent points with different values")
+    lo, hi = (p, q) if above else (q, p)
+    return _pair_witness(samples, lo, hi, "strict domination without a strictly larger value")
 
 
 # On a FinitePreorder the checks read per-component aggregates
@@ -213,10 +206,10 @@ def _verdicts(rel: Preorder, samples: PartialUtility) -> Tuple[Verdict, Verdict]
     """``(strict, weak)`` of ``samples`` in ``rel``, kept on the sample set
     while ``rel`` is the last relation asked.
 
-    One pass: the component bounds of a :class:`FinitePreorder`, otherwise
-    the dominance and value-rank masks, which are dropped with it.  Strict
-    increase implies weak increase, so the weak pass runs only when strict
-    fails.
+    One pass: the component bounds of a :class:`FinitePreorder`, the
+    :class:`ParetoBounds` of a :class:`ParetoSpace`, otherwise the dominance
+    masks of the ranked samples, dropped with them.  Strict increase implies
+    weak increase, so the weak pass runs only when strict fails.
     """
     kept = samples._verdicts
     if kept is not None and kept[0] is rel:
@@ -224,9 +217,12 @@ def _verdicts(rel: Preorder, samples: PartialUtility) -> Tuple[Verdict, Verdict]
     if type(rel) is FinitePreorder:
         data = ComponentBounds.of(rel, samples)
         strict_of, weak_of = _strict_on_components, _weak_on_components
+    elif type(rel) is ParetoSpace:
+        data, strict_of, weak_of = ParetoBounds.of(rel, samples), _strict_verdict, _weak_verdict
     else:
-        pts = samples.points
-        data = (pts, *rel.dominance_masks(pts), *rank_masks([v for _, v in samples.items()]))
+        data = SampleRanks(samples)
+        up, down = rel.dominance_masks([samples.points[i] for i in data.pos])
+        data.masks = [(down[r], up[r]) for r in data.rank].__iter__
         strict_of, weak_of = _strict_verdict, _weak_verdict
     strict = strict_of(samples, data)
     weak = strict if strict.holds else weak_of(samples, data)
@@ -328,9 +324,14 @@ def check_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdict:
     :class:`NotAParetoSetError` otherwise).  With finitely many samples
     the contour-boundedness half of the criterion is automatic, so the
     check reduces to value constancy on equivalence classes: strict
-    increase, on samples with no strict pair.
+    increase, on samples with no strict pair.  On a :class:`ParetoSpace`
+    both halves read the one :class:`ParetoBounds` of the sample set.
     """
-    ok, pair = is_pareto_set(rel, samples.points)
-    if not ok:
+    if type(rel) is ParetoSpace:
+        bounds = ParetoBounds.of(rel, samples)
+        pair = strict_pair(samples.points, bounds.rank, bounds.masks())
+    else:
+        pair = is_pareto_set(rel, samples.points)[1]
+    if pair:
         raise NotAParetoSetError(pair)
     return check_strictly_increasing(rel, samples)

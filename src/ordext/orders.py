@@ -37,9 +37,9 @@ below it, so a caller tests all partners of a point with a few integer
 operations instead of one comparison per pair.
 
 * :class:`ParetoSpace` checks the points in bulk (``_check_points``,
-  below), ranks them on each coordinate with :func:`rank_masks` (one
-  sort, ties grouped by ``==``) and ANDs the k per-coordinate masks:
-  O(k n log n) comparisons plus O(k n) operations on n-bit integers.
+  below), sorts and chains each coordinate once (:class:`PrefixChains`)
+  and ANDs the k prefix reads of each point: O(k n log n) comparisons
+  plus O(k n) operations on n-bit integers.
 * Any other preorder, :class:`FinitePreorder` too, falls back to one
   ``geq`` per ordered pair; the finite checks read the condensation.
 
@@ -51,7 +51,7 @@ fixed-length container of them), by a few C-level passes (``map``,
 coordinate.  Any other list (an ``int``, ``bool``, ``Fraction``, NaN, an
 infinity, a wrong length) goes through the per-entry check, which names
 the first bad entry.  The parser, :class:`~ordext.contours.PartialUtility`,
-``ParetoSpace.dominance_masks`` and the Pareto bound index each check
+``ParetoSpace.dominance_masks`` and ``contours.ParetoBounds`` each check
 the lists they are handed this way.
 """
 
@@ -59,11 +59,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from enum import Enum
+from functools import partial, reduce
 from itertools import chain, compress
 from numbers import Rational, Real
-from operator import eq
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import and_, or_
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Element = Any  # int for finite ground sets, tuple of floats for Pareto spaces
 
@@ -77,14 +79,15 @@ __all__ = [
     "ForeignElementError",
     "ParetoSpace",
     "Preorder",
+    "PrefixChains",
     "TOP",
     "UnsupportedQueryError",
     "all_finite_floats",
     "all_float_vectors",
+    "first_violation",
     "is_finite_real",
     "is_pareto_set",
     "lowest_bit",
-    "rank_masks",
     "safe_repr",
     "strict_pair",
 ]
@@ -218,33 +221,53 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def rank_masks(keys: Sequence) -> Tuple[List[int], List[int]]:
-    """Per position i, the positions whose key is ``>=`` and ``>`` ``keys[i]``.
+def _prefix_chain(keys: Sequence, bits: Sequence[int]) -> Tuple[list, List[int], List[int]]:
+    """One coordinate of the points j, of key ``keys[j]`` and bit ``bits[j]``:
+    the distinct keys sorted (``-0.0`` and ``0.0`` are one key, as are ``1``
+    and ``1.0``), the chain whose t-th mask ORs the bits of the points whose
+    key is among the t smallest, and each point's run, the index of its key."""
+    distinct, prefix, run = [], [], [0] * len(keys)
+    mask, t, last = 0, -1, None
+    for j in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[j]
+        if t < 0 or key != last:
+            distinct.append(key)
+            prefix.append(mask)
+            t, last = t + 1, key
+        mask |= 1 << bits[j]
+        run[j] = t
+    prefix.append(mask)
+    return distinct, prefix, run
 
-    The keys must be totally ordered (finite reals).  One sort, largest
-    key first, and one walk that ORs each position's bit into the running
-    mask, as if no two keys tied.  Then the runs of keys equal by ``==``
-    (so ``-0.0`` ties ``0.0`` and ``1`` ties ``1.0``), found by one C-level
-    pass over the sorted keys, are mended: every member of a run takes the
-    ``gt`` of its first member and the ``ge`` of its last, so positions
-    with equal keys share their mask objects.
-    """
-    n = len(keys)
-    order = sorted(range(n), key=keys.__getitem__, reverse=True)
-    ge = [0] * n
-    gt = [0] * n
-    above = 0
-    for i in order:
-        gt[i] = above
-        above |= 1 << i
-        ge[i] = above
-    ranked = list(map(keys.__getitem__, order))
-    tied = list(compress(range(1, n), map(eq, ranked, ranked[1:])))
-    for r in tied:
-        gt[order[r]] = gt[order[r - 1]]
-    for r in reversed(tied):
-        ge[order[r - 1]] = ge[order[r]]
-    return ge, gt
+
+class PrefixChains:
+    """The :func:`_prefix_chain` of each coordinate of checked Pareto points
+    (none for no points): the points weakly below x are the AND of the
+    prefixes up to x's keys, and those weakly above the AND of the
+    complements of the prefixes before them."""
+
+    __slots__ = ("axes", "full")
+
+    def __init__(self, points: Sequence[Tuple[float, ...]], bits: Sequence[int]):
+        self.axes = [_prefix_chain(keys, bits) for keys in zip(*points)]
+        self.full = (1 << len(points)) - 1
+
+    def contours(self, x: Tuple[float, ...]) -> Tuple[int, int]:
+        """The bits weakly below and weakly above the checked point ``x``."""
+        down = up = self.full
+        for xi, (keys, prefix, _) in zip(x, self.axes):
+            down &= prefix[bisect_right(keys, xi)]
+            up &= ~prefix[bisect_left(keys, xi)]
+        return down, up
+
+    def of_points(self) -> Iterator[Tuple[int, int]]:
+        """:meth:`contours` of each chained point in turn, from its runs."""
+        if not self.axes:
+            return iter(())
+        downs = [map(prefix[1:].__getitem__, run) for _, prefix, run in self.axes]
+        ups = [map(prefix.__getitem__, run) for _, prefix, run in self.axes]
+        return zip(reduce(partial(map, and_), downs),
+                   map(self.full.__xor__, reduce(partial(map, or_), ups)))
 
 
 def _is_index(x: Element, n: int) -> bool:
@@ -723,20 +746,10 @@ class ParetoSpace(Preorder):
         return all(xi >= yi for xi, yi in zip(x, y))
 
     def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
-        """Intersect, over the coordinates, the rank masks of ``>=`` and ``<=``."""
+        """The :meth:`PrefixChains.of_points` of ``points``, bit j for ``points[j]``."""
         pts = self._check_points(points)
-        if not pts:
-            return [], []
-        n = len(pts)
-        full = (1 << n) - 1
-        up = [full] * n
-        down = [full] * n
-        for d in range(self._k):
-            ge, gt = rank_masks([p[d] for p in pts])
-            for i in range(n):
-                up[i] &= ge[i]
-                down[i] &= ~gt[i]
-        return up, down
+        both = list(PrefixChains(pts, range(len(pts))).of_points())
+        return [up for _, up in both], [down for down, _ in both]
 
     def __repr__(self) -> str:
         return f"ParetoSpace(k={self._k})"
@@ -788,7 +801,8 @@ def is_pareto_set(
     """
     pts = list(points)
     if type(rel) is not FinitePreorder:
-        pair = strict_pair(pts, *rel.dominance_masks(pts))
+        up, down = rel.dominance_masks(pts)
+        pair = strict_pair(pts, range(len(pts)), zip(down, up))
         return (True, None) if pair is None else (False, pair)
     comp = rel.component_index
     cs = [comp[e] for e in rel._check_points(pts)]
@@ -806,19 +820,28 @@ def is_pareto_set(
 
 
 def strict_pair(
-    points: Sequence[Element], up: Sequence[int], down: Sequence[int]
+    points: Sequence[Element], bits: Sequence[int], masks: Iterable[Tuple[int, int]]
 ) -> Optional[Tuple[Element, Element]]:
     """First (winner, loser) with one point strictly above the other, or None.
 
-    ``up``/``down`` are :meth:`Preorder.dominance_masks` of ``points``.
-    The pair is the first (i, j) with j > i in position order: strict
-    comparability is symmetric, so the first i that has a strict partner
-    has none below it.
+    ``masks`` gives each point's bits weakly below and above it, point i
+    having bit ``bits[i]`` (:func:`first_violation`).  The pair is the
+    first (i, j) with j > i in position order: strict comparability is
+    symmetric, so the first i that has a strict partner has none below it.
     """
-    for i, p in enumerate(points):
-        above = up[i] & ~down[i]
-        below = down[i] & ~up[i]
-        if above | below:
-            j = lowest_bit(above | below)
-            return (p, points[j]) if (below >> j) & 1 else (points[j], p)
+    found = first_violation(points, bits, masks, lambda b, down, up: up ^ down)
+    return found and ((found[1], found[0]) if found[2] else found[:2])
+
+
+def first_violation(points: Sequence[Element], bits: Sequence[int],
+                    masks: Iterable[Tuple[int, int]], bad_of: Callable):
+    """``(p, q, above, below)``: the first point p, of bit b, whose violation
+    mask ``bad_of(b, down, up)`` over its ``masks`` entry, the bits of the
+    points weakly below and above it, is not 0; the lowest-placed point q
+    in that mask, by one walk over the bits; and whether q is weakly above
+    and weakly below p.  None when no point has one."""
+    for i, (b, (down, up)) in enumerate(zip(bits, masks)):
+        if bad := bad_of(b, down, up):
+            j = next(j for j, s in enumerate(bits) if bad >> s & 1)
+            return points[i], points[j], up >> bits[j] & 1, down >> bits[j] & 1
     return None

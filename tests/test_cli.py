@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -695,19 +696,20 @@ GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases"
 
 
 def count_index_use(monkeypatch, kind):
-    """Wrap the function making the index for ``kind``: (builds, queries) seen."""
+    """Wrap the function giving the bounds the index of ``kind`` reads:
+    (index builds, queries) seen."""
     build = contours._MAKE_INDEX[kind]
     builds, queries = [], []
 
     def counted(rel, samples):
-        index = build(rel, samples)
+        record = build(rel, samples).record
         builds.append(rel)
 
         def query(x):
             queries.append(x)
-            return index(x)
+            return record(x)
 
-        return query
+        return SimpleNamespace(record=query)
 
     monkeypatch.setitem(contours._MAKE_INDEX, kind, counted)
     return builds, queries
@@ -769,9 +771,24 @@ def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
     assert len(seen) == calls
 
 
+def count_pareto_builds(monkeypatch, builds=None):
+    """Wrap the build of a ``ParetoBounds``; returns ``builds``, or a new
+    list, with the relation of each build appended."""
+    builds = [] if builds is None else builds
+    init = contours.ParetoBounds.__init__
+
+    def counted(self, rel, samples):
+        builds.append(rel)
+        init(self, rel, samples)
+
+    monkeypatch.setattr(contours.ParetoBounds, "__init__", counted)
+    return builds
+
+
 def count_mask_passes(monkeypatch):
     """Wrap ``dominance_masks``, the generic one a ``FinitePreorder``
-    inherits and the Pareto override; returns the points of each pass."""
+    inherits and the Pareto one, and the build of a ``ParetoBounds``, the
+    one structure the Pareto checks read; returns one entry per pass."""
     passes = []
     for cls in (Preorder, ParetoSpace):
         masks = cls.dominance_masks
@@ -781,7 +798,7 @@ def count_mask_passes(monkeypatch):
             return masks(self, points)
 
         monkeypatch.setattr(cls, "dominance_masks", counted)
-    return passes
+    return count_pareto_builds(monkeypatch, passes)
 
 
 def count_row_builds(monkeypatch):
@@ -806,7 +823,7 @@ def count_row_builds(monkeypatch):
 def test_failing_gap_checks_keep_to_their_mask_pass_budget(
         tmp_path, capsys, monkeypatch, command, case, budget):
     # a Pareto sample set's strict and weak verdicts come from one
-    # dominance pass and are kept on the sample set, so check's three
+    # ParetoBounds, kept on the sample set with them, so check's three
     # lines and a refusal make one pass.  A finite relation makes no mask
     # pass and builds no rows: its verdicts come from passes over the
     # condensation
@@ -826,8 +843,9 @@ def test_failing_gap_checks_keep_to_their_mask_pass_budget(
 @pytest.mark.parametrize("case", ["finite-bad", "pareto2-bad"])
 def test_failing_check_makes_one_mask_pass(capsys, monkeypatch, case):
     # the failing strict check's pass also decides the weak verdict, and
-    # the weak and gap checks read both from the sample set; a finite
-    # relation makes no pass and builds no rows
+    # the weak and gap checks read both from the sample set; a gap witness
+    # reads its two bounds from the same ParetoBounds.  A finite relation
+    # makes no pass and builds no rows
     passes = count_mask_passes(monkeypatch)
     builds = count_row_builds(monkeypatch)
     assert main(["check", str(GOLDEN_CASES / f"{case}.json")]) == 1
@@ -855,11 +873,38 @@ def test_finite_commands_build_no_rows(capsys, monkeypatch, entry):
     assert builds == []
 
 
+PARETO_COMMANDS = [(command, case)
+                   for case in ("pareto2", "pareto2-bad", "pareto2-tie", "pareto3-bad")
+                   for command in ("check", "extend", "grid", "regions")]
+
+
+@pytest.mark.parametrize("command, case", PARETO_COMMANDS,
+                         ids=[f"{command}-{case}" for command, case in PARETO_COMMANDS])
+def test_pareto_commands_build_one_structure(tmp_path, capsys, monkeypatch, command, case):
+    # the sample checks, a gap witness's bounds, the bound index and the
+    # lattice all read the one ParetoBounds kept on the sample set, and no
+    # dominance mask pass is made besides.  A grid of a 3-D file is
+    # refused as input before its samples are read
+    passes = count_mask_passes(monkeypatch)
+    builds = count_pareto_builds(monkeypatch)
+    argv = [command, str(GOLDEN_CASES / f"{case}.json")]
+    if command in ("extend", "regions"):
+        argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]
+    if command == "grid":
+        argv += ["--bbox=0,0,1,1", f"--out={tmp_path / 'g.csv'}"]
+    code = main(argv)
+    capsys.readouterr()
+    want = 0 if (command, case) == ("grid", "pareto3-bad") else 1
+    assert (code == 2) == (want == 0)
+    assert len(builds) == want
+    assert len(passes) == want
+
+
 @pytest.mark.parametrize("command", ["check", "extend"])
 def test_no_samples_make_no_rank_pass_per_coordinate(tmp_path, capsys, monkeypatch, command):
-    # with no points there is nothing to rank, whatever the dimension
+    # with no points there is nothing to sort or chain, whatever the dimension
     calls = []
-    monkeypatch.setattr(orders, "rank_masks", lambda keys: calls.append(keys))
+    monkeypatch.setattr(orders, "_prefix_chain", lambda keys, bits: calls.append(keys))
     doc = {"space": {"kind": "pareto", "dimension": 10**6}, "samples": []}
     argv = [command, write(tmp_path, "p.json", doc)]
     if command == "extend":

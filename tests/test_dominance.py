@@ -3,7 +3,7 @@ pairwise reference loops.
 
 ``check_weakly_increasing``, ``check_strictly_increasing``,
 ``is_pareto_set`` and ``check_pareto_set_values`` decide every sample
-pair with bitmask algebra over positions, or on a ``FinitePreorder``
+pair with bitmask algebra over value ranks or positions, or on a ``FinitePreorder``
 with passes over its condensation.  The one-comparison-per-pair
 loops they replaced live in the test tree's ``reference`` module and
 must give the same verdict and the same witness: the same pair, the same
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordext import orders
-from ordext.contours import FiniteSampleOracle, PartialUtility, bound_text
+from ordext.contours import FiniteSampleOracle, ParetoBounds, PartialUtility, bound_text
 from ordext.monotonicity import (
     NotAParetoSetError,
     check_gap_safe_finite,
@@ -40,7 +40,6 @@ from ordext.orders import (
     ParetoSpace,
     Preorder,
     is_pareto_set,
-    rank_masks,
 )
 from ordext.utility import finite_utility
 
@@ -134,18 +133,6 @@ def pairwise_masks(rel, points):
     up = [sum(1 << j for j in range(n) if rel.geq(points[j], points[i])) for i in range(n)]
     down = [sum(1 << j for j in range(n) if rel.geq(points[i], points[j])) for i in range(n)]
     return up, down
-
-
-# ---- rank masks -----------------------------------------------------------
-
-
-@given(st.lists(NUMBERS, max_size=12))
-def test_rank_masks_match_pairwise_comparison(keys):
-    ge, gt = rank_masks(keys)
-    n = len(keys)
-    for i in range(n):
-        assert ge[i] == sum(1 << j for j in range(n) if keys[j] >= keys[i])
-        assert gt[i] == sum(1 << j for j in range(n) if keys[j] > keys[i])
 
 
 # ---- Pareto spaces --------------------------------------------------------
@@ -302,20 +289,26 @@ def test_gap_check_on_2000_element_chain_and_antichain(big_chain, big_antichain,
 # ---- verdicts kept on the sample set ----------------------------------------
 
 
+def count_pareto_builds(monkeypatch):
+    """Wrap the build of a :class:`ParetoBounds`; returns the relation of each build."""
+    builds = []
+    init = ParetoBounds.__init__
+
+    def counted(self, rel, samples):
+        builds.append(rel)
+        init(self, rel, samples)
+
+    monkeypatch.setattr(ParetoBounds, "__init__", counted)
+    return builds
+
+
 def test_interleaved_sample_sets_make_one_mask_pass_each(monkeypatch):
     # A fails weak increase; B only strict increase, by a tie on a strict
     # pair, so its gap verdict is a bound witness
     space = ParetoSpace(2)
     a = PartialUtility({(0.0, 0.0): 1.0, (2.0, 0.5): 3.0, (1.0, 1.0): 0.0, (0.0, 3.0): 4.0})
     b = PartialUtility({(0.0, 2.0): 5.0, (0.0, 0.0): 1.0, (3.0, 0.0): 2.0, (1.0, 1.0): 1.0})
-    passes = []
-    masks = ParetoSpace.dominance_masks
-
-    def counted(self, points):
-        passes.append(points)
-        return masks(self, points)
-
-    monkeypatch.setattr(ParetoSpace, "dominance_masks", counted)
+    passes = count_pareto_builds(monkeypatch)
     strict = {"a": check_strictly_increasing(space, a), "b": check_strictly_increasing(space, b)}
     weak = {"a": check_weakly_increasing(space, a), "b": check_weakly_increasing(space, b)}
     gap = {"a": check_gap_safe_finite(space, a), "b": check_gap_safe_finite(space, b)}
@@ -367,6 +360,92 @@ def test_kept_verdicts_follow_the_relation_asked():
         assert_gap_rule(rel, samples, pairwise_gap_safe_finite(rel, samples).holds)
     assert not check_strictly_increasing(chain, samples).holds
     assert check_strictly_increasing(antichain, samples).holds
+
+
+def test_kept_pareto_bounds_follow_the_relation_asked(monkeypatch):
+    # two equal spaces are two relations: asking the other one rebuilds,
+    # asking the same one again reuses, and the checks and the index of
+    # one relation share the one kept
+    first, second = ParetoSpace(2), ParetoSpace(2)
+    samples = PartialUtility({(0.0, 0.0): 1.0, (1.0, 1.0): 0.0, (2.0, 0.0): 3.0})
+    builds = count_pareto_builds(monkeypatch)
+    for rel in (first, first, second, second, first):
+        bounds = ParetoBounds.of(rel, samples)
+        assert bounds.rel is rel and samples._bounds is bounds
+    assert builds == [first, second, first]
+    for rel in (second, first):
+        assert_same_verdict(
+            check_strictly_increasing(rel, samples), pairwise_strictly_increasing(rel, samples)
+        )
+        assert_gap_rule(rel, samples, False)
+        FiniteSampleOracle(rel, samples).record((1.0, 0.5))
+    assert builds == [first, second, first, second, first]
+
+
+def test_kept_pareto_bounds_die_with_their_sample_set():
+    # 2,000 points: the kept chains take about a megabyte, and they go with
+    # the sample set once the checks and the index have both read them
+    space = ParetoSpace(2)
+    rng = random.Random(23)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        samples = PartialUtility({(rng.random(), rng.random()): rng.random() for _ in range(2000)})
+        oracle = FiniteSampleOracle(space, samples)
+        check_gap_safe_finite(space, samples)
+        oracle.record((0.5, 0.5))
+        assert isinstance(samples._bounds, ParetoBounds)
+        held = tracemalloc.get_traced_memory()[0] - start
+        del samples, oracle
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held > 512 * 1024
+    assert left < 64 * 1024
+
+
+@given(pareto_cases())
+def test_pareto_bounds_record_matches_the_reference_scan(case):
+    # str tells -0.0 from 0.0 and 1 from 1.0: of equal values the record
+    # names the first in sample order, as max and min do in the scan
+    space, samples, points = case
+    bounds = ParetoBounds.of(space, samples)
+    scan = FiniteSampleOracle(space, samples)._scan_generic
+    for x in [*samples.points, *points]:
+        assert [str(v) for v in bounds.record(x)] == [str(v) for v in scan(x)]
+
+
+def test_pareto_set_value_check_builds_one_structure(monkeypatch):
+    # the points (i, j, 10 - i - j) are mutually undominated, and (0, 0, 0)
+    # lies strictly below each of them.  The Pareto-set test and the strict
+    # check read one ParetoBounds per sample set and make no mask pass
+    space = ParetoSpace(3)
+    rng = random.Random(21)
+    values = [-1.0, -0.0, 0, 0.0, 1, 1.0, 2.5]
+    front = {(i, j, 10 - i - j): rng.choice(values) for i in range(11) for j in range(11 - i)}
+    sets = [PartialUtility(front), PartialUtility({**front, (0, 0, 0): 5.0}),
+            PartialUtility({(0, 0, 0): 5.0, **front})]
+    builds = count_pareto_builds(monkeypatch)
+    masks = []
+    monkeypatch.setattr(ParetoSpace, "dominance_masks", lambda self, pts: masks.append(pts))
+    got = []
+    for samples in sets:
+        try:
+            got.append(check_pareto_set_values(space, samples))
+        except NotAParetoSetError as exc:
+            got.append(exc)
+    assert builds == [space] * 3
+    assert masks == []
+    monkeypatch.undo()
+    assert_same_pareto_values(space, sets[0])
+    assert got[0].holds
+    for samples, exc in zip(sets[1:], got[1:]):
+        assert_same_pareto_values(space, samples)
+        assert exc.pair == pairwise_is_pareto_set(space, samples.points)[1]
+    # the first front point in sample order, and the lowest-placed one
+    assert got[1].pair == ((0, 0, 10), (0, 0, 0))
+    assert got[2].pair == ((0, 0, 10), (0, 0, 0))
 
 
 # ---- other preorders -------------------------------------------------------
