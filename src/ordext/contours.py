@@ -15,26 +15,25 @@ Oracles hide how the bounds are produced.  :class:`AnalyticFixture`
 carries closed forms supplied by a fixture author, which is the only
 honest way to represent infinite sample sets.  :class:`FiniteSampleOracle`
 reads the bounds of a finite sample set, its max and min isotonic
-envelopes, from one structure per sample set picked by the exact type of
-the preorder, which the sample checks read too: on a :class:`FinitePreorder`,
+envelopes, from the one structure per sample set that :func:`bounds_of`
+picks by the exact type of the preorder and keeps, which the sample
+checks read and keep their verdicts on too: on a :class:`FinitePreorder`,
 both bounds per component of its condensation (:class:`ComponentBounds`);
-on a :class:`ParetoSpace`, the samples ranked by value and per-coordinate
-prefix bitmasks (:class:`ParetoBounds`).  The augmented
-extremes ``TOP``/``BOTTOM`` and every other preorder go through the
-reference scan, the max and min of the values over :func:`lower_contour`
-and :func:`upper_contour`, which ask the preorder's ``compare`` (on a
-Pareto space, two ``geq`` calls) once per sample and contour; the index
-tests compare against it.  :meth:`FiniteSampleOracle.lattice` reads a
-whole 2-D grid from the same Pareto structure, one prefix read per row
-and per column, and leaves each point's record in the memo as it yields
-the point.
+elsewhere the samples ranked by value, whose bounds at a point follow
+from its two masks by one tie rule (:class:`SampleRanks`), with
+per-coordinate prefix bitmasks on a :class:`ParetoSpace`
+(:class:`ParetoBounds`).  ``TOP`` and ``BOTTOM`` go through the reference
+scan, the max and min of the values over :func:`lower_contour` and
+:func:`upper_contour`, which the index tests compare against.
+:meth:`FiniteSampleOracle.lattice` reads a whole 2-D grid from the same
+Pareto structure, one prefix read per row and per column, and leaves each
+point's record in the memo as it yields the point.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -48,10 +47,10 @@ from ordext.orders import (
     Preorder,
     PrefixChains,
     UnsupportedQueryError,
+    _pairwise_masks,
     all_finite_floats,
     compare_augmented,
     is_finite_real,
-    lowest_bit,
     safe_repr,
 )
 
@@ -94,15 +93,14 @@ class PartialUtility:
     any others one by one, so the first bad value is the one named.
     """
 
-    __slots__ = ("_points", "_values", "_bounds", "_verdicts")
+    __slots__ = ("_points", "_values", "_bounds")
 
     def __init__(self, values: Mapping[Element, float]):
         if not all_finite_floats(values.values()):
             _check_values(values)
         self._points = tuple(values)
         self._values = dict(values)
-        self._bounds = None  # see ComponentBounds.of, shared by ParetoBounds
-        self._verdicts: Optional[tuple] = None  # see monotonicity._verdicts
+        self._bounds = None  # see bounds_of
 
     @property
     def points(self) -> Tuple[Element, ...]:
@@ -208,16 +206,14 @@ class ComponentBounds:
     smallest weakly and strictly above; ``top[c]`` and ``bottom[c]`` those
     of its own largest and smallest sample value.  The least rank wins, so
     of equal values the first in sample order is the one kept.
-
-    Build it with :meth:`of`, which keeps the last one on the sample set,
-    so the gap check and the bound index of one command share it.
     """
 
-    __slots__ = ("rel", "elems", "values", "lows", "highs",
-                 "top", "bottom", "a", "a_strict", "b", "b_strict")
+    __slots__ = ("rel", "elems", "values", "lows", "highs", "top", "bottom",
+                 "a", "a_strict", "b", "b_strict", "verdicts")
 
     def __init__(self, rel: FinitePreorder, samples: PartialUtility):
         self.rel = rel
+        self.verdicts = None
         self.elems = elems = rel._check_points(samples.points)
         self.values = values = [v for _, v in samples.items()]
         empty = len(values)
@@ -236,14 +232,6 @@ class ComponentBounds:
         self.a, self.a_strict = rel.down_min(top, empty)
         self.b, self.b_strict = rel.up_min(bottom, empty)
 
-    @classmethod
-    def of(cls, rel: Preorder, samples: PartialUtility):
-        """The bounds of ``samples`` in ``rel``, reused while ``rel`` is the last asked."""
-        bounds = samples._bounds
-        if bounds is None or bounds.rel is not rel:
-            bounds = samples._bounds = cls(rel, samples)
-        return bounds
-
     def record(self, x) -> Tuple[float, float, bool, bool]:
         """Both bounds of the element ``x``; an infinite one marks an empty contour."""
         c = self.rel.component_index[self.rel._check(x)]
@@ -252,20 +240,22 @@ class ComponentBounds:
 
 
 class SampleRanks:
-    """The samples by falling value, ties (by ``==``) in sample order: rank r
-    has value ``values[r]`` and position ``pos[r]``, position i rank
-    ``rank[i]``; the ranks below ``end[r]`` hold the values ``>=``
-    ``values[r]``, and those from ``first[r]`` on the values ``<=`` it.
-    ``masks()``, set where the samples' dominance is known, yields each
-    sample's rank bits weakly below and above it, in sample order."""
+    """The samples by falling value, ties (by ``==``) in sample order: rank
+    r has value ``lows[r]`` and ``highs[r]``, rank n (none) ``-inf`` and
+    ``+inf``, position i rank ``rank[i]``; the ranks below ``end[r]`` hold
+    the values ``>=`` rank r's, and those from ``first[r]`` on those ``<=``
+    it.  Here the masks and contours ask ``geq``; the masks are kept."""
 
-    __slots__ = ("values", "pos", "rank", "first", "end", "masks")
+    __slots__ = ("rel", "points", "lows", "highs", "rank", "first", "end", "verdicts", "_masks")
 
-    def __init__(self, samples: PartialUtility):
+    def __init__(self, rel: Preorder, samples: PartialUtility):
+        self.rel, self.points = rel, samples.points
+        self.verdicts = self._masks = None
         values = [v for _, v in samples.items()]
         n = len(values)
-        self.pos = pos = sorted(range(n), key=values.__getitem__, reverse=True)
-        self.values = ranked = list(map(values.__getitem__, pos))
+        pos = sorted(range(n), key=values.__getitem__, reverse=True)
+        ranked = list(map(values.__getitem__, pos))
+        self.lows, self.highs = [*ranked, -math.inf], [*ranked, math.inf]
         self.rank = sorted(range(n), key=pos.__getitem__)
         self.first, self.end = first, end = list(range(n)), list(range(1, n + 1))
         for r in range(1, n):
@@ -275,38 +265,68 @@ class SampleRanks:
             if ranked[r] == ranked[r + 1]:
                 end[r] = end[r + 1]
 
+    def masks(self) -> Iterator[Tuple[int, int]]:
+        """Each sample's rank bits weakly below and above it, in sample order."""
+        if self._masks is None:
+            self._masks = _pairwise_masks(self.rel, self.points, self.rank)
+        return iter(self._masks)
+
+    def contours(self, x) -> Tuple[int, int]:
+        """The rank bits of the samples weakly below and weakly above ``x``."""
+        geq, ranked = self.rel.geq, list(zip(self.points, self.rank))
+        return (sum(1 << r for p, r in ranked if geq(x, p)),
+                sum(1 << r for p, r in ranked if geq(p, x)))
+
+    def ranks(self, down: int, up: int) -> Tuple[int, int]:
+        """The ranks of a and b from a point's two masks: a the lowest below, b
+        the lowest above in the tie run of the highest, so of equal values the
+        first in sample order; n for an empty contour.  Runs once per grid
+        point, so the lowest bits are taken inline, as in :func:`~ordext.orders.lowest_bit`."""
+        n = len(self.rank)
+        a = (down & -down).bit_length() - 1 if down else n
+        if not up:
+            return a, n
+        tie = self.first[up.bit_length() - 1]
+        up >>= tie
+        return a, tie + (up & -up).bit_length() - 1
+
+    def record(self, x) -> Tuple[float, float, bool, bool]:
+        """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``."""
+        down, up = self.contours(x)
+        a, b = self.ranks(down, up)
+        return self.lows[a], self.highs[b], bool(down), bool(up)
+
 
 class ParetoBounds(SampleRanks):
     """The ranked samples of a :class:`ParetoSpace` and their :class:`PrefixChains`
-    over rank bits, kept on the sample set by :meth:`of`: the sample checks read
-    ``masks()``, each sample's in turn, and the index and the lattice the chains."""
+    over rank bits, which give the masks and contours with no ``geq``."""
 
-    __slots__ = ("rel", "chains")
+    __slots__ = ("chains",)
 
     def __init__(self, rel: ParetoSpace, samples: PartialUtility):
-        self.rel = rel
         points = rel._check_points(samples.points)  # before any sort
-        super().__init__(samples)
+        super().__init__(rel, samples)
         self.chains = PrefixChains(points, self.rank)
-        self.masks = self.chains.of_points
 
-    of = classmethod(ComponentBounds.of.__func__)
+    def masks(self) -> Iterator[Tuple[int, int]]:
+        return self.chains.of_points()
 
-    def record(self, x) -> Tuple[float, float, bool, bool]:
-        """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``:
-        ``a`` at the lowest rank below, ``b`` at the lowest rank above in the
-        tie run of the highest, so of equal values the first in sample order."""
-        down, up = self.chains.contours(self.rel._check(x))
-        values = self.values
-        a = values[lowest_bit(down)] if down else -math.inf
-        if not up:
-            return a, math.inf, bool(down), False
-        tie = self.first[up.bit_length() - 1]
-        return a, values[tie + lowest_bit(up >> tie)], bool(down), True
+    def contours(self, x) -> Tuple[int, int]:
+        return self.chains.contours(self.rel._check(x))
 
 
-# by exact preorder type: subclasses may redefine the order
-_MAKE_INDEX = {FinitePreorder: ComponentBounds.of, ParetoSpace: ParetoBounds.of}
+def bounds_of(rel: Preorder, samples: PartialUtility):
+    """The structure the checks and the index of ``samples`` in ``rel`` read,
+    and the checks keep their ``verdicts`` on, kept on the sample set while
+    ``rel`` is the last relation asked.  By the exact type of ``rel``, since
+    a subclass may redefine the order."""
+    bounds = samples._bounds
+    if bounds is None or bounds.rel is not rel:
+        kind = type(rel)
+        make = (ComponentBounds if kind is FinitePreorder
+                else ParetoBounds if kind is ParetoSpace else SampleRanks)
+        bounds = samples._bounds = make(rel, samples)
+    return bounds
 
 
 class FiniteSampleOracle(ContourOracle):
@@ -324,7 +344,6 @@ class FiniteSampleOracle(ContourOracle):
     def __init__(self, rel: Preorder, samples: PartialUtility):
         self._rel = rel
         self._samples = samples
-        self._make_index = _MAKE_INDEX.get(type(rel))
         self._index: Optional[Callable] = None
         self._last: Optional[tuple] = None  # (query, record) of the last scan
 
@@ -341,10 +360,10 @@ class FiniteSampleOracle(ContourOracle):
         last = self._last
         if last is not None and last[0] is x:
             return last[1]
-        if self._make_index is None or isinstance(x, Augmented):
+        if isinstance(x, Augmented):
             entry = self._scan_generic(x)
         else:
-            self._index = self._index or self._make_index(self._rel, self._samples).record
+            self._index = self._index or bounds_of(self._rel, self._samples).record
             entry = self._index(x)
         self._last = (x, entry)
         return entry
@@ -378,31 +397,27 @@ class FiniteSampleOracle(ContourOracle):
         Each point's record goes into the memo before the point is yielded,
         so the bound queries on it that follow read the memo.  Only a 2-D
         :class:`ParetoSpace` is swept (:class:`UnsupportedQueryError`
-        otherwise), on axes sorted non-decreasing (``ValueError``
-        otherwise).  Each axis value is validated once, which validates
-        every grid point; all of this happens before the first point.
+        otherwise), on axes in any order.  Each axis value is validated
+        once, which validates every grid point; all of this happens before
+        the first point.
 
         A sample is weakly below or above a grid point iff it is on both
         coordinates, so each row's and each column's prefix reads of the
         :class:`ParetoBounds` chains are taken once, and a point's two masks
-        are one AND of its row's and its column's: its record then follows
-        as :meth:`ParetoBounds.record` derives it, and points that share
-        both bounds share one record tuple.  Cost O(R log |P|) reads for R
-        points per axis, then two ANDs of |P|-bit integers per point, in
-        O(R) memory besides the chains.
+        are one AND of its row's and its column's: :meth:`SampleRanks.ranks`
+        ranks its bounds, as for any query, and points that share both ranks
+        share one record tuple.  Cost O(R log |P|) reads for R points per
+        axis, then two ANDs of |P|-bit integers per point, in O(R) memory
+        besides the chains.
         """
         rel = self._rel
         if type(rel) is not ParetoSpace or rel.k != 2:
             raise UnsupportedQueryError("a lattice sweep needs a 2-D Pareto space")
-        for axis in (xs, ys):
-            for v in axis:
-                rel._check((v, v))
-            if any(lo > hi for lo, hi in zip(axis, axis[1:])):
-                raise ValueError("lattice axes must be sorted non-decreasing")
-        bounds = ParetoBounds.of(rel, self._samples)
-        values, first = bounds.values, bounds.first
-        n = len(values)
-        width = n + 1  # a record key a * width + b per pair of ranks
+        for v in (*xs, *ys):
+            rel._check((v, v))
+        bounds = bounds_of(rel, self._samples)
+        lows, highs, ranks = bounds.lows, bounds.highs, bounds.ranks
+        n = len(bounds.rank)
         # the samples whose first coordinate is at most (at least) v are those
         # weakly below (v, +inf) (above (v, -inf)); likewise per column
         contours, inf = bounds.chains.contours, math.inf
@@ -415,16 +430,11 @@ class FiniteSampleOracle(ContourOracle):
                 for v2, (down, up) in zip(ys, cols):
                     down &= row_down
                     up &= row_up
-                    # the ranks of a and b, as record reads them
-                    a, b = lowest_bit(down) if down else n, n
-                    if up:
-                        tie = first[up.bit_length() - 1]
-                        b = tie + lowest_bit(up >> tie)
-                    key = a * width + b
+                    key = ranks(down, up)
                     entry = records.get(key)
                     if entry is None:
-                        entry = records[key] = (values[a] if down else -math.inf,
-                                                values[b] if up else math.inf, bool(down), bool(up))
+                        a, b = key
+                        entry = records[key] = (lows[a], highs[b], a < n, b < n)
                     x = (v1, v2)
                     self._last = (x, entry)
                     yield x

@@ -5,28 +5,29 @@ Every check returns a :class:`Verdict`.  A failing verdict carries a
 :class:`Witness` naming the offending pair together with the numeric
 context needed to re-verify the violation from scratch.
 
-On a :class:`FinitePreorder` the pairwise checks read per-component
-aggregates of the relation's condensation (:class:`ComponentBounds`),
-O(n + m) in all; see the comment above :func:`_weak_on_components`.
-Elsewhere they run on bitmasks over value ranks (:class:`SampleRanks`)
-instead of one order comparison per pair, so a value test is a bit
-range.  Each sample's weak up-set and down-set among the samples comes
-from the :class:`ParetoBounds` of a :class:`ParetoSpace`, computed per
-sample inside the pass, or from :meth:`Preorder.dominance_masks`.  Each
-check is then one pass over i with a few mask operations; the witness is
-the first i with a violation and the lowest position in its violation
-mask, which is the first pair in position order.  Where the reference
-loops look at unordered pairs (j > i only), the violation is symmetric
-in i and j, so the first i with a violation has no violating partner
-below it and the masks need no j > i cut.
+Each check reads the one structure :func:`~ordext.contours.bounds_of`
+keeps on the sample set.  On a :class:`FinitePreorder` that is
+per-component aggregates of the relation's condensation
+(:class:`ComponentBounds`), O(n + m) in all; see the comment above
+:func:`_weak_on_components`.  Elsewhere it is the samples ranked by value
+(:class:`SampleRanks`), and the checks run on bitmasks over the ranks
+instead of one order comparison per pair, so a value test is a bit range.
+Each sample's weak up-set and down-set among the samples comes from the
+prefix chains of a :class:`ParetoSpace`, computed per sample inside the
+pass, or on any other preorder from one ``geq`` per ordered pair, kept
+with the ranks.  Each check is then one pass over i with a few mask
+operations; the witness is the first i with a violation and the lowest
+position in its violation mask, which is the first pair in position
+order.  Where the reference loops look at unordered pairs (j > i only),
+the violation is symmetric in i and j, so the first i with a violation
+has no violating partner below it and the masks need no j > i cut.
 Gap-safety with finitely many samples is strict increase on the
 samples, for any preorder.  So one pass per sample set
 (:func:`_verdicts`) runs the strict check, and the weak check only when
-strict fails; both verdicts are kept on the sample set, the masks are
-not, and all three checks read them.  The gap check reads a bound only
-to name a violation.  The
-one-comparison-per-pair loops are kept beside the tests, in
-``tests/reference.py``, as the references these are tested against.
+strict fails; both verdicts are kept in the structure's ``verdicts``, and
+all three checks read them.  The gap check reads a bound only to name a
+violation.  The one-comparison-per-pair loops are kept beside the tests,
+in ``tests/reference.py``, as the references these are tested against.
 """
 
 from __future__ import annotations
@@ -38,15 +39,13 @@ from ordext.contours import (
     ComponentBounds,
     ContourOracle,
     FiniteSampleOracle,
-    ParetoBounds,
     PartialUtility,
     SampleRanks,
     bound_text,
+    bounds_of,
 )
 from ordext.orders import (
     Comparison,
-    FinitePreorder,
-    ParetoSpace,
     Preorder,
     compare_augmented,
     first_violation,
@@ -203,31 +202,17 @@ def _strict_witness(
 
 
 def _verdicts(rel: Preorder, samples: PartialUtility) -> Tuple[Verdict, Verdict]:
-    """``(strict, weak)`` of ``samples`` in ``rel``, kept on the sample set
-    while ``rel`` is the last relation asked.
-
-    One pass: the component bounds of a :class:`FinitePreorder`, the
-    :class:`ParetoBounds` of a :class:`ParetoSpace`, otherwise the dominance
-    masks of the ranked samples, dropped with them.  Strict increase implies
-    weak increase, so the weak pass runs only when strict fails.
-    """
-    kept = samples._verdicts
-    if kept is not None and kept[0] is rel:
-        return kept[1:]
-    if type(rel) is FinitePreorder:
-        data = ComponentBounds.of(rel, samples)
-        strict_of, weak_of = _strict_on_components, _weak_on_components
-    elif type(rel) is ParetoSpace:
-        data, strict_of, weak_of = ParetoBounds.of(rel, samples), _strict_verdict, _weak_verdict
-    else:
-        data = SampleRanks(samples)
-        up, down = rel.dominance_masks([samples.points[i] for i in data.pos])
-        data.masks = [(down[r], up[r]) for r in data.rank].__iter__
-        strict_of, weak_of = _strict_verdict, _weak_verdict
-    strict = strict_of(samples, data)
-    weak = strict if strict.holds else weak_of(samples, data)
-    samples._verdicts = (rel, strict, weak)
-    return strict, weak
+    """``(strict, weak)`` of ``samples`` in ``rel``, kept on the structure
+    :func:`bounds_of` keeps.  Strict increase implies weak increase, so the
+    weak pass runs only when strict fails."""
+    bounds = bounds_of(rel, samples)
+    if bounds.verdicts is None:
+        ranked = isinstance(bounds, SampleRanks)
+        strict = (_strict_verdict if ranked else _strict_on_components)(samples, bounds)
+        weak = strict if strict.holds else (
+            _weak_verdict if ranked else _weak_on_components)(samples, bounds)
+        bounds.verdicts = strict, weak
+    return bounds.verdicts
 
 
 def check_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
@@ -324,11 +309,12 @@ def check_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdict:
     :class:`NotAParetoSetError` otherwise).  With finitely many samples
     the contour-boundedness half of the criterion is automatic, so the
     check reduces to value constancy on equivalence classes: strict
-    increase, on samples with no strict pair.  On a :class:`ParetoSpace`
-    both halves read the one :class:`ParetoBounds` of the sample set.
+    increase, on samples with no strict pair.  Both halves read the one
+    structure :func:`bounds_of` keeps: its masks, on every preorder but a
+    :class:`FinitePreorder`, whose test is a pass over the condensation.
     """
-    if type(rel) is ParetoSpace:
-        bounds = ParetoBounds.of(rel, samples)
+    bounds = bounds_of(rel, samples)
+    if isinstance(bounds, SampleRanks):
         pair = strict_pair(samples.points, bounds.rank, bounds.masks())
     else:
         pair = is_pareto_set(rel, samples.points)[1]

@@ -30,18 +30,18 @@ and one strictly below everything: the sentinels ``TOP`` and ``BOTTOM``,
 the only instances of :class:`Augmented`.  Its other points are the
 elements themselves.
 
-Pairwise questions about a list of points (which sample dominates
-which) are answered word-parallel: :meth:`Preorder.dominance_masks`
-returns, per position, the bitmask of positions weakly above and weakly
-below it, so a caller tests all partners of a point with a few integer
-operations instead of one comparison per pair.
+Pairwise questions about a list of points (which point dominates
+which) are answered word-parallel: per point, the bitmask of the points
+weakly below and weakly above it, so a caller tests all partners of a
+point with a few integer operations instead of one comparison per pair.
+No preorder has a method for them, so none inherits a slow one:
 
-* :class:`ParetoSpace` checks the points in bulk (``_check_points``,
-  below), sorts and chains each coordinate once (:class:`PrefixChains`)
-  and ANDs the k prefix reads of each point: O(k n log n) comparisons
-  plus O(k n) operations on n-bit integers.
-* Any other preorder, :class:`FinitePreorder` too, falls back to one
-  ``geq`` per ordered pair; the finite checks read the condensation.
+* on a :class:`ParetoSpace`, :class:`PrefixChains` sorts and chains each
+  coordinate once and ANDs the k prefix reads of each point, after the
+  points are checked in bulk (``_check_points``, below): O(k n log n)
+  comparisons plus O(k n) operations on n-bit integers;
+* on any other preorder, :func:`_pairwise_masks` asks ``geq`` once per
+  ordered pair; the finite checks read the condensation instead.
 
 A list of points or values, from a file or a caller, is checked in bulk
 where it can be: :func:`all_finite_floats` and :func:`all_float_vectors`
@@ -51,8 +51,8 @@ fixed-length container of them), by a few C-level passes (``map``,
 coordinate.  Any other list (an ``int``, ``bool``, ``Fraction``, NaN, an
 infinity, a wrong length) goes through the per-entry check, which names
 the first bad entry.  The parser, :class:`~ordext.contours.PartialUtility`,
-``ParetoSpace.dominance_masks`` and ``contours.ParetoBounds`` each check
-the lists they are handed this way.
+:func:`is_pareto_set` and ``contours.ParetoBounds`` each check the lists
+they are handed this way.
 """
 
 from __future__ import annotations
@@ -197,23 +197,21 @@ class Preorder(ABC):
             f"{type(self).__name__} has no enumerable ground set"
         )
 
-    def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
-        """Per position i, the positions weakly above and weakly below ``points[i]``.
 
-        Bit j of ``up[i]`` is set iff ``geq(points[j], points[i])``, and
-        bit j of ``down[i]`` iff ``geq(points[i], points[j])``.  This
-        generic version asks ``geq`` once per ordered pair;
-        :class:`ParetoSpace` overrides it with a word-parallel construction.
-        """
-        n = len(points)
-        up = [0] * n
-        down = [0] * n
-        for i, p in enumerate(points):
-            for j, q in enumerate(points):
-                if self.geq(q, p):
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-        return up, down
+def _pairwise_masks(rel: Preorder, points: Sequence[Element],
+                    bits: Sequence[int]) -> List[Tuple[int, int]]:
+    """Per point, the bits of the points weakly below and weakly above it,
+    point j having bit ``bits[j]``, by one ``geq`` per ordered pair.  Not a
+    method, so no preorder with a faster structure inherits it."""
+    n = len(points)
+    down = [0] * n
+    up = [0] * n
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            if rel.geq(q, p):
+                up[i] |= 1 << bits[j]
+                down[j] |= 1 << bits[i]
+    return list(zip(down, up))
 
 
 def lowest_bit(mask: int) -> int:
@@ -745,12 +743,6 @@ class ParetoSpace(Preorder):
         y = self._check(y)
         return all(xi >= yi for xi, yi in zip(x, y))
 
-    def dominance_masks(self, points: Sequence[Element]) -> Tuple[List[int], List[int]]:
-        """The :meth:`PrefixChains.of_points` of ``points``, bit j for ``points[j]``."""
-        pts = self._check_points(points)
-        both = list(PrefixChains(pts, range(len(pts))).of_points())
-        return [up for _, up in both], [down for down, _ in both]
-
     def __repr__(self) -> str:
         return f"ParetoSpace(k={self._k})"
 
@@ -797,12 +789,15 @@ def is_pareto_set(
     pass give, per component, the lowest position strictly below and
     strictly above it: O(n + m) in all, and the first point with such a
     position has it as its lowest partner.  Elsewhere :func:`strict_pair`
-    reads the :meth:`Preorder.dominance_masks` of the points.
+    reads each point's masks in turn: on a :class:`ParetoSpace` from
+    :meth:`PrefixChains.of_points`, made as they are read, so no list of
+    them is held; on any other preorder from :func:`_pairwise_masks`.
     """
     pts = list(points)
     if type(rel) is not FinitePreorder:
-        up, down = rel.dominance_masks(pts)
-        pair = strict_pair(pts, range(len(pts)), zip(down, up))
+        bits = range(len(pts))
+        pair = strict_pair(pts, bits, PrefixChains(rel._check_points(pts), bits).of_points()
+                           if type(rel) is ParetoSpace else _pairwise_masks(rel, pts, bits))
         return (True, None) if pair is None else (False, pair)
     comp = rel.component_index
     cs = [comp[e] for e in rel._check_points(pts)]

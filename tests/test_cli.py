@@ -15,7 +15,7 @@ import ordext
 from ordext import cli, contours, monotonicity, orders
 from ordext.cli import grid_axis, main
 from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
-from ordext.orders import FinitePreorder, ParetoSpace, Preorder
+from ordext.orders import FinitePreorder, ParetoSpace
 from ordext.problemfile import parse_problem
 from ordext.utility import UtilityFn
 
@@ -696,13 +696,15 @@ GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases"
 
 
 def count_index_use(monkeypatch, kind):
-    """Wrap the function giving the bounds the index of ``kind`` reads:
-    (index builds, queries) seen."""
-    build = contours._MAKE_INDEX[kind]
+    """Wrap the oracle's read of the structure kept on the sample set, which
+    must be one for ``kind``: (index reads, queries) seen.  The checks take
+    the same structure by their own name for it, which is not wrapped."""
+    bounds_of = contours.bounds_of
     builds, queries = [], []
 
     def counted(rel, samples):
-        record = build(rel, samples).record
+        assert type(rel) is kind
+        record = bounds_of(rel, samples).record
         builds.append(rel)
 
         def query(x):
@@ -711,15 +713,15 @@ def count_index_use(monkeypatch, kind):
 
         return SimpleNamespace(record=query)
 
-    monkeypatch.setitem(contours._MAKE_INDEX, kind, counted)
+    monkeypatch.setattr(contours, "bounds_of", counted)
     return builds, queries
 
 
 def test_finite_extend_scans_each_point_once(capsys, monkeypatch):
-    # the gap check reads no bounds when it passes, so only the engine's
-    # oracle builds an index, once; its one-slot memo answers the
-    # engine's repeated reads of a point, so each query point is looked
-    # up once
+    # the gap check keeps its verdicts on the structure but reads no bound
+    # when it passes, so only the engine's oracle reads an index, once; its
+    # one-slot memo answers the engine's repeated reads of a point, so each
+    # query point is looked up once
     builds, scanned = count_index_use(monkeypatch, FinitePreorder)
     argv = ["extend", str(GOLDEN_CASES / "finite-dag.json"),
             "--queries", str(GOLDEN_CASES / "finite-dag.queries.json")]
@@ -771,10 +773,9 @@ def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
     assert len(seen) == calls
 
 
-def count_pareto_builds(monkeypatch, builds=None):
-    """Wrap the build of a ``ParetoBounds``; returns ``builds``, or a new
-    list, with the relation of each build appended."""
-    builds = [] if builds is None else builds
+def count_pareto_builds(monkeypatch):
+    """Wrap the build of a ``ParetoBounds``; returns the relation of each build."""
+    builds = []
     init = contours.ParetoBounds.__init__
 
     def counted(self, rel, samples):
@@ -786,19 +787,26 @@ def count_pareto_builds(monkeypatch, builds=None):
 
 
 def count_mask_passes(monkeypatch):
-    """Wrap ``dominance_masks``, the generic one a ``FinitePreorder``
-    inherits and the Pareto one, and the build of a ``ParetoBounds``, the
-    one structure the Pareto checks read; returns one entry per pass."""
+    """Wrap the two ways to build dominance masks: the pairwise loop, under
+    both names it is called by, and the prefix chains of a Pareto space,
+    which every ``ParetoBounds`` builds once; returns one entry per pass."""
     passes = []
-    for cls in (Preorder, ParetoSpace):
-        masks = cls.dominance_masks
+    pairwise = orders._pairwise_masks
 
-        def counted(self, points, masks=masks):
-            passes.append(points)
-            return masks(self, points)
+    def counted(rel, points, bits):
+        passes.append(points)
+        return pairwise(rel, points, bits)
 
-        monkeypatch.setattr(cls, "dominance_masks", counted)
-    return count_pareto_builds(monkeypatch, passes)
+    monkeypatch.setattr(orders, "_pairwise_masks", counted)
+    monkeypatch.setattr(contours, "_pairwise_masks", counted)
+    chains = orders.PrefixChains.__init__
+
+    def chained(self, points, bits):
+        passes.append(points)
+        chains(self, points, bits)
+
+    monkeypatch.setattr(orders.PrefixChains, "__init__", chained)
+    return passes
 
 
 def count_row_builds(monkeypatch):

@@ -25,8 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordext import orders
-from ordext.contours import FiniteSampleOracle, ParetoBounds, PartialUtility, bound_text
+from ordext import contours, monotonicity, orders
+from ordext.contours import (
+    FiniteSampleOracle,
+    ParetoBounds,
+    PartialUtility,
+    SampleRanks,
+    bound_text,
+    bounds_of,
+)
 from ordext.monotonicity import (
     NotAParetoSetError,
     check_gap_safe_finite,
@@ -39,6 +46,7 @@ from ordext.orders import (
     ForeignElementError,
     ParetoSpace,
     Preorder,
+    PrefixChains,
     is_pareto_set,
 )
 from ordext.utility import finite_utility
@@ -150,7 +158,8 @@ def pareto_cases(draw):
 def test_pareto_dominance_masks_match_pairwise_geq(case):
     space, samples, points = case
     for pts in (list(samples.points), points):
-        assert space.dominance_masks(pts) == pairwise_masks(space, pts)
+        up, down = pairwise_masks(space, pts)
+        assert list(PrefixChains(pts, range(len(pts))).of_points()) == list(zip(down, up))
 
 
 @given(pareto_cases())
@@ -370,7 +379,7 @@ def test_kept_pareto_bounds_follow_the_relation_asked(monkeypatch):
     samples = PartialUtility({(0.0, 0.0): 1.0, (1.0, 1.0): 0.0, (2.0, 0.0): 3.0})
     builds = count_pareto_builds(monkeypatch)
     for rel in (first, first, second, second, first):
-        bounds = ParetoBounds.of(rel, samples)
+        bounds = bounds_of(rel, samples)
         assert bounds.rel is rel and samples._bounds is bounds
     assert builds == [first, second, first]
     for rel in (second, first):
@@ -410,7 +419,8 @@ def test_pareto_bounds_record_matches_the_reference_scan(case):
     # str tells -0.0 from 0.0 and 1 from 1.0: of equal values the record
     # names the first in sample order, as max and min do in the scan
     space, samples, points = case
-    bounds = ParetoBounds.of(space, samples)
+    bounds = bounds_of(space, samples)
+    assert type(bounds) is ParetoBounds
     scan = FiniteSampleOracle(space, samples)._scan_generic
     for x in [*samples.points, *points]:
         assert [str(v) for v in bounds.record(x)] == [str(v) for v in scan(x)]
@@ -419,7 +429,7 @@ def test_pareto_bounds_record_matches_the_reference_scan(case):
 def test_pareto_set_value_check_builds_one_structure(monkeypatch):
     # the points (i, j, 10 - i - j) are mutually undominated, and (0, 0, 0)
     # lies strictly below each of them.  The Pareto-set test and the strict
-    # check read one ParetoBounds per sample set and make no mask pass
+    # check read one ParetoBounds per sample set and make no pairwise pass
     space = ParetoSpace(3)
     rng = random.Random(21)
     values = [-1.0, -0.0, 0, 0.0, 1, 1.0, 2.5]
@@ -428,7 +438,8 @@ def test_pareto_set_value_check_builds_one_structure(monkeypatch):
             PartialUtility({(0, 0, 0): 5.0, **front})]
     builds = count_pareto_builds(monkeypatch)
     masks = []
-    monkeypatch.setattr(ParetoSpace, "dominance_masks", lambda self, pts: masks.append(pts))
+    monkeypatch.setattr(orders, "_pairwise_masks", lambda *args: masks.append(args))
+    monkeypatch.setattr(contours, "_pairwise_masks", lambda *args: masks.append(args))
     got = []
     for samples in sets:
         try:
@@ -466,5 +477,73 @@ class Divisibility(Preorder):
 )
 def test_generic_preorder_takes_the_pairwise_masks(samples, points):
     rel = Divisibility()
-    assert rel.dominance_masks(points) == pairwise_masks(rel, points)
-    assert_same_sample_checks(rel, PartialUtility(samples))
+    up, down = pairwise_masks(rel, points)
+    assert orders._pairwise_masks(rel, points, range(len(points))) == list(zip(down, up))
+    samples = PartialUtility(samples)
+    assert type(bounds_of(rel, samples)) is SampleRanks
+    assert_same_sample_checks(rel, samples)
+    # the index reads its two masks of a query point by geq, and its bounds
+    # by the tie rule of every ranked structure
+    scan = FiniteSampleOracle(rel, samples)._scan_generic
+    for x in [*samples.points, *points]:
+        assert [str(v) for v in bounds_of(rel, samples).record(x)] == [str(v) for v in scan(x)]
+
+
+class CountedDivisibility(Divisibility):
+    """:class:`Divisibility` that counts its ``geq`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def geq(self, x, y):
+        self.calls += 1
+        return super().geq(x, y)
+
+
+@pytest.mark.parametrize(
+    "values, pair",
+    [({2: 1.0, 3: 0.0, 5: 2.0, 7: 2.0, 11: -1.0, 13: 0.5}, None),
+     ({2: 1.0, 3: 0.0, 5: 2.0, 6: 0.5, 11: -1.0, 13: 0.5}, (6, 2))],
+    ids=["primes", "strict-pair"],
+)
+def test_generic_pareto_set_checks_make_one_pairwise_pass(values, pair):
+    # the Pareto-set test, then the weak, strict and gap checks, read the
+    # one set of masks kept on the sample set: one geq per ordered pair
+    rel = CountedDivisibility()
+    samples = PartialUtility(values)
+    if pair is None:
+        assert check_pareto_set_values(rel, samples).holds
+    else:
+        with pytest.raises(NotAParetoSetError) as exc:
+            check_pareto_set_values(rel, samples)
+        assert exc.value.pair == pair
+    assert check_weakly_increasing(rel, samples).holds == (pair is None)
+    assert check_strictly_increasing(rel, samples).holds == (pair is None)
+    assert check_gap_safe_finite(rel, samples).holds == (pair is None)
+    assert rel.calls == len(values) ** 2
+
+
+@pytest.mark.parametrize("kind", ["pareto", "generic"])
+def test_kept_verdicts_follow_the_relation_asked_on_ranked_samples(monkeypatch, kind):
+    # two equal relations A and B in turn: each change of relation decides
+    # the verdicts again, and asking the same relation again makes no pass
+    if kind == "pareto":
+        first, second = ParetoSpace(2), ParetoSpace(2)
+        samples = PartialUtility({(0.0, 0.0): 1.0, (1.0, 1.0): 0.0, (2.0, 0.0): 3.0})
+    else:
+        first, second = Divisibility(), Divisibility()
+        samples = PartialUtility({2: 1.0, 4: 0.0, 3: 3.0})
+    strict = monotonicity._strict_verdict
+    passes = []
+
+    def counted(samples, ranks):
+        passes.append(ranks.rel)
+        return strict(samples, ranks)
+
+    monkeypatch.setattr(monotonicity, "_strict_verdict", counted)
+    for rel in (first, first, second, second, first):
+        got = check_strictly_increasing(rel, samples)
+        assert check_weakly_increasing(rel, samples) is bounds_of(rel, samples).verdicts[1]
+        assert_same_verdict(got, pairwise_strictly_increasing(rel, samples))
+    assert passes == [first, second, first]
+

@@ -18,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordext.contours import FiniteSampleOracle, PartialUtility
-from ordext.orders import BOTTOM, TOP, FinitePreorder, ForeignElementError, ParetoSpace
+from ordext.orders import (
+    BOTTOM,
+    TOP,
+    FinitePreorder,
+    ForeignElementError,
+    ParetoSpace,
+    PrefixChains,
+    is_pareto_set,
+)
 
 # few distinct magnitudes, so duplicates and ties are common
 NUMBERS = st.sampled_from(
@@ -149,26 +157,43 @@ def test_malformed_sample_point_is_rejected_on_every_scan(rel, bad_sample, query
         oracle._scan_generic(query)
 
 
-def test_pareto_index_memory_is_within_twice_the_dominance_masks():
-    # |P| = 10**4 and k = 3: the index stores k(|P|+1) prefix masks, the
-    # dominance masks 2|P| masks of up to |P| bits each
+def peak_memory(build):
+    """The tracemalloc peak of ``build()``, in bytes."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def front_of_10k():
+    """10**4 points of the unit cube, each its own sum as its value."""
     rng = random.Random(8)
     points = [tuple(rng.random() for _ in range(3)) for _ in range(10**4)]
-    samples = PartialUtility({p: sum(p) for p in points})
+    return points, PartialUtility({p: sum(p) for p in points})
 
-    def peak(build):
-        tracemalloc.start()
-        try:
-            build()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    masks = peak(lambda: ParetoSpace(3).dominance_masks(points))
+def test_pareto_index_memory_is_within_twice_the_dominance_masks(front_of_10k):
+    # |P| = 10**4 and k = 3: the index stores k(|P|+1) prefix masks, the
+    # dominance masks 2|P| masks of up to |P| bits each
+    points, samples = front_of_10k
+    masks = peak_memory(lambda: list(PrefixChains(points, range(len(points))).of_points()))
     oracle = FiniteSampleOracle(ParetoSpace(3), samples)
-    index = peak(lambda: oracle.lower_sup(points[0]))
+    index = peak_memory(lambda: oracle.lower_sup(points[0]))
     assert oracle._index is not None
     assert index <= 2 * masks
+
+
+def test_pareto_set_test_peaks_no_higher_than_the_index(front_of_10k):
+    # the Pareto-set test reads each point's masks as the chains make them
+    # and stops at the first strict pair, so it holds no list of masks
+    points, samples = front_of_10k
+    space = ParetoSpace(3)
+    test = peak_memory(lambda: is_pareto_set(space, points))
+    index = peak_memory(lambda: FiniteSampleOracle(space, samples).lower_sup(points[0]))
+    assert test <= index
 
 
 @pytest.mark.parametrize(

@@ -167,7 +167,7 @@ def test_pareto_rejects_non_numeric_coordinates(point):
     with pytest.raises(ForeignElementError):
         space.geq(point, (0.0, 0.0))
     with pytest.raises(ForeignElementError):
-        space.dominance_masks([(0.0, 0.0), point])
+        is_pareto_set(space, [(0.0, 0.0), point])
 
 
 # repr of an int past the interpreter's 4300-digit limit itself raises
