@@ -66,13 +66,20 @@ def test_lattice_records_match_per_point_queries(case):
     assert_records_match_per_point_queries(*case)
 
 
-@given(lattices(), st.data())
-def test_lattice_takes_its_axes_in_any_order(case, data):
+@pytest.mark.parametrize(
+    "shuffle_x, shuffle_y", [(True, False), (False, True), (True, True)],
+    ids=["unsorted-x", "unsorted-y", "unsorted-both"],
+)
+@given(case=lattices(), data=st.data())
+def test_lattice_takes_its_axes_in_any_order(shuffle_x, shuffle_y, case, data):
     # a point's masks are one AND of its row's and its column's, whatever
     # order the rows and the columns come in
     oracle, xs, ys = case
-    assert_records_match_per_point_queries(
-        oracle, data.draw(st.permutations(xs)), data.draw(st.permutations(ys)))
+    if shuffle_x:
+        xs = data.draw(st.permutations(xs))
+    if shuffle_y:
+        ys = data.draw(st.permutations(ys))
+    assert_records_match_per_point_queries(oracle, xs, ys)
 
 
 def test_lattice_of_no_samples_is_detached_everywhere():
