@@ -15,11 +15,12 @@ import argparse
 import math
 import sys
 from functools import lru_cache, partial
+from itertools import chain, repeat
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from ordext.contours import bound_text
-from ordext.extension import _BANDS, ContourRegion
+from ordext.extension import _BANDS, _LABELS, ContourRegion
 from ordext.monotonicity import (
     Verdict,
     check_gap_safe_finite,
@@ -49,6 +50,12 @@ EXIT_INTERNAL = 3
 _REGION_CELLS = {id(region): region.value for region in ContourRegion}
 _BAND_CELLS = {
     id(bands): "|".join([band.value for band in bands]) for bands in _BANDS.values()
+}
+# the end of a grid line, ",R,S1|S3\r\n", for each (region, bands) labels
+# object the engine's grid rows hold (a value of ``_LABELS``), keyed likewise
+_LINE_ENDS = {
+    id(labels): f",{_REGION_CELLS[id(labels[0])]},{_BAND_CELLS[id(labels[1])]}\r\n"
+    for labels in _LABELS.values()
 }
 
 
@@ -175,23 +182,17 @@ def cmd_grid(inst: ProblemInstance, bbox: str, resolution: int, out: str) -> int
     engine = inst.to_engine()
     xs = grid_axis(x_lo, x_hi, resolution)
     ys = grid_axis(y_lo, y_hi, resolution)
-    y_cells = [repr(v2) for v2 in ys]
-    results = engine.evaluate_many(engine.oracle.lattice(xs, ys))
+    y_cells = [f"{v2!r}," for v2 in ys]
     # csv's excel dialect written by hand: no cell (a float repr or a fixed
     # label) ever holds a comma, quote or line end, so none is quoted
     with open(out, "w", newline="") as handle:
         handle.write("x1,x2,f,alun,s_labels\r\n")
-        # one write per grid row, so the text of one row is held at a time
-        # (the sweep itself holds one integer table of the grid).  zip stops
-        # at the end of y_cells before it pulls from results, so each row
-        # takes exactly len(ys) results
-        for v1 in xs:
-            x_cell = repr(v1)
-            handle.write("".join([
-                f"{x_cell},{y_cell},{value!r},"
-                f"{_REGION_CELLS[id(region)]},{_BAND_CELLS[id(bands)]}\r\n"
-                for y_cell, (value, region, bands) in zip(y_cells, results)
-            ]))
+        # one write per grid row, so the text of one row is held at a time;
+        # a line is its x cell, its y cell, its value and its labels' end
+        for v1, (values, labels) in zip(xs, engine.evaluate_grid(xs, ys)):
+            handle.write("".join(chain.from_iterable(zip(
+                repeat(f"{v1!r},"), y_cells, map(repr, values),
+                map(_LINE_ENDS.__getitem__, map(id, labels))))))
     print(f"wrote {len(xs) * len(ys)} rows to {out}")
     return EXIT_OK
 

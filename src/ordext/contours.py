@@ -26,8 +26,8 @@ per-coordinate prefix bitmasks on a :class:`ParetoSpace`
 scan, the max and min of the values over :func:`lower_contour` and
 :func:`upper_contour`, which the index tests compare against.
 :meth:`FiniteSampleOracle.lattice` reads a whole 2-D grid from the same
-Pareto structure, one prefix read per row and per column, and leaves each
-point's record in the memo as it yields the point.
+Pareto structure, one prefix read per row and per column, and yields it
+row by row with each point's record and sample membership.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import and_
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ordext.orders import (
     Augmented,
@@ -63,6 +65,28 @@ __all__ = [
     "lower_contour",
     "upper_contour",
 ]
+
+
+# a point's (lower_sup, upper_inf, lower contour non-empty, upper contour
+# non-empty), and one row of a lattice sweep: its points, their records and
+# whether each is a sample point
+Record = Tuple[float, float, bool, bool]
+Row = Tuple[List[Tuple[float, float]], List[Record], List[bool]]
+
+
+class _Memo(dict):
+    """A dict that makes the value of a missing tuple key, ``make(*key)``,
+    once and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.make(*key)
+        return value
 
 
 def bound_text(v: float) -> str:
@@ -175,7 +199,7 @@ class ContourOracle(ABC):
     def in_samples(self, x: Element) -> bool:
         """True iff ``x`` is one of the sample points."""
 
-    def record(self, x) -> Tuple[float, float, bool, bool]:
+    def record(self, x) -> Record:
         """``(lower_sup, upper_inf, *contour_occupancy)`` at ``x``.
 
         Oracles that hold all four in one record override this to read it once.
@@ -186,9 +210,9 @@ class ContourOracle(ABC):
     def sample_value(self, x: Element) -> float:
         """Value at a sample point; ``KeyError`` otherwise."""
 
-    def lattice(self, xs: Sequence[float], ys: Sequence[float]) -> Iterator[Tuple[float, float]]:
-        """The points of the grid ``xs × ys``, each record memoized as it is
-        yielded; only :meth:`FiniteSampleOracle.lattice` sweeps one."""
+    def lattice(self, xs: Sequence[float], ys: Sequence[float]) -> Iterator[Row]:
+        """The rows of the grid ``xs × ys`` with their records; only
+        :meth:`FiniteSampleOracle.lattice` sweeps one."""
         raise UnsupportedQueryError(f"{type(self).__name__} sweeps no lattice")
 
 
@@ -232,7 +256,7 @@ class ComponentBounds:
         self.a, self.a_strict = rel.down_min(top, empty)
         self.b, self.b_strict = rel.up_min(bottom, empty)
 
-    def record(self, x) -> Tuple[float, float, bool, bool]:
+    def record(self, x) -> Record:
         """Both bounds of the element ``x``; an infinite one marks an empty contour."""
         c = self.rel.component_index[self.rel._check(x)]
         a, b, empty = self.a[c], self.b[c], len(self.values)
@@ -290,7 +314,7 @@ class SampleRanks:
         up >>= tie
         return a, tie + (up & -up).bit_length() - 1
 
-    def record(self, x) -> Tuple[float, float, bool, bool]:
+    def record(self, x) -> Record:
         """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``."""
         down, up = self.contours(x)
         a, b = self.ranks(down, up)
@@ -334,9 +358,11 @@ class FiniteSampleOracle(ContourOracle):
 
     The index is built on the first element query that needs it, and only
     the last query and its record are memoized.  A query hits the memo only
-    when it is the same object, as every re-read by the engine and the
-    lattice sweep is, so the memo never skips a validation; an equal but
-    distinct query reads the index again.  Of equal values (``-0.0`` and
+    when it is the same object, as every re-read by the engine is, so the
+    memo never skips a validation; an equal but distinct query reads the
+    index again.  A grid's records come from :meth:`lattice`, and whoever
+    evaluates its points sets the memo, ``_last``, to each point and its
+    record before reading the point's bounds.  Of equal values (``-0.0`` and
     ``0.0``, ``1`` and ``1.0``) every path keeps the first in sample order,
     as ``max`` and ``min`` do in the reference scan.
     """
@@ -345,7 +371,7 @@ class FiniteSampleOracle(ContourOracle):
         self._rel = rel
         self._samples = samples
         self._index: Optional[Callable] = None
-        self._last: Optional[tuple] = None  # (query, record) of the last scan
+        self._last: Optional[tuple] = None  # (query, record) of the last read
 
     @property
     def rel(self) -> Preorder:
@@ -355,7 +381,7 @@ class FiniteSampleOracle(ContourOracle):
     def samples(self) -> PartialUtility:
         return self._samples
 
-    def record(self, x) -> Tuple[float, float, bool, bool]:
+    def record(self, x) -> Record:
         """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``."""
         last = self._last
         if last is not None and last[0] is x:
@@ -368,7 +394,7 @@ class FiniteSampleOracle(ContourOracle):
         self._last = (x, entry)
         return entry
 
-    def _scan_generic(self, x) -> Tuple[float, float, bool, bool]:
+    def _scan_generic(self, x) -> Record:
         """Reference scan: max and min of the values over the two contour sets."""
         points, value = self._samples.points, self._samples.value
         below = [value(p) for p in lower_contour(self._rel, points, x)]
@@ -380,35 +406,50 @@ class FiniteSampleOracle(ContourOracle):
             bool(above),
         )
 
+    # the engine reads both bounds of each point it evaluates from the memo,
+    # so a hit is answered here, with no call of record
     def lower_sup(self, x) -> float:
+        last = self._last
+        if last is not None and last[0] is x:
+            return last[1][0]
         return self.record(x)[0]
 
     def upper_inf(self, x) -> float:
+        last = self._last
+        if last is not None and last[0] is x:
+            return last[1][1]
         return self.record(x)[1]
 
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
         return self.record(x)[2:]
 
-    def lattice(
-        self, xs: Sequence[float], ys: Sequence[float]
-    ) -> Iterator[Tuple[float, float]]:
-        """Every point ``(v1, v2)`` of the grid ``xs × ys``, row by row.
+    def lattice(self, xs: Sequence[float], ys: Sequence[float]) -> Iterator[Row]:
+        """The grid ``xs × ys`` row by row: for each ``v1`` of ``xs``, the
+        points ``(v1, v2)`` for ``v2`` in ``ys``, their records and whether
+        each is a sample point.
 
-        Each point's record goes into the memo before the point is yielded,
-        so the bound queries on it that follow read the memo.  Only a 2-D
-        :class:`ParetoSpace` is swept (:class:`UnsupportedQueryError`
+        The memo is left alone: a caller that reads a point's bounds
+        primes it with the point and its record first, as
+        :meth:`~ordext.extension.ExtensionEngine.evaluate_grid` does.  Only
+        a 2-D :class:`ParetoSpace` is swept (:class:`UnsupportedQueryError`
         otherwise), on axes in any order.  Each axis value is validated
         once, which validates every grid point; all of this happens before
-        the first point.
+        the first row.
 
         A sample is weakly below or above a grid point iff it is on both
         coordinates, so each row's and each column's prefix reads of the
         :class:`ParetoBounds` chains are taken once, and a point's two masks
-        are one AND of its row's and its column's: :meth:`SampleRanks.ranks`
-        ranks its bounds, as for any query, and points that share both ranks
-        share one record tuple.  Cost O(R log |P|) reads for R points per
-        axis, then two ANDs of |P|-bit integers per point, in O(R) memory
-        besides the chains.
+        are one AND of its row's and its column's.  Columns with the same
+        two masks therefore share both masks in every row, so a row ranks
+        one column of each such class, by :meth:`SampleRanks.ranks` as for
+        any query, and points that share both ranks share one record tuple;
+        a point is a sample iff a sample is both below and above it, since
+        the order is antisymmetric.  A row whose masks are those of the row
+        before it shares that row's lists of records and memberships, so
+        none of its points is read again.  Cost O(R log |P|) reads for R
+        points per axis, then three ANDs of |P|-bit integers per column
+        class of each new row, in O(R) memory besides the chains and the
+        records.
         """
         rel = self._rel
         if type(rel) is not ParetoSpace or rel.k != 2:
@@ -422,24 +463,33 @@ class FiniteSampleOracle(ContourOracle):
         # weakly below (v, +inf) (above (v, -inf)); likewise per column
         contours, inf = bounds.chains.contours, math.inf
         rows = [(contours((v, inf))[0], contours((v, -inf))[1]) for v in xs]
-        cols = [(contours((inf, v))[0], contours((-inf, v))[1]) for v in ys]
+        # columns with the same two masks give their points the same masks
+        # in every row, so each new row ranks one column of each such class
+        classes = {}
+        col_class = [classes.setdefault((contours((inf, v))[0], contours((-inf, v))[1]),
+                                        len(classes)) for v in ys]
+        class_downs = [down for down, _ in classes]
+        class_ups = [up for _, up in classes]
 
-        def points() -> Iterator[Tuple[float, float]]:
-            records = {}
-            for v1, (row_down, row_up) in zip(xs, rows):
-                for v2, (down, up) in zip(ys, cols):
-                    down &= row_down
-                    up &= row_up
-                    key = ranks(down, up)
-                    entry = records.get(key)
-                    if entry is None:
-                        a, b = key
-                        entry = records[key] = (lows[a], highs[b], a < n, b < n)
-                    x = (v1, v2)
-                    self._last = (x, entry)
-                    yield x
+        def entry(a: int, b: int) -> Record:
+            return (lows[a], highs[b], a < n, b < n)
 
-        return points()
+        by_ranks = _Memo(entry)  # the whole sweep's records, one per rank pair
+
+        def sweep() -> Iterator[Row]:
+            last = None
+            for v1, masks in zip(xs, rows):
+                if masks != last:
+                    row_down, row_up = last = masks
+                    downs = list(map(row_down.__and__, class_downs))
+                    ups = list(map(row_up.__and__, class_ups))
+                    found = list(map(by_ranks.__getitem__, map(ranks, downs, ups)))
+                    records = list(map(found.__getitem__, col_class))
+                    found = list(map(bool, map(and_, downs, ups)))
+                    members = list(map(found.__getitem__, col_class))
+                yield list(zip(repeat(v1), ys)), records, members
+
+        return sweep()
 
     def in_samples(self, x: Element) -> bool:
         return x in self._samples

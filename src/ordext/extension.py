@@ -11,15 +11,17 @@ formula, is the one production evaluator: the CLI calls nothing else
 for a value.  Per point it reads the two bounds and one scaled utility
 value; the unit value is the scaled one mapped affinely, with the float
 alpha and beta :func:`normalize01` was given.
-:meth:`ExtensionEngine.evaluate_many` is the one batch evaluator: per
-point it calls ``evaluate`` once and takes the region and band labels
-from the oracle record that call just memoized, derived once per
-distinct record.  A 2-D grid is the batch of
-the points :meth:`FiniteSampleOracle.lattice` yields: the oracle reads
-each row's and column's sample masks once, ANDs one pair per point, and
-memoizes each point's record before yielding it.  One helper derives both labels
-from a record, for the batch, :meth:`ExtensionEngine.describe` and the
-two ``classify_*`` methods alike.  The paper's three
+:meth:`ExtensionEngine.evaluate_many` evaluates a sequence of points:
+per point it calls ``evaluate`` once and takes the region and band labels
+from the oracle record that call just memoized and the point's sample
+membership.  :meth:`ExtensionEngine.evaluate_grid` evaluates a 2-D grid
+one row at a time from :meth:`FiniteSampleOracle.lattice`, which reads
+each row's and column's sample masks once, ANDs one pair per point and
+hands over each row's records and sample memberships: per point it sets
+the oracle memo to the point and its record and calls ``evaluate`` once.
+Both derive the labels once per distinct record and membership, with one
+helper that :meth:`ExtensionEngine.describe` and the two ``classify_*``
+methods share.  The paper's three
 algebraically equivalent routes (an offset form, routing by contour
 region, routing by band) and ``evaluate_all_forms`` stay on the engine as
 the reference that the acceptance gate and the tests check ``evaluate``
@@ -31,9 +33,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
+from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility, Record, _Memo
 from ordext.monotonicity import check_pareto_set_values
 from ordext.orders import Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError
 from ordext.utility import UtilityFn, finite_utility, normalize01, pareto_base_utility, squash
@@ -87,6 +89,10 @@ class Band(Enum):
 _BANDS = {
     held: tuple(band for band, on in zip(Band, held) if on)
     for held in product((False, True), repeat=len(Band))
+}
+# the labels of a point, one object per region and set of bands
+_LABELS = {
+    (region, held): (region, bands) for region in ContourRegion for held, bands in _BANDS.items()
 }
 
 
@@ -155,7 +161,18 @@ class ExtensionEngine:
 
     def evaluate(self, x: Element) -> float:
         """The defining capped blend; the production evaluator."""
-        a, b = self._bounded_floats(x)
+        # _bounded_floats, inlined: this runs once per point of every command
+        oracle = self._oracle
+        a, b = oracle.lower_sup(x), oracle.upper_inf(x)
+        if not a < math.inf:
+            raise UnboundedContourError(
+                f"lower supremum at {x!r} is +inf; instance is not gap-safe"
+            )
+        if not b > -math.inf:
+            raise UnboundedContourError(
+                f"upper infimum at {x!r} is -inf; instance is not gap-safe"
+            )
+        a, b = float(a), float(b)
         alpha, beta = self._alpha, self._beta
         u = (self._scaled(x) - alpha) / (beta - alpha)
         lo = max(a, min(b, beta) - beta + alpha)
@@ -167,22 +184,52 @@ class ExtensionEngine:
     ) -> Iterator[Tuple[float, ContourRegion, Tuple[Band, ...]]]:
         """``(value, region, bands)`` per point, lazily and in order.
 
-        Each point costs one :meth:`evaluate` call and one more read of
-        the oracle record that call just memoized; ``evaluate`` raises
-        :class:`UnboundedContourError` here as it does alone.  Labels are
-        derived once per distinct record; pass ``oracle.lattice(xs, ys)``
-        for a 2-D grid.
+        Each point costs one :meth:`evaluate` call, one more read of the
+        oracle record that call just memoized and one sample membership
+        test; ``evaluate`` raises :class:`UnboundedContourError` here as it
+        does alone.  Labels are derived once per distinct record and
+        membership.  A 2-D grid goes through :meth:`evaluate_grid`
+        instead, which has the records and memberships from its sweep.
         """
         oracle = self._oracle
         evaluate = self.evaluate
-        labels = {}
+        labels = _Memo(self._labels)
         for x in points:
             value = evaluate(x)
-            key = (oracle.record(x), oracle.in_samples(x))
-            found = labels.get(key)
-            if found is None:
-                found = labels[key] = self._labels(*key[0], key[1])
-            yield value, found[0], found[1]
+            region, bands = labels[oracle.record(x), oracle.in_samples(x)]
+            yield value, region, bands
+
+    def evaluate_grid(
+        self, xs: Sequence[float], ys: Sequence[float]
+    ) -> Iterator[Tuple[List[float], List[Tuple[ContourRegion, Tuple[Band, ...]]]]]:
+        """The grid ``xs × ys`` row by row: for each ``v1`` of ``xs``, the
+        values and the ``(region, bands)`` labels of the points ``(v1, v2)``
+        for ``v2`` in ``ys``.
+
+        The rows are those of ``oracle.lattice(xs, ys)``, which validates
+        the axes before the first row.  Each point costs one
+        :meth:`evaluate` call, which reads the point's bounds from the
+        oracle memo, set to the point and its record from the sweep just
+        before; ``evaluate`` raises :class:`UnboundedContourError` here as
+        it does alone.  Labels are derived once per distinct record and
+        membership, and each is one object that lives as long as the
+        module, so a caller may key text by its ``id``.
+        """
+        oracle = self._oracle
+        rows = oracle.lattice(xs, ys)
+        labels = _Memo(self._labels)
+
+        def sweep():
+            evaluate = self.evaluate
+            for points, records, members in rows:
+                values = []
+                append = values.append
+                for entry in zip(points, records):
+                    oracle._last = entry
+                    append(evaluate(entry[0]))
+                yield values, list(map(labels.__getitem__, zip(records, members)))
+
+        return sweep()
 
     def describe(self, x: Element) -> Tuple[float, float, ContourRegion, Tuple[Band, ...]]:
         """``(a, b, region, bands)`` at ``x`` from one oracle record.
@@ -190,19 +237,20 @@ class ExtensionEngine:
         Never evaluates, so it answers on instances that are not gap-safe.
         """
         oracle = self._oracle
-        a, b, has_lower, has_upper = oracle.record(x)
-        return (a, b, *self._labels(a, b, has_lower, has_upper, oracle.in_samples(x)))
+        record = oracle.record(x)
+        return (record[0], record[1], *self._labels(record, oracle.in_samples(x)))
 
     def _labels(
-        self, a: float, b: float, has_lower: bool, has_upper: bool, in_sample: bool
+        self, record: Record, in_sample: bool
     ) -> Tuple[ContourRegion, Tuple[Band, ...]]:
-        """The contour region and the bands of a point with these bounds.
+        """The contour region and the bands of a point with this record.
 
         Total: unbounded bounds are allowed here even though evaluation
         refuses them.  The gap width b - a counts as +inf whenever
         a = -inf or b = +inf, so detached points land in the spanning band
         only.
         """
+        a, b, has_lower, has_upper = record
         if in_sample:
             region = ContourRegion.SAMPLE
         elif has_lower and has_upper:
@@ -219,11 +267,11 @@ class ExtensionEngine:
         span = beta - alpha
         width = math.inf if (a == -math.inf or b == math.inf) else b - a
         wide = width >= span
-        bands = _BANDS[width <= span, wide and b <= beta, wide and a >= alpha,
-                       a <= alpha and b >= beta]
-        if not bands:
+        held = (width <= span, wide and b <= beta, wide and a >= alpha,
+                a <= alpha and b >= beta)
+        if not any(held):
             raise AssertionError(f"band cover failed: a={a}, b={b}")
-        return region, bands
+        return _LABELS[region, held]
 
     def evaluate_offset_form(self, x: Element) -> float:
         """Equivalent form organized around the scaled utility."""

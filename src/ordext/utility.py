@@ -104,10 +104,12 @@ def squash(u: UtilityFn, alpha: float, beta: float) -> UtilityFn:
     if not (alpha < beta and math.isfinite(beta - alpha)):
         raise ValueError(
             f"need alpha < beta and a finite span beta - alpha, got ({alpha}, {beta})")
-    span = beta - alpha
+    # the constants of span / math.pi * (math.atan(v) + math.pi / 2) + alpha,
+    # taken once: the same operations in the same order, so the same value
+    scale, half_pi, atan = (beta - alpha) / math.pi, math.pi / 2, math.atan
 
     def fn(x: Element) -> float:
-        out = span / math.pi * (math.atan(u(x)) + math.pi / 2) + alpha
+        out = scale * (atan(u(x)) + half_pi) + alpha
         # atan saturates for huge inputs; keep the open-interval promise.
         if out >= beta:
             out = math.nextafter(beta, alpha)

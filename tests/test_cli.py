@@ -318,6 +318,38 @@ def test_grid_file_matches_csv_writer(tmp_path, capsys, doc, bbox, resolution):
         assert "S1|S2|S3|S4" in {row[4] for row in rows}
 
 
+def test_grid_writes_the_header_and_then_one_row_at_a_time(tmp_path, capsys, monkeypatch):
+    # one write for the header and one per grid row, so only one row's
+    # text is held at a time
+    writes = []
+
+    class CountedWrites:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.handle.write(text)
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: CountedWrites(open(*a, **k)),
+                        raising=False)
+    resolution = 7
+    out_path = tmp_path / "grid.csv"
+    argv = ["grid", str(GOLDEN_CASES / "pareto2.json"), "--bbox=-0.5,-0.5,1.5,1.5",
+            f"--resolution={resolution}", f"--out={out_path}"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(writes) == resolution + 1
+    assert [text.count("\r\n") for text in writes] == [1] + [resolution] * resolution
+    assert "".join(writes).encode() == out_path.read_bytes()
+
+
 def ljust_table(header, rows):
     """The table as one ``print`` per line of ljust-padded cells printed it."""
     widths = [len(h) for h in header]

@@ -1,11 +1,13 @@
 """The grid sweep of FiniteSampleOracle against per-point queries.
 
-``FiniteSampleOracle.lattice`` answers every point of a 2-D grid from one
-sweep and leaves each point's record in the oracle's memo.  Each record
-must equal, as values and as text, what a fresh oracle's index and the
-generic loop answer for that point alone, so ties between ``-0.0`` and
-``0.0`` (or ``1``, ``1.0`` and ``Fraction(1)``) resolve to the same
-sample on every path.
+``FiniteSampleOracle.lattice`` answers a 2-D grid row by row from one
+sweep: each row's points, their records and their sample membership.
+Each record must equal, as values and as text, what a fresh oracle's
+index and the generic loop answer for that point alone, so ties between
+``-0.0`` and ``0.0`` (or ``1``, ``1.0`` and ``Fraction(1)``) resolve to
+the same sample on every path.  ``ExtensionEngine.evaluate_grid``, which
+evaluates the rows, must match a fresh engine's per-point reads bit for
+bit.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordext import contours
 from ordext.cli import grid_axis
 from ordext.contours import FiniteSampleOracle, PartialUtility
 from ordext.extension import make_engine
@@ -48,17 +51,21 @@ def as_text(record):
 
 def assert_records_match_per_point_queries(oracle, xs, ys):
     alone = FiniteSampleOracle(oracle.rel, oracle.samples)
-    points = []
-    for x in oracle.lattice(xs, ys):
-        points.append(x)
-        got = oracle._last[1]
-        assert oracle._last[0] is x
-        assert oracle.record(x) is got  # the memo answers the yielded point
-        alone._last = None  # read the index, not the last record
-        for want in (alone.record(x), oracle._scan_generic(x)):
-            assert got == want
-            assert as_text(got) == as_text(want)
-    assert points == [(v1, v2) for v1 in xs for v2 in ys]
+    rows = []
+    for points, records, members in oracle.lattice(xs, ys):
+        rows.append(points)
+        assert len(records) == len(members) == len(points)
+        for x, got, member in zip(points, records, members):
+            alone._last = None  # read the index, not the last record
+            for want in (alone.record(x), oracle._scan_generic(x)):
+                assert got == want
+                assert as_text(got) == as_text(want)
+            assert member is alone.in_samples(x)
+            # primed with the point and its record, the memo answers it
+            oracle._last = (x, got)
+            assert oracle.record(x) is got
+            assert (oracle.lower_sup(x), oracle.upper_inf(x)) == got[:2]
+    assert rows == [[(v1, v2) for v2 in ys] for v1 in xs]
 
 
 @given(lattices())
@@ -84,26 +91,52 @@ def test_lattice_takes_its_axes_in_any_order(shuffle_x, shuffle_y, case, data):
 
 def test_lattice_of_no_samples_is_detached_everywhere():
     oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({}))
-    records = {oracle.record(x) for x in oracle.lattice([0.0, 1.0], [0.5])}
-    assert records == {(-float("inf"), float("inf"), False, False)}
+    rows = list(oracle.lattice([0.0, 1.0], [0.5]))
+    assert {record for _, records, _ in rows for record in records} == {
+        (-float("inf"), float("inf"), False, False)}
+    assert [members for _, _, members in rows] == [[False], [False]]
 
 
 def test_lattice_shares_one_record_per_pair_of_bounds():
     samples = PartialUtility({(0.0, 0.0): 0.0, (1.0, 1.0): 1.0})
     oracle = FiniteSampleOracle(ParetoSpace(2), samples)
     axis = grid_axis(0.25, 0.75, 3)
-    assert len({id(oracle.record(x)) for x in oracle.lattice(axis, axis)}) == 1
+    rows = oracle.lattice(axis, axis)
+    assert len({id(record) for _, records, _ in rows for record in records}) == 1
 
 
 def test_memo_left_by_the_lattice_still_checks_types():
-    # the yielded (1.0, 0.0) is in the memo; (True, 0.0) is equal to it but
-    # no element, and a fresh oracle rejects it too
+    # the last point of the row, (1.0, 0.0), is in the memo; (True, 0.0)
+    # is equal to it but no element, and a fresh oracle rejects it too
     oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0.0, 0.0): 0.0}))
-    points = oracle.lattice([1.0], [0.0])
-    assert next(points) == (1.0, 0.0)
-    with pytest.raises(ForeignElementError):
-        oracle.record((True, 0.0))
+    rows = make_engine(oracle).evaluate_grid([1.0], [0.0])
+    assert oracle._last is None  # nothing is evaluated before the first row
+    next(rows)
+    assert oracle._last[0] == (1.0, 0.0)
+    for read in (oracle.record, oracle.lower_sup, oracle.upper_inf):
+        with pytest.raises(ForeignElementError):
+            read((True, 0.0))
     assert oracle.record((1, 0)) == (0.0, float("inf"), True, False)
+
+
+def test_first_row_ranks_only_its_own_points(monkeypatch):
+    # the sweep is lazy: no pair of masks is ranked before the first row
+    # is taken, and that row ranks at most one pair per point
+    ranked = []
+    ranks = contours.SampleRanks.ranks
+
+    def counted(self, down, up):
+        ranked.append((down, up))
+        return ranks(self, down, up)
+
+    monkeypatch.setattr(contours.SampleRanks, "ranks", counted)
+    samples = {(0.25 * i, 1.0 - 0.25 * i): float(i) for i in range(5)}
+    oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility(samples))
+    xs = ys = grid_axis(0.0, 1.0, 9)
+    rows = oracle.lattice(xs, ys)
+    assert ranked == []
+    next(rows)
+    assert 0 < len(ranked) <= len(ys)
 
 
 @pytest.mark.parametrize(
@@ -122,6 +155,8 @@ def test_only_sample_oracles_sweep_a_lattice():
     engine = make_engine(get_fixture("example-gap"))
     with pytest.raises(UnsupportedQueryError):
         engine.oracle.lattice([0.0], [0.0])
+    with pytest.raises(UnsupportedQueryError):
+        engine.evaluate_grid([0.0], [0.0])
 
 
 @pytest.mark.parametrize(
@@ -133,18 +168,23 @@ def test_lattice_rejects_bad_axes_before_the_first_point(xs, ys):
     oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0.0, 0.0): 0.0}))
     with pytest.raises(ForeignElementError):
         oracle.lattice(xs, ys)
+    with pytest.raises(ForeignElementError):
+        make_engine(oracle).evaluate_grid(xs, ys)
     assert oracle._last is None
 
 
-@given(lattices())
-def test_evaluate_many_over_a_lattice_matches_per_point_reads(case):
+@given(case=lattices(), data=st.data())
+def test_evaluate_grid_matches_per_point_reads(case, data):
     # finite samples never make a bound unbounded the wrong way, so both
-    # paths evaluate every point, gap-safe or not; the reference reads each
-    # point alone, with no sweep and no label cache
+    # paths evaluate every point, gap-safe or not; the reference is a fresh
+    # engine that reads each point alone, with no sweep and no label cache.
+    # The axes come in any order
     oracle, xs, ys = case
+    xs, ys = data.draw(st.permutations(xs)), data.draw(st.permutations(ys))
     engine = make_engine(oracle)
     reference = make_engine(FiniteSampleOracle(oracle.rel, oracle.samples))
-    points = [(v1, v2) for v1 in xs for v2 in ys]
-    want = [(repr(reference.evaluate(x)), *reference.describe(x)[2:]) for x in points]
-    got = [(repr(v), r, b) for v, r, b in engine.evaluate_many(oracle.lattice(xs, ys))]
+    want = [[(repr(reference.evaluate((v1, v2))), *reference.describe((v1, v2))[2:])
+             for v2 in ys] for v1 in xs]
+    got = [[(repr(value), *labels) for value, labels in zip(*row)]
+           for row in engine.evaluate_grid(xs, ys)]
     assert got == want
