@@ -483,10 +483,10 @@ class FiniteSampleOracle(ContourOracle):
                     row_down, row_up = last = masks
                     downs = list(map(row_down.__and__, class_downs))
                     ups = list(map(row_up.__and__, class_ups))
-                    found = list(map(by_ranks.__getitem__, map(ranks, downs, ups)))
-                    records = list(map(found.__getitem__, col_class))
-                    found = list(map(bool, map(and_, downs, ups)))
-                    members = list(map(found.__getitem__, col_class))
+                    class_records = list(map(by_ranks.__getitem__, map(ranks, downs, ups)))
+                    class_members = list(map(bool, map(and_, downs, ups)))
+                    records = list(map(class_records.__getitem__, col_class))
+                    members = list(map(class_members.__getitem__, col_class))
                 yield list(zip(repeat(v1), ys)), records, members
 
         return sweep()
