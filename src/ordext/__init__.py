@@ -9,8 +9,6 @@ from ordext.contours import (
     ContourOracle,
     FiniteSampleOracle,
     PartialUtility,
-    lower_contour,
-    upper_contour,
 )
 from ordext.extension import (
     AGREEMENT_TOL,
@@ -85,10 +83,8 @@ __all__ = [
     "finite_utility",
     "get_fixture",
     "is_pareto_set",
-    "lower_contour",
     "make_engine",
     "normalize01",
     "pareto_base_utility",
     "squash",
-    "upper_contour",
 ]

@@ -22,9 +22,9 @@ both bounds per component of its condensation (:class:`ComponentBounds`);
 elsewhere the samples ranked by value, whose bounds at a point follow
 from its two masks by one tie rule (:class:`SampleRanks`), with
 per-coordinate prefix bitmasks on a :class:`ParetoSpace`
-(:class:`ParetoBounds`).  ``TOP`` and ``BOTTOM`` go through the reference
-scan, the max and min of the values over :func:`lower_contour` and
-:func:`upper_contour`, which the index tests compare against.
+(:class:`ParetoBounds`).  ``TOP`` and ``BOTTOM`` need no structure: every
+sample lies strictly below ``TOP`` and strictly above ``BOTTOM``, so a(Top)
+is the largest sample value and b(Bottom) the smallest.
 :meth:`FiniteSampleOracle.lattice` reads a whole 2-D grid from the same
 Pareto structure, one prefix read per row and per column, and yields it
 row by row with each point's record and sample membership.
@@ -38,10 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import and_
-from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ordext.orders import (
-    Augmented,
+    BOTTOM,
+    TOP,
     Comparison,
     Element,
     FinitePreorder,
@@ -62,8 +63,6 @@ __all__ = [
     "FiniteSampleOracle",
     "PartialUtility",
     "bound_text",
-    "lower_contour",
-    "upper_contour",
 ]
 
 
@@ -147,23 +146,6 @@ class PartialUtility:
 
     def __repr__(self) -> str:
         return f"PartialUtility({self._values!r})"
-
-
-def _dominates(rel: Preorder, hi, lo) -> bool:
-    return compare_augmented(rel, hi, lo) in (
-        Comparison.EQUIVALENT,
-        Comparison.STRICTLY_GREATER,
-    )
-
-
-def lower_contour(rel: Preorder, points: Iterable[Element], x) -> list:
-    """Sample points weakly below ``x`` (an element, ``TOP`` or ``BOTTOM``)."""
-    return [p for p in points if _dominates(rel, x, p)]
-
-
-def upper_contour(rel: Preorder, points: Iterable[Element], x) -> list:
-    """Sample points weakly above ``x`` (an element, ``TOP`` or ``BOTTOM``)."""
-    return [p for p in points if _dominates(rel, p, x)]
 
 
 class ContourOracle(ABC):
@@ -305,7 +287,8 @@ class SampleRanks:
         """The ranks of a and b from a point's two masks: a the lowest below, b
         the lowest above in the tie run of the highest, so of equal values the
         first in sample order; n for an empty contour.  Runs once per grid
-        point, so the lowest bits are taken inline, as in :func:`~ordext.orders.lowest_bit`."""
+        point, so the lowest set bit of a mask m is taken inline, as
+        ``(m & -m).bit_length() - 1``."""
         n = len(self.rank)
         a = (down & -down).bit_length() - 1 if down else n
         if not up:
@@ -356,21 +339,21 @@ def bounds_of(rel: Preorder, samples: PartialUtility):
 class FiniteSampleOracle(ContourOracle):
     """Bounds computed from a finite sample set.
 
-    The index is built on the first element query that needs it, and only
-    the last query and its record are memoized.  A query hits the memo only
-    when it is the same object, as every re-read by the engine is, so the
-    memo never skips a validation; an equal but distinct query reads the
-    index again.  A grid's records come from :meth:`lattice`, and whoever
-    evaluates its points sets the memo, ``_last``, to each point and its
-    record before reading the point's bounds.  Of equal values (``-0.0`` and
-    ``0.0``, ``1`` and ``1.0``) every path keeps the first in sample order,
-    as ``max`` and ``min`` do in the reference scan.
+    An element query reads the structure :func:`bounds_of` keeps on the
+    sample set; ``TOP`` and ``BOTTOM`` read none, as their records are the
+    max and the min of the values.  Only the last query and its record are
+    memoized.  A query hits the memo only when it is the same object, as
+    every re-read by the engine is, so the memo never skips a validation; an
+    equal but distinct query reads the structure again.  A grid's records
+    come from :meth:`lattice`, and whoever evaluates its points sets the
+    memo, ``_last``, to each point and its record before reading the point's
+    bounds.  Of equal values (``-0.0`` and ``0.0``, ``1`` and ``1.0``) every
+    path keeps the first in sample order, as ``max`` and ``min`` do.
     """
 
     def __init__(self, rel: Preorder, samples: PartialUtility):
         self._rel = rel
         self._samples = samples
-        self._index: Optional[Callable] = None
         self._last: Optional[tuple] = None  # (query, record) of the last read
 
     @property
@@ -386,25 +369,16 @@ class FiniteSampleOracle(ContourOracle):
         last = self._last
         if last is not None and last[0] is x:
             return last[1]
-        if isinstance(x, Augmented):
-            entry = self._scan_generic(x)
+        if x is TOP:
+            values = self._samples._values.values()
+            entry = (max(values, default=-math.inf), math.inf, bool(values), False)
+        elif x is BOTTOM:
+            values = self._samples._values.values()
+            entry = (-math.inf, min(values, default=math.inf), False, bool(values))
         else:
-            self._index = self._index or bounds_of(self._rel, self._samples).record
-            entry = self._index(x)
+            entry = bounds_of(self._rel, self._samples).record(x)
         self._last = (x, entry)
         return entry
-
-    def _scan_generic(self, x) -> Record:
-        """Reference scan: max and min of the values over the two contour sets."""
-        points, value = self._samples.points, self._samples.value
-        below = [value(p) for p in lower_contour(self._rel, points, x)]
-        above = [value(p) for p in upper_contour(self._rel, points, x)]
-        return (
-            max(below, default=-math.inf),
-            min(above, default=math.inf),
-            bool(below),
-            bool(above),
-        )
 
     # the engine reads both bounds of each point it evaluates from the memo,
     # so a hit is answered here, with no call of record
@@ -522,8 +496,6 @@ class AnalyticFixture(ContourOracle):
     sample_value_fn: Optional[Callable[[Element], float]] = None
 
     def __post_init__(self):
-        from ordext.orders import BOTTOM, TOP
-
         for x, x_prime in self.probes:
             if compare_augmented(self.ambient, x_prime, x) is not Comparison.STRICTLY_GREATER:
                 raise ValueError(

@@ -87,7 +87,6 @@ __all__ = [
     "first_violation",
     "is_finite_real",
     "is_pareto_set",
-    "lowest_bit",
     "safe_repr",
     "strict_pair",
 ]
@@ -212,11 +211,6 @@ def _pairwise_masks(rel: Preorder, points: Sequence[Element],
                 up[i] |= 1 << bits[j]
                 down[j] |= 1 << bits[i]
     return list(zip(down, up))
-
-
-def lowest_bit(mask: int) -> int:
-    """Index of the lowest set bit of a positive integer."""
-    return (mask & -mask).bit_length() - 1
 
 
 def _prefix_chain(keys: Sequence, bits: Sequence[int]) -> Tuple[list, List[int], List[int]]:

@@ -16,6 +16,8 @@ the mask-based checks of :mod:`ordext.monotonicity` and
 verdicts and witnesses and serve as the differential-test reference.
 ``pairwise_gap_safe_finite`` is the exception: it reads the definition
 of gap-safety over every element pair, and may name another gap pair.
+:func:`scan_record` is the one-comparison-per-sample reference for the
+records of ``FiniteSampleOracle``, ``TOP`` and ``BOTTOM`` included.
 ``warshall_closure`` and ``pairwise_check_transitive`` are per-bit
 references for the relation build of :class:`ordext.orders.FinitePreorder`:
 its rows and the witness of its transitivity error.  The relation audit
@@ -54,6 +56,7 @@ from ordext.orders import (
     FinitePreorder,
     ForeignElementError,
     Preorder,
+    compare_augmented,
 )
 from ordext.problemfile import ProblemInstance
 from ordext.utility import finite_utility
@@ -73,6 +76,7 @@ __all__ = [
     "is_symmetric",
     "is_transitive",
     "iter_all_preorders",
+    "lower_contour",
     "pairwise_bounds_comparable",
     "pairwise_check_transitive",
     "pairwise_gap_safe_finite",
@@ -84,7 +88,9 @@ __all__ = [
     "random_adversarial_samples",
     "random_finite_preorder",
     "random_gap_safe_samples",
+    "scan_record",
     "serialize_problem",
+    "upper_contour",
     "warshall_closure",
 ]
 
@@ -329,6 +335,27 @@ def pairwise_check_transitive(rows: Sequence[int]) -> Optional[Tuple[int, int]]:
             if rows[j] & ~row:
                 return (i, j)
     return None
+
+
+_WEAKLY_ABOVE = (Comparison.EQUIVALENT, Comparison.STRICTLY_GREATER)
+
+
+def lower_contour(rel: Preorder, points: Iterable[Element], x) -> list:
+    """Sample points weakly below ``x`` (an element, ``TOP`` or ``BOTTOM``)."""
+    return [p for p in points if compare_augmented(rel, x, p) in _WEAKLY_ABOVE]
+
+
+def upper_contour(rel: Preorder, points: Iterable[Element], x) -> list:
+    """Sample points weakly above ``x`` (an element, ``TOP`` or ``BOTTOM``)."""
+    return [p for p in points if compare_augmented(rel, p, x) in _WEAKLY_ABOVE]
+
+
+def scan_record(rel: Preorder, samples: PartialUtility, x) -> tuple:
+    """Reference for ``FiniteSampleOracle.record``: the max and min of the
+    values over the two contour sets, and whether each is non-empty."""
+    below = [samples.value(p) for p in lower_contour(rel, samples.points, x)]
+    above = [samples.value(p) for p in upper_contour(rel, samples.points, x)]
+    return max(below, default=-math.inf), min(above, default=math.inf), bool(below), bool(above)
 
 
 _PASS = Verdict(True)

@@ -729,48 +729,48 @@ GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases"
 
 def count_index_use(monkeypatch, kind):
     """Wrap the oracle's read of the structure kept on the sample set, which
-    must be one for ``kind``: (index reads, queries) seen.  The checks take
-    the same structure by their own name for it, which is not wrapped."""
+    must be one for ``kind``: (structures read, queries) seen.  The checks
+    take the same structure by their own name for it, which is not wrapped."""
     bounds_of = contours.bounds_of
-    builds, queries = [], []
+    structures, queries = [], []
 
     def counted(rel, samples):
         assert type(rel) is kind
-        record = bounds_of(rel, samples).record
-        builds.append(rel)
+        bounds = bounds_of(rel, samples)
+        structures.append(bounds)
 
         def query(x):
             queries.append(x)
-            return record(x)
+            return bounds.record(x)
 
         return SimpleNamespace(record=query)
 
     monkeypatch.setattr(contours, "bounds_of", counted)
-    return builds, queries
+    return structures, queries
 
 
 def test_finite_extend_scans_each_point_once(capsys, monkeypatch):
     # the gap check keeps its verdicts on the structure but reads no bound
-    # when it passes, so only the engine's oracle reads an index, once; its
-    # one-slot memo answers the engine's repeated reads of a point, so each
-    # query point is looked up once
-    builds, scanned = count_index_use(monkeypatch, FinitePreorder)
+    # when it passes, so only the engine's oracle reads the structure, and
+    # always the same one; its one-slot memo answers the engine's repeated
+    # reads of a point, so each query point is looked up once
+    structures, scanned = count_index_use(monkeypatch, FinitePreorder)
     argv = ["extend", str(GOLDEN_CASES / "finite-dag.json"),
             "--queries", str(GOLDEN_CASES / "finite-dag.queries.json")]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(builds) == 1
+    assert len(set(map(id, structures))) == 1
     assert scanned
     assert len(scanned) == len(set(scanned))
 
 
 def test_pareto_extend_queries_the_index_once_per_point(capsys, monkeypatch):
-    builds, scanned = count_index_use(monkeypatch, ParetoSpace)
+    structures, scanned = count_index_use(monkeypatch, ParetoSpace)
     queries = GOLDEN_CASES / "pareto2.queries.json"
     argv = ["extend", str(GOLDEN_CASES / "pareto2.json"), "--queries", str(queries)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(builds) == 1
+    assert len(set(map(id, structures))) == 1
     points = [tuple(q) for q in json.loads(queries.read_text())]
     # the memo matches by identity: each query object reads the index once,
     # also where it equals the one before it (-0.0 == 0.0)

@@ -33,8 +33,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordext.cli import main
-from ordext.contours import FiniteSampleOracle
 from ordext.problemfile import parse_problem
+
+from reference import scan_record
 
 # every magnitude, with ties of every kind: -0.0/0.0/0, 1/1.0, and repeats
 NUMBERS = st.one_of(
@@ -122,7 +123,6 @@ def _reverify_witnesses(doc, check_out):
     inst = parse_problem(json.dumps(doc))
     rel, samples = inst.relation(), inst.sample_utility()
     element = {inst.element_label(p): p for p in samples.points}
-    scan = FiniteSampleOracle(rel, samples)._scan_generic
     witnesses = [WITNESS.fullmatch(line) for line in check_out.splitlines()
                  if line.startswith("  witness: ")]
     assert witnesses
@@ -132,7 +132,7 @@ def _reverify_witnesses(doc, check_out):
         x, x_prime = element[lo_label], element[hi_label]
         above, below = rel.geq(x_prime, x), rel.geq(x, x_prime)
         if note == "x' strictly dominates x but b(x') <= a(x)":
-            a, b = scan(x)[0], scan(x_prime)[1]
+            a, b = scan_record(rel, samples, x)[0], scan_record(rel, samples, x_prime)[1]
             assert above and not below and a >= b
         else:
             a, b = samples.value(x), samples.value(x_prime)

@@ -6,8 +6,8 @@ over the strongly connected components of one Tarjan walk
 ``utility.finite_utility`` and the finite verdicts of
 ``monotonicity``), never from rows.  Here they are compared with loops
 that only read the Warshall closure of the same pairs
-(``reference.warshall_closure``): the reference scan of the oracle
-(``FiniteSampleOracle._scan_generic``), the ``reference.pairwise_*``
+(``reference.warshall_closure``): the reference scan of the oracle's
+records (``reference.scan_record``), the ``reference.pairwise_*``
 verdicts and a level count over strict down-sets.  Bounds are compared
 by ``str`` and type, so ``-0.0`` against ``0.0`` and ``1`` against
 ``1.0`` count as different, and witnesses by their full text.
@@ -35,6 +35,7 @@ from ordext.utility import finite_utility
 from reference import (
     pairwise_strictly_increasing,
     pairwise_weakly_increasing,
+    scan_record,
     warshall_closure,
 )
 
@@ -91,7 +92,7 @@ def test_passes_match_the_closure_references(case):
     fast, slow = FiniteSampleOracle(rel, samples), FiniteSampleOracle(ref, samples)
     for x in range(n):
         a, b, has_lower, has_upper = fast.record(x)
-        ra, rb, ref_lower, ref_upper = slow._scan_generic(x)
+        ra, rb, ref_lower, ref_upper = scan_record(ref, samples, x)
         assert (typed(a), typed(b), has_lower, has_upper) == (
             typed(ra), typed(rb), ref_lower, ref_upper)
         # a relation built from rows condenses the pairs its rows name
@@ -111,8 +112,8 @@ def test_passes_match_the_closure_references(case):
         gap = text(weak)
     else:
         lo, hi = strict.witness.lo, strict.witness.hi
-        gap = (f"x={lo}, x'={hi}, a(x)={bound_text(slow._scan_generic(lo)[0])}, "
-               f"b(x')={bound_text(slow._scan_generic(hi)[1])} "
+        gap = (f"x={lo}, x'={hi}, a(x)={bound_text(scan_record(ref, samples, lo)[0])}, "
+               f"b(x')={bound_text(scan_record(ref, samples, hi)[1])} "
                "(x' strictly dominates x but b(x') <= a(x))")
     assert text(check_gap_safe_finite(rel, samples)) == gap
     assert rel._matrix is None

@@ -12,10 +12,10 @@ from ordext.contours import (
     FiniteSampleOracle,
     PartialUtility,
     bound_text,
-    lower_contour,
-    upper_contour,
 )
 from ordext.orders import BOTTOM, TOP, FinitePreorder, ParetoSpace
+
+from reference import lower_contour, upper_contour
 
 
 def unit_interval_oracle():

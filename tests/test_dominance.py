@@ -42,6 +42,8 @@ from ordext.monotonicity import (
     check_weakly_increasing,
 )
 from ordext.orders import (
+    BOTTOM,
+    TOP,
     FinitePreorder,
     ForeignElementError,
     ParetoSpace,
@@ -57,6 +59,7 @@ from reference import (
     pairwise_pareto_set_values,
     pairwise_strictly_increasing,
     pairwise_weakly_increasing,
+    scan_record,
 )
 
 # the pool of tests/test_kernels.py without its Fractions: few magnitudes,
@@ -391,6 +394,23 @@ def test_kept_pareto_bounds_follow_the_relation_asked(monkeypatch):
     assert builds == [first, second, first, second, first]
 
 
+def test_alternating_relations_leave_one_structure_per_sample_set():
+    # an oracle reads the structure kept on the sample set at each query and
+    # holds none itself, so oracles of relations A, B and A asked in turn
+    # leave only the structure of the last one live (the third query is a
+    # new object, so it is no memo hit)
+    first, second = ParetoSpace(2), ParetoSpace(2)
+    samples = PartialUtility({(0.0, 0.0): 1.0, (1.0, 1.0): 0.0, (2.0, 0.0): 3.0})
+    a, b = FiniteSampleOracle(first, samples), FiniteSampleOracle(second, samples)
+    for oracle, x in ((a, (1.0, 0.5)), (b, (1.0, 0.5)), (a, (0.5, 0.5))):
+        oracle.record(x)
+    gc.collect()
+    live = [o for o in gc.get_objects()
+            if type(o) is ParetoBounds and (o.rel is first or o.rel is second)]
+    assert live == [samples._bounds]
+    assert live[0].rel is first
+
+
 def test_kept_pareto_bounds_die_with_their_sample_set():
     # 2,000 points: the kept chains take about a megabyte, and they go with
     # the sample set once the checks and the index have both read them
@@ -421,9 +441,9 @@ def test_pareto_bounds_record_matches_the_reference_scan(case):
     space, samples, points = case
     bounds = bounds_of(space, samples)
     assert type(bounds) is ParetoBounds
-    scan = FiniteSampleOracle(space, samples)._scan_generic
     for x in [*samples.points, *points]:
-        assert [str(v) for v in bounds.record(x)] == [str(v) for v in scan(x)]
+        want = scan_record(space, samples, x)
+        assert [str(v) for v in bounds.record(x)] == [str(v) for v in want]
 
 
 def test_pareto_set_value_check_builds_one_structure(monkeypatch):
@@ -482,11 +502,13 @@ def test_generic_preorder_takes_the_pairwise_masks(samples, points):
     samples = PartialUtility(samples)
     assert type(bounds_of(rel, samples)) is SampleRanks
     assert_same_sample_checks(rel, samples)
-    # the index reads its two masks of a query point by geq, and its bounds
-    # by the tie rule of every ranked structure
-    scan = FiniteSampleOracle(rel, samples)._scan_generic
-    for x in [*samples.points, *points]:
-        assert [str(v) for v in bounds_of(rel, samples).record(x)] == [str(v) for v in scan(x)]
+    # the oracle reads its two masks of a query point by geq, and its bounds
+    # by the tie rule of every ranked structure; TOP and BOTTOM read none
+    oracle = FiniteSampleOracle(rel, samples)
+    for x in [*samples.points, *points, TOP, BOTTOM]:
+        oracle._last = None
+        want = scan_record(rel, samples, x)
+        assert [str(v) for v in oracle.record(x)] == [str(v) for v in want]
 
 
 class CountedDivisibility(Divisibility):

@@ -407,6 +407,23 @@ def test_evaluate_many_matches_per_point_reads_on_finite_preorders(rel, data, bo
     assert_batch_matches_per_point(rel, PartialUtility(samples), queries, *bounds)
 
 
+def test_blend_at_a_non_default_range_is_pinned_to_the_bit():
+    # alpha = 0.1 and beta = 0.7, at points with both bounds finite: the
+    # blend's operations in another order, such as lo computed as
+    # max(a, min(b, beta) - (beta - alpha)), move each value by an ulp or
+    # more, which the golden corpus prints too coarsely to see
+    pareto = make_engine(FiniteSampleOracle(
+        ParetoSpace(2), PartialUtility({(0.0, 0.0): -3.0, (2.0, 2.0): 2.9, (0.0, 2.0): 0.3})),
+        0.1, 0.7)
+    chain = make_engine(FiniteSampleOracle(
+        FinitePreorder.chain(7), PartialUtility({0: -3.0, 3: 0.3, 6: 2.9})), 0.1, 0.7)
+    assert pareto.bounds((0.0, 0.5)) == chain.bounds(2) == (-3.0, 0.3)
+    assert pareto.bounds((0.25, 0.25)) == (-3.0, 2.9)
+    got = [pareto.evaluate((0.0, 0.5)), pareto.evaluate((0.25, 0.25)), chain.evaluate(2)]
+    assert [v.hex() for v in got] == [
+        "0x1.6ab3956bd8a0cp-4", "0x1.f4467ef48fc1ep-2", "0x1.b10c9bb07a15cp-3"]
+
+
 # The arctan squash saturates in doubles, so strictly ordered points far
 # from the samples can get equal values.  ROADMAP item 4 (strict increase
 # made exact) is to fix these; until then they are expected failures.

@@ -1,11 +1,12 @@
-"""Per-space bound indexes of FiniteSampleOracle against the generic loop.
+"""Records of FiniteSampleOracle against the reference scan.
 
-Every interior query on a ParetoSpace or FinitePreorder reads the
-oracle's index; ``_scan_generic`` is the retained
-one-comparison-per-sample loop and serves as the reference.  Bounds are
-compared as values and as text, so ties between ``-0.0`` and ``0.0`` (or
-``1``, ``1.0`` and ``Fraction(1)``) must resolve to the same sample in
-both.
+Every element query on a ParetoSpace or FinitePreorder reads the one
+structure kept on the sample set, and ``TOP`` and ``BOTTOM`` are the max
+and min of the sample values; ``reference.scan_record``, the
+one-comparison-per-sample loop, is the reference for both, on empty
+sample sets too.  Bounds are compared as values and as text, so ties
+between ``-0.0`` and ``0.0`` (or ``1``, ``1.0`` and ``Fraction(1)``) must
+resolve to the same sample in both.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordext.contours import FiniteSampleOracle, PartialUtility
+from ordext.contours import FiniteSampleOracle, ParetoBounds, PartialUtility
 from ordext.orders import (
     BOTTOM,
     TOP,
@@ -28,6 +29,8 @@ from ordext.orders import (
     is_pareto_set,
 )
 
+from reference import scan_record
+
 # few distinct magnitudes, so duplicates and ties are common
 NUMBERS = st.sampled_from(
     [-1e12, -2.5, Fraction(-5, 2), -1, -1.0, -0.0, 0, 0.0, Fraction(0), 0.5,
@@ -36,9 +39,9 @@ NUMBERS = st.sampled_from(
 
 
 def assert_same_scan(oracle, x):
-    oracle._last = None  # the one-slot memo: read the index, not the last record
+    oracle._last = None  # the one-slot memo: read the structure, not the last record
     got = oracle.record(x)
-    want = oracle._scan_generic(x)
+    want = scan_record(oracle.rel, oracle.samples, x)
     assert got == want
     assert [str(b) for b in got[:2]] == [str(b) for b in want[:2]]
     assert oracle.record(x) is got  # a repeated query is a memo hit
@@ -56,7 +59,7 @@ def pareto_oracles(draw):
     points = st.tuples(*[NUMBERS] * k)
     samples = draw(st.lists(st.tuples(points, NUMBERS), max_size=12))
     queries = draw(st.lists(points, min_size=1, max_size=8))
-    queries += [p for p, _ in samples]
+    queries += [p for p, _ in samples] + [TOP, BOTTOM]
     oracle = FiniteSampleOracle(ParetoSpace(k), PartialUtility(dict(samples)))
     return oracle, with_repeats(draw, queries)
 
@@ -75,7 +78,8 @@ def finite_oracles(draw):
     pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
     rel = FinitePreorder.closure(n, pairs)
     samples = draw(st.dictionaries(index, NUMBERS))
-    return FiniteSampleOracle(rel, PartialUtility(samples)), with_repeats(draw, list(range(n)))
+    queries = [*range(n), TOP, BOTTOM]
+    return FiniteSampleOracle(rel, PartialUtility(samples)), with_repeats(draw, queries)
 
 
 @given(finite_oracles())
@@ -91,11 +95,11 @@ def test_finite_kernel_matches_generic_loop(case):
 def test_kernel_on_2000_element_chain_and_antichain(big_chain, big_antichain, samples, queries):
     for rel in (big_chain, big_antichain):
         oracle = FiniteSampleOracle(rel, PartialUtility(samples))
-        for x in queries + [0, 1999] + sorted(samples)[:3]:
+        for x in queries + [0, 1999, TOP, BOTTOM] + sorted(samples)[:3]:
             assert_same_scan(oracle, x)
 
 
-def test_augmented_extremes_take_the_generic_loop():
+def test_augmented_extremes_are_the_max_and_min_of_the_values():
     oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0.0, 1.0): -0.0, (1.0, 0.0): 0.0}))
     assert str(oracle.upper_inf(BOTTOM)) == "-0.0"
     assert str(oracle.lower_sup(TOP)) == "-0.0"
@@ -154,7 +158,7 @@ def test_malformed_sample_point_is_rejected_on_every_scan(rel, bad_sample, query
         with pytest.raises(ForeignElementError):
             oracle.lower_sup(query)
     with pytest.raises(ForeignElementError):
-        oracle._scan_generic(query)
+        scan_record(rel, oracle.samples, query)
 
 
 def peak_memory(build):
@@ -182,7 +186,7 @@ def test_pareto_index_memory_is_within_twice_the_dominance_masks(front_of_10k):
     masks = peak_memory(lambda: list(PrefixChains(points, range(len(points))).of_points()))
     oracle = FiniteSampleOracle(ParetoSpace(3), samples)
     index = peak_memory(lambda: oracle.lower_sup(points[0]))
-    assert oracle._index is not None
+    assert type(samples._bounds) is ParetoBounds and samples._bounds.rel is oracle.rel
     assert index <= 2 * masks
 
 
@@ -212,14 +216,14 @@ def test_memo_hit_does_not_skip_validation(rel, valid, foreign):
             read(foreign)
 
 
-def test_memo_matches_the_same_query_object_only():
+def test_memo_matches_the_same_query_object_only(monkeypatch):
     # the same object is a memo hit and gets the memoized record back; an
-    # equal but distinct query reads the index again
+    # equal but distinct query reads the structure again
     oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0, 0): 0.0, (1, 1): 1.0}))
     x = (0.5, 0.5)
     first = oracle.record(x)
-    index, reads = oracle._index, []
-    oracle._index = lambda q: reads.append(q) or index(q)
+    record, reads = ParetoBounds.record, []
+    monkeypatch.setattr(ParetoBounds, "record", lambda self, q: reads.append(q) or record(self, q))
     assert oracle.record(x) is first
     assert reads == []
     twin = tuple([0.5, 0.5])

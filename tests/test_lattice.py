@@ -2,10 +2,10 @@
 
 ``FiniteSampleOracle.lattice`` answers a 2-D grid row by row from one
 sweep: each row's points, their records and their sample membership.
-Each record must equal, as values and as text, what a fresh oracle's
-index and the generic loop answer for that point alone, so ties between
-``-0.0`` and ``0.0`` (or ``1``, ``1.0`` and ``Fraction(1)``) resolve to
-the same sample on every path.  ``ExtensionEngine.evaluate_grid``, which
+Each record must equal, as values and as text, what a fresh oracle and
+the reference scan answer for that point alone, so ties between ``-0.0``
+and ``0.0`` (or ``1``, ``1.0`` and ``Fraction(1)``) resolve to the same
+sample on every path.  ``ExtensionEngine.evaluate_grid``, which
 evaluates the rows, must match a fresh engine's per-point reads bit for
 bit.
 """
@@ -22,6 +22,8 @@ from ordext.contours import FiniteSampleOracle, PartialUtility
 from ordext.extension import make_engine
 from ordext.fixtures import get_fixture
 from ordext.orders import FinitePreorder, ForeignElementError, ParetoSpace, UnsupportedQueryError
+
+from reference import scan_record
 
 # tied values of every kind: -0.0/0.0/0, 1/1.0/Fraction(1), and repeats
 VALUES = st.sampled_from(
@@ -56,8 +58,8 @@ def assert_records_match_per_point_queries(oracle, xs, ys):
         rows.append(points)
         assert len(records) == len(members) == len(points)
         for x, got, member in zip(points, records, members):
-            alone._last = None  # read the index, not the last record
-            for want in (alone.record(x), oracle._scan_generic(x)):
+            alone._last = None  # read the structure, not the last record
+            for want in (alone.record(x), scan_record(oracle.rel, oracle.samples, x)):
                 assert got == want
                 assert as_text(got) == as_text(want)
             assert member is alone.in_samples(x)
