@@ -10,6 +10,10 @@ stderr and, for ``grid``, the CSV bytes of every command), by running
 ``ordext.cli.main`` in-process.  ``tests/test_golden.py`` replays the
 manifest and compares byte for byte.  Regenerate only when a change of
 CLI output is intended, and review the diff of ``expected/``.
+
+:func:`run_command` is the one way a manifest entry runs: the golden test,
+``tests/reach.py`` and ``replay.py`` call it too, and
+:func:`expected_result` is what the first and the last compare it with.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import os
 import random
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -298,20 +303,46 @@ def build_commands():
     return commands
 
 
-def run_command(argv, cases_dir):
-    """Run one command in the current directory: (exit, stdout, stderr, csv or None)."""
-    from ordext.cli import main
+def expand(argv):
+    """A manifest argv with ``{cases}`` replaced by the case directory."""
+    return [arg.replace(CASES_TOKEN, str(CASES)) for arg in argv]
 
-    argv = [arg.replace(CASES_TOKEN, str(cases_dir)) for arg in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+
+def run_command(argv, executable=None):
+    """Run one manifest argv, :func:`expand`-ed, in the current directory:
+    (exit, stdout, stderr, grid CSV or None), the outputs as bytes.  The
+    command runs in process through ``ordext.cli.main``, or, given an
+    ``executable`` such as the installed ``ordext`` script, as a child
+    process.  The CSV is read and removed."""
+    argv = expand(argv)
+    if executable is None:
+        from ordext.cli import main
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue().encode(), err.getvalue().encode()
+    else:
+        done = subprocess.run([executable, *argv], capture_output=True)
+        code, out, err = done.returncode, done.stdout, done.stderr
     grid = Path("grid.csv")
     csv_bytes = None
     if grid.exists():
         csv_bytes = grid.read_bytes()
         grid.unlink()
-    return code, out.getvalue(), err.getvalue(), csv_bytes
+    return code, out, err, csv_bytes
+
+
+def load_manifest():
+    return json.loads(MANIFEST.read_text())
+
+
+def expected_result(entry):
+    """What :func:`run_command` must return for a manifest entry."""
+    stem = EXPECTED / entry["id"]
+    csv = Path(f"{stem}.csv")
+    return (entry["exit"], Path(f"{stem}.stdout").read_bytes(),
+            Path(f"{stem}.stderr").read_bytes(), csv.read_bytes() if csv.exists() else None)
 
 
 def main():
@@ -327,9 +358,9 @@ def main():
         os.chdir(scratch)
         try:
             for cid, argv in build_commands():
-                code, out, err, csv_bytes = run_command(argv, CASES)
-                (EXPECTED / f"{cid}.stdout").write_text(out)
-                (EXPECTED / f"{cid}.stderr").write_text(err)
+                code, out, err, csv_bytes = run_command(argv)
+                (EXPECTED / f"{cid}.stdout").write_bytes(out)
+                (EXPECTED / f"{cid}.stderr").write_bytes(err)
                 if csv_bytes is not None:
                     (EXPECTED / f"{cid}.csv").write_bytes(csv_bytes)
                 manifest.append({"id": cid, "argv": argv, "exit": code})

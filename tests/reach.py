@@ -5,8 +5,9 @@ Usage (from the repository root)::
     PYTHONPATH=src python3 tests/reach.py
 
 It runs every command of the golden manifest (``tests/golden/manifest.json``)
-in process through ``ordext.cli.main``, importing the package under the same
-profile hook, which notes the code object of every Python call.  It then
+in process through ``ordext.cli.main``, by the ``run_command`` of
+``tests/golden/make_golden.py``, importing the package under the same profile
+hook, which notes the code object of every Python call.  It then
 writes to ``tests/reach.txt`` each ``def`` of ``src/ordext`` whose code no
 command entered, as ``module.qualname``, one a line, sorted.  Calls are keyed
 by code object, so a method defined on two classes is two entries; lambdas and
@@ -21,18 +22,16 @@ Stdlib only; pytest does not collect it.
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
-import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Set, Tuple
 
+from golden.make_golden import load_manifest, run_command
+
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src" / "ordext"
-GOLDEN = HERE / "golden"
 OUT = HERE / "reach.txt"
 
 Key = Tuple[str, int, str]  # file, first line (a decorator's, if any), name
@@ -79,13 +78,8 @@ def entered(run: Callable[[], None]) -> Set[Key]:
 def run_manifest() -> None:
     """Every golden command, in the current directory, its output discarded;
     an exit code other than the manifest's stops the run."""
-    from ordext.cli import main
-
-    cases = str(GOLDEN / "cases")
-    for entry in json.loads((GOLDEN / "manifest.json").read_text()):
-        argv = [arg.replace("{cases}", cases) for arg in entry["argv"]]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+    for entry in load_manifest():
+        code = run_command(entry["argv"])[0]
         if code != entry["exit"]:
             raise SystemExit(f"{entry['id']}: exit {code}, the manifest says {entry['exit']}")
 

@@ -24,6 +24,9 @@ its rows and the witness of its transitivity error.  The relation audit
 ``is_transitive`` runs ``pairwise_check_transitive`` and ``is_reflexive``
 tests the diagonal bit by bit, so neither calls the check it audits; the
 other audits read the rows beside their ``bitwise_transpose``.
+:func:`strict_extension_fault` is an output certificate: it checks values at
+every element of a finite relation against its declared pairs and samples,
+with components from :func:`kosaraju_components`, not ordext's Tarjan walk.
 :class:`WeakIncreaseForm` and :func:`check_weak_increase_form` state weak
 increase six ways; the acceptance gate checks that all six agree.
 """
@@ -76,6 +79,7 @@ __all__ = [
     "is_symmetric",
     "is_transitive",
     "iter_all_preorders",
+    "kosaraju_components",
     "lower_contour",
     "pairwise_bounds_comparable",
     "pairwise_check_transitive",
@@ -90,6 +94,7 @@ __all__ = [
     "random_gap_safe_samples",
     "scan_record",
     "serialize_problem",
+    "strict_extension_fault",
     "upper_contour",
     "warshall_closure",
 ]
@@ -334,6 +339,76 @@ def pairwise_check_transitive(rows: Sequence[int]) -> Optional[Tuple[int, int]]:
             rest &= rest - 1
             if rows[j] & ~row:
                 return (i, j)
+    return None
+
+
+def kosaraju_components(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+    """The strongly connected component of each element of the digraph on
+    ``range(n)`` with an edge x -> y per pair (x, y): Kosaraju's two passes,
+    written apart from ordext's Tarjan walk.  A depth-first pass over the
+    edges lists the elements by finishing time; a pass over the reversed
+    edges, from the last finished, collects one component per root.
+    Iterative, so a long chain does not recurse."""
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for x, y in pairs:
+        succ[x].append(y)
+        pred[y].append(x)
+    finished, seen = [], [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            x, edges = stack[-1]
+            for y in edges:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append((y, iter(succ[y])))
+                    break
+            else:
+                stack.pop()
+                finished.append(x)
+    comp = [-1] * n
+    count = 0
+    for root in reversed(finished):
+        if comp[root] >= 0:
+            continue
+        comp[root] = count
+        stack = [root]
+        while stack:
+            for x in pred[stack.pop()]:
+                if comp[x] < 0:
+                    comp[x] = count
+                    stack.append(x)
+        count += 1
+    return comp
+
+
+def strict_extension_fault(
+    n: int, pairs: Sequence[Tuple[int, int]], values: Sequence[float], samples: PartialUtility
+) -> Optional[str]:
+    """Why ``values``, one per element of ``range(n)``, is not a strictly
+    increasing extension of ``samples`` over the preorder that the declared
+    ``pairs`` (x, y), read x >= y, generate; None when it is one.
+
+    An output certificate, independent of ordext's checks: on each declared
+    pair the values are equal when x and y are mutually reachable and
+    strictly ordered otherwise, and on each sample they are its value.  A
+    derived pair follows by transitivity: a path between two components
+    crosses a strict pair and never comes back.  One Kosaraju pass plus
+    O(n + m)."""
+    comp = kosaraju_components(n, pairs)
+    for x, y in pairs:
+        if comp[x] == comp[y]:
+            if values[x] != values[y]:
+                return f"{x} ~ {y}, yet {values[x]!r} != {values[y]!r}"
+        elif not values[x] > values[y]:
+            return f"{x} > {y}, yet {values[x]!r} is not above {values[y]!r}"
+    for p, v in samples.items():
+        if values[p] != v:
+            return f"sample {p} is valued {v!r}, yet {values[p]!r}"
     return None
 
 

@@ -226,6 +226,9 @@ def test_finite_pareto_checks_build_no_rows(monkeypatch):
     with pytest.raises(NotAParetoSetError) as err:
         check_pareto_set_values(rel, PartialUtility({3: 0.0, 2: 1.0, 1: 2.0}))
     assert err.value.pair == (1, 2)
+    with pytest.raises(NotAParetoSetError) as err:
+        check_pareto_set_values(rel, PartialUtility({2: 0.0, 0: 1.0, 3: 5.0}))
+    assert err.value.pair == (0, 2)
     verdict = check_pareto_set_values(rel, PartialUtility({1: 1.0, 3: 0.0, 0: 2.0}))
     assert (verdict.holds, verdict.witness.lo, verdict.witness.hi) == (False, 1, 0)
     assert builds == []
@@ -523,12 +526,16 @@ class CountedDivisibility(Divisibility):
 
 
 @pytest.mark.parametrize(
-    "values, pair",
-    [({2: 1.0, 3: 0.0, 5: 2.0, 7: 2.0, 11: -1.0, 13: 0.5}, None),
-     ({2: 1.0, 3: 0.0, 5: 2.0, 6: 0.5, 11: -1.0, 13: 0.5}, (6, 2))],
-    ids=["primes", "strict-pair"],
+    "values, pair, weak, witness",
+    [({2: 1.0, 3: 0.0, 5: 2.0, 7: 2.0, 11: -1.0, 13: 0.5}, None, True, None),
+     ({2: 1.0, 3: 0.0, 5: 2.0, 6: 0.5, 11: -1.0, 13: 0.5}, (6, 2), False,
+      "x=2, x'=6, f_P(x)=1.0, f_P(x')=0.5 (strict domination without a strictly larger value)"),
+     # 6 is above 3 and tied with it: weakly increasing, not strictly
+     ({3: 2.0, 4: 1.0, 6: 2.0, 12: 5.0, 5: 0.0, 10: 3.0}, (6, 3), True,
+      "x=3, x'=6, f_P(x)=2.0, f_P(x')=2.0 (strict domination without a strictly larger value)")],
+    ids=["primes", "strict-pair", "tied-strict-pair"],
 )
-def test_generic_pareto_set_checks_make_one_pairwise_pass(values, pair):
+def test_generic_pareto_set_checks_make_one_pairwise_pass(values, pair, weak, witness):
     # the Pareto-set test, then the weak, strict and gap checks, read the
     # one set of masks kept on the sample set: one geq per ordered pair
     rel = CountedDivisibility()
@@ -539,10 +546,15 @@ def test_generic_pareto_set_checks_make_one_pairwise_pass(values, pair):
         with pytest.raises(NotAParetoSetError) as exc:
             check_pareto_set_values(rel, samples)
         assert exc.value.pair == pair
-    assert check_weakly_increasing(rel, samples).holds == (pair is None)
-    assert check_strictly_increasing(rel, samples).holds == (pair is None)
-    assert check_gap_safe_finite(rel, samples).holds == (pair is None)
+    assert check_weakly_increasing(rel, samples).holds == weak
+    strict = check_strictly_increasing(rel, samples)
+    assert strict.holds == (pair is None)
+    assert (None if strict.holds else strict.witness.describe()) == witness
     assert rel.calls == len(values) ** 2
+    # the gap witness of a tie on a strict pair names the bounds of its two
+    # points, which the oracle reads by one geq per sample each way
+    assert check_gap_safe_finite(rel, samples).holds == (pair is None)
+    assert rel.calls == len(values) ** 2 + (2 * 2 * len(values) if weak and pair else 0)
 
 
 @pytest.mark.parametrize("kind", ["pareto", "generic"])

@@ -287,6 +287,14 @@ def test_maximal_unsupported_on_pareto():
 def test_equivalence_classes():
     rel = FinitePreorder.closure(4, [(0, 1), (1, 0), (2, 3)])
     assert rel.equivalence_classes() == [(0, 1), (2,), (3,)]
+    # 0 ~ 1, both above 2, and 3 apart: closed rows give the relation the
+    # pairs give
+    from_pairs = FinitePreorder.closure(4, [(0, 1), (1, 0), (1, 2)])
+    matrix = [[1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    from_rows = FinitePreorder.from_geq_matrix([[bool(c) for c in row] for row in matrix])
+    assert from_rows == from_pairs
+    assert from_rows.equivalence_classes() == from_pairs.equivalence_classes() == [
+        (0, 1), (2,), (3,)]
 
 
 def test_relation_audits():
