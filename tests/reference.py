@@ -27,12 +27,18 @@ other audits read the rows beside their ``bitwise_transpose``.
 :func:`strict_extension_fault` is an output certificate: it checks values at
 every element of a finite relation against its declared pairs and samples,
 with components from :func:`kosaraju_components`, not ordext's Tarjan walk.
+:func:`capped_blend` is the defining formula of the extension written with
+builtin ``max`` and ``min``, the bit-exact reference for the production
+evaluator.  :func:`grid_increase_fault` is the output certificate of a
+``grid`` CSV: strict increase along both axes and the sample values at the
+nodes that are samples.
 :class:`WeakIncreaseForm` and :func:`check_weak_increase_form` state weak
 increase six ways; the acceptance gate checks that all six agree.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -70,7 +76,9 @@ __all__ = [
     "bitwise_transpose",
     "brute_extendability",
     "build_instance",
+    "capped_blend",
     "check_weak_increase_form",
+    "grid_increase_fault",
     "is_antisymmetric",
     "is_connected",
     "is_maximal",
@@ -409,6 +417,52 @@ def strict_extension_fault(
     for p, v in samples.items():
         if values[p] != v:
             return f"sample {p} is valued {v!r}, yet {values[p]!r}"
+    return None
+
+
+def capped_blend(a: float, b: float, alpha: float, beta: float, u: float) -> float:
+    """The defining capped blend of bounds ``a`` and ``b`` at unit utility
+    ``u``, with builtin ``max`` and ``min``: the bit-exact reference for
+    ``ExtensionEngine.evaluate``."""
+    lo = max(a, min(b, beta) - beta + alpha)
+    hi = min(b, max(a, alpha) - alpha + beta)
+    return lo + (hi - lo) * u
+
+
+def grid_increase_fault(csv_text: str, samples) -> Optional[str]:
+    """Why the CSV of ``ordext grid`` is not strictly increasing over its
+    grid, or misses a value of ``samples`` (anything with ``items()`` of 2-D
+    points and values); None when it is neither.
+
+    An output certificate, independent of ordext: the rows are the nodes of
+    an n × n grid, ``x1`` major.  Between neighbours along either axis, a
+    larger coordinate must carry a strictly larger value and an equal one
+    the same value, so by transitivity every pair of nodes ordered
+    coordinatewise is ordered by value.  A node at a sample point must carry
+    the sample's value, compared as numbers."""
+    rows = list(csv.reader(csv_text.splitlines()))[1:]
+    n = math.isqrt(len(rows))
+    if n * n != len(rows):
+        return f"{len(rows)} rows do not make a square grid"
+    nodes = [[tuple(map(float, row[:3])) for row in rows[i * n:(i + 1) * n]] for i in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        x1, x2, f = nodes[i][j]
+        if (x1, x2) != (nodes[i][0][0], nodes[0][j][1]):
+            return f"node ({x1!r}, {x2!r}) is off the grid of its row and column"
+        for p in (nodes[i - 1][j] if i else None, nodes[i][j - 1] if j else None):
+            if p is None:
+                continue
+            if (x1, x2) < p[:2]:
+                return f"node ({x1!r}, {x2!r}) comes after ({p[0]!r}, {p[1]!r})"
+            if (x1, x2) == p[:2] and f != p[2]:
+                return f"node ({x1!r}, {x2!r}) is valued both {p[2]!r} and {f!r}"
+            if (x1, x2) != p[:2] and not f > p[2]:
+                return (f"({x1!r}, {x2!r}) is above ({p[0]!r}, {p[1]!r}), yet "
+                        f"{f!r} is not above {p[2]!r}")
+    values = {(x1, x2): f for line in nodes for x1, x2, f in line}
+    for p, v in samples.items():
+        if tuple(p) in values and values[tuple(p)] != v:
+            return f"sample {tuple(p)} is valued {v!r}, yet {values[tuple(p)]!r}"
     return None
 
 

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -12,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import ordext
+import reference
 from ordext import cli, contours, monotonicity, orders
 from ordext.cli import grid_axis, main
 from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
@@ -316,6 +319,75 @@ def test_grid_file_matches_csv_writer(tmp_path, capsys, doc, bbox, resolution):
         rows = list(csv.reader(want.decode().splitlines()))[1:]
         assert {row[3] for row in rows} == {"P", "A", "L", "U", "N"}
         assert "S1|S2|S3|S4" in {row[4] for row in rows}
+
+
+def seeded_unit_square(seed, count, nodes=()):
+    """A Pareto problem of ``count`` distinct seeded points of the unit
+    square, valued strictly increasingly (so gap-safe), the first of them
+    drawn from ``nodes`` when given."""
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < count:
+        if nodes and len(points) < count // 2:
+            points.add((rng.choice(nodes), rng.choice(nodes)))
+        else:
+            points.add((rng.random(), rng.random()))
+    samples = [{"point": [x, y], "value": 3.0 * x + y + x * y} for x, y in sorted(points)]
+    return {"space": {"kind": "pareto", "dimension": 2}, "samples": samples}
+
+
+def golden_samples(name):
+    doc = json.loads((GOLDEN_CASES / f"{name}.json").read_text())
+    return {tuple(s["point"]): s["value"] for s in doc["samples"]}
+
+
+@pytest.mark.parametrize("name", ["pareto2", "pareto2-grid"])
+def test_golden_grid_is_strictly_increasing_and_keeps_the_samples(name):
+    expected = GOLDEN_CASES.parent / "expected" / f"{name}.grid.csv"
+    assert reference.grid_increase_fault(expected.read_text(), golden_samples(name)) is None
+
+
+def test_seeded_grid_is_strictly_increasing_and_keeps_the_samples(tmp_path, capsys):
+    # half of the 60 samples sit on grid nodes
+    axis = grid_axis(-0.25, 1.25, 100)
+    doc = seeded_unit_square(11, 60, nodes=axis[17:83:2])
+    problem = write(tmp_path, "p.json", doc)
+    out_path = tmp_path / "grid.csv"
+    argv = ["grid", problem, "--bbox=-0.25,-0.25,1.25,1.25", "--resolution=100",
+            f"--out={out_path}"]
+    assert main(argv) == 0
+    samples = {tuple(s["point"]): s["value"] for s in doc["samples"]}
+    assert sum(x in axis and y in axis for x, y in samples) == 30
+    assert reference.grid_increase_fault(out_path.read_text(), samples) is None
+
+
+def test_grid_increase_fault_names_each_kind_of_fault():
+    fault = reference.grid_increase_fault
+    head = "x1,x2,f,alun,s_labels\r\n"
+    good = head + "0.0,0.0,0.0,P,S1\r\n0.0,1.0,0.5,A,S1\r\n1.0,0.0,0.5,A,S1\r\n1.0,1.0,1.0,P,S1\r\n"
+    samples = {(0.0, 0.0): 0.0, (1.0, 1.0): 1.0}
+    assert fault(good, samples) is None
+    assert "not above" in fault(good.replace("0.0,1.0,0.5", "0.0,1.0,0.0"), samples)
+    assert "not above" in fault(good.replace("1.0,1.0,1.0", "1.0,1.0,0.5"), {})
+    assert "sample (1.0, 1.0)" in fault(good, {(1.0, 1.0): 2.0})
+    assert "square" in fault(good + "2.0,2.0,2.0,U,S1\r\n", samples)
+    assert "off the grid" in fault(good.replace("1.0,0.0,0.5", "1.0,0.5,0.5"), samples)
+    flat = head + "0.0,0.0,0.0,P,S1\r\n0.0,1.0,0.5,A,S1\r\n" * 2  # x1 = 0.0 twice
+    assert fault(flat, samples) is None
+    assert "valued both" in fault(flat[:-10] + "0.7,A,S1\r\n", {})
+    backwards = good.replace("0.0,1.0,", "0.0,-1.0,").replace("1.0,1.0,", "1.0,-1.0,")
+    assert "comes after" in fault(backwards, {})
+
+
+def test_grid_bytes_at_scale_are_pinned(tmp_path, capsys):
+    # 90,000 points over 2,000 samples; the golden corpus pins 277 grid points
+    problem = write(tmp_path, "p.json", seeded_unit_square(28, 2000))
+    out_path = tmp_path / "grid.csv"
+    argv = ["grid", problem, "--bbox=-0.25,-0.25,1.25,1.25", "--resolution=300",
+            f"--out={out_path}"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "33816619e5b22cb6ebd5bdc8707727dbcff236b7c7bf7d58fb630ff36f5a21e1"
 
 
 def test_grid_writes_the_header_and_then_one_row_at_a_time(tmp_path, capsys, monkeypatch):

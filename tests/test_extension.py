@@ -4,8 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import reference
 
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
 from ordext.monotonicity import NotAParetoSetError, check_gap_safe_finite, check_gap_safe_pareto
@@ -17,7 +19,7 @@ from ordext.extension import (
     UnboundedContourError,
     make_engine,
 )
-from ordext.utility import finite_utility, normalize01, pareto_base_utility, squash
+from ordext.utility import UtilityFn, finite_utility, normalize01, pareto_base_utility, squash
 
 
 def unit_line_engine(alpha=0.0, beta=1.0):
@@ -155,6 +157,81 @@ def test_unbounded_lower_sup_is_refused():
         list(engine.evaluate_many([(0.0,)]))
     # classification stays total even where evaluation refuses
     assert Band.WIDE_HIGH in engine.classify_bands((0.0,))
+
+
+class _FixedBounds(ContourOracle):
+    """A stub oracle with the bounds ``a`` and ``b`` at every point."""
+
+    def __init__(self, a, b):
+        self._a, self._b = a, b
+
+    @property
+    def rel(self):
+        return ParetoSpace(1)
+
+    def lower_sup(self, x):
+        return self._a
+
+    def upper_inf(self, x):
+        return self._b
+
+    def contour_occupancy(self, x):
+        return (True, True)
+
+    def in_samples(self, x):
+        return False
+
+    def sample_value(self, x):
+        raise KeyError(x)
+
+
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def blend_inputs(draw):
+    """``(alpha, beta, a, b, base)``: a range, bounds drawn from zeros of both
+    signs, the range ends and their neighbours on each side, any finite float,
+    ``int`` and ``Fraction`` values, plus ``a = -inf`` and ``b = +inf``, and
+    one base utility value.  ``a > b`` is allowed: the formula is total."""
+    alpha, beta = draw(st.one_of(
+        st.just((0.0, 1.0)),
+        st.sampled_from([(-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-1.0, 2.5), (3.0, 3.5)]),
+        st.tuples(_REALS, _REALS).filter(lambda r: r[0] < r[1] and math.isfinite(r[1] - r[0])),
+    ))
+    near = [math.nextafter(v, side) for v in (alpha, beta) for side in (-math.inf, math.inf)]
+    edges = [-0.0, 0.0, alpha, beta, *filter(math.isfinite, near)]
+    bound = st.one_of(
+        st.sampled_from(edges),
+        _REALS,
+        st.integers(-(2 ** 64), 2 ** 64),
+        st.fractions(max_denominator=10 ** 6),
+        st.sampled_from([Fraction(alpha), Fraction(beta)]),
+    )
+    a = draw(bound | st.just(-math.inf))
+    b = draw(bound | st.just(math.inf))
+    base = draw(st.floats(allow_nan=False))
+    return alpha, beta, a, b, base
+
+
+@given(blend_inputs())
+@example((0.0, 1.0, -0.0, -0.0, 0.0))
+@example((0.0, 1.0, -0.0, 0.0, 0.0))
+@example((0.0, 1.0, 0.0, -0.0, 0.0))
+@example((0.0, 1.0, 0.5, 0.5, 0.0))
+@example((0.0, 1.0, -math.inf, math.inf, 0.0))
+@example((-1.0, 2.5, -math.inf, math.inf, -3.0))
+@example((-1.0, 2.5, Fraction(-1, 3), 7, 2.0))
+@example((-0.0, 1.0, 0.0, 1.0, 1e300))
+@example((0.0, 1.0, 0.0, -5e-324, -1e300))
+@settings(max_examples=400, deadline=None)
+def test_evaluate_is_the_capped_blend_bit_for_bit(inputs):
+    alpha, beta, a, b, base = inputs
+    engine = ExtensionEngine(_FixedBounds(a, b), alpha, beta, UtilityFn(lambda x: base))
+    x = (0.0,)
+    want = reference.capped_blend(float(a), float(b), engine.alpha, engine.beta,
+                                  engine.unit_utility(x))
+    assert engine.evaluate(x).hex() == want.hex()
 
 
 def test_engine_rejects_bad_interval():
