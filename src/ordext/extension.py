@@ -10,7 +10,10 @@ strictly with the preorder.
 formula, is the one production evaluator: the CLI calls nothing else
 for a value.  Per point it reads the two bounds and one scaled utility
 value; the unit value is the scaled one mapped affinely, with the float
-alpha and beta :func:`normalize01` was given.
+alpha and beta :func:`normalize01` was given.  Its four caps are written
+as the comparisons builtin ``max`` and ``min`` make, which keep the first
+operand on a tie, so every value is bit-identical to the formula's and
+no builtin call is paid per point.
 :meth:`ExtensionEngine.evaluate_many` evaluates a sequence of points:
 per point it calls ``evaluate`` once and takes the region and band labels
 from the oracle record that call just memoized and the point's sample
@@ -160,7 +163,15 @@ class ExtensionEngine:
     # restriction guarantee relies on.
 
     def evaluate(self, x: Element) -> float:
-        """The defining capped blend; the production evaluator."""
+        """The defining capped blend; the production evaluator.
+
+        Each ``max(p, q)`` of the formula is written ``q if q > p else p``
+        and each ``min(p, q)`` ``q if q < p else p``: the comparison the
+        builtin makes, keeping the first operand on a tie, so ``-0.0``
+        against ``0.0`` resolves as in the formula and every value is
+        bit-identical to it (``reference.capped_blend``).  A builtin call
+        costs several times the comparison, and this runs once per point.
+        """
         # _bounded_floats, inlined: this runs once per point of every command
         oracle = self._oracle
         a, b = oracle.lower_sup(x), oracle.upper_inf(x)
@@ -175,8 +186,12 @@ class ExtensionEngine:
         a, b = float(a), float(b)
         alpha, beta = self._alpha, self._beta
         u = (self._scaled(x) - alpha) / (beta - alpha)
-        lo = max(a, min(b, beta) - beta + alpha)
-        hi = min(b, max(a, alpha) - alpha + beta)
+        # lo = max(a, min(b, beta) - beta + alpha)
+        # hi = min(b, max(a, alpha) - alpha + beta)
+        cap = (beta if beta < b else b) - beta + alpha
+        lo = cap if cap > a else a
+        cap = (alpha if alpha > a else a) - alpha + beta
+        hi = cap if cap < b else b
         return lo + (hi - lo) * u
 
     def evaluate_many(

@@ -125,7 +125,8 @@ def _as_number(value, location, *args):
 # the way move these values by less than 16 * 2**-53 * (M + 2R) in all, so
 # M + 2R at most _ROOM, a relative 2**-40 below the largest float, keeps
 # every intermediate finite.  The squash into (alpha, beta) stays within 2R
-# by the same margin.
+# by the same margin.  (max and min name the caps that evaluate writes as
+# comparisons with the same values.)
 _ROOM = (1 - 2**-40) * sys.float_info.max
 
 
