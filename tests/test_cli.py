@@ -323,8 +323,8 @@ def test_grid_file_matches_csv_writer(tmp_path, capsys, doc, bbox, resolution):
 
 def seeded_unit_square(seed, count, nodes=()):
     """A Pareto problem of ``count`` distinct seeded points of the unit
-    square, valued strictly increasingly (so gap-safe), the first of them
-    drawn from ``nodes`` when given."""
+    square, valued strictly increasingly (so gap-safe); when ``nodes`` is
+    given, half of the points take both coordinates from it."""
     rng = random.Random(seed)
     points = set()
     while len(points) < count:
@@ -347,7 +347,7 @@ def test_golden_grid_is_strictly_increasing_and_keeps_the_samples(name):
     assert reference.grid_increase_fault(expected.read_text(), golden_samples(name)) is None
 
 
-def test_seeded_grid_is_strictly_increasing_and_keeps_the_samples(tmp_path, capsys):
+def test_seeded_grid_is_strictly_increasing_and_keeps_the_samples(tmp_path):
     # half of the 60 samples sit on grid nodes
     axis = grid_axis(-0.25, 1.25, 100)
     doc = seeded_unit_square(11, 60, nodes=axis[17:83:2])
@@ -379,7 +379,7 @@ def test_grid_increase_fault_names_each_kind_of_fault():
     assert "comes after" in fault(backwards, {})
 
 
-def test_grid_bytes_at_scale_are_pinned(tmp_path, capsys):
+def test_grid_bytes_at_scale_are_pinned(tmp_path):
     # 90,000 points over 2,000 samples; the golden corpus pins 277 grid points
     problem = write(tmp_path, "p.json", seeded_unit_square(28, 2000))
     out_path = tmp_path / "grid.csv"
