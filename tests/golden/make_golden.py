@@ -209,6 +209,21 @@ def build_cases(rng):
         [0.0, 0.0, 0.25], [-0.0, -0.0, 0.25], [0.5, 0.5, 1.0], [1, 1, 1], [0.5, 0.0, 1],
         [2.0, 2.0, 2.0], [-1.0, 1.5, 0.0], [1.5, 1.5, -0.5], [-2, -2, -2], [3.0, 3.0, 3.0],
     ]
+    # k = 3, gap-safe: three samples share the first coordinate 1.0, and
+    # their repr order, (1.0, 10.5, 0.0) before (1.0, 2.5, ...), is not
+    # their numeric order; the first two, valued 0.0 and -0.0, are
+    # incomparable, so the first in sample order decides the printed a(x)
+    # above both and b(x) below both.  The repr of the first coordinate
+    # 1.5 is a prefix of that of 1.55
+    order3 = [((1.0, 2.5, 1.0), -0.0), ((1.0, 2.5, 10.0), 1.0), ((1.0, 10.5, 0.0), 0.0),
+              ((1.55, 0.0, 0.0), -1.0), ((1.5, 0.5, 0.5), -0.5), ((-0.0, 0.0, 0.0), -2.0),
+              ((10.0, 10.5, 10.0), 3.0)]
+    files["pareto3-order.json"] = _pareto_doc(3, order3, alpha=-3.0, beta=4.0)
+    files["pareto3-order.queries.json"] = [
+        [1.0, 10.5, 1.0], [1.0, 2.5, 0.0], [1.0, 2.5, 1.0], [1.0, 10.5, 0.0], [1.5, 2.5, 1.0],
+        [1.55, 0.5, 0.5], [0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], [11.0, 11.0, 11.0],
+        [1.0, 5.0, 5.0],
+    ]
     tnames = [f"t{i}" for i in range(6)]
     tgeq = [("t5", "t4"), ("t4", "t3"), ("t5", "t2"), ("t2", "t1"), ("t1", "t0")]
     tsamples = [("t0", 0.0), ("t2", 1.0), ("t3", 1.0), ("t4", 1.0), ("t5", 3.0)]
@@ -280,7 +295,7 @@ def build_commands():
             commands.append((f"{case}.{cmd}{suffix}",
                              [cmd, problem, *extra, "--queries", queries]))
 
-    for case in ("pareto1", "pareto2", "pareto3", "pareto2-bad", "pareto3-bad",
+    for case in ("pareto1", "pareto2", "pareto3", "pareto2-bad", "pareto3-bad", "pareto3-order",
                  "finite-dag", "finite-ranking", "finite-chain", "finite-bad",
                  "finite-weak", "finite-order"):
         report(case)

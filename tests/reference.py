@@ -31,7 +31,8 @@ with components from :func:`kosaraju_components`, not ordext's Tarjan walk.
 builtin ``max`` and ``min``, the bit-exact reference for the production
 evaluator.  :func:`grid_increase_fault` is the output certificate of a
 ``grid`` CSV: strict increase along both axes and the sample values at the
-nodes that are samples.
+nodes that are samples.  :func:`sample_order` is the sample order of a
+parsed problem file as one sort over every sample key's ``repr``.
 :class:`WeakIncreaseForm` and :func:`check_weak_increase_form` state weak
 increase six ways; the acceptance gate checks that all six agree.
 """
@@ -100,6 +101,7 @@ __all__ = [
     "random_adversarial_samples",
     "random_finite_preorder",
     "random_gap_safe_samples",
+    "sample_order",
     "scan_record",
     "serialize_problem",
     "strict_extension_fault",
@@ -788,3 +790,10 @@ def serialize_problem(inst: ProblemInstance) -> str:
                 "weights": list(inst.base_utility[1]),
             }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def sample_order(samples) -> list:
+    """``(key, value)`` pairs in sample order: sorted by the ``repr`` of each
+    key, whole, whatever the listing order.  The reference for the order in
+    which ``parse_problem`` keeps samples."""
+    return sorted(samples, key=lambda kv: repr(kv[0]))

@@ -1,19 +1,27 @@
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordext.orders import FinitePreorder, ParetoSpace, UnsupportedQueryError
 from ordext.problemfile import (
     ProblemFileError,
     ProblemInstance,
+    _float_samples,
     parse_base_utility_flag,
     parse_problem,
     parse_queries,
 )
 
-from reference import serialize_problem
+from reference import sample_order, serialize_problem
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FINITE_DOC = {
     "space": {
@@ -281,3 +289,68 @@ def test_element_label():
     assert inst.element_label(2) == "high"
     pareto = parse_problem(text(PARETO_DOC))
     assert pareto.element_label((0.5, 1.0)) == "(0.5,1.0)"
+
+
+# Coordinates whose reprs meet each way one float repr can be a proper
+# prefix of another (1.5 / 1.55, 5e-32 / 5e-324, 1.5 / 1.5e+16,
+# 1e+16 / 1e+160), zeros of both signs, and pairs whose repr order is not
+# their numeric order (-1.0 / -1.05, 1e-05 / 0.0001, 2.0 / 10.0).  An int
+# is read as the float it equals, and sends the file through the checks
+# entry by entry.
+ORDER_FLOATS = [1.5, 1.55, 5e-32, 5e-324, 1.5e16, 1e16, 1e160, -0.0, 0.0,
+                -1.0, -1.05, 1e-05, 0.0001, 2.0, 10.0]
+ORDER_INTS = [0, -1, 2, 10, 10**16]
+
+
+@st.composite
+def pareto_samples(draw):
+    """(dimension, [(point, value), ...]) with distinct points, many of them
+    sharing a first coordinate; with ints somewhere, or all floats."""
+    k = draw(st.integers(1, 3))
+    with_ints = draw(st.booleans())
+    pool = ORDER_FLOATS + ORDER_INTS if with_ints else ORDER_FLOATS
+    heads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    point = st.tuples(st.sampled_from(heads), *[st.sampled_from(pool)] * (k - 1))
+    points = draw(st.lists(point, min_size=1, max_size=30,
+                           unique_by=lambda p: tuple(map(float, p))))
+    values = draw(st.lists(st.sampled_from(pool), min_size=len(points),
+                           max_size=len(points)))
+    if with_ints:
+        values[0] = draw(st.sampled_from(ORDER_INTS))
+    return k, list(zip(points, values))
+
+
+def as_parsed(listed):
+    """The (point, value) pairs of a file as the parser reads them."""
+    return [(tuple(map(float, p)), float(v)) for p, v in listed]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pareto_samples())
+def test_pareto_samples_are_kept_in_the_order_of_their_reprs(drawn):
+    k, listed = drawn
+    doc = {"space": {"kind": "pareto", "dimension": k},
+           "samples": [{"point": list(p), "value": v} for p, v in listed]}
+    with_ints = any(type(c) is int for p, v in listed for c in (*p, v))
+    # an int makes the bulk checks decline, so each path is drawn
+    assert (_float_samples(doc["samples"], k) is None) == with_ints
+    inst = parse_problem(text(doc))
+    assert list(map(repr, inst.samples)) == list(map(repr, sample_order(as_parsed(listed))))
+
+
+def load_corpus():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("workload", ["pareto-diagnose", "pareto-grid"])
+def test_benchmark_corpus_samples_are_kept_in_the_order_of_their_reprs(workload, seed):
+    for case in load_corpus().generate(workload, seed):
+        listed = [(s["point"], s["value"]) for s in case.problem["samples"]]
+        inst = parse_problem(text(case.problem))
+        assert list(map(repr, inst.samples)) == list(map(repr, sample_order(as_parsed(listed))))

@@ -250,6 +250,15 @@ def merge_unconnected(components, rows):
     rows[0] = rows[1]
 
 
+def merge_reached_one_way(components, rows):
+    # 1 reaches 0, but 0 does not reach 1: the walk forward from the first
+    # member, 1, reaches every member, and only the walk backward fails
+    c0, c1 = sorted((component_of(components, 0), component_of(components, 1)))
+    components[c0] = [1, 0]
+    del components[c1]
+    rows[0] = rows[1]
+
+
 def pair_into_later(components, rows):
     c0, c1 = component_of(components, 0), component_of(components, 1)
     components[c0], components[c1] = components[c1], components[c0]
@@ -273,6 +282,7 @@ def in_no_component(components, rows):
 
 @pytest.mark.parametrize("tamper, message", [
     (merge_unconnected, "component 0 is not strongly connected"),
+    (merge_reached_one_way, "component 0 is not strongly connected"),
     (pair_into_later, r"pair \(1, 0\) leads into a later component"),
     (drop_successor_bits, "row 2 is not the closure of its pairs"),
     (add_extra_bit, "row 1 is not the closure of its pairs"),
