@@ -44,10 +44,11 @@ from __future__ import annotations
 import json
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, count, islice
+from operator import eq, itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ordext.contours import AnalyticFixture, FiniteSampleOracle, PartialUtility
@@ -386,13 +387,47 @@ def _float_samples(raw, dimension):
 
 
 def _parse_samples(doc, kind, element_index, dimension):
+    """The file's ``(key, value)`` samples, checked, in sample order.
+
+    Sample order is the order of each key's ``repr``, whatever the
+    listing order; where samples tie, the first in it is the partner a
+    witness names and the sample that attains a tied bound.  Finite keys
+    are sorted by their reprs.  A Pareto key is a tuple of finite floats
+    (:func:`_as_number` converts ints), and its repr sorts like the tuple
+    of its coordinates' reprs: where one coordinate's repr is a proper
+    prefix of another's (``1.5`` / ``1.55``, ``5e-32`` / ``5e-324``,
+    ``1.5`` / ``1.5e+16``), the shorter is followed in the tuple's repr
+    by ``,`` or ``)``, and both sort below every character that can
+    continue a float repr: the digits, ``.`` and ``e``.  So
+    :func:`_sample_order` needs one float ``repr`` per sample, of its
+    first coordinate, and the whole ``repr`` only of samples that share
+    one.
+    """
     raw = doc.get("samples", [])
     if not isinstance(raw, list):
         raise ProblemFileError("samples", "expected an array of sample entries")
     out = _float_samples(raw, dimension) if kind == "pareto" else None
     if out is None:
         out = _each_sample(raw, kind, element_index, dimension)
+    if kind == "pareto":
+        return _sample_order(out)
     return tuple(sorted(out, key=lambda kv: repr(kv[0])))
+
+
+def _sample_order(samples):
+    """Pareto ``(point, value)`` pairs sorted by ``repr(point)``: by the
+    repr of the first coordinate, and each run of samples that share it
+    (the same float, as ``repr`` is injective on floats) by the whole repr."""
+    heads = [repr(point[0]) for point, _ in samples]
+    order = sorted(range(len(samples)), key=heads.__getitem__)
+    ranked = list(map(heads.__getitem__, order))
+    # each j at which ranked repeats the head before it; at the second
+    # sample of a run, the whole run is sorted
+    for j in compress(count(1), map(eq, ranked, islice(ranked, 1, None))):
+        if j == 1 or ranked[j - 2] != ranked[j]:
+            end = bisect_right(ranked, ranked[j], j)
+            order[j - 1:end] = sorted(order[j - 1:end], key=lambda i: repr(samples[i][0]))
+    return tuple(map(samples.__getitem__, order))
 
 
 def _each_sample(raw, kind, element_index, dimension):
