@@ -160,7 +160,8 @@ class ExtensionEngine:
     # Evaluation forms.  All compute convex blends as lo + (hi - lo)*t
     # rather than lo*(1-t) + hi*t: the two are algebraically equal, but
     # only the first returns lo exactly when lo == hi, which the
-    # restriction guarantee relies on.
+    # restriction guarantee relies on.  The one exception is the sign of
+    # zero: for lo == hi == -0.0 it returns -0.0 + 0.0, that is 0.0.
 
     def evaluate(self, x: Element) -> float:
         """The defining capped blend; the production evaluator.

@@ -342,22 +342,34 @@ def _tarjan(succ: Sequence[Sequence[int]]) -> List[List[int]]:
     return components
 
 
-def _strongly_connected(members: Sequence[int], inside: Sequence[Tuple[int, int]]) -> bool:
-    """True iff the pairs ``inside`` connect ``members`` both ways from the first."""
-    forward: dict = {}
-    backward: dict = {}
-    for m, w in inside:
-        forward.setdefault(m, []).append(w)
-        backward.setdefault(w, []).append(m)
-    for adj in (forward, backward):
-        seen = {members[0]}
-        todo = [members[0]]
+def _strongly_connected(
+    members: Sequence[int],
+    c: int,
+    comp: Sequence[int],
+    succ: Sequence[Sequence[int]],
+    pred: Sequence[Sequence[int]],
+    seen: List[int],
+) -> bool:
+    """True iff the pairs inside component ``c`` connect ``members`` both
+    ways from the first: a walk along ``succ`` and one against it, along
+    ``pred``, each kept to the component by ``comp``, reach every member.
+
+    ``seen`` is shared by every walk of one :func:`_condense`; a walk marks
+    the members it reaches with a stamp no other walk uses, so no walk
+    builds a set.  O(size + pairs leaving the members).
+    """
+    first = members[0]
+    for stamp, adj in ((2 * c, succ), (2 * c + 1, pred)):
+        seen[first] = stamp
+        todo = [first]
+        left = len(members) - 1
         while todo:
-            for w in adj.get(todo.pop(), ()):
-                if w not in seen:
-                    seen.add(w)
+            for w in adj[todo.pop()]:
+                if comp[w] == c and seen[w] != stamp:
+                    seen[w] = stamp
+                    left -= 1
                     todo.append(w)
-        if len(seen) < len(members):
+        if left:
             return False
     return True
 
@@ -388,20 +400,21 @@ def _condense(
             comp[m] = c
     if -1 in comp:
         raise CertificateError(f"element {comp.index(-1)} is in no component")
+    pred: List[List[int]] = [[] for _ in succ]  # the pairs inside components, reversed
+    seen = [-1] * len(succ)
     below = []
     for c, members in enumerate(components):
         down = []
-        inside = []
         for m in members:
             for w in succ[m]:
                 d = comp[w]
                 if d == c:
-                    inside.append((m, w))
+                    pred[w].append(m)
                 elif d < c:
                     down.append(d)
                 else:
                     raise CertificateError(f"pair ({m}, {w}) leads into a later component")
-        if len(members) > 1 and not _strongly_connected(members, inside):
+        if len(members) > 1 and not _strongly_connected(members, c, comp, succ, pred, seen):
             raise CertificateError(f"component {c} is not strongly connected")
         below.append(down)
     return comp, below
