@@ -347,12 +347,13 @@ def _strongly_connected(
     c: int,
     comp: Sequence[int],
     succ: Sequence[Sequence[int]],
-    pred: Sequence[Sequence[int]],
+    pred: Sequence[Optional[Sequence[int]]],
     seen: List[int],
 ) -> bool:
     """True iff the pairs inside component ``c`` connect ``members`` both
     ways from the first: a walk along ``succ`` and one against it, along
-    ``pred``, each kept to the component by ``comp``, reach every member.
+    ``pred`` (read only at members), each kept to the component by
+    ``comp``, reach every member.
 
     ``seen`` is shared by every walk of one :func:`_condense`; a walk marks
     the members it reaches with a stamp no other walk uses, so no walk
@@ -400,21 +401,28 @@ def _condense(
             comp[m] = c
     if -1 in comp:
         raise CertificateError(f"element {comp.index(-1)} is in no component")
-    pred: List[List[int]] = [[] for _ in succ]  # the pairs inside components, reversed
+    # per member of a component of more than one member, the members with
+    # a pair into it: the pairs inside the component, reversed
+    pred: List[Optional[List[int]]] = [None] * len(succ)
     seen = [-1] * len(succ)
     below = []
     for c, members in enumerate(components):
         down = []
+        several = len(members) > 1
+        if several:
+            for m in members:
+                pred[m] = []
         for m in members:
             for w in succ[m]:
                 d = comp[w]
                 if d == c:
-                    pred[w].append(m)
+                    if several:
+                        pred[w].append(m)
                 elif d < c:
                     down.append(d)
                 else:
                     raise CertificateError(f"pair ({m}, {w}) leads into a later component")
-        if len(members) > 1 and not _strongly_connected(members, c, comp, succ, pred, seen):
+        if several and not _strongly_connected(members, c, comp, succ, pred, seen):
             raise CertificateError(f"component {c} is not strongly connected")
         below.append(down)
     return comp, below
