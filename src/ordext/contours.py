@@ -36,7 +36,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cache
+from itertools import repeat, starmap
 from operator import and_
 from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,21 +72,6 @@ __all__ = [
 # whether each is a sample point
 Record = Tuple[float, float, bool, bool]
 Row = Tuple[List[Tuple[float, float]], List[Record], List[bool]]
-
-
-class _Memo(dict):
-    """A dict that makes the value of a missing tuple key, ``make(*key)``,
-    once and keeps it."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: tuple):
-        value = self[key] = self.make(*key)
-        return value
 
 
 def bound_text(v: float) -> str:
@@ -341,14 +327,16 @@ class FiniteSampleOracle(ContourOracle):
 
     An element query reads the structure :func:`bounds_of` keeps on the
     sample set; ``TOP`` and ``BOTTOM`` read none, as their records are the
-    max and the min of the values.  Only the last query and its record are
-    memoized.  A query hits the memo only when it is the same object, as
-    every re-read by the engine is, so the memo never skips a validation; an
-    equal but distinct query reads the structure again.  A grid's records
-    come from :meth:`lattice`, and whoever evaluates its points sets the
-    memo, ``_last``, to each point and its record before reading the point's
-    bounds.  Of equal values (``-0.0`` and ``0.0``, ``1`` and ``1.0``) every
-    path keeps the first in sample order, as ``max`` and ``min`` do.
+    max and the min of the values.  :meth:`record` always reads, and keeps
+    the query and its record, ``_last``: a record read primes the two bound
+    reads.  :meth:`lower_sup` and :meth:`upper_inf` answer from ``_last``
+    only a query that is the same object, as the engine's reads of a point
+    after its record are, so ``_last`` never skips a validation; an equal
+    but distinct query reads the structure again.  A grid's records come
+    from :meth:`lattice`, and whoever evaluates its points sets ``_last`` to
+    each point and its record before reading the point's bounds.  Of equal
+    values (``-0.0`` and ``0.0``, ``1`` and ``1.0``) every path keeps the
+    first in sample order, as ``max`` and ``min`` do.
     """
 
     def __init__(self, rel: Preorder, samples: PartialUtility):
@@ -365,10 +353,8 @@ class FiniteSampleOracle(ContourOracle):
         return self._samples
 
     def record(self, x) -> Record:
-        """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``."""
-        last = self._last
-        if last is not None and last[0] is x:
-            return last[1]
+        """``(a, b, lower contour non-empty, upper contour non-empty)`` at ``x``,
+        read afresh and kept for the bound reads of ``x`` that follow."""
         if x is TOP:
             values = self._samples._values.values()
             entry = (max(values, default=-math.inf), math.inf, bool(values), False)
@@ -380,8 +366,8 @@ class FiniteSampleOracle(ContourOracle):
         self._last = (x, entry)
         return entry
 
-    # the engine reads both bounds of each point it evaluates from the memo,
-    # so a hit is answered here, with no call of record
+    # a record read primes these two: the bounds of the same query object
+    # are answered here, with no call of record
     def lower_sup(self, x) -> float:
         last = self._last
         if last is not None and last[0] is x:
@@ -402,7 +388,7 @@ class FiniteSampleOracle(ContourOracle):
         points ``(v1, v2)`` for ``v2`` in ``ys``, their records and whether
         each is a sample point.
 
-        The memo is left alone: a caller that reads a point's bounds
+        ``_last`` is left alone: a caller that reads a point's bounds
         primes it with the point and its record first, as
         :meth:`~ordext.extension.ExtensionEngine.evaluate_grid` does.  Only
         a 2-D :class:`ParetoSpace` is swept (:class:`UnsupportedQueryError`
@@ -445,10 +431,9 @@ class FiniteSampleOracle(ContourOracle):
         class_downs = [down for down, _ in classes]
         class_ups = [up for _, up in classes]
 
-        def entry(a: int, b: int) -> Record:
+        @cache  # the whole sweep's records, one per rank pair
+        def by_ranks(a: int, b: int) -> Record:
             return (lows[a], highs[b], a < n, b < n)
-
-        by_ranks = _Memo(entry)  # the whole sweep's records, one per rank pair
 
         def sweep() -> Iterator[Row]:
             last = None
@@ -457,7 +442,7 @@ class FiniteSampleOracle(ContourOracle):
                     row_down, row_up = last = masks
                     downs = list(map(row_down.__and__, class_downs))
                     ups = list(map(row_up.__and__, class_ups))
-                    class_records = list(map(by_ranks.__getitem__, map(ranks, downs, ups)))
+                    class_records = list(starmap(by_ranks, map(ranks, downs, ups)))
                     class_members = list(map(bool, map(and_, downs, ups)))
                     records = list(map(class_records.__getitem__, col_class))
                     members = list(map(class_members.__getitem__, col_class))

@@ -15,30 +15,32 @@ as the comparisons builtin ``max`` and ``min`` make, which keep the first
 operand on a tie, so every value is bit-identical to the formula's and
 no builtin call is paid per point.
 :meth:`ExtensionEngine.evaluate_many` evaluates a sequence of points:
-per point it calls ``evaluate`` once and takes the region and band labels
-from the oracle record that call just memoized and the point's sample
-membership.  :meth:`ExtensionEngine.evaluate_grid` evaluates a 2-D grid
-one row at a time from :meth:`FiniteSampleOracle.lattice`, which reads
-each row's and column's sample masks once, ANDs one pair per point and
-hands over each row's records and sample memberships: per point it sets
-the oracle memo to the point and its record and calls ``evaluate`` once.
-Both derive the labels once per distinct record and membership, with one
-helper that :meth:`ExtensionEngine.describe` and the two ``classify_*``
-methods share.  The paper's three
-algebraically equivalent routes (an offset form, routing by contour
-region, routing by band) and ``evaluate_all_forms`` stay on the engine as
-the reference that the acceptance gate and the tests check ``evaluate``
-against.
+per point it reads the oracle record once, which primes the two bound
+reads of the one ``evaluate`` call that follows, and takes the region and
+band labels from that record and the point's sample membership.
+:meth:`ExtensionEngine.evaluate_grid` evaluates a 2-D grid one row at a
+time from :meth:`FiniteSampleOracle.lattice`, which reads each row's and
+column's sample masks once, ANDs one pair per point and hands over each
+row's records and sample memberships: per point it primes the oracle's
+bound reads with the point and its record, as a record read would, and
+calls ``evaluate`` once.  Both derive the labels once per distinct record
+and membership (``functools.cache``), with one helper that
+:meth:`ExtensionEngine.describe` and the two ``classify_*`` methods share.
+The paper's three algebraically equivalent routes (an offset form, routing
+by contour region, routing by band) and ``evaluate_all_forms`` stay on the
+engine as the reference that the acceptance gate and the tests check
+``evaluate`` against.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility, Record, _Memo
+from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility, Record
 from ordext.monotonicity import check_pareto_set_values
 from ordext.orders import Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError
 from ordext.utility import UtilityFn, finite_utility, normalize01, pareto_base_utility, squash
@@ -102,8 +104,12 @@ _LABELS = {
 class ExtensionEngine:
     """Evaluator bundle for one extension instance.
 
-    Immutable after construction.  ``utility`` is a utility representation
-    of the preorder (see :func:`finite_utility`,
+    The oracle, the range and the two derived utilities are fixed at
+    construction.  The one state the engine keeps is
+    ``_pareto_set_checked``, set once :meth:`evaluate_pareto_set` has found
+    the samples a Pareto set constant on equivalence classes, so the check
+    runs once per engine; the oracle keeps its own last record.  ``utility``
+    is a utility representation of the preorder (see :func:`finite_utility`,
     :func:`pareto_base_utility`); the engine squashes it into (alpha, beta)
     with :func:`squash`, which rejects a bad range, and normalizes that to
     (0, 1) with :func:`normalize01`.
@@ -200,20 +206,22 @@ class ExtensionEngine:
     ) -> Iterator[Tuple[float, ContourRegion, Tuple[Band, ...]]]:
         """``(value, region, bands)`` per point, lazily and in order.
 
-        Each point costs one :meth:`evaluate` call, one more read of the
-        oracle record that call just memoized and one sample membership
-        test; ``evaluate`` raises :class:`UnboundedContourError` here as it
-        does alone.  Labels are derived once per distinct record and
+        Each point costs one oracle record read, one :meth:`evaluate` call,
+        whose two bound reads that record primes, and one sample membership
+        test, so an oracle that cannot read a record (an
+        :class:`~ordext.contours.AnalyticFixture` with no occupancy function)
+        raises :class:`UnsupportedQueryError` before the point is evaluated;
+        ``evaluate`` raises :class:`UnboundedContourError` here as it does
+        alone.  Labels are derived once per distinct record and
         membership.  A 2-D grid goes through :meth:`evaluate_grid`
         instead, which has the records and memberships from its sweep.
         """
         oracle = self._oracle
         evaluate = self.evaluate
-        labels = _Memo(self._labels)
+        labels = cache(self._labels)
         for x in points:
-            value = evaluate(x)
-            region, bands = labels[oracle.record(x), oracle.in_samples(x)]
-            yield value, region, bands
+            record = oracle.record(x)
+            yield (evaluate(x), *labels(record, oracle.in_samples(x)))
 
     def evaluate_grid(
         self, xs: Sequence[float], ys: Sequence[float]
@@ -224,16 +232,16 @@ class ExtensionEngine:
 
         The rows are those of ``oracle.lattice(xs, ys)``, which validates
         the axes before the first row.  Each point costs one
-        :meth:`evaluate` call, which reads the point's bounds from the
-        oracle memo, set to the point and its record from the sweep just
-        before; ``evaluate`` raises :class:`UnboundedContourError` here as
-        it does alone.  Labels are derived once per distinct record and
-        membership, and each is one object that lives as long as the
+        :meth:`evaluate` call, whose two bound reads are primed with the
+        point and its record from the sweep just before, as a record read
+        would prime them; ``evaluate`` raises :class:`UnboundedContourError`
+        here as it does alone.  Labels are derived once per distinct record
+        and membership, and each is one object that lives as long as the
         module, so a caller may key text by its ``id``.
         """
         oracle = self._oracle
         rows = oracle.lattice(xs, ys)
-        labels = _Memo(self._labels)
+        labels = cache(self._labels)
 
         def sweep():
             evaluate = self.evaluate
@@ -243,7 +251,7 @@ class ExtensionEngine:
                 for entry in zip(points, records):
                     oracle._last = entry
                     append(evaluate(entry[0]))
-                yield values, list(map(labels.__getitem__, zip(records, members)))
+                yield values, list(map(labels, records, members))
 
         return sweep()
 

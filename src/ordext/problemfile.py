@@ -229,8 +229,6 @@ class ProblemInstance:
 
 
 def _validate_base(descriptor, kind, dimension, location):
-    if descriptor is None:
-        return
     if descriptor[0] == "levels":
         if kind != "finite":
             raise ProblemFileError(location, "levels utility applies to finite relations only")
@@ -244,10 +242,6 @@ def _validate_base(descriptor, kind, dimension, location):
             )
         if any(w <= 0 for w in weights):
             raise ProblemFileError(f"{location}.weights", "weights must be positive")
-    else:
-        raise ProblemFileError(
-            f"{location}.kind", "expected 'levels' or 'weighted-sum'"
-        )
 
 
 def _name_index(names: Sequence[str]) -> Dict[str, int]:
@@ -481,7 +475,7 @@ def _parse_base_descriptor(doc, kind, dimension):
             raise ProblemFileError("base_utility.weights", "expected a non-empty array")
         descriptor = ("weighted-sum", _weights(weights))
     else:
-        descriptor = (base_kind,)
+        raise ProblemFileError("base_utility.kind", "expected 'levels' or 'weighted-sum'")
     _validate_base(descriptor, kind, dimension, "base_utility")
     return descriptor
 

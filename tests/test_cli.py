@@ -1113,6 +1113,68 @@ def test_non_string_names_exit_2(tmp_path, capsys, mangle, queries, message):
     assert captured.out == ""
 
 
+def _set(*path_and_value):
+    """A mangle that sets ``doc[k1][k2]... = value``."""
+    *path, key, value = path_and_value
+
+    def mangle(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return mangle
+
+
+# each shape of problem or queries file that the parser refuses where it
+# reads the key: (file, mangle, queries, --base-utility flag, message)
+MISSHAPEN_FILES = {
+    "elements-string": (FINITE_OK, _set("space", "elements", "low"), None, None,
+                        "error: space.elements: expected a non-empty array of names"),
+    "elements-empty": (FINITE_OK, _set("space", "elements", []), None, None,
+                       "error: space.elements: expected a non-empty array of names"),
+    "geq-object": (FINITE_OK, _set("space", "geq", {}), None, None,
+                   "error: space.geq: expected an array of [above, below] pairs"),
+    "samples-object": (PARETO_OK, _set("samples", {}), None, None,
+                       "error: samples: expected an array of sample entries"),
+    # two keys, so the bulk path takes the entry and declines it by KeyError
+    "sample-without-value": (PARETO_OK, _set("samples", [{"point": [0.0, 0.0], "valu": 0.0}]),
+                             None, None, "error: samples[0].value: expected a number"),
+    "queries-object": (PARETO_OK, None, {}, None, "error: $: expected an array of queries"),
+    "weights-missing": (PARETO_OK, _set("base_utility", {"kind": "weighted-sum"}), None, None,
+                        "error: base_utility.weights: expected a non-empty array"),
+    "weights-empty": (PARETO_OK, _set("base_utility", {"kind": "weighted-sum", "weights": []}),
+                      None, None, "error: base_utility.weights: expected a non-empty array"),
+    "kind-unknown": (PARETO_OK, _set("base_utility", {"kind": "affine"}), None, None,
+                     "error: base_utility.kind: expected 'levels' or 'weighted-sum'"),
+    "kind-missing": (FINITE_OK, _set("base_utility", {}), None, None,
+                     "error: base_utility.kind: expected 'levels' or 'weighted-sum'"),
+    "weighted-sum-finite-file": (
+        FINITE_OK, _set("base_utility", {"kind": "weighted-sum", "weights": [1.0]}), None, None,
+        "error: base_utility: weighted-sum utility applies to pareto spaces only"),
+    "weighted-sum-finite-flag": (
+        FINITE_OK, None, ["low"], "weighted-sum:1",
+        "error: base_utility: weighted-sum utility applies to pareto spaces only"),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPEN_FILES.values(), ids=MISSHAPEN_FILES)
+def test_misshapen_files_exit_2(tmp_path, capsys, case):
+    base, mangle, queries, flag, message = case
+    doc = json.loads(json.dumps(base))
+    if mangle is not None:
+        mangle(doc)
+    problem = write(tmp_path, "p.json", doc)
+    argv = ["check", problem]
+    if queries is not None:
+        argv = ["extend", problem, "--queries", write(tmp_path, "q.json", queries)]
+    if flag is not None:
+        argv += ["--base-utility", flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
 # a lone surrogate (JSON "\ud800") cannot be written as UTF-8: every
 # command rejects the file, wherever the name stands
 SURROGATE_NAMES = [

@@ -514,6 +514,36 @@ def test_generic_preorder_takes_the_pairwise_masks(samples, points):
         assert [str(v) for v in oracle.record(x)] == [str(v) for v in want]
 
 
+class Residues(Preorder):
+    """Integers by their residue mod 3: x is at least y iff x % 3 >= y % 3,
+    so distinct integers with the same residue are equivalent."""
+
+    def geq(self, x, y):
+        if not (type(x) is int and type(y) is int):
+            raise ForeignElementError(f"{x!r} or {y!r} is not an integer")
+        return x % 3 >= y % 3
+
+
+@pytest.mark.parametrize(
+    "values, witness",
+    [({0: 0.0, 1: 1.0, 3: 0.5, 2: 2.0},
+      "x=0, x'=3, f_P(x)=0.0, f_P(x')=0.5 (equivalent points with different values)"),
+     ({0: 0.0, 1: 1.0, 3: 0.0, 4: 1.0, 2: 2.0}, None)],
+    ids=["unequal-equivalents", "constant-on-classes"],
+)
+def test_generic_strict_check_names_equivalent_samples_with_different_values(values, witness):
+    rel, samples = Residues(), PartialUtility(values)
+    assert type(bounds_of(rel, samples)) is SampleRanks
+    got = check_strictly_increasing(rel, samples)
+    assert_same_verdict(got, pairwise_strictly_increasing(rel, samples))
+    assert (None if got.holds else got.witness.describe()) == witness
+
+
+@given(st.dictionaries(st.integers(-6, 6), NUMBERS, max_size=10))
+def test_generic_checks_on_equivalent_samples_match_the_pairwise_reference(values):
+    assert_same_sample_checks(Residues(), PartialUtility(values))
+
+
 class CountedDivisibility(Divisibility):
     """:class:`Divisibility` that counts its ``geq`` calls."""
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import reference
 
-from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility
+from ordext.contours import AnalyticFixture, ContourOracle, FiniteSampleOracle, PartialUtility
 from ordext.monotonicity import NotAParetoSetError, check_gap_safe_finite, check_gap_safe_pareto
-from ordext.orders import FinitePreorder, ParetoSpace
+from ordext.orders import BOTTOM, TOP, FinitePreorder, ParetoSpace, UnsupportedQueryError
 from ordext.extension import (
     Band,
     ContourRegion,
@@ -482,6 +482,26 @@ def test_evaluate_many_matches_per_point_reads_on_finite_preorders(rel, data, bo
     samples = data.draw(st.dictionaries(index, st.sampled_from(VALUES)))
     queries = data.draw(repeated(list(rel.iter_elements())))
     assert_batch_matches_per_point(rel, PartialUtility(samples), queries, *bounds)
+
+
+def test_evaluate_many_reads_the_record_before_evaluating(monkeypatch):
+    # a fixture with no occupancy function cannot read a record, though it
+    # can evaluate: evaluate_many refuses each point before evaluating it
+    fixture = AnalyticFixture(
+        name="no-occupancy",
+        ambient=ParetoSpace(1),
+        lower_sup_fn=lambda x: -math.inf if x is BOTTOM else 0.0,
+        upper_inf_fn=lambda x: math.inf if x is TOP else 1.0,
+        probes=(),
+        derivation="test",
+    )
+    engine = make_engine(fixture)
+    assert 0.0 < engine.evaluate((0.5,)) < 1.0
+    evaluated = []
+    monkeypatch.setattr(engine, "evaluate", lambda x: evaluated.append(x) or 0.5)
+    with pytest.raises(UnsupportedQueryError, match="declares no contour occupancy"):
+        next(engine.evaluate_many([(0.5,)]))
+    assert evaluated == []
 
 
 def test_blend_at_a_non_default_range_is_pinned_to_the_bit():

@@ -39,12 +39,14 @@ NUMBERS = st.sampled_from(
 
 
 def assert_same_scan(oracle, x):
-    oracle._last = None  # the one-slot memo: read the structure, not the last record
     got = oracle.record(x)
     want = scan_record(oracle.rel, oracle.samples, x)
     assert got == want
     assert [str(b) for b in got[:2]] == [str(b) for b in want[:2]]
-    assert oracle.record(x) is got  # a repeated query is a memo hit
+    # the record read primes the bound reads of the same object: both are
+    # memo hits, which leave the memo as they found it
+    assert (oracle.lower_sup(x), oracle.upper_inf(x)) == got[:2]
+    assert oracle._last[0] is x and oracle._last[1] is got
 
 
 def with_repeats(draw, queries):
@@ -216,22 +218,41 @@ def test_memo_hit_does_not_skip_validation(rel, valid, foreign):
             read(foreign)
 
 
+def count_structure_reads(monkeypatch):
+    """The queries that read the Pareto structure, in order."""
+    record, reads = ParetoBounds.record, []
+    monkeypatch.setattr(ParetoBounds, "record", lambda self, q: reads.append(q) or record(self, q))
+    return reads
+
+
 def test_memo_matches_the_same_query_object_only(monkeypatch):
-    # the same object is a memo hit and gets the memoized record back; an
-    # equal but distinct query reads the structure again
+    # after a record read, the bound reads of the same object are memo hits;
+    # an equal but distinct query reads the structure again
     oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0, 0): 0.0, (1, 1): 1.0}))
     x = (0.5, 0.5)
     first = oracle.record(x)
-    record, reads = ParetoBounds.record, []
-    monkeypatch.setattr(ParetoBounds, "record", lambda self, q: reads.append(q) or record(self, q))
-    assert oracle.record(x) is first
+    reads = count_structure_reads(monkeypatch)
+    assert (oracle.lower_sup(x), oracle.upper_inf(x)) == first[:2]
     assert reads == []
     twin = tuple([0.5, 0.5])
     assert twin == x and twin is not x
-    assert oracle.record(twin) == first
+    assert oracle.lower_sup(twin) == first[0]
     assert len(reads) == 1 and reads[0] is twin
-    assert oracle.record(twin) == first
+    assert oracle.upper_inf(twin) == first[1]
     assert len(reads) == 1
+
+
+def test_record_reads_the_structure_every_time(monkeypatch):
+    # record is a plain read: a second record of the same object reads the
+    # structure again, and primes the memo with the new record
+    oracle = FiniteSampleOracle(ParetoSpace(2), PartialUtility({(0, 0): 0.0, (1, 1): 1.0}))
+    x = (0.5, 0.5)
+    reads = count_structure_reads(monkeypatch)
+    first = oracle.record(x)
+    second = oracle.record(x)
+    assert second == first
+    assert len(reads) == 2 and reads[0] is x and reads[1] is x
+    assert oracle._last[0] is x and oracle._last[1] is second
 
 
 @pytest.mark.parametrize("index", [True, False])

@@ -93,6 +93,22 @@ def test_matrix_validation_rejects_non_reflexive():
         FinitePreorder.from_geq_matrix([[False]])
 
 
+@pytest.mark.parametrize("matrix", [[[True, False]], [[True], [False, True]]],
+                         ids=["short-column", "short-row"])
+def test_matrix_validation_rejects_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        FinitePreorder.from_geq_matrix(matrix)
+
+
+def test_finite_preorder_equals_no_other_kind_of_object():
+    # __eq__ declines a non-preorder, so == falls back to identity
+    rel, other = FinitePreorder.chain(2), object()
+    assert rel.__eq__(other) is NotImplemented
+    assert not rel == other
+    assert rel != other
+    assert rel == FinitePreorder.chain(2)
+
+
 @pytest.mark.parametrize(
     "rows, bad",
     [([0b11], 0), ([1, 2 | 1 << 40], 1), ([-1], 0), ([1.0], 0)],

@@ -126,6 +126,18 @@ def test_weights_are_checked_without_a_python_step_per_coordinate(weights):
     assert u((1.0,) * 10**5) == 10**5
 
 
+@pytest.mark.parametrize(
+    "weights, x, want",
+    [((2.0, 3.0), (1e308, -1.5e308), -math.inf), ((3.0, 2.0), (1.5e308, -1e308), math.inf)],
+    ids=["below-max", "above-max"],
+)
+def test_pareto_base_utility_rounds_an_overflowed_sum_to_an_infinity(weights, x, want):
+    # the terms overflow to inf and -inf, whose float sum is nan; the exact
+    # sum, 2.5e308 from the larger term's side, is past the largest float
+    assert [w * c for w, c in zip(weights, x)] in ([math.inf, -math.inf], [-math.inf, math.inf])
+    assert pareto_base_utility(ParetoSpace(2), weights)(x) == want
+
+
 @given(
     st.tuples(
         st.floats(-50, 50).map(lambda a: (a, a)),
