@@ -188,11 +188,16 @@ def cmd_grid(inst: ProblemInstance, bbox: str, resolution: int, out: str) -> int
     with open(out, "w", newline="") as handle:
         handle.write("x1,x2,f,alun,s_labels\r\n")
         # one write per grid row, so the text of one row is held at a time;
-        # a line is its x cell, its y cell, its value and its labels' end
+        # a line is its x cell, its y cell, its value and its labels' end.
+        # A row that repeats the one before has the very same labels list,
+        # so its line ends are looked up once per distinct row
+        last = ends = None
         for v1, (values, labels) in zip(xs, engine.evaluate_grid(xs, ys)):
+            if labels is not last:
+                last = labels
+                ends = list(map(_LINE_ENDS.__getitem__, map(id, labels)))
             handle.write("".join(chain.from_iterable(zip(
-                repeat(f"{v1!r},"), y_cells, map(repr, values),
-                map(_LINE_ENDS.__getitem__, map(id, labels))))))
+                repeat(f"{v1!r},"), y_cells, map(repr, values), ends))))
     print(f"wrote {len(xs) * len(ys)} rows to {out}")
     return EXIT_OK
 

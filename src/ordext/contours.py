@@ -397,19 +397,20 @@ class FiniteSampleOracle(ContourOracle):
         the first row.
 
         A sample is weakly below or above a grid point iff it is on both
-        coordinates, so each row's and each column's prefix reads of the
-        :class:`ParetoBounds` chains are taken once, and a point's two masks
-        are one AND of its row's and its column's.  Columns with the same
-        two masks therefore share both masks in every row, so a row ranks
-        one column of each such class, by :meth:`SampleRanks.ranks` as for
-        any query, and points that share both ranks share one record tuple;
-        a point is a sample iff a sample is both below and above it, since
-        the order is antisymmetric.  A row whose masks are those of the row
-        before it shares that row's lists of records and memberships, so
-        none of its points is read again.  Cost O(R log |P|) reads for R
-        points per axis, then three ANDs of |P|-bit integers per column
-        class of each new row, in O(R) memory besides the chains and the
-        records.
+        coordinates, so a row's two masks are read once, from the first
+        coordinate's :class:`ParetoBounds` chain alone, a column's from the
+        second's, and a point's two masks are one AND of its row's and its
+        column's.  Columns with the same two masks therefore share both
+        masks in every row, so a row ranks one column of each such class,
+        by :meth:`SampleRanks.ranks` as for any query, and points that share
+        both ranks share one record tuple; a point is a sample iff a sample
+        is both below and above it, since the order is antisymmetric.  A
+        row whose masks are those of the row before it is handed the very
+        list objects of records and memberships of that row, so none of its
+        points is read again and a caller may derive what follows from them
+        once per distinct row.  Cost O(R log |P|) reads for R points per
+        axis, then three ANDs of |P|-bit integers per column class of each
+        new row, in O(R) memory besides the chains and the records.
         """
         rel = self._rel
         if type(rel) is not ParetoSpace or rel.k != 2:
@@ -419,15 +420,16 @@ class FiniteSampleOracle(ContourOracle):
         bounds = bounds_of(rel, self._samples)
         lows, highs, ranks = bounds.lows, bounds.highs, bounds.ranks
         n = len(bounds.rank)
-        # the samples whose first coordinate is at most (at least) v are those
-        # weakly below (v, +inf) (above (v, -inf)); likewise per column
-        contours, inf = bounds.chains.contours, math.inf
-        rows = [(contours((v, inf))[0], contours((v, -inf))[1]) for v in xs]
+        # a row's masks are the samples whose first coordinate is at most and
+        # at least v1, one read of the first coordinate's chain each, for
+        # every sample lies between -inf and +inf on the second; a column's
+        # come likewise from the second coordinate's chain alone
+        along = bounds.chains.along
+        rows = [along(0, v) for v in xs]
         # columns with the same two masks give their points the same masks
         # in every row, so each new row ranks one column of each such class
         classes = {}
-        col_class = [classes.setdefault((contours((inf, v))[0], contours((-inf, v))[1]),
-                                        len(classes)) for v in ys]
+        col_class = [classes.setdefault(along(1, v), len(classes)) for v in ys]
         class_downs = [down for down, _ in classes]
         class_ups = [up for _, up in classes]
 

@@ -25,7 +25,10 @@ row's records and sample memberships: per point it primes the oracle's
 bound reads with the point and its record, as a record read would, and
 calls ``evaluate`` once.  Both derive the labels once per distinct record
 and membership (``functools.cache``), with one helper that
-:meth:`ExtensionEngine.describe` and the two ``classify_*`` methods share.
+:meth:`ExtensionEngine.describe` and the two ``classify_*`` methods share
+and that takes them from one table by a small int, hashing no Enum; the
+grid derives a row's labels once per distinct row, so a row the lattice
+hands the records list of the row before yields that row's labels list.
 The paper's three algebraically equivalent routes (an offset form, routing
 by contour region, routing by band) and ``evaluate_all_forms`` stay on the
 engine as the reference that the acceptance gate and the tests check
@@ -99,6 +102,12 @@ _BANDS = {
 _LABELS = {
     (region, held): (region, bands) for region in ContourRegion for held, bands in _BANDS.items()
 }
+# the same objects by one small int, which hashes no Enum: the region's
+# position times 16 plus each band's rule as one bit, in Band order
+_LABEL_TABLE = [
+    _LABELS[region, tuple(bool(bits >> i & 1) for i in range(len(Band)))]
+    for region in ContourRegion for bits in range(1 << len(Band))
+]
 
 
 class ExtensionEngine:
@@ -237,7 +246,11 @@ class ExtensionEngine:
         would prime them; ``evaluate`` raises :class:`UnboundedContourError`
         here as it does alone.  Labels are derived once per distinct record
         and membership, and each is one object that lives as long as the
-        module, so a caller may key text by its ``id``.
+        module, so a caller may key text by its ``id``.  A row's labels list
+        is built once per distinct row: a row whose records list is the very
+        list of the row before (the lattice hands a repeated row its lists
+        again) yields the labels list object of that row again, so a caller
+        may derive a row's text from it once as well.
         """
         oracle = self._oracle
         rows = oracle.lattice(xs, ys)
@@ -245,13 +258,19 @@ class ExtensionEngine:
 
         def sweep():
             evaluate = self.evaluate
+            last = row_labels = None
             for points, records, members in rows:
                 values = []
                 append = values.append
                 for entry in zip(points, records):
                     oracle._last = entry
                     append(evaluate(entry[0]))
-                yield values, list(map(labels, records, members))
+                # a repeated row comes with the records and members lists of
+                # the row before, so its labels are that row's list
+                if records is not last:
+                    last = records
+                    row_labels = list(map(labels, records, members))
+                yield values, row_labels
 
         return sweep()
 
@@ -275,27 +294,28 @@ class ExtensionEngine:
         only.
         """
         a, b, has_lower, has_upper = record
+        # the region's position in ContourRegion, times 16
         if in_sample:
-            region = ContourRegion.SAMPLE
+            region = 0
         elif has_lower and has_upper:
-            region = ContourRegion.BRACKETED
+            region = 16
         elif has_upper:
-            region = ContourRegion.BELOW
+            region = 32
         elif has_lower:
-            region = ContourRegion.ABOVE
+            region = 48
         else:
-            region = ContourRegion.DETACHED
+            region = 64
         a = float(a)
         b = float(b)
         alpha, beta = self._alpha, self._beta
         span = beta - alpha
         width = math.inf if (a == -math.inf or b == math.inf) else b - a
         wide = width >= span
-        held = (width <= span, wide and b <= beta, wide and a >= alpha,
-                a <= alpha and b >= beta)
-        if not any(held):
+        held = ((width <= span) | (wide and b <= beta) << 1 | (wide and a >= alpha) << 2
+                | (a <= alpha and b >= beta) << 3)
+        if not held:
             raise AssertionError(f"band cover failed: a={a}, b={b}")
-        return _LABELS[region, held]
+        return _LABEL_TABLE[region + held]
 
     def evaluate_offset_form(self, x: Element) -> float:
         """Equivalent form organized around the scaled utility."""

@@ -252,6 +252,15 @@ class PrefixChains:
             up &= ~prefix[bisect_left(keys, xi)]
         return down, up
 
+    def along(self, i: int, v: float) -> Tuple[int, int]:
+        """The bits whose ``i``-th key is at most ``v`` and at least ``v``:
+        :meth:`contours` of a point at ``v`` on coordinate ``i`` and
+        unbounded on the others, read from one chain (both 0 for no points)."""
+        if not self.axes:
+            return 0, 0
+        keys, prefix, _ = self.axes[i]
+        return prefix[bisect_right(keys, v)], self.full ^ prefix[bisect_left(keys, v)]
+
     def of_points(self) -> Iterator[Tuple[int, int]]:
         """:meth:`contours` of each chained point in turn, from its runs."""
         if not self.axes:

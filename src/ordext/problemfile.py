@@ -202,7 +202,7 @@ class ProblemInstance:
             return self.element_names[x]
         if isinstance(x, tuple):
             # compact, space-free form so table columns stay splittable
-            return "(" + ",".join(repr(c) for c in x) + ")"
+            return "(" + ",".join(map(repr, x)) + ")"
         return repr(x)
 
     def to_engine(self) -> ExtensionEngine:

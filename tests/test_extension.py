@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from ordext.contours import AnalyticFixture, ContourOracle, FiniteSampleOracle, 
 from ordext.monotonicity import NotAParetoSetError, check_gap_safe_finite, check_gap_safe_pareto
 from ordext.orders import BOTTOM, TOP, FinitePreorder, ParetoSpace, UnsupportedQueryError
 from ordext.extension import (
+    _LABELS,
     Band,
     ContourRegion,
     ExtensionEngine,
@@ -77,6 +79,58 @@ def test_contour_region_labels_on_unit_line():
     assert engine.classify_contour_region((0.5,)) is ContourRegion.BRACKETED
     assert engine.classify_contour_region((-1.0,)) is ContourRegion.BELOW
     assert engine.classify_contour_region((2.0,)) is ContourRegion.ABOVE
+
+
+def band_rules(a, b, alpha, beta):
+    """Whether each band's rule holds at bounds (a, b), in Band order; the
+    gap counts as +inf when a bound is unbounded."""
+    span = beta - alpha
+    width = math.inf if (a == -math.inf or b == math.inf) else b - a
+    wide = width >= span
+    return (width <= span, wide and b <= beta, wide and a >= alpha, a <= alpha and b >= beta)
+
+
+# the band sets the rules allow: a gap wider than the span is in one wide
+# band, the spanning one or both; a narrower gap is in the narrow band
+# alone; a gap equal to the span is in the narrow band and any of the
+# others that a and b place it in.  Some of the last need b - a to round to
+# the span, which the range (-0.5, 2**53 - 1) below reaches
+N, WL, WH, S = Band
+ALLOWED_BANDS = {
+    (WL,), (WH,), (S,), (WL, S), (WH, S), (N,), (N, WL), (N, WH), (N, S),
+    (N, WL, WH), (N, WL, S), (N, WH, S), (N, WL, WH, S),
+}
+# (in sample, lower contour non-empty, upper contour non-empty) per region
+REGION_FLAGS = {
+    ContourRegion.SAMPLE: (True, True, True),
+    ContourRegion.BRACKETED: (False, True, True),
+    ContourRegion.BELOW: (False, False, True),
+    ContourRegion.ABOVE: (False, True, False),
+    ContourRegion.DETACHED: (False, False, False),
+}
+
+
+def test_labels_are_the_one_object_of_each_region_and_band_set():
+    reached = set()
+    for alpha, beta in [(0.0, 1.0), (-0.5, 2.0**53 - 1)]:
+        engine = unit_line_engine(alpha, beta)
+        span = beta - alpha
+        ends = [-math.inf, alpha - span, math.nextafter(alpha, -math.inf), alpha,
+                math.nextafter(alpha, math.inf), (alpha + beta) / 2,
+                math.nextafter(beta, -math.inf), beta, math.nextafter(beta, math.inf),
+                beta + span, math.inf]
+        for a, b in product(ends, repeat=2):
+            held = band_rules(a, b, alpha, beta)
+            for region, (member, lower, upper) in REGION_FLAGS.items():
+                labels = engine._labels((a, b, lower, upper), member)
+                assert labels is _LABELS[region, held]
+                reached.add(labels)
+    assert reached == {(region, bands) for region in ContourRegion for bands in ALLOWED_BANDS}
+
+
+def test_labels_refuse_bounds_in_no_band():
+    with pytest.raises(AssertionError, match="band cover failed"):
+        unit_line_engine()._labels((math.nan, 1.0, True, True), False)
 
 
 def test_detached_point_gets_pure_utility():

@@ -190,3 +190,49 @@ def test_evaluate_grid_matches_per_point_reads(case, data):
     got = [[(repr(value), *labels) for value, labels in zip(*row)]
            for row in engine.evaluate_grid(xs, ys)]
     assert got == want
+
+
+class RowSpy(FiniteSampleOracle):
+    """A sample oracle that keeps the records list of each row its lattice
+    sweep hands over, in ``handed``."""
+
+    def lattice(self, xs, ys):
+        rows = super().lattice(xs, ys)
+        self.handed = []
+
+        def tee():
+            for row in rows:
+                self.handed.append(row[1])
+                yield row
+
+        return tee()
+
+
+def check_labels_follow_records(oracle, xs, ys):
+    """Assert that ``evaluate_grid`` yields a row the labels list object of
+    the row before iff the lattice handed it that row's records list, and a
+    new list otherwise; return which rows were repeats."""
+    spy = RowSpy(oracle.rel, oracle.samples)
+    yielded, repeats = [], []
+    for i, (_, labels) in enumerate(make_engine(spy).evaluate_grid(xs, ys)):
+        repeats.append(i > 0 and spy.handed[i] is spy.handed[i - 1])
+        if repeats[-1]:
+            assert labels is yielded[-1]
+        else:
+            assert all(labels is not old for old in yielded)
+        yielded.append(labels)
+    assert len(yielded) == len(xs)
+    return repeats
+
+
+def test_evaluate_grid_yields_a_repeated_row_the_labels_list_before():
+    samples = PartialUtility({(0.0, 0.0): 0.0, (1.0, 1.0): 1.0})
+    oracle = FiniteSampleOracle(ParetoSpace(2), samples)
+    axis = grid_axis(0.0, 1.0, 5)
+    # the rows 0.25, 0.5 and 0.75 have the same samples below and above
+    assert check_labels_follow_records(oracle, axis, axis) == [False, False, True, True, False]
+
+
+@given(lattices())
+def test_evaluate_grid_shares_labels_as_the_lattice_shares_records(case):
+    check_labels_follow_records(*case)
