@@ -253,9 +253,10 @@ class PrefixChains:
         return down, up
 
     def along(self, i: int, v: float) -> Tuple[int, int]:
-        """The bits whose ``i``-th key is at most ``v`` and at least ``v``:
-        :meth:`contours` of a point at ``v`` on coordinate ``i`` and
-        unbounded on the others, read from one chain (both 0 for no points)."""
+        """The bits of the points whose ``i``-th key is at most ``v``, and of
+        those whose ``i``-th key is at least ``v``: :meth:`contours` of a
+        point at ``v`` on coordinate ``i`` and unbounded on the others, read
+        from that coordinate's chain alone (both 0 for no points)."""
         if not self.axes:
             return 0, 0
         keys, prefix, _ = self.axes[i]
