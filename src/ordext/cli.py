@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from ordext.contours import bound_text
-from ordext.extension import _BANDS, _LABELS, ContourRegion
+from ordext.extension import _LABEL_TABLE
 from ordext.monotonicity import (
     Verdict,
     check_gap_safe_finite,
@@ -43,19 +43,18 @@ EXIT_NOT_EXTENDABLE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
-# the label cells, built once: each region's letter, and the S1|S3 text of
-# each band tuple the engine yields (a value of ``_BANDS``).  Both are keyed
-# by ``id``: the engine yields these very objects, which live as long as
-# the module, and an Enum's own hash runs Python code on every lookup
-_REGION_CELLS = {id(region): region.value for region in ContourRegion}
-_BAND_CELLS = {
-    id(bands): "|".join([band.value for band in bands]) for bands in _BANDS.values()
+# the label text, built once from the engine's one table of (region, bands)
+# labels: the cells, each region's letter and each band tuple's S1|S3 text,
+# and the end of a grid line, ",R,S1|S3\r\n", per labels object.  All are
+# keyed by ``id``: the engine yields these very objects, which live as long
+# as the module, and an Enum's own hash runs Python code on every lookup.
+# A region and a band tuple are never one object, so one dict holds both
+_CELLS = {id(region): region.value for region, _ in _LABEL_TABLE} | {
+    id(bands): "|".join([band.value for band in bands]) for _, bands in _LABEL_TABLE
 }
-# the end of a grid line, ",R,S1|S3\r\n", for each (region, bands) labels
-# object the engine's grid rows hold (a value of ``_LABELS``), keyed likewise
 _LINE_ENDS = {
-    id(labels): f",{_REGION_CELLS[id(labels[0])]},{_BAND_CELLS[id(labels[1])]}\r\n"
-    for labels in _LABELS.values()
+    id(labels): f",{_CELLS[id(labels[0])]},{_CELLS[id(labels[1])]}\r\n"
+    for labels in _LABEL_TABLE
 }
 
 
@@ -120,7 +119,7 @@ def cmd_extend(inst: ProblemInstance, queries: List) -> int:
     engine = inst.to_engine()
     rows = [
         (_show(inst, x), format(value, ".12g"),
-         _REGION_CELLS[id(region)], _BAND_CELLS[id(bands)])
+         _CELLS[id(region)], _CELLS[id(bands)])
         for x, (value, region, bands) in zip(queries, engine.evaluate_many(queries))
     ]
     _print_table(("x", "f", "region", "bands"), rows)
@@ -132,7 +131,7 @@ def cmd_regions(inst: ProblemInstance, queries: List) -> int:
     rows = []
     for x in queries:
         a, b, region, bands = engine.describe(x)
-        labels = (_REGION_CELLS[id(region)], _BAND_CELLS[id(bands)])
+        labels = (_CELLS[id(region)], _CELLS[id(bands)])
         cells = (bound_text(a), bound_text(b), *labels)
         rows.append((_show(inst, x), *cells))
     _print_table(("x", "a", "b", "region", "bands"), rows)

@@ -464,10 +464,12 @@ class AnalyticFixture(ContourOracle):
     """Closed-form bounds for ground sets too large to enumerate.
 
     The fixture author supplies the bound functions over the augmented
-    ground set, a derivation note, and refuting probe pairs ``(x, x_prime)``
-    with ``x_prime`` strictly above ``x``.  The bound and occupancy
-    functions get the query itself: an element of ``ambient``, ``TOP`` or
-    ``BOTTOM``.  Probes are re-validated at construction time.  The bound functions return plain numbers, with
+    ground set, the contour occupancy function, the sample membership test
+    and the sample values, a derivation note, and refuting probe pairs
+    ``(x, x_prime)`` with ``x_prime`` strictly above ``x``; every one is
+    required.  The bound and occupancy functions get the query itself: an
+    element of ``ambient``, ``TOP`` or ``BOTTOM``.  Probes are re-validated
+    at construction time.  The bound functions return plain numbers, with
     ``-math.inf``/``math.inf`` for the infinities; a NaN bound raises
     ``ValueError`` when it is read.
     """
@@ -478,9 +480,9 @@ class AnalyticFixture(ContourOracle):
     upper_inf_fn: Callable[[object], float]
     probes: Tuple[Tuple[object, object], ...]
     derivation: str
-    occupancy_fn: Optional[Callable[[object], Tuple[bool, bool]]] = None
-    sample_membership_fn: Optional[Callable[[Element], bool]] = None
-    sample_value_fn: Optional[Callable[[Element], float]] = None
+    occupancy_fn: Callable[[object], Tuple[bool, bool]]
+    sample_membership_fn: Callable[[Element], bool]
+    sample_value_fn: Callable[[Element], float]
 
     def __post_init__(self):
         for x, x_prime in self.probes:
@@ -510,24 +512,12 @@ class AnalyticFixture(ContourOracle):
         return self._bound(self.upper_inf_fn, x)
 
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
-        if self.occupancy_fn is None:
-            raise UnsupportedQueryError(
-                f"fixture {self.name!r} declares no contour occupancy"
-            )
         return self.occupancy_fn(x)
 
     def in_samples(self, x: Element) -> bool:
-        if self.sample_membership_fn is None:
-            raise UnsupportedQueryError(
-                f"fixture {self.name!r} declares no sample membership test"
-            )
         return self.sample_membership_fn(x)
 
     def sample_value(self, x: Element) -> float:
         if not self.in_samples(x):
             raise KeyError(f"{x!r} is not a sample point of fixture {self.name!r}")
-        if self.sample_value_fn is None:
-            raise UnsupportedQueryError(
-                f"fixture {self.name!r} declares no sample values"
-            )
         return self.sample_value_fn(x)

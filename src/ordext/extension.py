@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cache
-from itertools import product
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility, Record
@@ -92,20 +91,12 @@ class Band(Enum):
     SPANNING = "S4"   # a <= alpha and b >= beta
 
 
-# the bands a point is in, by whether each band's rule above holds, in
-# declaration order
-_BANDS = {
-    held: tuple(band for band, on in zip(Band, held) if on)
-    for held in product((False, True), repeat=len(Band))
-}
-# the labels of a point, one object per region and set of bands
-_LABELS = {
-    (region, held): (region, bands) for region in ContourRegion for held, bands in _BANDS.items()
-}
-# the same objects by one small int, which hashes no Enum: the region's
-# position times 16 plus each band's rule as one bit, in Band order
+# the labels of a point, one object per region and set of bands, by one
+# small int, which hashes no Enum: entry 16 × the region's position plus one
+# bit per band whose rule above holds, in Band order, is the region and the
+# bands whose bit is set, in Band order
 _LABEL_TABLE = [
-    _LABELS[region, tuple(bool(bits >> i & 1) for i in range(len(Band)))]
+    (region, tuple(band for i, band in enumerate(Band) if bits >> i & 1))
     for region in ContourRegion for bits in range(1 << len(Band))
 ]
 
@@ -217,11 +208,9 @@ class ExtensionEngine:
 
         Each point costs one oracle record read, one :meth:`evaluate` call,
         whose two bound reads that record primes, and one sample membership
-        test, so an oracle that cannot read a record (an
-        :class:`~ordext.contours.AnalyticFixture` with no occupancy function)
-        raises :class:`UnsupportedQueryError` before the point is evaluated;
-        ``evaluate`` raises :class:`UnboundedContourError` here as it does
-        alone.  Labels are derived once per distinct record and
+        test, so an error the record read raises comes before the point is
+        evaluated; ``evaluate`` raises :class:`UnboundedContourError` here
+        as it does alone.  Labels are derived once per distinct record and
         membership.  A 2-D grid goes through :meth:`evaluate_grid`
         instead, which has the records and memberships from its sweep.
         """

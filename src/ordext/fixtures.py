@@ -178,9 +178,8 @@ def example_nin() -> AnalyticFixture:
     )
 
 
-FIXTURE_NAMES = ("example-gap", "example-nin")
-
 _BUILDERS = {"example-gap": example_gap, "example-nin": example_nin}
+FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 def get_fixture(name: str) -> AnalyticFixture:

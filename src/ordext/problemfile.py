@@ -480,12 +480,16 @@ def _parse_base_descriptor(doc, kind, dimension):
     return descriptor
 
 
-def parse_problem(text: str) -> ProblemInstance:
+def _decode(text: str):
+    """The JSON document of a problem or queries file."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, deep nesting
         raise ProblemFileError("$", f"not valid JSON: {exc}") from exc
-    doc = _as_object(doc, "$")
+
+
+def parse_problem(text: str) -> ProblemInstance:
+    doc = _as_object(_decode(text), "$")
     space = _parse_space(doc)
     kind = space["kind"]
     if kind == "fixture":
@@ -513,10 +517,7 @@ def parse_problem(text: str) -> ProblemInstance:
 
 def parse_queries(text: str, inst: ProblemInstance) -> List[Element]:
     """A queries file is a JSON array of element names or coordinate arrays."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, deep nesting
-        raise ProblemFileError("$", f"not valid JSON: {exc}") from exc
+    doc = _decode(text)
     if not isinstance(doc, list):
         raise ProblemFileError("$", "expected an array of queries")
     if inst.kind == "pareto" and all_float_vectors(doc, list, inst.dimension):

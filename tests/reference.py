@@ -31,8 +31,11 @@ with components from :func:`kosaraju_components`, not ordext's Tarjan walk.
 builtin ``max`` and ``min``, the bit-exact reference for the production
 evaluator.  :func:`grid_increase_fault` is the output certificate of a
 ``grid`` CSV: strict increase along both axes and the sample values at the
-nodes that are samples.  :func:`sample_order` is the sample order of a
-parsed problem file as one sort over every sample key's ``repr``.
+nodes that are samples.  :func:`pareto_increase_fault` is the output
+certificate of Pareto ``extend`` values: strict increase over every pair of
+points in strict domination, and the sample values at the samples.
+:func:`sample_order` is the sample order of a parsed problem file as one
+sort over every sample key's ``repr``.
 :class:`WeakIncreaseForm` and :func:`check_weak_increase_form` state weak
 increase six ways; the acceptance gate checks that all six agree.
 """
@@ -43,6 +46,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -97,6 +101,7 @@ __all__ = [
     "pairwise_pareto_set_values",
     "pairwise_strictly_increasing",
     "pairwise_weakly_increasing",
+    "pareto_increase_fault",
     "pm_one_assignments",
     "random_adversarial_samples",
     "random_finite_preorder",
@@ -465,6 +470,32 @@ def grid_increase_fault(csv_text: str, samples) -> Optional[str]:
     for p, v in samples.items():
         if tuple(p) in values and values[tuple(p)] != v:
             return f"sample {tuple(p)} is valued {v!r}, yet {values[tuple(p)]!r}"
+    return None
+
+
+def pareto_increase_fault(samples, points: Sequence[tuple], values: Sequence[float]
+                          ) -> Optional[str]:
+    """Why ``values``, one per point of ``points`` (coordinate tuples of one
+    Pareto space), is not strictly increasing over those points or misses a
+    value of ``samples`` (anything with ``items()`` of points and values);
+    None when it is neither.
+
+    An output certificate, independent of ordext: a point that is a sample
+    must carry the sample's value, a point listed twice must carry one
+    value, and of two points where one strictly dominates the other
+    coordinatewise, the dominating one must carry the strictly larger value.
+    Coordinates and values compare as numbers, so ``-0.0`` and ``0.0`` are
+    one coordinate.  One comparison per ordered pair of points."""
+    sample_values = dict(samples.items())
+    for p, f in zip(points, values):
+        if p in sample_values and f != sample_values[p]:
+            return f"sample {p!r} is valued {sample_values[p]!r}, yet {f!r}"
+    for (p, f), (q, g) in itertools.permutations(zip(points, values), 2):
+        if p == q:
+            if f != g:
+                return f"point {p!r} is valued both {f!r} and {g!r}"
+        elif all(map(operator.ge, p, q)) and not f > g:
+            return f"{p!r} is above {q!r}, yet {f!r} is not above {g!r}"
     return None
 
 

@@ -12,6 +12,12 @@ relations with cycles, self-loops and duplicate pairs: the engine's values
 pass exactly when the samples are gap-safe, since no values at all pass on
 samples that are not.  A strict pair that the float extension collides on
 is pinned as an expected failure that names ROADMAP item 4.
+
+``reference.pareto_increase_fault`` is its Pareto form: over the samples
+and the queries of each gap-safe Pareto ``extend`` entry of the golden
+corpus, the values ``evaluate_many`` yields, as floats, must keep the
+sample values and increase strictly with strict domination.  A mutant that
+returns the blend's lower end fails it on every entry.
 """
 
 import json
@@ -25,12 +31,13 @@ from ordext.cli import build_parser
 from ordext.contours import FiniteSampleOracle, PartialUtility
 from ordext.extension import make_engine
 from ordext.orders import FinitePreorder
-from ordext.problemfile import parse_base_utility_flag, parse_problem
+from ordext.problemfile import parse_base_utility_flag, parse_problem, parse_queries
 
 from golden.make_golden import CASES, expand, load_manifest
 from reference import (
     kosaraju_components,
     pairwise_gap_safe_finite,
+    pareto_increase_fault,
     random_gap_safe_samples,
     strict_extension_fault,
     warshall_closure,
@@ -90,6 +97,69 @@ def test_every_finite_golden_case_is_certified():
               and json.loads(path.read_text())["space"]["kind"] == "finite"}
     assert {Path(expand(entry["argv"])[1]) for entry in FINITE_EXTENDS} == finite
     assert {entry["exit"] for entry in FINITE_EXTENDS} == {0, 1}
+
+
+PARETO_EXTENDS = [
+    entry for entry in load_manifest() if entry["argv"][0] == "extend" and entry["exit"] == 0
+    and json.loads(Path(expand(entry["argv"])[1]).read_text())["space"]["kind"] == "pareto"
+]
+
+
+def pareto_extend_fault(entry, evaluate=None):
+    """The certificate's fault on the samples and queries of a Pareto
+    ``extend`` entry, with the values that ``evaluate_many`` yields; with
+    ``evaluate`` given, the engine evaluates each point through it."""
+    args = build_parser().parse_args(expand(entry["argv"]))
+    inst = parse_problem(Path(args.file).read_text()).with_range(args.alpha, args.beta)
+    if args.base_utility is not None:
+        inst = parse_base_utility_flag(args.base_utility, inst)
+    samples = inst.sample_utility()
+    points = [*samples.points, *parse_queries(Path(args.queries).read_text(), inst)]
+    engine = inst.to_engine()
+    if evaluate is not None:
+        engine.evaluate = lambda x: evaluate(engine, x)
+    values = [value for value, _, _ in engine.evaluate_many(points)]
+    return pareto_increase_fault(samples, points, values)
+
+
+@pytest.mark.parametrize("entry", PARETO_EXTENDS, ids=[entry["id"] for entry in PARETO_EXTENDS])
+def test_extension_of_every_gap_safe_pareto_golden_case_is_certified(entry):
+    assert pareto_extend_fault(entry) is None
+
+
+def blend_lower_end(engine, x):
+    a, b = engine._bounded_floats(x)
+    return max(a, min(b, engine.beta) - engine.beta + engine.alpha)
+
+
+@pytest.mark.parametrize("entry", PARETO_EXTENDS, ids=[entry["id"] for entry in PARETO_EXTENDS])
+def test_pareto_certificate_refuses_the_blends_lower_end(entry):
+    assert pareto_extend_fault(entry, blend_lower_end) is not None
+
+
+def test_every_gap_safe_pareto_golden_case_is_certified():
+    names = {Path(expand(entry["argv"])[1]).name for entry in PARETO_EXTENDS}
+    assert names == {"pareto1.json", "pareto2.json", "pareto3.json", "pareto3-order.json"}
+
+
+@pytest.mark.parametrize("index, value, fault", [
+    (None, None, None),
+    (3, 0.0, "(1.0, 0.0) is above (-0.0, 0.0), yet 0.0 is not above 0.0"),
+    (2, 1.0, "(1.0, 1.0) is above (0.0, 1.0), yet 1.0 is not above 1.0"),
+    (4, 1.5, None),
+    (1, 0.75, "sample (1.0, 1.0) is valued 1.0, yet 0.75"),
+    (0, 0.25, "sample (-0.0, 0.0) is valued 0.0, yet 0.25"),
+    (5, 0.25, "point (0.0, 1.0) is valued both 0.5 and 0.25"),
+], ids=["holds", "tie-above-a-sample", "tie-below-a-sample", "incomparable",
+        "off-a-sample", "off-a-signed-zero-sample", "two-values-at-one-point"])
+def test_pareto_certificate_names_the_first_fault(index, value, fault):
+    # (-0.0, 0.0) is the sample (0.0, 0.0), and (-0.0, 1.0) is (0.0, 1.0)
+    samples = PartialUtility({(0.0, 0.0): 0.0, (1.0, 1.0): 1.0})
+    points = [(-0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (2.0, -1.0), (-0.0, 1.0)]
+    values = [0.0, 1.0, 0.5, 0.5, 7.0, 0.5]
+    if index is not None:
+        values[index] = value
+    assert pareto_increase_fault(samples, points, values) == fault
 
 
 @st.composite

@@ -17,7 +17,14 @@ import ordext
 import reference
 from ordext import cli, contours, monotonicity, orders
 from ordext.cli import grid_axis, main
-from ordext.extension import DiscordantFormsError, ExtensionEngine, UnboundedContourError
+from ordext.extension import (
+    _LABEL_TABLE,
+    Band,
+    ContourRegion,
+    DiscordantFormsError,
+    ExtensionEngine,
+    UnboundedContourError,
+)
 from ordext.orders import FinitePreorder, ParetoSpace
 from ordext.problemfile import parse_problem
 from ordext.utility import UtilityFn
@@ -445,6 +452,21 @@ def ljust_table(header, rows):
 def test_print_table_matches_the_ljust_loop(capsys, header, rows):
     cli._print_table(header, rows)
     assert capsys.readouterr().out == ljust_table(header, rows)
+
+
+def test_every_label_has_its_cells_and_grid_line_end():
+    # the golden corpus prints only the labels its cases reach; entry
+    # 16 × region position + band bits of the engine's table is the region
+    # and the bands whose bit is set, and each has its text in the CLI
+    assert len(_LABEL_TABLE) == 16 * len(ContourRegion) == 80
+    for index, labels in enumerate(_LABEL_TABLE):
+        region, bands = labels
+        assert region is list(ContourRegion)[index // 16]
+        assert bands == tuple(band for i, band in enumerate(Band) if index % 16 >> i & 1)
+        bands_text = "|".join(band.value for band in bands)
+        assert cli._CELLS[id(region)] == region.value
+        assert cli._CELLS[id(bands)] == bands_text
+        assert cli._LINE_ENDS[id(labels)] == f",{region.value},{bands_text}\r\n"
 
 
 def test_grid_rejects_wrong_dimension(tmp_path, capsys):

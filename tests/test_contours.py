@@ -151,6 +151,9 @@ def _line_fixture(bound):
         upper_inf_fn=lambda x: math.inf if x is TOP else bound(x),
         probes=(),
         derivation="test",
+        occupancy_fn=lambda x: (True, True),
+        sample_membership_fn=lambda x: False,
+        sample_value_fn=lambda x: 0.0,
     )
 
 
@@ -179,12 +182,22 @@ def test_fixture_hands_each_query_itself_to_its_functions():
         probes=(),
         derivation="test",
         occupancy_fn=record(lambda x: (True, True)),
+        sample_membership_fn=lambda x: False,
+        sample_value_fn=lambda x: 0.0,
     )
     for query in ((0.5,), TOP, BOTTOM):
         for read in (fx.lower_sup, fx.upper_inf, fx.contour_occupancy):
             seen.clear()
             read(query)
             assert len(seen) == 1 and seen[0] is query, (read, query)
+
+
+@pytest.mark.parametrize("missing", ["occupancy_fn", "sample_membership_fn", "sample_value_fn"])
+def test_fixture_without_a_declared_function_is_refused(missing):
+    fields = dict(vars(_line_fixture(lambda x: 0.0)))
+    del fields[missing]
+    with pytest.raises(TypeError, match=missing):
+        AnalyticFixture(**fields)
 
 
 def test_occupancy_and_membership():

@@ -12,9 +12,9 @@ import reference
 
 from ordext.contours import AnalyticFixture, ContourOracle, FiniteSampleOracle, PartialUtility
 from ordext.monotonicity import NotAParetoSetError, check_gap_safe_finite, check_gap_safe_pareto
-from ordext.orders import BOTTOM, TOP, FinitePreorder, ParetoSpace, UnsupportedQueryError
+from ordext.orders import BOTTOM, TOP, FinitePreorder, ParetoSpace
 from ordext.extension import (
-    _LABELS,
+    _LABEL_TABLE,
     Band,
     ContourRegion,
     ExtensionEngine,
@@ -121,9 +121,11 @@ def test_labels_are_the_one_object_of_each_region_and_band_set():
                 beta + span, math.inf]
         for a, b in product(ends, repeat=2):
             held = band_rules(a, b, alpha, beta)
+            bits = sum(on << i for i, on in enumerate(held))
             for region, (member, lower, upper) in REGION_FLAGS.items():
                 labels = engine._labels((a, b, lower, upper), member)
-                assert labels is _LABELS[region, held]
+                position = list(ContourRegion).index(region)
+                assert labels is _LABEL_TABLE[16 * position + bits]
                 reached.add(labels)
     assert reached == {(region, bands) for region in ContourRegion for bands in ALLOWED_BANDS}
 
@@ -539,21 +541,30 @@ def test_evaluate_many_matches_per_point_reads_on_finite_preorders(rel, data, bo
 
 
 def test_evaluate_many_reads_the_record_before_evaluating(monkeypatch):
-    # a fixture with no occupancy function cannot read a record, though it
-    # can evaluate: evaluate_many refuses each point before evaluating it
+    # a fixture whose occupancy function raises cannot read a record, though
+    # it can evaluate: evaluate_many raises that error before evaluating
+    class Unreadable(Exception):
+        pass
+
+    def occupancy(x):
+        raise Unreadable(x)
+
     fixture = AnalyticFixture(
-        name="no-occupancy",
+        name="unreadable-occupancy",
         ambient=ParetoSpace(1),
         lower_sup_fn=lambda x: -math.inf if x is BOTTOM else 0.0,
         upper_inf_fn=lambda x: math.inf if x is TOP else 1.0,
         probes=(),
         derivation="test",
+        occupancy_fn=occupancy,
+        sample_membership_fn=lambda x: False,
+        sample_value_fn=lambda x: 0.0,
     )
     engine = make_engine(fixture)
     assert 0.0 < engine.evaluate((0.5,)) < 1.0
     evaluated = []
     monkeypatch.setattr(engine, "evaluate", lambda x: evaluated.append(x) or 0.5)
-    with pytest.raises(UnsupportedQueryError, match="declares no contour occupancy"):
+    with pytest.raises(Unreadable):
         next(engine.evaluate_many([(0.5,)]))
     assert evaluated == []
 
