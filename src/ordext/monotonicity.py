@@ -6,21 +6,25 @@ Every check returns a :class:`Verdict`.  A failing verdict carries a
 context needed to re-verify the violation from scratch.
 
 Each check reads the one structure :func:`~ordext.contours.bounds_of`
-keeps on the sample set.  On a :class:`FinitePreorder` that is
+keeps on the sample set, and finds its pair through the one finder of
+that structure's kind.  On a :class:`FinitePreorder` the structure is
 per-component aggregates of the relation's condensation
-(:class:`ComponentBounds`), O(n + m) in all; see the comment above
-:func:`_weak_on_components`.  Elsewhere it is the samples ranked by value
-(:class:`SampleRanks`), and the checks run on bitmasks over the ranks
-instead of one order comparison per pair, so a value test is a bit range.
-Each sample's weak up-set and down-set among the samples comes from the
+(:class:`ComponentBounds`), O(n + m) in all, and the finder is
+:func:`_first_on_components`.  Elsewhere it is the samples ranked by
+value (:class:`SampleRanks`), and the finder is
+:func:`~ordext.orders.first_violation` on bitmasks over the ranks instead
+of one order comparison per pair, so a value test is a bit range.  Each
+sample's weak up-set and down-set among the samples comes from the
 prefix chains of a :class:`ParetoSpace`, computed per sample inside the
 pass, or on any other preorder from one ``geq`` per ordered pair, kept
-with the ranks.  Each check is then one pass over i with a few mask
-operations; the witness is the first i with a violation and the lowest
-position in its violation mask, which is the first pair in position
-order.  Where the reference loops look at unordered pairs (j > i only),
-the violation is symmetric in i and j, so the first i with a violation
-has no violating partner below it and the masks need no j > i cut.
+with the ranks.  Both finders return the first i with a violation and
+its lowest-placed partner, which is the first pair in position order.
+Where the reference loops look at unordered pairs (j > i only), the
+violation is symmetric in i and j, so the first i with a violation has
+no violating partner below it and no j > i cut is needed.  The weak,
+strict and Pareto-set checks orient that pair by one rule
+(:func:`_oriented`), and every failing verdict is built in one place
+(:func:`_refuted`).
 Gap-safety with finitely many samples is strict increase on the
 samples, for any preorder.  So one pass per sample set
 (:func:`_verdicts`) runs the strict check, and the weak check only when
@@ -40,7 +44,6 @@ from ordext.contours import (
     ContourOracle,
     FiniteSampleOracle,
     PartialUtility,
-    SampleRanks,
     bound_text,
     bounds_of,
 )
@@ -49,8 +52,6 @@ from ordext.orders import (
     Preorder,
     compare_augmented,
     first_violation,
-    is_pareto_set,
-    strict_pair,
 )
 
 __all__ = [
@@ -104,101 +105,84 @@ class Verdict:
 _PASS = Verdict(True)
 
 
+def _refuted(lo, hi, note: str, *context: Tuple[str, object]) -> Verdict:
+    """The one constructor of a failing verdict: the pair, x' = ``hi``, and its evidence."""
+    return Verdict(False, Witness(lo, hi, context, note))
+
+
 def _pair_witness(samples: PartialUtility, lo, hi, note: str) -> Verdict:
-    return Verdict(
-        False,
-        Witness(
-            lo=lo,
-            hi=hi,
-            context=(
-                ("f_P(x)", samples.value(lo)),
-                ("f_P(x')", samples.value(hi)),
-            ),
-            note=note,
-        ),
-    )
+    return _refuted(lo, hi, note, ("f_P(x)", samples.value(lo)), ("f_P(x')", samples.value(hi)))
 
 
-def _weak_verdict(samples: PartialUtility, ranks: SampleRanks) -> Verdict:
-    end = ranks.end  # the ranks from end[r] on hold the smaller values
-    found = first_violation(samples.points, ranks.rank, ranks.masks(),
-                            lambda r, down, up: up >> end[r] << end[r])
+def _oriented(found) -> Tuple[object, object]:
+    """A finder's ``(p, q, above, below)`` as ``(x, x')``, x' the point weakly above."""
+    p, q, above, _ = found
+    return (p, q) if above else (q, p)
+
+
+def _first_on_components(samples: PartialUtility, bounds: ComponentBounds,
+                         violates: Callable, bad: Callable):
+    """``(p, q, above, below)`` on a :class:`ComponentBounds`, as
+    :func:`~ordext.orders.first_violation` gives it on masks.
+
+    A sample of value v in component c has a violating partner iff
+    ``violates(c, v)``, an O(1) test of the component's aggregates: strict
+    increase fails iff a value of its own component differs from v, or the
+    largest value strictly below is not smaller, or the smallest strictly
+    above is not larger; weak increase iff the smallest weakly above is
+    smaller.  The first such sample is p; one walk down and one up from c
+    then give q, the lowest-placed sample of value w with
+    ``bad(v, w, above, below)``, and whether it is weakly above and weakly
+    below p.  None when no sample has one.
+    """
+    rel, elems, values = bounds.rel, bounds.elems, bounds.values
+    comp = rel.component_index
+    for i, (e, v) in enumerate(zip(elems, values)):
+        c = comp[e]
+        if violates(c, v):
+            down, up = rel.down_set(c), rel.up_set(c)
+            for j, (f, w) in enumerate(zip(elems, values)):
+                above, below = comp[f] in up, comp[f] in down
+                if bad(v, w, above, below):
+                    return samples.points[i], samples.points[j], above, below
+            raise AssertionError("a violating sample without a violating partner")
+    return None
+
+
+def _weak_verdict(samples: PartialUtility, bounds) -> Verdict:
+    if isinstance(bounds, ComponentBounds):
+        highs, b = bounds.highs, bounds.b
+        found = _first_on_components(samples, bounds, lambda c, v: highs[b[c]] < v,
+                                     lambda v, w, above, below: above and w < v)
+    else:
+        end = bounds.end  # the ranks from end[r] on hold the smaller values
+        found = first_violation(samples.points, bounds.rank, bounds.masks(),
+                                lambda r, down, up: up >> end[r] << end[r])
     return _PASS if found is None else _pair_witness(
-        samples, *found[:2], "x' dominates x but has a smaller value")
+        samples, *_oriented(found), "x' dominates x but has a smaller value")
 
 
-def _strict_verdict(samples: PartialUtility, ranks: SampleRanks) -> Verdict:
-    # above and not larger (ranks from first[r] on), or below and not smaller
-    # (below end[r]): every rank is one or both, so XOR keeps unequal equivalents
-    first, end = ranks.first, ranks.end
-    found = first_violation(samples.points, ranks.rank, ranks.masks(), lambda r, down, up:
-                            (up >> first[r] << first[r]) ^ (down & (1 << end[r]) - 1))
+def _strict_verdict(samples: PartialUtility, bounds) -> Verdict:
+    # a partner violates when above and not larger, or below and not smaller:
+    # an equivalent one is both, so XOR keeps it only with an unequal value
+    if isinstance(bounds, ComponentBounds):
+        lows, highs, top, bottom = bounds.lows, bounds.highs, bounds.top, bounds.bottom
+        a_strict, b_strict = bounds.a_strict, bounds.b_strict
+        found = _first_on_components(
+            samples, bounds,
+            lambda c, v: (lows[top[c]] != highs[bottom[c]] or lows[a_strict[c]] >= v
+                          or highs[b_strict[c]] <= v),
+            lambda v, w, above, below: (above and w <= v) != (below and w >= v))
+    else:
+        # not larger: ranks from first[r] on; not smaller: ranks below end[r]
+        first, end = bounds.first, bounds.end
+        found = first_violation(samples.points, bounds.rank, bounds.masks(), lambda r, down, up:
+                                (up >> first[r] << first[r]) ^ (down & (1 << end[r]) - 1))
     if found is None:
         return _PASS
-    p, q, above, below = found
-    if above and below:
-        return _pair_witness(samples, p, q, "equivalent points with different values")
-    lo, hi = (p, q) if above else (q, p)
-    return _pair_witness(samples, lo, hi, "strict domination without a strictly larger value")
-
-
-# On a FinitePreorder the checks read per-component aggregates
-# (ComponentBounds) instead of masks.  A sample has a violating partner
-# iff a value of its own component differs from its own, or the largest
-# value strictly below it is not smaller, or the smallest strictly above
-# is not larger (weak: the smallest weakly above is smaller): O(1) per
-# sample.  The first such sample is the i of the mask loops; one walk down
-# and one up from its component then give the lowest partner j.
-
-
-def _weak_on_components(samples: PartialUtility, bounds: ComponentBounds) -> Verdict:
-    rel, highs, b = bounds.rel, bounds.highs, bounds.b
-    comp = rel.component_index
-    for i, (e, v) in enumerate(zip(bounds.elems, bounds.values)):
-        if highs[b[comp[e]]] < v:
-            above = rel.up_set(comp[e])
-            j = next(j for j, (f, w) in enumerate(zip(bounds.elems, bounds.values))
-                     if w < v and comp[f] in above)
-            pts = samples.points
-            return _pair_witness(
-                samples, pts[i], pts[j], "x' dominates x but has a smaller value"
-            )
-    return _PASS
-
-
-def _strict_on_components(samples: PartialUtility, bounds: ComponentBounds) -> Verdict:
-    rel, lows, highs = bounds.rel, bounds.lows, bounds.highs
-    comp, top, bottom = rel.component_index, bounds.top, bounds.bottom
-    a_strict, b_strict = bounds.a_strict, bounds.b_strict
-    for i, (e, v) in enumerate(zip(bounds.elems, bounds.values)):
-        c = comp[e]
-        if (lows[top[c]] != highs[bottom[c]] or lows[a_strict[c]] >= v
-                or highs[b_strict[c]] <= v):
-            return _strict_witness(samples, bounds, i, c, v)
-    return _PASS
-
-
-def _strict_witness(
-    samples: PartialUtility, bounds: ComponentBounds, i: int, c: int, v
-) -> Verdict:
-    """The strict witness of sample i, in component c: its lowest violating partner."""
-    rel, pts = bounds.rel, samples.points
-    comp = rel.component_index
-    below, above = rel.down_set(c), rel.up_set(c)
-    note = "strict domination without a strictly larger value"
-    for j, (f, w) in enumerate(zip(bounds.elems, bounds.values)):
-        d = comp[f]
-        if d == c:
-            if w != v:
-                return _pair_witness(
-                    samples, pts[i], pts[j], "equivalent points with different values"
-                )
-        elif d in above:
-            if w <= v:
-                return _pair_witness(samples, pts[i], pts[j], note)
-        elif d in below and w >= v:
-            return _pair_witness(samples, pts[j], pts[i], note)
-    raise AssertionError("a violating sample without a violating partner")
+    note = ("equivalent points with different values" if found[2] and found[3]
+            else "strict domination without a strictly larger value")
+    return _pair_witness(samples, *_oriented(found), note)
 
 
 def _verdicts(rel: Preorder, samples: PartialUtility) -> Tuple[Verdict, Verdict]:
@@ -207,11 +191,8 @@ def _verdicts(rel: Preorder, samples: PartialUtility) -> Tuple[Verdict, Verdict]
     weak pass runs only when strict fails."""
     bounds = bounds_of(rel, samples)
     if bounds.verdicts is None:
-        ranked = isinstance(bounds, SampleRanks)
-        strict = (_strict_verdict if ranked else _strict_on_components)(samples, bounds)
-        weak = strict if strict.holds else (
-            _weak_verdict if ranked else _weak_on_components)(samples, bounds)
-        bounds.verdicts = strict, weak
+        strict = _strict_verdict(samples, bounds)
+        bounds.verdicts = strict, strict if strict.holds else _weak_verdict(samples, bounds)
     return bounds.verdicts
 
 
@@ -226,18 +207,8 @@ def check_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict
 
 
 def _bound_witness(oracle: ContourOracle, lo, hi, note: str) -> Verdict:
-    return Verdict(
-        False,
-        Witness(
-            lo=lo,
-            hi=hi,
-            context=(
-                ("a(x)", bound_text(oracle.lower_sup(lo))),
-                ("b(x')", bound_text(oracle.upper_inf(hi))),
-            ),
-            note=note,
-        ),
-    )
+    return _refuted(lo, hi, note, ("a(x)", bound_text(oracle.lower_sup(lo))),
+                    ("b(x')", bound_text(oracle.upper_inf(hi))))
 
 
 def check_gap_safe_finite(rel: Preorder, samples: PartialUtility) -> Verdict:
@@ -310,14 +281,20 @@ def check_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdict:
     the contour-boundedness half of the criterion is automatic, so the
     check reduces to value constancy on equivalence classes: strict
     increase, on samples with no strict pair.  Both halves read the one
-    structure :func:`bounds_of` keeps: its masks, on every preorder but a
-    :class:`FinitePreorder`, whose test is a pass over the condensation.
+    structure :func:`bounds_of` keeps: the Pareto-set test is its finder
+    with a partner weakly on exactly one side, a strictly comparable one.
     """
     bounds = bounds_of(rel, samples)
-    if isinstance(bounds, SampleRanks):
-        pair = strict_pair(samples.points, bounds.rank, bounds.masks())
+    if isinstance(bounds, ComponentBounds):
+        empty = len(bounds.values)
+        a_strict, b_strict = bounds.a_strict, bounds.b_strict
+        found = _first_on_components(
+            samples, bounds, lambda c, v: a_strict[c] < empty or b_strict[c] < empty,
+            lambda v, w, above, below: above != below)
     else:
-        pair = is_pareto_set(rel, samples.points)[1]
-    if pair:
-        raise NotAParetoSetError(pair)
+        found = first_violation(samples.points, bounds.rank, bounds.masks(),
+                                lambda r, down, up: up ^ down)
+    if found is not None:
+        lo, hi = _oriented(found)
+        raise NotAParetoSetError((hi, lo))
     return check_strictly_increasing(rel, samples)

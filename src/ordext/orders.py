@@ -88,7 +88,6 @@ __all__ = [
     "is_finite_real",
     "is_pareto_set",
     "safe_repr",
-    "strict_pair",
 ]
 
 
@@ -813,17 +812,22 @@ def is_pareto_set(
     position of a point in it, and one ``down_min`` and one ``up_min``
     pass give, per component, the lowest position strictly below and
     strictly above it: O(n + m) in all, and the first point with such a
-    position has it as its lowest partner.  Elsewhere :func:`strict_pair`
-    reads each point's masks in turn: on a :class:`ParetoSpace` from
-    :meth:`PrefixChains.of_points`, made as they are read, so no list of
-    them is held; on any other preorder from :func:`_pairwise_masks`.
+    position has it as its lowest partner.  Elsewhere
+    :func:`first_violation` reads each point's masks in turn, a strict
+    partner being one in exactly one of them: on a :class:`ParetoSpace`
+    from :meth:`PrefixChains.of_points`, made as they are read, so no list
+    of them is held; on any other preorder from :func:`_pairwise_masks`.
+    Strict comparability is symmetric, so the first point with a strict
+    partner has none before it.
     """
     pts = list(points)
     if type(rel) is not FinitePreorder:
         bits = range(len(pts))
-        pair = strict_pair(pts, bits, PrefixChains(rel._check_points(pts), bits).of_points()
-                           if type(rel) is ParetoSpace else _pairwise_masks(rel, pts, bits))
-        return (True, None) if pair is None else (False, pair)
+        found = first_violation(pts, bits, PrefixChains(rel._check_points(pts), bits).of_points()
+                                if type(rel) is ParetoSpace else _pairwise_masks(rel, pts, bits),
+                                lambda b, down, up: up ^ down)
+        return (True, None) if found is None else (
+            False, (found[1], found[0]) if found[2] else found[:2])
     comp = rel.component_index
     cs = [comp[e] for e in rel._check_points(pts)]
     absent = len(pts)  # the position of no point
@@ -837,20 +841,6 @@ def is_pareto_set(
         if j < absent:
             return False, ((pts[i], pts[j]) if below[c] < above[c] else (pts[j], pts[i]))
     return True, None
-
-
-def strict_pair(
-    points: Sequence[Element], bits: Sequence[int], masks: Iterable[Tuple[int, int]]
-) -> Optional[Tuple[Element, Element]]:
-    """First (winner, loser) with one point strictly above the other, or None.
-
-    ``masks`` gives each point's bits weakly below and above it, point i
-    having bit ``bits[i]`` (:func:`first_violation`).  The pair is the
-    first (i, j) with j > i in position order: strict comparability is
-    symmetric, so the first i that has a strict partner has none below it.
-    """
-    found = first_violation(points, bits, masks, lambda b, down, up: up ^ down)
-    return found and ((found[1], found[0]) if found[2] else found[:2])
 
 
 def first_violation(points: Sequence[Element], bits: Sequence[int],

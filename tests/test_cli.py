@@ -883,14 +883,14 @@ def test_finite_gap_check_runs_weak_increase_only_on_a_strict_failure(
     # strict increase implies weak increase: on finite-dag no weak pass runs,
     # for check's weak line or for the gap check; on finite-bad strict
     # increase fails, and one weak pass serves check's line and the gap check
-    weak = monotonicity._weak_on_components
+    weak = monotonicity._weak_verdict
     seen = []
 
     def counted(samples, bounds):
         seen.append(bounds)
         return weak(samples, bounds)
 
-    monkeypatch.setattr(monotonicity, "_weak_on_components", counted)
+    monkeypatch.setattr(monotonicity, "_weak_verdict", counted)
     argv = [command, str(GOLDEN_CASES / f"{case}.json")]
     if command == "extend":
         argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]

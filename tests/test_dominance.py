@@ -234,6 +234,28 @@ def test_finite_pareto_checks_build_no_rows(monkeypatch):
     assert builds == []
 
 
+def test_finite_pareto_set_check_reads_only_the_kept_structure(monkeypatch):
+    # the Pareto-set test reads the ComponentBounds the strict check kept:
+    # no further pass over the condensation
+    rel = FinitePreorder.closure(4, [(0, 1), (1, 0), (1, 2)])
+    samples = PartialUtility({3: 0.0, 1: 1.0, 0: 1.0})
+    assert check_strictly_increasing(rel, samples).holds
+    passes = []
+
+    def counted(name):
+        fold = getattr(FinitePreorder, name)
+
+        def folded(self, *args):
+            passes.append(name)
+            return fold(self, *args)
+        return folded
+
+    for name in ("down_min", "up_min"):
+        monkeypatch.setattr(FinitePreorder, name, counted(name))
+    assert check_pareto_set_values(rel, samples) is bounds_of(rel, samples).verdicts[0]
+    assert passes == []
+
+
 @settings(max_examples=300)
 @given(finite_cases())
 def test_finite_checks_match_reference(case):
