@@ -40,7 +40,6 @@ from ordext.orders import (
     Preorder,
     UnsupportedQueryError,
     compare_augmented,
-    is_pareto_set,
 )
 from ordext.utility import (
     UtilityFn,
@@ -82,7 +81,6 @@ __all__ = [
     "compare_augmented",
     "finite_utility",
     "get_fixture",
-    "is_pareto_set",
     "make_engine",
     "normalize01",
     "pareto_base_utility",

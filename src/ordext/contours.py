@@ -22,9 +22,11 @@ both bounds per component of its condensation (:class:`ComponentBounds`);
 elsewhere the samples ranked by value, whose bounds at a point follow
 from its two masks by one tie rule (:class:`SampleRanks`), with
 per-coordinate prefix bitmasks on a :class:`ParetoSpace`
-(:class:`ParetoBounds`).  ``TOP`` and ``BOTTOM`` need no structure: every
-sample lies strictly below ``TOP`` and strictly above ``BOTTOM``, so a(Top)
-is the largest sample value and b(Bottom) the smallest.
+(:class:`ParetoBounds`); on any other preorder each sample's two masks
+take one ``geq`` per ordered pair (:func:`_pairwise_masks`) and are kept
+with the ranks.  ``TOP`` and ``BOTTOM`` need no structure: every sample
+lies strictly below ``TOP`` and strictly above ``BOTTOM``, so a(Top) is
+the largest sample value and b(Bottom) the smallest.
 :meth:`FiniteSampleOracle.lattice` reads a whole 2-D grid from the same
 Pareto structure, one prefix read per row and per column, and yields it
 row by row with each point's record and sample membership.
@@ -51,7 +53,6 @@ from ordext.orders import (
     Preorder,
     PrefixChains,
     UnsupportedQueryError,
-    _pairwise_masks,
     all_finite_floats,
     compare_augmented,
     is_finite_real,
@@ -229,6 +230,22 @@ class ComponentBounds:
         c = self.rel.component_index[self.rel._check(x)]
         a, b, empty = self.a[c], self.b[c], len(self.values)
         return self.lows[a], self.highs[b], a < empty, b < empty
+
+
+def _pairwise_masks(rel: Preorder, points: Sequence[Element],
+                    bits: Sequence[int]) -> List[Tuple[int, int]]:
+    """Per point, the bits of the points weakly below and weakly above it,
+    point j having bit ``bits[j]``, by one ``geq`` per ordered pair.  Not a
+    method, so no preorder with a faster structure inherits it."""
+    n = len(points)
+    down = [0] * n
+    up = [0] * n
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            if rel.geq(q, p):
+                up[i] |= 1 << bits[j]
+                down[j] |= 1 << bits[i]
+    return list(zip(down, up))
 
 
 class SampleRanks:

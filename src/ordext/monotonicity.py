@@ -12,7 +12,7 @@ per-component aggregates of the relation's condensation
 (:class:`ComponentBounds`), O(n + m) in all, and the finder is
 :func:`_first_on_components`.  Elsewhere it is the samples ranked by
 value (:class:`SampleRanks`), and the finder is
-:func:`~ordext.orders.first_violation` on bitmasks over the ranks instead
+:func:`first_violation` on bitmasks over the ranks instead
 of one order comparison per pair, so a value test is a bit range.  Each
 sample's weak up-set and down-set among the samples comes from the
 prefix chains of a :class:`ParetoSpace`, computed per sample inside the
@@ -37,7 +37,7 @@ in ``tests/reference.py``, as the references these are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from ordext.contours import (
     ComponentBounds,
@@ -49,9 +49,10 @@ from ordext.contours import (
 )
 from ordext.orders import (
     Comparison,
+    Element,
     Preorder,
     compare_augmented,
-    first_violation,
+    safe_repr,
 )
 
 __all__ = [
@@ -120,10 +121,24 @@ def _oriented(found) -> Tuple[object, object]:
     return (p, q) if above else (q, p)
 
 
+def first_violation(points: Sequence[Element], bits: Sequence[int],
+                    masks: Iterable[Tuple[int, int]], bad_of: Callable):
+    """``(p, q, above, below)``: the first point p, of bit b, whose violation
+    mask ``bad_of(b, down, up)`` over its ``masks`` entry, the bits of the
+    points weakly below and above it, is not 0; the lowest-placed point q
+    in that mask, by one walk over the bits; and whether q is weakly above
+    and weakly below p.  None when no point has one."""
+    for i, (b, (down, up)) in enumerate(zip(bits, masks)):
+        if bad := bad_of(b, down, up):
+            j = next(j for j, s in enumerate(bits) if bad >> s & 1)
+            return points[i], points[j], up >> bits[j] & 1, down >> bits[j] & 1
+    return None
+
+
 def _first_on_components(samples: PartialUtility, bounds: ComponentBounds,
                          violates: Callable, bad: Callable):
     """``(p, q, above, below)`` on a :class:`ComponentBounds`, as
-    :func:`~ordext.orders.first_violation` gives it on masks.
+    :func:`first_violation` gives it on masks.
 
     A sample of value v in component c has a violating partner iff
     ``violates(c, v)``, an O(1) test of the component's aggregates: strict
@@ -269,20 +284,23 @@ class NotAParetoSetError(ValueError):
     def __init__(self, pair):
         self.pair = pair
         super().__init__(
-            f"not a Pareto set: {pair[0]!r} strictly dominates {pair[1]!r}"
+            f"not a Pareto set: {safe_repr(pair[0])} strictly dominates {safe_repr(pair[1])}"
         )
 
 
 def check_pareto_set_values(rel: Preorder, samples: PartialUtility) -> Verdict:
     """Extendability test for values on a Pareto set.
 
-    Requires the sample points to be mutually undominated (raises
-    :class:`NotAParetoSetError` otherwise).  With finitely many samples
-    the contour-boundedness half of the criterion is automatic, so the
-    check reduces to value constancy on equivalence classes: strict
-    increase, on samples with no strict pair.  Both halves read the one
-    structure :func:`bounds_of` keeps: the Pareto-set test is its finder
-    with a partner weakly on exactly one side, a strictly comparable one.
+    Requires the sample points to be mutually undominated, and otherwise
+    raises :class:`NotAParetoSetError` whose ``pair`` is (winner, loser) of
+    the first strict pair in sample order: the first sample with a
+    strictly comparable partner, and its lowest-placed one.  With finitely
+    many samples the contour-boundedness half of the criterion is
+    automatic, so the check reduces to value constancy on equivalence
+    classes: strict increase, on samples with no strict pair.  Both halves
+    read the one structure :func:`bounds_of` keeps: the Pareto-set test is
+    its finder with a partner weakly on exactly one side, a strictly
+    comparable one.
     """
     bounds = bounds_of(rel, samples)
     if isinstance(bounds, ComponentBounds):

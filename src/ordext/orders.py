@@ -30,18 +30,15 @@ and one strictly below everything: the sentinels ``TOP`` and ``BOTTOM``,
 the only instances of :class:`Augmented`.  Its other points are the
 elements themselves.
 
-Pairwise questions about a list of points (which point dominates
-which) are answered word-parallel: per point, the bitmask of the points
-weakly below and weakly above it, so a caller tests all partners of a
-point with a few integer operations instead of one comparison per pair.
-No preorder has a method for them, so none inherits a slow one:
-
-* on a :class:`ParetoSpace`, :class:`PrefixChains` sorts and chains each
-  coordinate once and ANDs the k prefix reads of each point, after the
-  points are checked in bulk (``_check_points``, below): O(k n log n)
-  comparisons plus O(k n) operations on n-bit integers;
-* on any other preorder, :func:`_pairwise_masks` asks ``geq`` once per
-  ordered pair; the finite checks read the condensation instead.
+Pairwise questions about a list of Pareto points (which point dominates
+which) are answered word-parallel: :class:`PrefixChains` sorts and chains
+each coordinate once and ANDs the k prefix reads of each point, after the
+points are checked in bulk (``_check_points``, below), so the bitmasks of
+the points weakly below and weakly above each point cost O(k n log n)
+comparisons plus O(k n) operations on n-bit integers in all.  No preorder
+has a method for such masks, so none inherits a slow one: on any other
+preorder, the one ``geq`` per ordered pair is ``contours._pairwise_masks``,
+and the finite checks read the condensation instead.
 
 A list of points or values, from a file or a caller, is checked in bulk
 where it can be: :func:`all_finite_floats` and :func:`all_float_vectors`
@@ -50,9 +47,8 @@ fixed-length container of them), by a few C-level passes (``map``,
 ``set``, ``all``, ``math.isfinite``) instead of one Python call per
 coordinate.  Any other list (an ``int``, ``bool``, ``Fraction``, NaN, an
 infinity, a wrong length) goes through the per-entry check, which names
-the first bad entry.  The parser, :class:`~ordext.contours.PartialUtility`,
-:func:`is_pareto_set` and ``contours.ParetoBounds`` each check the lists
-they are handed this way.
+the first bad entry.  The parser, :class:`~ordext.contours.PartialUtility`
+and ``contours.ParetoBounds`` each check the lists they are handed this way.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ from functools import partial, reduce
 from itertools import chain, compress
 from numbers import Rational, Real
 from operator import and_, or_
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Element = Any  # int for finite ground sets, tuple of floats for Pareto spaces
 
@@ -84,9 +80,7 @@ __all__ = [
     "UnsupportedQueryError",
     "all_finite_floats",
     "all_float_vectors",
-    "first_violation",
     "is_finite_real",
-    "is_pareto_set",
     "safe_repr",
 ]
 
@@ -194,22 +188,6 @@ class Preorder(ABC):
         raise UnsupportedQueryError(
             f"{type(self).__name__} has no enumerable ground set"
         )
-
-
-def _pairwise_masks(rel: Preorder, points: Sequence[Element],
-                    bits: Sequence[int]) -> List[Tuple[int, int]]:
-    """Per point, the bits of the points weakly below and weakly above it,
-    point j having bit ``bits[j]``, by one ``geq`` per ordered pair.  Not a
-    method, so no preorder with a faster structure inherits it."""
-    n = len(points)
-    down = [0] * n
-    up = [0] * n
-    for i, p in enumerate(points):
-        for j, q in enumerate(points):
-            if rel.geq(q, p):
-                up[i] |= 1 << bits[j]
-                down[j] |= 1 << bits[i]
-    return list(zip(down, up))
 
 
 def _prefix_chain(keys: Sequence, bits: Sequence[int]) -> Tuple[list, List[int], List[int]]:
@@ -800,58 +778,3 @@ def compare_augmented(rel: Preorder, x, y) -> Comparison:
     if x is BOTTOM or y is TOP:
         return Comparison.STRICTLY_LESS
     return rel.compare(x, y)
-
-
-def is_pareto_set(
-    rel: Preorder, points: Iterable[Element]
-) -> Tuple[bool, Optional[Tuple[Element, Element]]]:
-    """True iff no point strictly dominates another; else (False, (winner, loser)).
-
-    The pair reported is the first in position order (i, then j > i).
-    On a :class:`FinitePreorder` each component carries the lowest
-    position of a point in it, and one ``down_min`` and one ``up_min``
-    pass give, per component, the lowest position strictly below and
-    strictly above it: O(n + m) in all, and the first point with such a
-    position has it as its lowest partner.  Elsewhere
-    :func:`first_violation` reads each point's masks in turn, a strict
-    partner being one in exactly one of them: on a :class:`ParetoSpace`
-    from :meth:`PrefixChains.of_points`, made as they are read, so no list
-    of them is held; on any other preorder from :func:`_pairwise_masks`.
-    Strict comparability is symmetric, so the first point with a strict
-    partner has none before it.
-    """
-    pts = list(points)
-    if type(rel) is not FinitePreorder:
-        bits = range(len(pts))
-        found = first_violation(pts, bits, PrefixChains(rel._check_points(pts), bits).of_points()
-                                if type(rel) is ParetoSpace else _pairwise_masks(rel, pts, bits),
-                                lambda b, down, up: up ^ down)
-        return (True, None) if found is None else (
-            False, (found[1], found[0]) if found[2] else found[:2])
-    comp = rel.component_index
-    cs = [comp[e] for e in rel._check_points(pts)]
-    absent = len(pts)  # the position of no point
-    lowest = [absent] * len(rel.condensation)
-    for i in reversed(range(absent)):
-        lowest[cs[i]] = i
-    below = rel.down_min(lowest, absent)[1]
-    above = rel.up_min(lowest, absent)[1]
-    for i, c in enumerate(cs):
-        j = min(below[c], above[c])
-        if j < absent:
-            return False, ((pts[i], pts[j]) if below[c] < above[c] else (pts[j], pts[i]))
-    return True, None
-
-
-def first_violation(points: Sequence[Element], bits: Sequence[int],
-                    masks: Iterable[Tuple[int, int]], bad_of: Callable):
-    """``(p, q, above, below)``: the first point p, of bit b, whose violation
-    mask ``bad_of(b, down, up)`` over its ``masks`` entry, the bits of the
-    points weakly below and above it, is not 0; the lowest-placed point q
-    in that mask, by one walk over the bits; and whether q is weakly above
-    and weakly below p.  None when no point has one."""
-    for i, (b, (down, up)) in enumerate(zip(bits, masks)):
-        if bad := bad_of(b, down, up):
-            j = next(j for j, s in enumerate(bits) if bad >> s & 1)
-            return points[i], points[j], up >> bits[j] & 1, down >> bits[j] & 1
-    return None

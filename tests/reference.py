@@ -11,9 +11,9 @@ value construction over the equivalence-class condensation, then audits
 its own construction.
 
 The ``pairwise_*`` functions are the one-comparison-per-pair loops that
-the mask-based checks of :mod:`ordext.monotonicity` and
-:func:`ordext.orders.is_pareto_set` replaced.  They return the same
-verdicts and witnesses and serve as the differential-test reference.
+the sample checks of :mod:`ordext.monotonicity` replaced.  They return the
+same verdicts, witnesses and ``NotAParetoSetError`` pairs and serve as the
+differential-test reference.
 ``pairwise_gap_safe_finite`` is the exception: it reads the definition
 of gap-safety over every element pair, and may name another gap pair.
 :func:`scan_record` is the one-comparison-per-sample reference for the
@@ -599,7 +599,9 @@ def pairwise_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verd
 def pairwise_is_pareto_set(
     rel: Preorder, points: Iterable[Element]
 ) -> Tuple[bool, Optional[Tuple[Element, Element]]]:
-    """Reference for ``is_pareto_set``: two ``strictly_greater`` per pair."""
+    """The Pareto-set test of ``check_pareto_set_values``, by two
+    ``strictly_greater`` per pair: ``(True, None)``, or ``(False, (winner,
+    loser))`` for the first strict pair in position order (i, then j > i)."""
     pts = list(points)
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:

@@ -1,10 +1,13 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -913,17 +916,16 @@ def count_pareto_builds(monkeypatch):
 
 
 def count_mask_passes(monkeypatch):
-    """Wrap the two ways to build dominance masks: the pairwise loop, under
-    both names it is called by, and the prefix chains of a Pareto space,
-    which every ``ParetoBounds`` builds once; returns one entry per pass."""
+    """Wrap the two ways to build dominance masks: the pairwise loop of
+    ``SampleRanks``, and the prefix chains of a Pareto space, which every
+    ``ParetoBounds`` builds once; returns one entry per pass."""
     passes = []
-    pairwise = orders._pairwise_masks
+    pairwise = contours._pairwise_masks
 
     def counted(rel, points, bits):
         passes.append(points)
         return pairwise(rel, points, bits)
 
-    monkeypatch.setattr(orders, "_pairwise_masks", counted)
     monkeypatch.setattr(contours, "_pairwise_masks", counted)
     chains = orders.PrefixChains.__init__
 
@@ -1367,3 +1369,23 @@ def test_package_holds_only_the_production_modules():
     assert loaded == [f"ordext.{name}" for name in (
         "cli", "contours", "extension", "fixtures", "monotonicity", "orders",
         "problemfile", "utility")]
+
+
+def test_every_exported_name_resolves_once():
+    # a name left in an __all__ after its definition goes would break
+    # ``from ordext.<module> import *`` only for the caller who tries it
+    modules = [ordext] + [importlib.import_module(f"ordext.{info.name}")
+                          for info in pkgutil.iter_modules(ordext.__path__)]
+    for module in modules:
+        names = getattr(module, "__all__", [])
+        assert len(names) == len(set(names)), module.__name__
+        assert [name for name in names if not hasattr(module, name)] == [], module.__name__
+
+
+def test_readme_library_snippet_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["engine"].evaluate(1) == 0.75

@@ -1,10 +1,10 @@
 """Mask-based and condensation-based pairwise checks against the
 pairwise reference loops.
 
-``check_weakly_increasing``, ``check_strictly_increasing``,
-``is_pareto_set`` and ``check_pareto_set_values`` decide every sample
-pair with bitmask algebra over value ranks or positions, or on a ``FinitePreorder``
-with passes over its condensation.  The one-comparison-per-pair
+``check_weakly_increasing``, ``check_strictly_increasing`` and
+``check_pareto_set_values`` decide every sample pair with bitmask algebra
+over value ranks, or on a ``FinitePreorder`` with passes over its
+condensation.  The one-comparison-per-pair
 loops they replaced live in the test tree's ``reference`` module and
 must give the same verdict and the same witness: the same pair, the same
 note, and context values that print the same (so a tie between ``-0.0``
@@ -49,7 +49,6 @@ from ordext.orders import (
     ParetoSpace,
     Preorder,
     PrefixChains,
-    is_pareto_set,
 )
 from ordext.utility import finite_utility
 
@@ -110,13 +109,6 @@ def assert_gap_rule(rel, samples, holds, got=None):
     assert not b > a
 
 
-def assert_same_pareto_set(rel, points):
-    got = is_pareto_set(rel, points)
-    want = pairwise_is_pareto_set(rel, points)
-    assert got[0] == want[0]
-    assert shown(got[1]) == shown(want[1])
-
-
 def assert_same_pareto_values(rel, samples):
     try:
         want = pairwise_pareto_set_values(rel, samples)
@@ -135,7 +127,6 @@ def assert_same_sample_checks(rel, samples):
     assert_same_verdict(
         check_strictly_increasing(rel, samples), pairwise_strictly_increasing(rel, samples)
     )
-    assert_same_pareto_set(rel, samples.points)
     assert_same_pareto_values(rel, samples)
 
 
@@ -167,10 +158,8 @@ def test_pareto_dominance_masks_match_pairwise_geq(case):
 
 @given(pareto_cases())
 def test_pareto_sample_checks_match_reference(case):
-    space, samples, points = case
+    space, samples, _ = case
     assert_same_sample_checks(space, samples)
-    # repeated and equal-but-distinct points (1 and 1.0, -0.0 and 0.0)
-    assert_same_pareto_set(space, points)
 
 
 def test_pareto_masks_reject_foreign_points_like_the_reference():
@@ -198,16 +187,7 @@ def finite_cases(draw):
     rel = FinitePreorder.closure(n, pairs)
     # dictionary order is sample order, so positions are not element order
     keys = draw(st.lists(index, unique=True, min_size=min(n, 2)))
-    samples = PartialUtility({p: draw(NUMBERS) for p in keys})
-    return rel, samples, draw(st.lists(index, max_size=12))
-
-
-@given(finite_cases())
-def test_finite_is_pareto_set_matches_reference(case):
-    rel, samples, points = case
-    # the points list repeats elements
-    for pts in (list(samples.points), points, list(range(rel.n))):
-        assert_same_pareto_set(rel, pts)
+    return rel, PartialUtility({p: draw(NUMBERS) for p in keys})
 
 
 def test_finite_pareto_checks_build_no_rows(monkeypatch):
@@ -221,8 +201,6 @@ def test_finite_pareto_checks_build_no_rows(monkeypatch):
     monkeypatch.setattr(orders, "_fold_rows", counted)
     # 0 ~ 1, both above 2, and 3 apart
     rel = FinitePreorder.closure(4, [(0, 1), (1, 0), (1, 2)])
-    assert is_pareto_set(rel, [2, 0, 3]) == (False, (0, 2))
-    assert is_pareto_set(rel, [3, 1, 0, 1]) == (True, None)
     with pytest.raises(NotAParetoSetError) as err:
         check_pareto_set_values(rel, PartialUtility({3: 0.0, 2: 1.0, 1: 2.0}))
     assert err.value.pair == (1, 2)
@@ -259,7 +237,7 @@ def test_finite_pareto_set_check_reads_only_the_kept_structure(monkeypatch):
 @settings(max_examples=300)
 @given(finite_cases())
 def test_finite_checks_match_reference(case):
-    rel, samples, _ = case
+    rel, samples = case
     assert_same_sample_checks(rel, samples)
     assert_gap_rule(rel, samples, pairwise_gap_safe_finite(rel, samples).holds)
 
@@ -280,7 +258,6 @@ def test_gap_check_matches_reference_on_larger_relations(seed, n, shape):
     # mostly increasing values with occasional ties and dips
     samples = PartialUtility({p: levels[p] + rng.choice([0, 0, 0, -1, 0.5]) for p in points})
     assert_gap_rule(rel, samples, pairwise_gap_safe_finite(rel, samples).holds)
-    assert_same_pareto_set(rel, points)
     assert_same_pareto_values(rel, samples)
 
 
@@ -483,7 +460,6 @@ def test_pareto_set_value_check_builds_one_structure(monkeypatch):
             PartialUtility({(0, 0, 0): 5.0, **front})]
     builds = count_pareto_builds(monkeypatch)
     masks = []
-    monkeypatch.setattr(orders, "_pairwise_masks", lambda *args: masks.append(args))
     monkeypatch.setattr(contours, "_pairwise_masks", lambda *args: masks.append(args))
     got = []
     for samples in sets:
@@ -523,7 +499,7 @@ class Divisibility(Preorder):
 def test_generic_preorder_takes_the_pairwise_masks(samples, points):
     rel = Divisibility()
     up, down = pairwise_masks(rel, points)
-    assert orders._pairwise_masks(rel, points, range(len(points))) == list(zip(down, up))
+    assert contours._pairwise_masks(rel, points, range(len(points))) == list(zip(down, up))
     samples = PartialUtility(samples)
     assert type(bounds_of(rel, samples)) is SampleRanks
     assert_same_sample_checks(rel, samples)
@@ -534,6 +510,16 @@ def test_generic_preorder_takes_the_pairwise_masks(samples, points):
         oracle._last = None
         want = scan_record(rel, samples, x)
         assert [str(v) for v in oracle.record(x)] == [str(v) for v in want]
+
+
+def test_pareto_set_error_names_huge_integers_by_size():
+    # repr of an int past the interpreter's 4300-digit limit raises
+    # ValueError; the error names it by size and keeps the object itself
+    huge = 10**5000
+    with pytest.raises(NotAParetoSetError) as exc:
+        check_pareto_set_values(Divisibility(), PartialUtility({huge: 1.0, 1: 0.0}))
+    assert exc.value.pair[0] is huge and exc.value.pair[1] == 1
+    assert str(exc.value) == "not a Pareto set: <int of 16610 bits> strictly dominates 1"
 
 
 class Residues(Preorder):

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordext.contours import FiniteSampleOracle, ParetoBounds, PartialUtility
+from ordext.contours import FiniteSampleOracle, ParetoBounds, PartialUtility, bounds_of
+from ordext.monotonicity import check_pareto_set_values
 from ordext.orders import (
     BOTTOM,
     TOP,
@@ -26,7 +27,6 @@ from ordext.orders import (
     ForeignElementError,
     ParetoSpace,
     PrefixChains,
-    is_pareto_set,
 )
 
 from reference import scan_record
@@ -192,14 +192,23 @@ def test_pareto_index_memory_is_within_twice_the_dominance_masks(front_of_10k):
     assert index <= 2 * masks
 
 
-def test_pareto_set_test_peaks_no_higher_than_the_index(front_of_10k):
-    # the Pareto-set test reads each point's masks as the chains make them
-    # and stops at the first strict pair, so it holds no list of masks
-    points, samples = front_of_10k
+def test_pareto_set_check_holds_no_list_of_masks():
+    # (a, b - a, 1 - b) for a <= b: a point weakly above another has the
+    # same b, so distinct b make 10**4 mutually undominated points, and the
+    # Pareto-set test and the strict check both read every point's masks.
+    # With the chains kept, they read them as the chains make them; a
+    # masks() that built a list would peak as high as the list below
+    rng = random.Random(34)
+    pairs = [sorted((rng.random(), rng.random())) for _ in range(10**4)]
+    samples = PartialUtility({(a, b - a, 1 - b): rng.random() for a, b in pairs})
     space = ParetoSpace(3)
-    test = peak_memory(lambda: is_pareto_set(space, points))
-    index = peak_memory(lambda: FiniteSampleOracle(space, samples).lower_sup(points[0]))
-    assert test <= index
+    bounds = bounds_of(space, samples)
+    masks = peak_memory(lambda: list(bounds.masks()))
+    verdicts = []
+    check = peak_memory(lambda: verdicts.append(check_pareto_set_values(space, samples)))
+    assert len(samples) == 10**4 and verdicts[0].holds
+    assert bounds_of(space, samples) is bounds
+    assert 8 * check <= masks
 
 
 @pytest.mark.parametrize(

@@ -230,6 +230,9 @@ def test_gap_safe_pareto_antichain_any_values():
 
 def test_pareto_set_values_requires_pareto_set():
     space = ParetoSpace(2)
+    front = PartialUtility({(1.0, 0.0): 0.0, (0.0, 1.0): 1.0})
+    assert check_pareto_set_values(space, front).holds
+    assert check_pareto_set_values(ParetoSpace(3), PartialUtility({(0.0, 0.0, 0.0): 0.0})).holds
     bad = PartialUtility({(0.0, 0.0): 0.0, (1.0, 1.0): 1.0})
     with pytest.raises(NotAParetoSetError) as exc:
         check_pareto_set_values(space, bad)

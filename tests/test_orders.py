@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordext.contours import PartialUtility
+from ordext.monotonicity import check_pareto_set_values
 from ordext.orders import (
     BOTTOM,
     TOP,
@@ -17,7 +19,6 @@ from ordext.orders import (
     ParetoSpace,
     UnsupportedQueryError,
     compare_augmented,
-    is_pareto_set,
 )
 
 from reference import (
@@ -183,7 +184,7 @@ def test_pareto_rejects_non_numeric_coordinates(point):
     with pytest.raises(ForeignElementError):
         space.geq(point, (0.0, 0.0))
     with pytest.raises(ForeignElementError):
-        is_pareto_set(space, [(0.0, 0.0), point])
+        check_pareto_set_values(space, PartialUtility({(0.0, 0.0): 0.0, point: 1.0}))
 
 
 # repr of an int past the interpreter's 4300-digit limit itself raises
@@ -266,20 +267,6 @@ def test_augmented_order():
         assert compare_augmented(rel, x, y) is expected, (rel, x, y)
     with pytest.raises(ForeignElementError):
         compare_augmented(space, (0.0,), (0.0, 0.0))
-
-
-def test_pareto_set_detection():
-    space = ParetoSpace(2)
-    ok, witness = is_pareto_set(space, [(1.0, 0.0), (0.0, 1.0)])
-    assert ok and witness is None
-    ok, witness = is_pareto_set(space, [(0.0, 0.0), (1.0, 1.0)])
-    assert not ok
-    assert witness == ((1.0, 1.0), (0.0, 0.0))
-
-
-def test_pareto_set_singleton_trivial():
-    ok, _ = is_pareto_set(ParetoSpace(3), [(0.0, 0.0, 0.0)])
-    assert ok
 
 
 def test_maximal_minimal_on_chain():
