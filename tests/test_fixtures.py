@@ -1,6 +1,8 @@
 """The bundled analytic fixtures and their declared closed forms."""
 
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -120,3 +122,22 @@ def test_foreign_points_name_huge_ints_by_size():
         example_nin().ambient.geq(10**5000, 0)
     with pytest.raises(ForeignElementError, match=r"^<int of 16610 bits> is not a 1-vector"):
         example_gap().in_samples(10**5000)
+
+
+@pytest.mark.parametrize("probe", [(TOP, TOP), (BOTTOM, BOTTOM), ((0.0,), BOTTOM),
+                                   (TOP, (0.0,)), ((0.0,), (0.0,)), ((1.0,), (0.0,))],
+                         ids=["top-top", "bottom-bottom", "to-bottom", "from-top",
+                              "same-point", "downward"])
+def test_fixture_refuses_a_probe_that_is_not_strict(probe):
+    x, x_prime = probe
+    with pytest.raises(ValueError, match=re.escape(
+            f"fixture 'example-gap': probe ({x}, {x_prime}) is not a strict pair")):
+        replace(example_gap(), probes=(probe,))
+
+
+def test_fixture_refuses_a_finite_bound_at_a_sentinel():
+    gap = example_gap()
+    with pytest.raises(ValueError, match=r"^fixture 'example-gap': lower_sup\(Bottom\) must be -inf$"):
+        replace(gap, lower_sup_fn=lambda x: 0.0 if x is BOTTOM else gap.lower_sup_fn(x))
+    with pytest.raises(ValueError, match=r"^fixture 'example-gap': upper_inf\(Top\) must be \+inf$"):
+        replace(gap, upper_inf_fn=lambda x: 0.0 if x is TOP else gap.upper_inf_fn(x))
