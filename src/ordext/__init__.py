@@ -33,13 +33,12 @@ from ordext.orders import (
     BOTTOM,
     TOP,
     Augmented,
-    Comparison,
     FinitePreorder,
     ForeignElementError,
     ParetoSpace,
     Preorder,
     UnsupportedQueryError,
-    compare_augmented,
+    strictly_above,
 )
 from ordext.utility import (
     UtilityFn,
@@ -55,7 +54,6 @@ __all__ = [
     "Augmented",
     "BOTTOM",
     "Band",
-    "Comparison",
     "ContourOracle",
     "ContourRegion",
     "DiscordantFormsError",
@@ -78,11 +76,11 @@ __all__ = [
     "check_gap_safe_probes",
     "check_strictly_increasing",
     "check_weakly_increasing",
-    "compare_augmented",
     "finite_utility",
     "get_fixture",
     "make_engine",
     "normalize01",
     "pareto_base_utility",
     "squash",
+    "strictly_above",
 ]

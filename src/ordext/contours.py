@@ -46,7 +46,6 @@ from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 from ordext.orders import (
     BOTTOM,
     TOP,
-    Comparison,
     Element,
     FinitePreorder,
     ParetoSpace,
@@ -54,9 +53,9 @@ from ordext.orders import (
     PrefixChains,
     UnsupportedQueryError,
     all_finite_floats,
-    compare_augmented,
     is_finite_real,
     safe_repr,
+    strictly_above,
 )
 
 __all__ = [
@@ -503,7 +502,7 @@ class AnalyticFixture(ContourOracle):
 
     def __post_init__(self):
         for x, x_prime in self.probes:
-            if compare_augmented(self.ambient, x_prime, x) is not Comparison.STRICTLY_GREATER:
+            if not strictly_above(self.ambient, x_prime, x):
                 raise ValueError(
                     f"fixture {self.name!r}: probe ({x}, {x_prime}) is not a strict pair"
                 )

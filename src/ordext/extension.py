@@ -398,8 +398,9 @@ class ExtensionEngine:
     def _equivalent_sample(self, samples: PartialUtility, x: Element) -> Optional[Element]:
         if self._oracle.in_samples(x):
             return x
-        if isinstance(self.rel, ParetoSpace):
-            # coordinatewise order is antisymmetric: equivalence is equality
+        if type(self.rel) is ParetoSpace:
+            # coordinatewise order is antisymmetric: equivalence is equality;
+            # a subclass may redefine the order
             return None
         for p in samples.points:
             if self.rel.equivalent(p, x):
@@ -429,18 +430,18 @@ def make_engine(
 ) -> ExtensionEngine:
     """Assemble an engine, deriving its utility from the oracle's preorder.
 
-    Without an explicit base utility, finite preorders get the layered
-    integer utility and Pareto spaces the coordinate sum.  The engine
-    squashes the base into (alpha, beta) itself.
+    Without an explicit base utility, a finite preorder gets the layered
+    integer utility and a Pareto space the coordinate sum.  By the exact
+    type of the preorder, as in ``bounds_of``, since a subclass may
+    redefine the order.  The engine squashes the base into (alpha, beta)
+    itself.
     """
     rel = oracle.rel
     if base_utility is None:
-        if isinstance(rel, FinitePreorder):
-            base_utility = finite_utility(rel)
-        elif isinstance(rel, ParetoSpace):
-            base_utility = pareto_base_utility(rel)
-        else:
+        default = {FinitePreorder: finite_utility, ParetoSpace: pareto_base_utility}.get(type(rel))
+        if default is None:
             raise ValueError(
                 f"no default base utility for {type(rel).__name__}; pass one"
             )
+        base_utility = default(rel)
     return ExtensionEngine(oracle, alpha, beta, base_utility)

@@ -18,6 +18,7 @@ from ordext.orders import (
     ForeignElementError,
     ParetoSpace,
     Preorder,
+    is_finite_real,
     safe_repr,
 )
 
@@ -97,17 +98,22 @@ def example_gap() -> AnalyticFixture:
     )
 
 
+def _nin_check(x: Element) -> int:
+    """``x`` if it is an element of the nin ground set: a nonpositive
+    integer that a float can hold, so that it has a value."""
+    if not isinstance(x, int) or x > 0:
+        raise ForeignElementError(f"{safe_repr(x)} is not a nonpositive integer")
+    if not is_finite_real(x):
+        raise ForeignElementError(f"{safe_repr(x)} is too large for a float")
+    return x
+
+
 class _DominantZeroOrder(Preorder):
     """Nonpositive integers; zero dominates everything, the rest only themselves."""
 
-    def _check(self, x: Element) -> int:
-        if not isinstance(x, int) or x > 0:
-            raise ForeignElementError(f"{safe_repr(x)} is not a nonpositive integer")
-        return x
-
     def geq(self, x: Element, y: Element) -> bool:
-        x = self._check(x)
-        y = self._check(y)
+        x = _nin_check(x)
+        y = _nin_check(y)
         return x == y or x == 0
 
 
@@ -117,7 +123,7 @@ def _nin_lower_sup(x) -> float:
     if x is TOP:
         # sup of sample values over the whole sample set, which is unbounded
         return math.inf
-    if x == 0:
+    if _nin_check(x) == 0:
         # every sample sits below zero, so the sup again diverges
         return math.inf
     return float(-x)
@@ -129,7 +135,7 @@ def _nin_upper_inf(x) -> float:
         return 1.0
     if x is TOP:
         return math.inf
-    if x == 0:
+    if _nin_check(x) == 0:
         # no sample dominates zero
         return math.inf
     return float(-x)
@@ -140,7 +146,7 @@ def _nin_occupancy(x):
         return (False, True)
     if x is TOP:
         return (True, False)
-    if x == 0:
+    if _nin_check(x) == 0:
         return (True, False)
     return (True, True)
 
@@ -173,7 +179,7 @@ def example_nin() -> AnalyticFixture:
             "whole set from below: inf of {1, 2, 3, ...} is 1."
         ),
         occupancy_fn=_nin_occupancy,
-        sample_membership_fn=lambda p: isinstance(p, int) and p < 0,
+        sample_membership_fn=lambda p: _nin_check(p) < 0,
         sample_value_fn=lambda p: float(-p),
     )
 

@@ -47,13 +47,7 @@ from ordext.contours import (
     bound_text,
     bounds_of,
 )
-from ordext.orders import (
-    Comparison,
-    Element,
-    Preorder,
-    compare_augmented,
-    safe_repr,
-)
+from ordext.orders import Element, Preorder, safe_repr, strictly_above
 
 __all__ = [
     "NotAParetoSetError",
@@ -269,7 +263,7 @@ def check_gap_safe_probes(
     gap-safety.  A passing verdict only means no supplied probe refutes.
     """
     for x, x_prime in probes:
-        if compare_augmented(oracle.rel, x_prime, x) is not Comparison.STRICTLY_GREATER:
+        if not strictly_above(oracle.rel, x_prime, x):
             raise ValueError(f"probe ({x}, {x_prime}) is not a strict pair")
         if not (oracle.upper_inf(x_prime) > oracle.lower_sup(x)):
             return _bound_witness(

@@ -24,11 +24,13 @@ and checked there by the certificate of :func:`_certify`.
 caller name and accepts the rows as the matrix only if they pass that
 certificate: reflexive rows pass it exactly when they are transitive.
 
-Both expose the same query surface through :class:`Preorder`.  The
-augmented ground set adds two artificial extremes, one strictly above
-and one strictly below everything: the sentinels ``TOP`` and ``BOTTOM``,
-the only instances of :class:`Augmented`.  Its other points are the
-elements themselves.
+Both expose the same query surface through :class:`Preorder`: ``geq``,
+and the strict part ``strictly_greater`` and the equivalence
+``equivalent`` derived from it.  The augmented ground set adds two
+artificial extremes, one strictly above and one strictly below
+everything: the sentinels ``TOP`` and ``BOTTOM``, the only instances of
+:class:`Augmented`.  Its other points are the elements themselves, and
+:func:`strictly_above` is its one strict test.
 
 Pairwise questions about a list of Pareto points (which point dominates
 which) are answered word-parallel: :class:`PrefixChains` sorts and chains
@@ -56,7 +58,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from functools import partial, reduce
 from itertools import chain, compress
 from numbers import Rational, Real
@@ -69,7 +70,6 @@ __all__ = [
     "Augmented",
     "BOTTOM",
     "CertificateError",
-    "Comparison",
     "Element",
     "FinitePreorder",
     "ForeignElementError",
@@ -82,6 +82,7 @@ __all__ = [
     "all_float_vectors",
     "is_finite_real",
     "safe_repr",
+    "strictly_above",
 ]
 
 
@@ -150,32 +151,12 @@ def safe_repr(value) -> str:
         return f"<{sign}{type(value).__name__} of {size}>"
 
 
-class Comparison(Enum):
-    """Outcome of comparing two elements under a preorder."""
-
-    EQUIVALENT = "equivalent"
-    STRICTLY_GREATER = "strictly_greater"
-    STRICTLY_LESS = "strictly_less"
-    INCOMPARABLE = "incomparable"
-
-
 class Preorder(ABC):
     """A reflexive, transitive relation ``geq`` on some ground set."""
 
     @abstractmethod
     def geq(self, x: Element, y: Element) -> bool:
         """True iff ``x`` is at least as good as ``y``."""
-
-    def compare(self, x: Element, y: Element) -> Comparison:
-        fwd = self.geq(x, y)
-        back = self.geq(y, x)
-        if fwd and back:
-            return Comparison.EQUIVALENT
-        if fwd:
-            return Comparison.STRICTLY_GREATER
-        if back:
-            return Comparison.STRICTLY_LESS
-        return Comparison.INCOMPARABLE
 
     def strictly_greater(self, x: Element, y: Element) -> bool:
         return self.geq(x, y) and not self.geq(y, x)
@@ -769,12 +750,12 @@ TOP = Augmented("Top")
 BOTTOM = Augmented("Bottom")
 
 
-def compare_augmented(rel: Preorder, x, y) -> Comparison:
-    """Comparison on the augmented set: Top above all, Bottom below all."""
-    if x is y and isinstance(x, Augmented):
-        return Comparison.EQUIVALENT
+def strictly_above(rel: Preorder, x, y) -> bool:
+    """True iff ``x`` is strictly above ``y`` in the augmented order: ``TOP``
+    above all else, all else above ``BOTTOM``, and two elements by
+    ``rel.strictly_greater``."""
     if x is TOP or y is BOTTOM:
-        return Comparison.STRICTLY_GREATER
+        return x is not y
     if x is BOTTOM or y is TOP:
-        return Comparison.STRICTLY_LESS
-    return rel.compare(x, y)
+        return False
+    return rel.strictly_greater(x, y)

@@ -65,12 +65,10 @@ from ordext.monotonicity import (
 from ordext.orders import (
     BOTTOM,
     TOP,
-    Comparison,
     Element,
     FinitePreorder,
     ForeignElementError,
     Preorder,
-    compare_augmented,
 )
 from ordext.problemfile import ProblemInstance
 from ordext.utility import finite_utility
@@ -112,6 +110,7 @@ __all__ = [
     "strict_extension_fault",
     "upper_contour",
     "warshall_closure",
+    "weakly_above",
 ]
 
 MAX_BRUTE_SIZE = 8
@@ -499,17 +498,24 @@ def pareto_increase_fault(samples, points: Sequence[tuple], values: Sequence[flo
     return None
 
 
-_WEAKLY_ABOVE = (Comparison.EQUIVALENT, Comparison.STRICTLY_GREATER)
+def weakly_above(rel: Preorder, x, y) -> bool:
+    """``x`` weakly above ``y`` in the augmented order: ``TOP`` above all,
+    all above ``BOTTOM``, and two elements by ``geq``."""
+    if x is TOP or y is BOTTOM:
+        return True
+    if x is BOTTOM or y is TOP:
+        return False
+    return rel.geq(x, y)
 
 
 def lower_contour(rel: Preorder, points: Iterable[Element], x) -> list:
     """Sample points weakly below ``x`` (an element, ``TOP`` or ``BOTTOM``)."""
-    return [p for p in points if compare_augmented(rel, x, p) in _WEAKLY_ABOVE]
+    return [p for p in points if weakly_above(rel, x, p)]
 
 
 def upper_contour(rel: Preorder, points: Iterable[Element], x) -> list:
     """Sample points weakly above ``x`` (an element, ``TOP`` or ``BOTTOM``)."""
-    return [p for p in points if compare_augmented(rel, p, x) in _WEAKLY_ABOVE]
+    return [p for p in points if weakly_above(rel, p, x)]
 
 
 def scan_record(rel: Preorder, samples: PartialUtility, x) -> tuple:
@@ -545,12 +551,12 @@ def pairwise_weakly_increasing(rel: Preorder, samples: PartialUtility) -> Verdic
 
 
 def pairwise_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verdict:
-    """Reference for ``check_strictly_increasing``: one ``compare`` per pair."""
+    """Reference for ``check_strictly_increasing``: ``geq`` both ways per pair."""
     pts = samples.points
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
-            cmp = rel.compare(q, p)
-            if cmp is Comparison.EQUIVALENT and samples.value(q) != samples.value(p):
+            fwd, back = rel.geq(q, p), rel.geq(p, q)
+            if fwd and back and samples.value(q) != samples.value(p):
                 return Verdict(
                     False,
                     Witness(
@@ -563,7 +569,7 @@ def pairwise_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verd
                         note="equivalent points with different values",
                     ),
                 )
-            if cmp is Comparison.STRICTLY_GREATER and not (
+            if fwd and not back and not (
                 samples.value(q) > samples.value(p)
             ):
                 return Verdict(
@@ -578,7 +584,7 @@ def pairwise_strictly_increasing(rel: Preorder, samples: PartialUtility) -> Verd
                         note="strict domination without a strictly larger value",
                     ),
                 )
-            if cmp is Comparison.STRICTLY_LESS and not (
+            if back and not fwd and not (
                 samples.value(p) > samples.value(q)
             ):
                 return Verdict(

@@ -456,6 +456,28 @@ def test_custom_base_utility_is_used():
     assert engine.evaluate(x) == pytest.approx(want, abs=1e-12)
 
 
+class _ReversedChain(FinitePreorder):
+    """A finite preorder whose ``geq`` reverses its parent's."""
+
+    def geq(self, x, y):
+        return super().geq(y, x)
+
+
+def test_default_utility_is_picked_by_exact_type():
+    # the parent's utility rises along the parent's order, which a subclass
+    # may redefine, so only the exact type gets it, as in bounds_of
+    rel = _ReversedChain.chain(4)
+    samples = PartialUtility({0: 1.0, 3: 0.0})
+    oracle = FiniteSampleOracle(rel, samples)
+    assert check_gap_safe_finite(rel, samples).holds
+    with pytest.raises(ValueError, match="^no default base utility for _ReversedChain; pass one$"):
+        make_engine(oracle)
+    engine = make_engine(oracle, base_utility=UtilityFn(lambda i: -float(i)))
+    values = [engine.evaluate(i) for i in range(4)]
+    assert values[0] == 1.0 and values[3] == 0.0
+    assert values[0] > values[1] > values[2] > values[3]
+
+
 # evaluate_many against the per-point methods on a second engine whose
 # one-slot memo is cleared before every read, so each reference value
 # comes from the index.  Values must match normalize01's to the bit, also

@@ -124,6 +124,22 @@ def test_foreign_points_name_huge_ints_by_size():
         example_gap().in_samples(10**5000)
 
 
+def test_nin_refuses_an_int_too_large_for_a_float():
+    # a nonpositive int that no float holds has no value, so it is no element
+    fx = get_fixture("example-nin")
+    reads = [fx.in_samples, fx.sample_value, fx.lower_sup, fx.upper_inf,
+             fx.contour_occupancy, fx.record, lambda x: fx.ambient.geq(x, 0)]
+    for huge, shown in [(-(10**5000), "<negative int of 16610 bits>"),
+                        (-(2**1024), str(-(2**1024)))]:
+        for read in reads:
+            with pytest.raises(ForeignElementError,
+                               match=f"^{re.escape(shown)} is too large for a float$"):
+                read(huge)
+    # the largest magnitude a float holds is still a sample
+    assert fx.in_samples(-(2**1023)) and fx.sample_value(-(2**1023)) == 2.0**1023
+    assert fx.record(-(2**1023)) == (2.0**1023, 2.0**1023, True, True)
+
+
 @pytest.mark.parametrize("probe", [(TOP, TOP), (BOTTOM, BOTTOM), ((0.0,), BOTTOM),
                                    (TOP, (0.0,)), ((0.0,), (0.0,)), ((1.0,), (0.0,))],
                          ids=["top-top", "bottom-bottom", "to-bottom", "from-top",

@@ -13,12 +13,11 @@ from ordext.monotonicity import check_pareto_set_values
 from ordext.orders import (
     BOTTOM,
     TOP,
-    Comparison,
     FinitePreorder,
     ForeignElementError,
     ParetoSpace,
     UnsupportedQueryError,
-    compare_augmented,
+    strictly_above,
 )
 
 from reference import (
@@ -29,7 +28,17 @@ from reference import (
     is_reflexive,
     is_symmetric,
     is_transitive,
+    weakly_above,
 )
+
+
+def label(rel, x, y) -> str:
+    """``>``, ``<``, ``~`` or ``|``: ``x`` strictly above, strictly below,
+    equivalent to or incomparable with ``y``, from the three predicates,
+    which must agree with each other."""
+    above, below, same = rel.strictly_greater(x, y), rel.strictly_greater(y, x), rel.equivalent(x, y)
+    assert above + below + same <= 1 and same == rel.equivalent(y, x)
+    return ">" if above else "<" if below else "~" if same else "|"
 
 
 def edge_sets(max_n=5):
@@ -57,7 +66,7 @@ def test_closure_adds_transitive_pair():
 
 def test_closure_two_cycle_makes_equivalence():
     rel = FinitePreorder.closure(2, [(0, 1), (1, 0)])
-    assert rel.compare(0, 1) is Comparison.EQUIVALENT
+    assert label(rel, 0, 1) == "~"
 
 
 def test_closure_rejects_out_of_range():
@@ -149,16 +158,16 @@ def test_closure_output_is_valid_preorder(spec):
 
 def test_compare_label_symmetry_on_chain():
     rel = FinitePreorder.chain(3)
-    assert rel.compare(2, 0) is Comparison.STRICTLY_GREATER
-    assert rel.compare(0, 2) is Comparison.STRICTLY_LESS
-    assert rel.compare(1, 1) is Comparison.EQUIVALENT
+    assert label(rel, 2, 0) == ">"
+    assert label(rel, 0, 2) == "<"
+    assert label(rel, 1, 1) == "~"
 
 
 def test_pareto_compare_labels():
     space = ParetoSpace(2)
-    assert space.compare((1.0, 2.0), (0.0, 1.0)) is Comparison.STRICTLY_GREATER
-    assert space.compare((1.0, 0.0), (0.0, 1.0)) is Comparison.INCOMPARABLE
-    assert space.compare((1.0, 0.0), (1.0, 0.0)) is Comparison.EQUIVALENT
+    assert label(space, (1.0, 2.0), (0.0, 1.0)) == ">"
+    assert label(space, (1.0, 0.0), (0.0, 1.0)) == "|"
+    assert label(space, (1.0, 0.0), (1.0, 0.0)) == "~"
 
 
 def test_pareto_rejects_wrong_dimension():
@@ -215,9 +224,9 @@ def test_foreign_errors_name_huge_numbers_by_size(coord, shown):
 
 def test_pareto_accepts_int_float_and_other_real_coordinates():
     space = ParetoSpace(2)
-    assert space.compare((1, 2.0), (1.0, 2)) is Comparison.EQUIVALENT
-    assert space.compare((-0.0, 0), (0.0, -0.0)) is Comparison.EQUIVALENT
-    assert space.compare((Fraction(1, 3), Subfloat(2.0)), (0, 2)) is Comparison.STRICTLY_GREATER
+    assert label(space, (1, 2.0), (1.0, 2)) == "~"
+    assert label(space, (-0.0, 0), (0.0, -0.0)) == "~"
+    assert label(space, (Fraction(1, 3), Subfloat(2.0)), (0, 2)) == ">"
 
 
 def test_finite_rejects_foreign_index():
@@ -231,42 +240,51 @@ def test_compare_antisymmetry_of_labels(spec, data):
     rel = FinitePreorder.closure(n, pairs)
     x = data.draw(st.integers(0, n - 1))
     y = data.draw(st.integers(0, n - 1))
-    fwd = rel.compare(x, y)
-    back = rel.compare(y, x)
-    assert (fwd is Comparison.STRICTLY_GREATER) == (back is Comparison.STRICTLY_LESS)
-    assert (fwd is Comparison.EQUIVALENT) == (back is Comparison.EQUIVALENT)
+    fwd = label(rel, x, y)
+    back = label(rel, y, x)
+    assert back == {">": "<", "<": ">"}.get(fwd, fwd)
+    # on two elements the augmented test is the strict part of the order
+    assert strictly_above(rel, x, y) == (fwd == ">")
 
 
 def test_augmented_order():
     rel = FinitePreorder.antichain(2)
-    x = 0
-    assert compare_augmented(rel, TOP, x) is Comparison.STRICTLY_GREATER
-    assert compare_augmented(rel, x, BOTTOM) is Comparison.STRICTLY_GREATER
-    assert compare_augmented(rel, TOP, TOP) is Comparison.EQUIVALENT
-    assert compare_augmented(rel, BOTTOM, BOTTOM) is Comparison.EQUIVALENT
-    assert compare_augmented(rel, TOP, BOTTOM) is Comparison.STRICTLY_GREATER
-    assert compare_augmented(rel, 0, 1) is Comparison.INCOMPARABLE
-    # interior points are the plain elements, compared by the preorder itself
     tied = FinitePreorder.closure(3, [(1, 0), (2, 1), (1, 2)])
     space = ParetoSpace(2)
+    # each pair with the label of x against y in the augmented order
     cases = [
-        (tied, 1, 0, Comparison.STRICTLY_GREATER),
-        (tied, 0, 2, Comparison.STRICTLY_LESS),
-        (tied, 1, 2, Comparison.EQUIVALENT),
-        (tied, 2, 2, Comparison.EQUIVALENT),
-        (tied, BOTTOM, 0, Comparison.STRICTLY_LESS),
-        (tied, 2, TOP, Comparison.STRICTLY_LESS),
-        (space, (1.0, 2.0), (0.0, 2.0), Comparison.STRICTLY_GREATER),
-        (space, (0.0, 0.0), (-0.0, 0), Comparison.EQUIVALENT),
-        (space, (1.0, 0.0), (0.0, 1.0), Comparison.INCOMPARABLE),
-        (space, (1e300, 1e300), TOP, Comparison.STRICTLY_LESS),
-        (space, BOTTOM, (-1e300, -1e300), Comparison.STRICTLY_LESS),
-        (space, TOP, BOTTOM, Comparison.STRICTLY_GREATER),
+        (rel, TOP, 0, ">"),
+        (rel, 0, BOTTOM, ">"),
+        (rel, TOP, TOP, "~"),
+        (rel, BOTTOM, BOTTOM, "~"),
+        (rel, TOP, BOTTOM, ">"),
+        (rel, 0, 1, "|"),
+        # interior points are the plain elements, compared by the preorder itself
+        (tied, 1, 0, ">"),
+        (tied, 0, 2, "<"),
+        (tied, 1, 2, "~"),
+        (tied, 2, 2, "~"),
+        (tied, BOTTOM, 0, "<"),
+        (tied, 2, TOP, "<"),
+        (space, (1.0, 2.0), (0.0, 2.0), ">"),
+        (space, (0.0, 0.0), (-0.0, 0), "~"),
+        (space, (1, 2.0), (1.0, 2), "~"),
+        (space, (1.0, 0.0), (0.0, 1.0), "|"),
+        (space, (1e300, 1e300), TOP, "<"),
+        (space, BOTTOM, (-1e300, -1e300), "<"),
+        (space, TOP, BOTTOM, ">"),
     ]
-    for rel, x, y, expected in cases:
-        assert compare_augmented(rel, x, y) is expected, (rel, x, y)
-    with pytest.raises(ForeignElementError):
-        compare_augmented(space, (0.0,), (0.0, 0.0))
+    for rel, x, y, want in cases:
+        assert strictly_above(rel, x, y) == (want == ">"), (rel, x, y)
+        assert strictly_above(rel, y, x) == (want == "<"), (rel, x, y)
+        # the reference builds the weak order from geq alone
+        assert weakly_above(rel, x, y) == (want in ">~"), (rel, x, y)
+        assert weakly_above(rel, y, x) == (want in "<~"), (rel, x, y)
+        if TOP not in (x, y) and BOTTOM not in (x, y):
+            assert label(rel, x, y) == want, (rel, x, y)
+    for x, y in [((0.0,), (0.0, 0.0)), ((0.0, 0.0), (0.0,))]:
+        with pytest.raises(ForeignElementError):
+            strictly_above(space, x, y)
 
 
 def test_maximal_minimal_on_chain():
