@@ -483,8 +483,11 @@ class AnalyticFixture(ContourOracle):
     ground set, the contour occupancy function, the sample membership test
     and the sample values, a derivation note, and refuting probe pairs
     ``(x, x_prime)`` with ``x_prime`` strictly above ``x``; every one is
-    required.  The bound and occupancy functions get the query itself: an
-    element of ``ambient``, ``TOP`` or ``BOTTOM``.  Probes are re-validated
+    required.  Every query that is not ``TOP`` or ``BOTTOM`` is checked
+    once, by ``ambient._check``, before a fixture function sees it, so the
+    bound and occupancy functions get ``TOP``, ``BOTTOM`` or a checked
+    element, and the membership and value functions a checked element; a
+    foreign query raises ``ForeignElementError``.  Probes are re-validated
     at construction time.  The bound functions return plain numbers, with
     ``-math.inf``/``math.inf`` for the infinities; a NaN bound raises
     ``ValueError`` when it is read.
@@ -515,8 +518,12 @@ class AnalyticFixture(ContourOracle):
     def rel(self) -> Preorder:
         return self.ambient
 
+    def _query(self, x):
+        """``x`` if it is ``TOP`` or ``BOTTOM``, else ``x`` checked by ``ambient``."""
+        return x if x is TOP or x is BOTTOM else self.ambient._check(x)
+
     def _bound(self, fn: Callable[[object], float], x) -> float:
-        v = fn(x)
+        v = fn(self._query(x))
         if isinstance(v, float) and math.isnan(v):
             raise ValueError(f"fixture {self.name!r}: bound at {x!r} is NaN")
         return v
@@ -528,10 +535,10 @@ class AnalyticFixture(ContourOracle):
         return self._bound(self.upper_inf_fn, x)
 
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
-        return self.occupancy_fn(x)
+        return self.occupancy_fn(self._query(x))
 
     def in_samples(self, x: Element) -> bool:
-        return self.sample_membership_fn(x)
+        return self.sample_membership_fn(self.ambient._check(x))
 
     def sample_value(self, x: Element) -> float:
         if not self.in_samples(x):

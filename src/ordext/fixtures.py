@@ -3,7 +3,8 @@
 Closed forms are derived by hand and recorded in each fixture's
 ``derivation``; the probe lists carry the strict pairs that refute
 gap-safety where applicable.  Each bound function gets an element of the
-fixture's ground set, or the sentinel ``TOP`` or ``BOTTOM``.
+fixture's ground set, already checked by its order, or the sentinel
+``TOP`` or ``BOTTOM``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ def _line_bound(x) -> float:
 
 
 def _line_in_samples(p: Element) -> bool:
-    if not (isinstance(p, tuple) and len(p) == 1):
-        raise ForeignElementError(f"{safe_repr(p)} is not a 1-vector")
     return p[0] <= 0.0 or p[0] > 1.0
 
 
@@ -100,8 +99,9 @@ def example_gap() -> AnalyticFixture:
 
 def _nin_check(x: Element) -> int:
     """``x`` if it is an element of the nin ground set: a nonpositive
-    integer that a float can hold, so that it has a value."""
-    if not isinstance(x, int) or x > 0:
+    integer that a float can hold, so that it has a value.  A ``bool`` is
+    no integer here, as it is no element of the other orders."""
+    if type(x) is bool or not isinstance(x, int) or x > 0:
         raise ForeignElementError(f"{safe_repr(x)} is not a nonpositive integer")
     if not is_finite_real(x):
         raise ForeignElementError(f"{safe_repr(x)} is too large for a float")
@@ -111,9 +111,11 @@ def _nin_check(x: Element) -> int:
 class _DominantZeroOrder(Preorder):
     """Nonpositive integers; zero dominates everything, the rest only themselves."""
 
+    _check = staticmethod(_nin_check)
+
     def geq(self, x: Element, y: Element) -> bool:
-        x = _nin_check(x)
-        y = _nin_check(y)
+        x = self._check(x)
+        y = self._check(y)
         return x == y or x == 0
 
 
@@ -123,7 +125,7 @@ def _nin_lower_sup(x) -> float:
     if x is TOP:
         # sup of sample values over the whole sample set, which is unbounded
         return math.inf
-    if _nin_check(x) == 0:
+    if x == 0:
         # every sample sits below zero, so the sup again diverges
         return math.inf
     return float(-x)
@@ -135,7 +137,7 @@ def _nin_upper_inf(x) -> float:
         return 1.0
     if x is TOP:
         return math.inf
-    if _nin_check(x) == 0:
+    if x == 0:
         # no sample dominates zero
         return math.inf
     return float(-x)
@@ -146,7 +148,7 @@ def _nin_occupancy(x):
         return (False, True)
     if x is TOP:
         return (True, False)
-    if _nin_check(x) == 0:
+    if x == 0:
         return (True, False)
     return (True, True)
 
@@ -179,7 +181,7 @@ def example_nin() -> AnalyticFixture:
             "whole set from below: inf of {1, 2, 3, ...} is 1."
         ),
         occupancy_fn=_nin_occupancy,
-        sample_membership_fn=lambda p: _nin_check(p) < 0,
+        sample_membership_fn=lambda p: p < 0,
         sample_value_fn=lambda p: float(-p),
     )
 

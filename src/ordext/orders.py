@@ -16,13 +16,12 @@ component strongly connected.  A failed check raises
 :class:`CertificateError`, a fault in this module.  Every bound, level
 and verdict the CLI prints is then a pass over the components in that
 order or its reverse (:meth:`FinitePreorder.down_min`, ``up_min``,
-``down_set``, ``up_set``).  The closed bitmask rows are built only on the
-first ``geq``, ``==`` or ``hash``, by one fold over the same components,
-and checked there by the certificate of :func:`_certify`.
-``FinitePreorder.closure`` condenses a list of pairs;
-``FinitePreorder(rows)`` condenses the pairs that closed rows from its
-caller name and accepts the rows as the matrix only if they pass that
-certificate: reflexive rows pass it exactly when they are transitive.
+``down_set``, ``up_set``), and so is ``geq``: a walk down from one
+component that never enters a component closed before the other's.
+``FinitePreorder(n, pairs)`` condenses a list of pairs, and ``closure``,
+``chain`` and ``antichain`` call it.  No matrix is kept: a relation holds
+O(n + m) and compares by identity, the rule by which
+``contours.bounds_of`` keys the structure it keeps.
 
 Both expose the same query surface through :class:`Preorder`: ``geq``,
 and the strict part ``strictly_greater`` and the equivalence
@@ -59,7 +58,7 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from functools import partial, reduce
-from itertools import chain, compress
+from itertools import chain
 from numbers import Rational, Real
 from operator import and_, or_
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -164,6 +163,11 @@ class Preorder(ABC):
     def equivalent(self, x: Element, y: Element) -> bool:
         return self.geq(x, y) and self.geq(y, x)
 
+    def _check(self, x: Element) -> Element:
+        """``x`` if it is an element; an order that knows its ground set
+        raises ``ForeignElementError`` for anything else."""
+        return x
+
     def iter_elements(self) -> Iterator[Element]:
         """Enumerate the ground set; only finite ground sets support this."""
         raise UnsupportedQueryError(
@@ -242,15 +246,6 @@ def _check_size(n) -> None:
         raise ValueError(f"n must be an int, got {safe_repr(n)}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-
-
-# maps the digits of a bit string to the bytes 0 and 1, which compress reads
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _set_bits(row: int, n: int) -> List[int]:
-    """The set bits of an n-bit row, lowest first."""
-    return list(compress(range(n), format(row, f"0{n}b")[::-1].encode().translate(_BIT_FLAGS)))
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -353,13 +348,12 @@ def _condense(
 
     1. every element is in exactly one component;
     2. every pair leads to its own component or to an earlier one;
-    4. each component of more than one member is strongly connected.
+    3. each component of more than one member is strongly connected.
 
-    By 2 and 4 the components are the strongly connected components in
+    By 2 and 3 the components are the strongly connected components in
     reverse topological order.  The lists returned are the edges of the
     condensation DAG, one per pair between components (so a component
-    may be listed more than once), each to an earlier component.  Check 3
-    is the row check of :func:`_certify`.
+    may be listed more than once), each to an earlier component.
     """
     comp = [-1] * len(succ)
     for c, members in enumerate(components):
@@ -396,124 +390,30 @@ def _condense(
     return comp, below
 
 
-def _certify(
-    succ: Sequence[Sequence[int]],
-    components: Sequence[Sequence[int]],
-    comp: Sequence[int],
-    rows: Sequence[int],
-) -> None:
-    """Raise :class:`CertificateError` unless ``rows`` close the pairs ``succ``.
-
-    ``components`` and ``comp`` are those of a walk that passed checks 1,
-    2 and 4 of :func:`_condense`.  Check 3, O(n + m) operations on rows,
-    is that each member's row is its component's bits ORed with the rows
-    of the earlier components that the component's pairs reach.  By 2
-    and 4 the components are the strongly connected components in
-    reverse topological order, and then by induction over that order 3
-    says each row is the set of elements reachable from its element.
-    """
-    for c, members in enumerate(components):
-        row = 0
-        for m in members:
-            row |= 1 << m
-        for m in members:
-            for w in succ[m]:
-                if comp[w] < c:
-                    row |= rows[w]
-        for m in members:
-            if rows[m] != row:
-                raise CertificateError(f"row {m} is not the closure of its pairs")
-
-
-def _fold_rows(
-    components: Sequence[Sequence[int]], below: Sequence[Sequence[int]], comp: Sequence[int]
-) -> List[int]:
-    """Per element, the bitmask of the elements it reaches.
-
-    One fold over the condensation in the order the components closed
-    gives each component's row, its members' bits ORed with the rows
-    below it.  Members share their row.
-    """
-    rows: List[int] = []
-    for members, down in zip(components, below):
-        row = 0
-        for m in members:
-            row |= 1 << m
-        for d in down:
-            row |= rows[d]
-        rows.append(row)
-    return list(map(rows.__getitem__, comp))
-
-
 class FinitePreorder(Preorder):
     """A preorder on ``{0, .., n-1}``, held as the condensation of its pairs.
 
-    The condensation is the pairs, the strongly connected components of
-    one Tarjan walk over them (checked by :func:`_condense`), each
-    element's component, and the condensation DAG's edges.  The passes
-    :meth:`down_min`, :meth:`up_min`, :meth:`down_set` and :meth:`up_set`
-    answer from it in O(n + m).  Every constructor condenses its pairs at
-    once: ``closure``, ``chain`` and ``antichain`` the pairs they are
-    given, ``FinitePreorder(rows)`` the pairs its rows name.
-
-    The matrix is its closed bitmask rows, ``_rows[i]`` with bit ``j``
-    set iff ``geq(i, j)``, which only ``geq``, ``==`` and ``hash`` read.
-    ``closure`` builds them on first use, by one fold over the components
-    that :func:`_certify` checks; ``FinitePreorder(rows)`` certifies the
-    rows it is given and keeps them.
+    The condensation is the strongly connected components of one Tarjan
+    walk over the pairs (checked by :func:`_condense`), each element's
+    component, and the condensation DAG's edges; the pairs themselves are
+    not kept.  ``geq`` and the passes :meth:`down_min`, :meth:`up_min`,
+    :meth:`down_set` and :meth:`up_set` answer from it in O(n + m) time
+    and O(n) memory.  Two relations are equal only if they are the same
+    object.
     """
 
-    __slots__ = ("_n", "_succ", "_components", "_comp", "_below", "_matrix")
+    __slots__ = ("_n", "_components", "_comp", "_below")
 
-    def __init__(self, rows: Sequence[int]):
-        """Condense the pairs that closed rows name; ``rows[i]`` has bit ``j``
-        set iff ``geq(i, j)``.
-
-        The rows are the matrix if they pass :func:`_certify` over their
-        own pairs, which reflexive rows do exactly when they are
-        transitive.  Other rows raise ``ValueError``, which names the first
-        row that is not reflexive or not closed, and for the second its
-        first member whose row it does not contain.
-        """
-        n = len(rows)
-        limit = 1 << n
-        for i, row in enumerate(rows):
-            if type(row) is not int or not 0 <= row < limit:
-                raise ValueError(f"row {i} is not a bitmask over elements 0..{n - 1}")
-        for i, row in enumerate(rows):
-            if not (row >> i) & 1:
-                raise ValueError(f"relation is not reflexive at element {i}")
-        self._walk([_set_bits(row, n) for row in rows])
-        try:
-            _certify(self._succ, self._components, self._comp, rows)
-        except CertificateError:
-            for i, row in enumerate(rows):
-                for j in self._succ[i]:
-                    if rows[j] & ~row:
-                        raise ValueError(
-                            f"relation is not transitive through pair ({i}, {j})"
-                        ) from None
-            raise
-        self._matrix = tuple(rows)
-
-    def _walk(self, succ: List[List[int]]) -> None:
-        """Condense the pairs ``succ``: one walk, checked by :func:`_condense`."""
-        self._n = len(succ)
-        self._succ = succ
-        self._components = _tarjan(succ)
-        self._comp, self._below = _condense(succ, self._components)
-
-    @classmethod
-    def closure(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "FinitePreorder":
-        """Smallest reflexive-transitive relation containing the pairs.
+    def __init__(self, n: int, pairs: Iterable[Tuple[int, int]]):
+        """The smallest reflexive-transitive relation on ``n`` elements that
+        contains the pairs.
 
         Each endpoint must be an index below n by the rule of ``_check``;
         a pair of exact ``int`` in range passes by one test of type and
         range beside its append.  One Tarjan walk over the pairs yields
         the components in reverse topological order; :func:`_condense`
         checks them in O(n + m) and a failed check raises
-        :class:`CertificateError`.  No row is built here: the matrix waits
-        for its first use, where :func:`_certify` checks it.
+        :class:`CertificateError`.
         """
         _check_size(n)
         succ: List[List[int]] = [[] for _ in range(n)]
@@ -525,25 +425,14 @@ class FinitePreorder(Preorder):
                     f"pair ({safe_repr(i)}, {safe_repr(j)}) out of range for n={n}"
                 )
             succ[i].append(j)
-        rel = cls.__new__(cls)
-        rel._walk(succ)
-        rel._matrix = None
-        return rel
+        self._n = n
+        self._components = _tarjan(succ)
+        self._comp, self._below = _condense(succ, self._components)
 
     @classmethod
-    def from_geq_matrix(cls, matrix: Sequence[Sequence[bool]]) -> "FinitePreorder":
-        """Validate an explicit boolean matrix (must already be closed)."""
-        n = len(matrix)
-        rows = []
-        for row in matrix:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            mask = 0
-            for j, cell in enumerate(row):
-                if cell:
-                    mask |= 1 << j
-            rows.append(mask)
-        return cls(rows)
+    def closure(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "FinitePreorder":
+        """``FinitePreorder(n, pairs)``."""
+        return cls(n, pairs)
 
     @classmethod
     def chain(cls, n: int) -> "FinitePreorder":
@@ -645,18 +534,26 @@ class FinitePreorder(Preorder):
                 seen.add(d)
         return seen
 
-    # ---- the matrix, built on first use ---------------------------------
-
-    @property
-    def _rows(self) -> Tuple[int, ...]:
-        if self._matrix is None:
-            rows = _fold_rows(self._components, self._below, self._comp)
-            _certify(self._succ, self._components, self._comp, rows)
-            self._matrix = tuple(rows)
-        return self._matrix
-
     def geq(self, x: Element, y: Element) -> bool:
-        return bool((self._rows[self._check(x)] >> self._check(y)) & 1)
+        """True iff ``x``'s component reaches ``y``'s: one walk down from
+        ``x``'s component that skips every component closed before ``y``'s,
+        since none of them reaches it.  O(n) memory, and no walk at all when
+        the two share a component or ``x``'s closed first."""
+        cx = self._comp[self._check(x)]
+        cy = self._comp[self._check(y)]
+        if cx <= cy:
+            return cx == cy
+        below = self._below
+        seen = bytearray(cx)  # the components below cx that the walk reached
+        todo = [cx]
+        while todo:
+            for d in below[todo.pop()]:
+                if d == cy:
+                    return True
+                if d > cy and not seen[d]:
+                    seen[d] = 1
+                    todo.append(d)
+        return False
 
     def iter_elements(self) -> Iterator[int]:
         return iter(range(self._n))
@@ -664,14 +561,6 @@ class FinitePreorder(Preorder):
     def equivalence_classes(self) -> list[Tuple[int, ...]]:
         """Classes of mutual domination, each sorted, ordered by least member."""
         return sorted(tuple(sorted(members)) for members in self._components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FinitePreorder):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"FinitePreorder(n={self._n})"

@@ -18,9 +18,13 @@ differential-test reference.
 of gap-safety over every element pair, and may name another gap pair.
 :func:`scan_record` is the one-comparison-per-sample reference for the
 records of ``FiniteSampleOracle``, ``TOP`` and ``BOTTOM`` included.
-``warshall_closure`` and ``pairwise_check_transitive`` are per-bit
-references for the relation build of :class:`ordext.orders.FinitePreorder`:
-its rows and the witness of its transitivity error.  The relation audit
+A :class:`ordext.orders.FinitePreorder` keeps only its condensation; the
+closed bitmask rows live here.  :func:`rows_of` folds a relation's rows
+over its condensation, bit j of row i set iff i >= j, and
+:func:`preorder_from_rows` builds a relation from closed rows, checked by
+the row certificate :func:`certify_rows`.  ``warshall_closure`` and
+``pairwise_check_transitive`` are their per-bit references: the rows and
+the witness of the transitivity error.  The relation audit
 ``is_transitive`` runs ``pairwise_check_transitive`` and ``is_reflexive``
 tests the diagonal bit by bit, so neither calls the check it audits; the
 other audits read the rows beside their ``bitwise_transpose``.
@@ -65,6 +69,7 @@ from ordext.monotonicity import (
 from ordext.orders import (
     BOTTOM,
     TOP,
+    CertificateError,
     Element,
     FinitePreorder,
     ForeignElementError,
@@ -80,6 +85,7 @@ __all__ = [
     "brute_extendability",
     "build_instance",
     "capped_blend",
+    "certify_rows",
     "check_weak_increase_form",
     "grid_increase_fault",
     "is_antisymmetric",
@@ -92,6 +98,7 @@ __all__ = [
     "iter_all_preorders",
     "kosaraju_components",
     "lower_contour",
+    "matrix_rows",
     "pairwise_bounds_comparable",
     "pairwise_check_transitive",
     "pairwise_gap_safe_finite",
@@ -101,9 +108,11 @@ __all__ = [
     "pairwise_weakly_increasing",
     "pareto_increase_fault",
     "pm_one_assignments",
+    "preorder_from_rows",
     "random_adversarial_samples",
     "random_finite_preorder",
     "random_gap_safe_samples",
+    "rows_of",
     "sample_order",
     "scan_record",
     "serialize_problem",
@@ -308,11 +317,93 @@ def iter_all_preorders(n: int) -> Iterator[FinitePreorder]:
             tables[i][(mask >> (chunk_bits * i)) & chunk_mask] for i in range(n)
         ]
         if pairwise_check_transitive(rows) is None:
-            yield FinitePreorder(rows)
+            yield preorder_from_rows(rows)
+
+
+def rows_of(rel: FinitePreorder) -> Tuple[int, ...]:
+    """The closed bitmask rows of ``rel``: bit j of row i set iff ``rel.geq(i, j)``.
+
+    One fold over the condensation in the order the components closed
+    gives each component's row, its members' bits ORed with the rows
+    below it.  Members share their row.
+    """
+    comp = rel.component_index
+    rows = [0] * len(rel.condensation)
+    for x, c in enumerate(comp):
+        rows[c] |= 1 << x
+    for c, down in enumerate(rel.condensation):
+        for d in down:
+            rows[c] |= rows[d]
+    return tuple(map(rows.__getitem__, comp))
+
+
+def certify_rows(succ: Sequence[Sequence[int]], comp: Sequence[int], rows: Sequence[int]) -> None:
+    """Raise :class:`CertificateError` unless ``rows`` close the pairs ``succ``.
+
+    ``comp`` is each element's component in a walk that passed the three
+    checks of ``orders._condense``.  This check, O(n + m) operations on
+    rows, is that each member's row is its component's bits ORed with the
+    rows of the earlier components that the component's pairs reach.  By
+    the walk's checks the components are the strongly connected
+    components in reverse topological order, and then by induction over
+    that order this check says each row is the set of elements reachable
+    from its element.
+    """
+    want = [0] * len(rows)
+    for m, c in enumerate(comp):
+        want[c] |= 1 << m
+        for w in succ[m]:
+            if comp[w] < c:
+                want[c] |= rows[w]
+    for m, c in enumerate(comp):
+        if rows[m] != want[c]:
+            raise CertificateError(f"row {m} is not the closure of its pairs")
+
+
+def preorder_from_rows(rows: Sequence[int]) -> FinitePreorder:
+    """The relation whose closed rows are ``rows``: bit ``j`` of ``rows[i]``
+    set iff ``geq(i, j)``.
+
+    The pairs the rows name are condensed by ``FinitePreorder``, and the
+    rows must pass :func:`certify_rows` over that walk, which reflexive
+    rows do exactly when they are transitive.  Other rows raise
+    ``ValueError``, which names the first row that is not a bitmask over
+    the elements, not reflexive, or not closed, and for the last its first
+    member whose row it does not contain.
+    """
+    n = len(rows)
+    limit = 1 << n
+    for i, row in enumerate(rows):
+        if type(row) is not int or not 0 <= row < limit:
+            raise ValueError(f"row {i} is not a bitmask over elements 0..{n - 1}")
+    for i, row in enumerate(rows):
+        if not (row >> i) & 1:
+            raise ValueError(f"relation is not reflexive at element {i}")
+    succ = [[j for j in range(n) if (row >> j) & 1] for row in rows]
+    rel = FinitePreorder(n, [(i, j) for i, js in enumerate(succ) for j in js])
+    try:
+        certify_rows(succ, rel.component_index, rows)
+    except CertificateError:
+        for i, row in enumerate(rows):
+            for j in succ[i]:
+                if rows[j] & ~row:
+                    raise ValueError(
+                        f"relation is not transitive through pair ({i}, {j})"
+                    ) from None
+        raise
+    return rel
+
+
+def matrix_rows(matrix: Sequence[Sequence[bool]]) -> List[int]:
+    """The bitmask rows of a square boolean matrix: bit j of row i is ``matrix[i][j]``."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    return [sum(1 << j for j, cell in enumerate(row) if cell) for row in matrix]
 
 
 def warshall_closure(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
-    """Reference for ``FinitePreorder.closure``: rows of the Warshall sweep."""
+    """Reference for ``rows_of(FinitePreorder(n, pairs))``: rows of the Warshall sweep."""
     rows = [1 << i for i in range(n)]
     for i, j in pairs:
         # an index is an int in range, not a bool
@@ -342,7 +433,7 @@ def bitwise_transpose(rows: Sequence[int]) -> List[int]:
 
 
 def pairwise_check_transitive(rows: Sequence[int]) -> Optional[Tuple[int, int]]:
-    """Reference for the transitivity error of ``FinitePreorder(rows)``: the
+    """Reference for the transitivity error of ``preorder_from_rows``: the
     first row that misses a bit of a row it contains, and the first such
     member, found by one test per set bit."""
     # i >= j forces row(i) to absorb row(j); a missing bit is a witness.
@@ -774,25 +865,27 @@ def is_minimal(rel: Preorder, x: Element) -> bool:
 # construction; the rest classify the relation further.
 
 def is_reflexive(rel: FinitePreorder) -> bool:
-    return all((row >> i) & 1 for i, row in enumerate(rel._rows))
+    return all((row >> i) & 1 for i, row in enumerate(rows_of(rel)))
 
 
 def is_transitive(rel: FinitePreorder) -> bool:
-    return pairwise_check_transitive(rel._rows) is None
+    return pairwise_check_transitive(rows_of(rel)) is None
 
 
 def is_symmetric(rel: FinitePreorder) -> bool:
-    return list(rel._rows) == bitwise_transpose(rel._rows)
+    rows = rows_of(rel)
+    return list(rows) == bitwise_transpose(rows)
 
 
 def is_antisymmetric(rel: FinitePreorder) -> bool:
-    cols = bitwise_transpose(rel._rows)
-    return all(row & col == 1 << i for i, (row, col) in enumerate(zip(rel._rows, cols)))
+    rows = rows_of(rel)
+    return all(row & col == 1 << i for i, (row, col) in enumerate(zip(rows, bitwise_transpose(rows))))
 
 
 def is_connected(rel: FinitePreorder) -> bool:
     full = (1 << rel.n) - 1
-    return all(row | col == full for row, col in zip(rel._rows, bitwise_transpose(rel._rows)))
+    rows = rows_of(rel)
+    return all(row | col == full for row, col in zip(rows, bitwise_transpose(rows)))
 
 
 def serialize_problem(inst: ProblemInstance) -> str:

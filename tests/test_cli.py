@@ -937,17 +937,18 @@ def count_mask_passes(monkeypatch):
     return passes
 
 
-def count_row_builds(monkeypatch):
-    """Wrap the build of a relation's rows; returns one entry per build."""
-    builds = []
-    fold = orders._fold_rows
+def count_geq_calls(monkeypatch):
+    """Wrap a finite relation's pairwise ``geq``, a walk of the condensation
+    per pair; returns one entry per call."""
+    calls = []
+    geq = orders.FinitePreorder.geq
 
-    def counted(*args):
-        builds.append(args)
-        return fold(*args)
+    def counted(rel, x, y):
+        calls.append((x, y))
+        return geq(rel, x, y)
 
-    monkeypatch.setattr(orders, "_fold_rows", counted)
-    return builds
+    monkeypatch.setattr(orders.FinitePreorder, "geq", counted)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -961,10 +962,10 @@ def test_failing_gap_checks_keep_to_their_mask_pass_budget(
     # a Pareto sample set's strict and weak verdicts come from one
     # ParetoBounds, kept on the sample set with them, so check's three
     # lines and a refusal make one pass.  A finite relation makes no mask
-    # pass and builds no rows: its verdicts come from passes over the
+    # pass and asks no pair by geq: its verdicts come from passes over the
     # condensation
     passes = count_mask_passes(monkeypatch)
-    builds = count_row_builds(monkeypatch)
+    asked = count_geq_calls(monkeypatch)
     argv = [command, str(GOLDEN_CASES / f"{case}.json")]
     if command == "extend":
         argv += ["--queries", str(GOLDEN_CASES / f"{case}.queries.json")]
@@ -973,7 +974,7 @@ def test_failing_gap_checks_keep_to_their_mask_pass_budget(
     assert main(argv) == 1
     capsys.readouterr()
     assert len(passes) == budget
-    assert builds == []
+    assert asked == []
 
 
 @pytest.mark.parametrize("case", ["finite-bad", "pareto2-bad"])
@@ -981,13 +982,13 @@ def test_failing_check_makes_one_mask_pass(capsys, monkeypatch, case):
     # the failing strict check's pass also decides the weak verdict, and
     # the weak and gap checks read both from the sample set; a gap witness
     # reads its two bounds from the same ParetoBounds.  A finite relation
-    # makes no pass and builds no rows
+    # makes no pass and asks no pair by geq
     passes = count_mask_passes(monkeypatch)
-    builds = count_row_builds(monkeypatch)
+    asked = count_geq_calls(monkeypatch)
     assert main(["check", str(GOLDEN_CASES / f"{case}.json")]) == 1
     capsys.readouterr()
     assert len(passes) == (0 if case.startswith("finite") else 1)
-    assert builds == []
+    assert asked == []
 
 
 FINITE_GOLDEN = [
@@ -999,14 +1000,15 @@ FINITE_GOLDEN = [
 @pytest.mark.parametrize("entry", FINITE_GOLDEN, ids=[e["id"] for e in FINITE_GOLDEN])
 def test_finite_commands_build_no_rows(capsys, monkeypatch, entry):
     # check, extend and regions on a finite relation read the condensation
-    # only: no dominance masks and no rows
+    # only: no dominance masks, and no row, which no code builds, nor a
+    # pairwise geq, the one query of the relation that walks it per pair
     passes = count_mask_passes(monkeypatch)
-    builds = count_row_builds(monkeypatch)
+    asked = count_geq_calls(monkeypatch)
     argv = [arg.replace("{cases}", str(GOLDEN_CASES)) for arg in entry["argv"]]
     assert main(argv) == entry["exit"]
     capsys.readouterr()
     assert passes == []
-    assert builds == []
+    assert asked == []
 
 
 PARETO_COMMANDS = [(command, case)

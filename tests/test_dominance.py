@@ -191,14 +191,16 @@ def finite_cases(draw):
 
 
 def test_finite_pareto_checks_build_no_rows(monkeypatch):
-    builds = []
-    fold = orders._fold_rows
+    # no code builds rows; nor does the check ask a pair by geq, which
+    # walks the condensation per pair
+    asked = []
+    geq = orders.FinitePreorder.geq
 
-    def counted(*args):
-        builds.append(args)
-        return fold(*args)
+    def counted(rel, x, y):
+        asked.append((x, y))
+        return geq(rel, x, y)
 
-    monkeypatch.setattr(orders, "_fold_rows", counted)
+    monkeypatch.setattr(orders.FinitePreorder, "geq", counted)
     # 0 ~ 1, both above 2, and 3 apart
     rel = FinitePreorder.closure(4, [(0, 1), (1, 0), (1, 2)])
     with pytest.raises(NotAParetoSetError) as err:
@@ -209,7 +211,7 @@ def test_finite_pareto_checks_build_no_rows(monkeypatch):
     assert err.value.pair == (0, 2)
     verdict = check_pareto_set_values(rel, PartialUtility({1: 1.0, 3: 0.0, 0: 2.0}))
     assert (verdict.holds, verdict.witness.lo, verdict.witness.hi) == (False, 1, 0)
-    assert builds == []
+    assert asked == []
 
 
 def test_finite_pareto_set_check_reads_only_the_kept_structure(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from ordext.contours import FiniteSampleOracle, PartialUtility
 from ordext.fixtures import example_gap, example_nin, get_fixture
 from ordext.monotonicity import check_gap_safe_probes
-from ordext.orders import BOTTOM, TOP, ForeignElementError
+from ordext.orders import BOTTOM, TOP, ForeignElementError, Preorder
 
 
 def test_registry_lookup():
@@ -157,3 +157,44 @@ def test_fixture_refuses_a_finite_bound_at_a_sentinel():
         replace(gap, lower_sup_fn=lambda x: 0.0 if x is BOTTOM else gap.lower_sup_fn(x))
     with pytest.raises(ValueError, match=r"^fixture 'example-gap': upper_inf\(Top\) must be \+inf$"):
         replace(gap, upper_inf_fn=lambda x: 0.0 if x is TOP else gap.upper_inf_fn(x))
+
+
+# each read checks its query by the fixture's order before a fixture
+# function sees it; a sentinel is no element, yet a bound or occupancy of it
+@pytest.mark.parametrize("read, point, message", [
+    ("in_samples", (10**5000,), r"^\(<int of 16610 bits>,\) has a non-finite coordinate$"),
+    ("sample_value", (10**5000,), r"^\(<int of 16610 bits>,\) has a non-finite coordinate$"),
+    ("lower_sup", (0.0, 1.0), r"^\(0\.0, 1\.0\) is not a 1-vector$"),
+    ("upper_inf", ("a",), r"^\('a',\) has a non-numeric coordinate$"),
+    ("contour_occupancy", object(), r"^<object object at 0x[0-9a-f]+> is not a 1-vector$"),
+    ("record", (10**5000,), r"^\(<int of 16610 bits>,\) has a non-finite coordinate$"),
+], ids=["in_samples-huge", "sample_value-huge", "lower_sup-pair", "upper_inf-str",
+        "contour_occupancy-object", "record-huge"])
+def test_gap_fixture_reads_check_their_element(read, point, message):
+    with pytest.raises(ForeignElementError, match=message):
+        getattr(get_fixture("example-gap"), read)(point)
+
+
+def test_fixture_over_an_order_without_a_check_of_its_own():
+    # Preorder's own check takes every query as an element, so a fixture
+    # built on such an order reads as its functions allow
+    class Line(Preorder):
+        def geq(self, x, y):
+            return x[0] >= y[0]
+
+    fx = replace(get_fixture("example-gap"), ambient=Line())
+    assert fx.record((0.5,)) == (0.0, 0.0, True, True)
+    assert fx.in_samples((2.0,)) and fx.sample_value((2.0,)) == 1.0
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_nin_refuses_a_bool(flag):
+    # True and False are no integers of the order, as they are no index of
+    # a FinitePreorder and no coordinate of a ParetoSpace
+    fx = get_fixture("example-nin")
+    reads = [fx.in_samples, fx.sample_value, fx.lower_sup, fx.upper_inf,
+             fx.contour_occupancy, fx.record,
+             lambda x: fx.ambient.geq(x, -1), lambda x: fx.ambient.geq(0, x)]
+    for read in reads:
+        with pytest.raises(ForeignElementError, match=f"^{flag} is not a nonpositive integer$"):
+            read(flag)

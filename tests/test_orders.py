@@ -28,6 +28,9 @@ from reference import (
     is_reflexive,
     is_symmetric,
     is_transitive,
+    matrix_rows,
+    preorder_from_rows,
+    rows_of,
     weakly_above,
 )
 
@@ -100,23 +103,26 @@ def test_pareto_space_rejects_a_dimension_that_is_no_positive_int(k, message):
 
 def test_matrix_validation_rejects_non_reflexive():
     with pytest.raises(ValueError, match="reflexive"):
-        FinitePreorder.from_geq_matrix([[False]])
+        preorder_from_rows(matrix_rows([[False]]))
 
 
 @pytest.mark.parametrize("matrix", [[[True, False]], [[True], [False, True]]],
                          ids=["short-column", "short-row"])
 def test_matrix_validation_rejects_a_matrix_that_is_not_square(matrix):
     with pytest.raises(ValueError, match="^matrix is not square$"):
-        FinitePreorder.from_geq_matrix(matrix)
+        preorder_from_rows(matrix_rows(matrix))
 
 
 def test_finite_preorder_equals_no_other_kind_of_object():
-    # __eq__ declines a non-preorder, so == falls back to identity
-    rel, other = FinitePreorder.chain(2), object()
+    # a relation is equal only to itself: two builds of one order compare
+    # by their rows
+    rel, other, twin = FinitePreorder.chain(2), object(), FinitePreorder.chain(2)
     assert rel.__eq__(other) is NotImplemented
     assert not rel == other
     assert rel != other
-    assert rel == FinitePreorder.chain(2)
+    assert rel == rel and hash(rel) == hash(rel)
+    assert rel != twin
+    assert rows_of(rel) == rows_of(twin) == (0b01, 0b11)
 
 
 @pytest.mark.parametrize(
@@ -126,7 +132,7 @@ def test_finite_preorder_equals_no_other_kind_of_object():
 )
 def test_rows_outside_the_ground_set_rejected(rows, bad):
     with pytest.raises(ValueError, match=f"^row {bad} is not a bitmask over elements 0..{len(rows) - 1}$"):
-        FinitePreorder(rows)
+        preorder_from_rows(rows)
 
 
 def test_matrix_validation_rejects_non_transitive():
@@ -136,7 +142,7 @@ def test_matrix_validation_rejects_non_transitive():
         [False, False, True],
     ]
     with pytest.raises(ValueError, match="transitive"):
-        FinitePreorder.from_geq_matrix(m)
+        preorder_from_rows(matrix_rows(m))
 
 
 @given(edge_sets())
@@ -145,7 +151,7 @@ def test_closure_idempotent(spec):
     rel = FinitePreorder.closure(n, pairs)
     pairs = [(i, j) for i in range(n) for j in range(n) if rel.geq(i, j)]
     again = FinitePreorder.closure(n, pairs)
-    assert rel == again
+    assert rows_of(rel) == rows_of(again)
 
 
 @given(edge_sets())
@@ -220,6 +226,15 @@ def test_foreign_errors_name_huge_numbers_by_size(coord, shown):
         with pytest.raises(ForeignElementError) as err:
             FinitePreorder.closure(3, [(0, 1), (coord, 0)])
         assert str(err.value) == f"pair ({shown}, 0) out of range for n=3"
+
+
+@pytest.mark.parametrize("foreign", [True, False, -1, 3, 1.0, "0", None])
+def test_finite_geq_refuses_a_foreign_or_bool_element(foreign):
+    # 0 ~ 1 above 2: geq checks both ends before it reads a component
+    rel = FinitePreorder.closure(3, [(0, 1), (1, 0), (1, 2)])
+    for x, y in [(foreign, 0), (0, foreign), (foreign, 2), (2, foreign)]:
+        with pytest.raises(ForeignElementError, match=" is not an index below 3$"):
+            rel.geq(x, y)
 
 
 def test_pareto_accepts_int_float_and_other_real_coordinates():
@@ -312,8 +327,8 @@ def test_equivalence_classes():
     # pairs give
     from_pairs = FinitePreorder.closure(4, [(0, 1), (1, 0), (1, 2)])
     matrix = [[1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    from_rows = FinitePreorder.from_geq_matrix([[bool(c) for c in row] for row in matrix])
-    assert from_rows == from_pairs
+    from_rows = preorder_from_rows(matrix_rows([[bool(c) for c in row] for row in matrix]))
+    assert rows_of(from_rows) == rows_of(from_pairs)
     assert from_rows.equivalence_classes() == from_pairs.equivalence_classes() == [
         (0, 1), (2,), (3,)]
 

@@ -19,7 +19,7 @@ from ordext.problemfile import (
     parse_queries,
 )
 
-from reference import sample_order, serialize_problem
+from reference import rows_of, sample_order, serialize_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,7 +103,7 @@ def test_names_map_by_element_names_of_each_instance():
         samples=inst.samples,
     )
     assert direct == inst
-    assert direct.relation() == inst.relation()
+    assert rows_of(direct.relation()) == rows_of(inst.relation())
 
 
 def test_finite_engine_restricts():

@@ -1,20 +1,18 @@
 """The relation build against its per-bit references.
 
-``FinitePreorder.closure`` makes one Tarjan walk over the pairs, which
+``FinitePreorder(n, pairs)`` makes one Tarjan walk over the pairs, which
 closes the strongly connected components, and checks them
-(``orders._condense``).  The rows wait for their first use: one fold
-over the same components builds them, and the walk's certificate
-(``orders._certify``) checks them there.  The constructor
-``FinitePreorder(rows)`` condenses the pairs its rows name by the same
-walk, runs the same certificate on the rows it is given and keeps them,
-with no fold; rows that fail it are not transitive.  The per-bit loops
-of the test tree's ``reference`` module (``warshall_closure``,
-``pairwise_check_transitive``) must give the same rows, witness and
-error text; a tampered certificate must raise.
+(``orders._condense``); ``geq`` walks the condensation.  The rows are the
+test tree's: ``reference.rows_of`` folds them over the condensation, and
+``reference.preorder_from_rows`` condenses the pairs its rows name and
+checks the rows it is given by the row certificate
+(``reference.certify_rows``); rows that fail it are not transitive.  The
+per-bit loops of the ``reference`` module (``warshall_closure``,
+``pairwise_check_transitive``) must give the same rows, ``geq`` on every
+pair, witness and error text; a tampered certificate must raise.
 """
 
 import random
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -28,18 +26,27 @@ from ordext.orders import (
     CertificateError,
     FinitePreorder,
     ForeignElementError,
-    _certify,
     _condense,
-    _fold_rows,
     _tarjan,
 )
 
-from reference import pairwise_check_transitive, warshall_closure
+import reference
+from reference import (
+    certify_rows,
+    matrix_rows,
+    pairwise_check_transitive,
+    preorder_from_rows,
+    rows_of,
+    warshall_closure,
+)
 
 
 def assert_closure_matches(n, pairs):
     rel = FinitePreorder.closure(n, pairs)
-    assert list(rel._rows) == warshall_closure(n, pairs)
+    rows = warshall_closure(n, pairs)
+    assert list(rows_of(rel)) == rows
+    assert [[rel.geq(x, y) for y in range(n)] for x in range(n)] == [
+        [bool(row >> y & 1) for y in range(n)] for row in rows]
 
 
 @st.composite
@@ -97,8 +104,8 @@ def test_closure_matches_warshall_on_large_relations(n, make, seed):
     assert_closure_matches(n, make(random.Random(seed), n))
 
 
-# closed rows are the matrix as they are: the constructor certifies
-# them and folds nothing, on the first geq too
+# closed rows pass the certificate as they are, and the relation they
+# build is the closure of the pairs they came from
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 600), st.sampled_from([random_dag, ranking_with_ties]),
        st.integers(0, 2**32 - 1))
@@ -110,11 +117,10 @@ def test_rows_constructor_folds_nothing_and_equals_the_closure(n, make, seed):
         raise AssertionError("the rows constructor folded its rows")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orders, "_fold_rows", no_fold)
-        rel = FinitePreorder(rows)
-        assert rel.geq(n - 1, n - 1)
-        assert rel._rows == tuple(rows)
-    assert rel == FinitePreorder.closure(n, pairs)
+        patch.setattr(reference, "rows_of", no_fold)
+        rel = preorder_from_rows(rows)
+    assert rel.geq(n - 1, n - 1)
+    assert rows_of(rel) == tuple(rows) == rows_of(FinitePreorder.closure(n, pairs))
 
 
 @pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
@@ -134,14 +140,14 @@ def test_closure_of_2000_chain(big_chain, top_first, backwards):
     if backwards:
         pairs.reverse()
     rel = FinitePreorder.closure(n, pairs)
-    assert rel._rows == tuple(rows)
+    assert rows_of(rel) == tuple(rows)
     if not top_first:
-        assert rel == big_chain
+        assert rows_of(rel) == rows_of(big_chain)
 
 
 def test_closure_of_2000_antichain(big_antichain):
     rel = FinitePreorder.closure(2000, [(i, i) for i in range(0, 2000, 3)])
-    assert rel._rows == big_antichain._rows == tuple(1 << i for i in range(2000))
+    assert rows_of(rel) == rows_of(big_antichain) == tuple(1 << i for i in range(2000))
 
 
 @pytest.mark.parametrize("pairs, bad", [
@@ -175,9 +181,9 @@ def perturbed_rows(draw, max_n=40):
 
 
 def transitivity_error(rows):
-    """The ``ValueError`` text of ``FinitePreorder(rows)``, or None."""
+    """The ``ValueError`` text of ``preorder_from_rows(rows)``, or None."""
     try:
-        FinitePreorder(rows)
+        preorder_from_rows(rows)
     except ValueError as exc:
         return str(exc)
     return None
@@ -215,23 +221,22 @@ def test_matrix_rejection_keeps_message_and_witness():
         [False, True, True],
     ]
     with pytest.raises(ValueError) as err:
-        FinitePreorder.from_geq_matrix(matrix)
+        preorder_from_rows(matrix_rows(matrix))
     assert str(err.value) == "relation is not transitive through pair (2, 1)"
     with pytest.raises(ValueError) as err:
-        FinitePreorder.from_geq_matrix([[True, False], [False, False]])
+        preorder_from_rows(matrix_rows([[True, False], [False, False]]))
     assert str(err.value) == "relation is not reflexive at element 1"
 
 
 def walked(n, pairs):
     """The pairs, the components and component index of one walk, and the
-    rows folded over them."""
+    closed rows of the relation."""
     succ = [[] for _ in range(n)]
     for i, j in pairs:
         succ[i].append(j)
     components = _tarjan(succ)
-    comp, below = _condense(succ, components)
-    rows = _fold_rows(components, below, comp)
-    return succ, components, comp, rows
+    comp, _ = _condense(succ, components)
+    return succ, components, comp, list(rows_of(FinitePreorder(n, pairs)))
 
 
 # 2 >= 1 >= 0, and 3 ~ 4 above 2
@@ -291,14 +296,14 @@ def in_no_component(components, rows):
 ])
 def test_tampered_certificate_raises(tamper, message):
     succ, components, comp, rows = walked(5, CERTIFIED_PAIRS)
-    _certify(succ, components, comp, rows)
+    certify_rows(succ, comp, rows)
     assert rows == warshall_closure(5, CERTIFIED_PAIRS)
     tamper(components, rows)
     with pytest.raises(CertificateError, match=message):
         if tamper in (drop_successor_bits, add_extra_bit):
-            _certify(succ, components, comp, rows)  # check 3, of the rows
+            certify_rows(succ, comp, rows)  # the check of the rows
         else:
-            _condense(succ, components)  # checks 1, 2 and 4, of the walk
+            _condense(succ, components)  # the three checks of the walk
 
 
 GOLDEN_CASES = Path(__file__).parent / "golden" / "cases"
@@ -318,19 +323,6 @@ def test_failed_certificate_is_an_internal_error(monkeypatch, capsys):
     assert err.startswith("internal error: CertificateError: ")
 
 
-def test_faulty_row_build_fails_its_certificate_on_first_use(monkeypatch):
-    def faulty_fold(components, below, comp):
-        # the last element's row loses its own bit
-        rows = _fold_rows(components, below, comp)
-        rows[-1] &= ~(1 << (len(rows) - 1))
-        return rows
-
-    monkeypatch.setattr(orders, "_fold_rows", faulty_fold)
-    rel = FinitePreorder.closure(2, [(1, 0)])  # no row is built yet
-    with pytest.raises(CertificateError, match="row 1 is not the closure of its pairs"):
-        rel.geq(1, 0)
-
-
 def sparse_random_dag(rng, n, pairs_per_element=3):
     """``pairs_per_element * n`` random pairs, all down a random order.
 
@@ -345,8 +337,9 @@ def sparse_random_dag(rng, n, pairs_per_element=3):
     return pairs
 
 
-# building and certifying the rows holds little beside them: the peak is
-# about 1.15 times the rows at n = 20000
+# the build holds little beside the condensation it keeps: at n = 20000
+# with 3n pairs the peak is about 1.55 times what the relation still
+# holds once it is built, and a geq adds no more than its walk
 @pytest.mark.slow
 def test_closure_peak_memory_stays_near_its_output():
     n = 20000
@@ -354,10 +347,29 @@ def test_closure_peak_memory_stays_near_its_output():
     tracemalloc.start()
     try:
         rel = FinitePreorder.closure(n, pairs)
-        rel.geq(0, 0)  # builds the rows
+        output = tracemalloc.get_traced_memory()[0]
+        rel.geq(0, 0)
+        rel.geq(n - 1, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # members of one component share their row object: count each once
-    output = {id(mask): sys.getsizeof(mask) for mask in rel._rows}
-    assert peak <= 1.5 * sum(output.values())
+    assert peak <= 2 * output
+
+
+# geq walks the condensation with one byte per component: no matrix
+# (the rows of this chain would take about 600 MB)
+@pytest.mark.parametrize("x, y, holds", [
+    (99_999, 0, True),       # top over bottom: a walk through every component
+    (0, 99_999, False),      # bottom against top: no walk
+    (50_000, 50_000, True),  # an equivalent pair: one component
+], ids=["top-bottom", "bottom-top", "equivalent"])
+def test_geq_memory_is_linear_in_n(x, y, holds):
+    n = 100_000
+    rel = FinitePreorder.chain(n)
+    tracemalloc.start()
+    try:
+        assert rel.geq(x, y) is holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * n
