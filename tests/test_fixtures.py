@@ -107,6 +107,37 @@ def test_nin_closed_form_matches_sampled_enumeration():
     assert oracle.upper_inf(0) == math.inf
 
 
+# each fixture's full record at the sentinels and at elements on every
+# branch of its closed forms: (a, b, lower occupied, upper occupied)
+_INF = math.inf
+_RECORDS = [
+    ("example-gap", BOTTOM, (-_INF, -_INF, False, True)),
+    ("example-gap", TOP, (_INF, _INF, True, False)),
+    ("example-gap", (-2.5,), (-2.5, -2.5, True, True)),
+    ("example-gap", (0.0,), (0.0, 0.0, True, True)),
+    ("example-gap", (0.5,), (0.0, 0.0, True, True)),
+    ("example-gap", (1.0,), (0.0, 0.0, True, True)),
+    ("example-gap", (3.0,), (2.0, 2.0, True, True)),
+    ("example-nin", BOTTOM, (-_INF, 1.0, False, True)),
+    ("example-nin", TOP, (_INF, _INF, True, False)),
+    ("example-nin", 0, (_INF, _INF, True, False)),
+    ("example-nin", -1, (1.0, 1.0, True, True)),
+    ("example-nin", -4, (4.0, 4.0, True, True)),
+    ("example-nin", -(2**1023), (2.0**1023, 2.0**1023, True, True)),
+]
+
+
+@pytest.mark.parametrize("name, query, record", _RECORDS, ids=[
+    "gap-Bottom", "gap-Top", "gap-(-2.5)", "gap-(0.0)", "gap-(0.5)", "gap-(1.0)", "gap-(3.0)",
+    "nin-Bottom", "nin-Top", "nin-0", "nin--1", "nin--4", "nin--2**1023"])
+def test_fixture_record_table(name, query, record):
+    fx = get_fixture(name)
+    assert fx.record(query) == record
+    assert fx.lower_sup(query) == record[0]
+    assert fx.upper_inf(query) == record[1]
+    assert fx.contour_occupancy(query) == record[2:]
+
+
 def test_fixture_occupancy():
     fx = example_nin()
     assert fx.contour_occupancy(0) == (True, False)
