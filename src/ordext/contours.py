@@ -11,9 +11,12 @@ all of these correctly against each other, so no wrapper type is needed;
 nor is one for a query point, which is an element or ``TOP``/``BOTTOM``.
 :func:`bound_text` prints a bound as ``-inf``, ``+inf`` or ``str(v)``.
 
-Oracles hide how the bounds are produced.  :class:`AnalyticFixture`
-carries closed forms supplied by a fixture author, which is the only
-honest way to represent infinite sample sets.  :class:`FiniteSampleOracle`
+Oracles hide how the bounds are produced.  Each reads one record per
+point, both bounds and whether each contour holds a sample, and
+:class:`ContourOracle` derives the three single reads from it.
+:class:`AnalyticFixture` carries one closed-form record function supplied
+by a fixture author, which is the only honest way to represent infinite
+sample sets.  :class:`FiniteSampleOracle`
 reads the bounds of a finite sample set, its max and min isotonic
 envelopes, from the one structure per sample set that :func:`bounds_of`
 picks by the exact type of the preorder and keeps, which the sample
@@ -135,11 +138,15 @@ class PartialUtility:
 
 
 class ContourOracle(ABC):
-    """Supplier of the two bound functions over the augmented ground set.
+    """Supplier of the bounds over the augmented ground set.
 
-    Implementations must satisfy ``lower_sup(BOTTOM) = -inf`` and
-    ``upper_inf(TOP) = +inf`` (the contours of the artificial extremes
-    on their far side are empty by construction).
+    An oracle reads one :meth:`record` per point, and the base derives
+    ``lower_sup``, ``upper_inf`` and ``contour_occupancy`` from it; an
+    oracle may answer one of them otherwise, as :class:`FiniteSampleOracle`
+    does from its last record.  Implementations must satisfy
+    ``lower_sup(BOTTOM) = -inf`` and ``upper_inf(TOP) = +inf`` (the
+    contours of the artificial extremes on their far side are empty by
+    construction).
     """
 
     @property
@@ -148,31 +155,28 @@ class ContourOracle(ABC):
         """The ambient preorder the contours are taken in."""
 
     @abstractmethod
+    def record(self, x) -> Record:
+        """``(lower_sup, upper_inf, *contour_occupancy)`` at ``x``, read once."""
+
     def lower_sup(self, x) -> float:
         """Supremum of sample values weakly below ``x``; ``-math.inf`` when none."""
+        return self.record(x)[0]
 
-    @abstractmethod
     def upper_inf(self, x) -> float:
         """Infimum of sample values weakly above ``x``; ``math.inf`` when none."""
+        return self.record(x)[1]
 
-    @abstractmethod
     def contour_occupancy(self, x) -> Tuple[bool, bool]:
         """(lower contour non-empty, upper contour non-empty) at ``x``.
 
         Infinite bounds do not determine this: an infinite sample set can
         fill a contour while its value bound still diverges.
         """
+        return self.record(x)[2:]
 
     @abstractmethod
     def in_samples(self, x: Element) -> bool:
         """True iff ``x`` is one of the sample points."""
-
-    def record(self, x) -> Record:
-        """``(lower_sup, upper_inf, *contour_occupancy)`` at ``x``.
-
-        Oracles that hold all four in one record override this to read it once.
-        """
-        return (self.lower_sup(x), self.upper_inf(x), *self.contour_occupancy(x))
 
     @abstractmethod
     def sample_value(self, x: Element) -> float:
@@ -479,36 +483,34 @@ class FiniteSampleOracle(ContourOracle):
 class AnalyticFixture(ContourOracle):
     """Closed-form bounds for ground sets too large to enumerate.
 
-    The fixture author supplies the bound functions over the augmented
-    ground set, the contour occupancy function, the sample membership test
-    and the sample values, a derivation note, and refuting probe pairs
+    The fixture author supplies one record function over the augmented
+    ground set, returning ``(a, b, lower occupied, upper occupied)`` as
+    :meth:`ContourOracle.record` does, the sample membership test and the
+    sample values, a derivation note, and refuting probe pairs
     ``(x, x_prime)`` with ``x_prime`` strictly above ``x``; every one is
     required.  Every query that is not ``TOP`` or ``BOTTOM`` is checked
     once, by ``ambient._check``, before a fixture function sees it, so the
-    bound and occupancy functions get ``TOP``, ``BOTTOM`` or a checked
-    element, and the membership and value functions a checked element; a
-    foreign query raises ``ForeignElementError``.  Probes are re-validated
-    at construction time.  The bound functions return plain numbers, with
+    record function gets ``TOP``, ``BOTTOM`` or a checked element, and the
+    membership and value functions a checked element; a foreign query
+    raises ``ForeignElementError``.  Probes are re-validated at
+    construction time.  The bounds are plain numbers, with
     ``-math.inf``/``math.inf`` for the infinities; a NaN bound raises
     ``ValueError`` when it is read.
     """
 
     name: str
     ambient: Preorder
-    lower_sup_fn: Callable[[object], float]  # an element, TOP or BOTTOM
-    upper_inf_fn: Callable[[object], float]
+    record_fn: Callable[[object], Record]  # an element, TOP or BOTTOM
     probes: Tuple[Tuple[object, object], ...]
     derivation: str
-    occupancy_fn: Callable[[object], Tuple[bool, bool]]
     sample_membership_fn: Callable[[Element], bool]
     sample_value_fn: Callable[[Element], float]
 
     def __post_init__(self):
         for x, x_prime in self.probes:
             if not strictly_above(self.ambient, x_prime, x):
-                raise ValueError(
-                    f"fixture {self.name!r}: probe ({x}, {x_prime}) is not a strict pair"
-                )
+                raise ValueError(f"fixture {self.name!r}: probe ({safe_repr(x)}, "
+                                 f"{safe_repr(x_prime)}) is not a strict pair")
         if self.lower_sup(BOTTOM) != -math.inf:
             raise ValueError(f"fixture {self.name!r}: lower_sup(Bottom) must be -inf")
         if self.upper_inf(TOP) != math.inf:
@@ -518,29 +520,17 @@ class AnalyticFixture(ContourOracle):
     def rel(self) -> Preorder:
         return self.ambient
 
-    def _query(self, x):
-        """``x`` if it is ``TOP`` or ``BOTTOM``, else ``x`` checked by ``ambient``."""
-        return x if x is TOP or x is BOTTOM else self.ambient._check(x)
-
-    def _bound(self, fn: Callable[[object], float], x) -> float:
-        v = fn(self._query(x))
-        if isinstance(v, float) and math.isnan(v):
-            raise ValueError(f"fixture {self.name!r}: bound at {x!r} is NaN")
-        return v
-
-    def lower_sup(self, x) -> float:
-        return self._bound(self.lower_sup_fn, x)
-
-    def upper_inf(self, x) -> float:
-        return self._bound(self.upper_inf_fn, x)
-
-    def contour_occupancy(self, x) -> Tuple[bool, bool]:
-        return self.occupancy_fn(self._query(x))
+    def record(self, x) -> Record:
+        entry = self.record_fn(x if x is TOP or x is BOTTOM else self.ambient._check(x))
+        for v in entry[:2]:
+            if isinstance(v, float) and math.isnan(v):
+                raise ValueError(f"fixture {self.name!r}: bound at {safe_repr(x)} is NaN")
+        return entry
 
     def in_samples(self, x: Element) -> bool:
         return self.sample_membership_fn(self.ambient._check(x))
 
     def sample_value(self, x: Element) -> float:
         if not self.in_samples(x):
-            raise KeyError(f"{x!r} is not a sample point of fixture {self.name!r}")
+            raise KeyError(f"{safe_repr(x)} is not a sample point of fixture {self.name!r}")
         return self.sample_value_fn(x)

@@ -44,7 +44,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ordext.contours import ContourOracle, FiniteSampleOracle, PartialUtility, Record
 from ordext.monotonicity import check_pareto_set_values
-from ordext.orders import Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError
+from ordext.orders import (
+    Element, FinitePreorder, ParetoSpace, Preorder, UnsupportedQueryError, safe_repr,
+)
 from ordext.utility import UtilityFn, finite_utility, normalize01, pareto_base_utility, squash
 
 __all__ = [
@@ -155,11 +157,11 @@ class ExtensionEngine:
         a, b = self._oracle.lower_sup(x), self._oracle.upper_inf(x)
         if not a < math.inf:
             raise UnboundedContourError(
-                f"lower supremum at {x!r} is +inf; instance is not gap-safe"
+                f"lower supremum at {safe_repr(x)} is +inf; instance is not gap-safe"
             )
         if not b > -math.inf:
             raise UnboundedContourError(
-                f"upper infimum at {x!r} is -inf; instance is not gap-safe"
+                f"upper infimum at {safe_repr(x)} is -inf; instance is not gap-safe"
             )
         return float(a), float(b)
 
@@ -184,11 +186,11 @@ class ExtensionEngine:
         a, b = oracle.lower_sup(x), oracle.upper_inf(x)
         if not a < math.inf:
             raise UnboundedContourError(
-                f"lower supremum at {x!r} is +inf; instance is not gap-safe"
+                f"lower supremum at {safe_repr(x)} is +inf; instance is not gap-safe"
             )
         if not b > -math.inf:
             raise UnboundedContourError(
-                f"upper infimum at {x!r} is -inf; instance is not gap-safe"
+                f"upper infimum at {safe_repr(x)} is -inf; instance is not gap-safe"
             )
         a, b = float(a), float(b)
         alpha, beta = self._alpha, self._beta

@@ -2,9 +2,10 @@
 
 Closed forms are derived by hand and recorded in each fixture's
 ``derivation``; the probe lists carry the strict pairs that refute
-gap-safety where applicable.  Each bound function gets an element of the
-fixture's ground set, already checked by its order, or the sentinel
-``TOP`` or ``BOTTOM``.
+gap-safety where applicable.  Each fixture writes its case split once, in
+one record function: it gets an element of the fixture's ground set,
+already checked by its order, or the sentinel ``TOP`` or ``BOTTOM``, and
+returns ``(a, b, lower occupied, upper occupied)`` there.
 """
 
 from __future__ import annotations
@@ -26,25 +27,28 @@ from ordext.orders import (
 __all__ = ["FIXTURE_NAMES", "example_gap", "example_nin", "get_fixture"]
 
 
-def _line_bound(x) -> float:
-    """Shared bound for the split-line instance; both bounds coincide.
+def _line_record(x):
+    """The record of the split-line instance; both bounds coincide.
 
     Samples are the reals <= 0 valued identically and the reals > 1
     valued shifted down by one.  Sweeping the sup of values below v:
     v for v <= 0, frozen at 0 across the gap (0, 1], and v - 1 past it.
     The inf of values above v traces the same three cases, because the
-    value ranges below and above any v share their endpoint.
+    value ranges below and above any v share their endpoint.  Samples
+    reach below and above every real point.
     """
     if x is BOTTOM:
-        return -math.inf
+        return (-math.inf, -math.inf, False, True)
     if x is TOP:
-        return math.inf
+        return (math.inf, math.inf, True, False)
     (v,) = x
     if v <= 0.0:
-        return v
-    if v <= 1.0:
-        return 0.0
-    return v - 1.0
+        bound = v
+    elif v <= 1.0:
+        bound = 0.0
+    else:
+        bound = v - 1.0
+    return (bound, bound, True, True)
 
 
 def _line_in_samples(p: Element) -> bool:
@@ -54,15 +58,6 @@ def _line_in_samples(p: Element) -> bool:
 def _line_value(p: Element) -> float:
     (v,) = p
     return v if v <= 0.0 else v - 1.0
-
-
-def _line_occupancy(x):
-    if x is BOTTOM:
-        return (False, True)
-    if x is TOP:
-        return (True, False)
-    # samples reach below and above every real point
-    return (True, True)
 
 
 def example_gap() -> AnalyticFixture:
@@ -76,8 +71,7 @@ def example_gap() -> AnalyticFixture:
     return AnalyticFixture(
         name="example-gap",
         ambient=ParetoSpace(1),
-        lower_sup_fn=_line_bound,
-        upper_inf_fn=_line_bound,
+        record_fn=_line_record,
         probes=(
             ((-2.0,), (-1.0,)),
             ((1.5,), (2.5,)),
@@ -91,7 +85,6 @@ def example_gap() -> AnalyticFixture:
             "attained at v itself), 0 (0 < v <= 1, inf of the right "
             "ray), v - 1 (v > 1).  The probe (0, 1) has equal bounds 0."
         ),
-        occupancy_fn=_line_occupancy,
         sample_membership_fn=_line_in_samples,
         sample_value_fn=_line_value,
     )
@@ -119,38 +112,14 @@ class _DominantZeroOrder(Preorder):
         return x == y or x == 0
 
 
-def _nin_lower_sup(x) -> float:
-    if x is BOTTOM:
-        return -math.inf
-    if x is TOP:
-        # sup of sample values over the whole sample set, which is unbounded
-        return math.inf
-    if x == 0:
-        # every sample sits below zero, so the sup again diverges
-        return math.inf
-    return float(-x)
-
-
-def _nin_upper_inf(x) -> float:
+def _nin_record(x):
     if x is BOTTOM:
         # inf over the whole sample set: values are 1, 2, 3, ...
-        return 1.0
-    if x is TOP:
-        return math.inf
-    if x == 0:
-        # no sample dominates zero
-        return math.inf
-    return float(-x)
-
-
-def _nin_occupancy(x):
-    if x is BOTTOM:
-        return (False, True)
-    if x is TOP:
-        return (True, False)
-    if x == 0:
-        return (True, False)
-    return (True, True)
+        return (-math.inf, 1.0, False, True)
+    if x is TOP or x == 0:
+        # every sample sits below, so the sup diverges; none sits above
+        return (math.inf, math.inf, True, False)
+    return (float(-x), float(-x), True, True)
 
 
 def example_nin() -> AnalyticFixture:
@@ -165,8 +134,7 @@ def example_nin() -> AnalyticFixture:
     return AnalyticFixture(
         name="example-nin",
         ambient=_DominantZeroOrder(),
-        lower_sup_fn=_nin_lower_sup,
-        upper_inf_fn=_nin_upper_inf,
+        record_fn=_nin_record,
         probes=(
             (BOTTOM, -5),
             (-1, 0),
@@ -180,7 +148,6 @@ def example_nin() -> AnalyticFixture:
             "upper contour is empty (inf is +inf).  Bottom sees the "
             "whole set from below: inf of {1, 2, 3, ...} is 1."
         ),
-        occupancy_fn=_nin_occupancy,
         sample_membership_fn=lambda p: p < 0,
         sample_value_fn=lambda p: float(-p),
     )

@@ -264,7 +264,7 @@ def check_gap_safe_probes(
     """
     for x, x_prime in probes:
         if not strictly_above(oracle.rel, x_prime, x):
-            raise ValueError(f"probe ({x}, {x_prime}) is not a strict pair")
+            raise ValueError(f"probe ({safe_repr(x)}, {safe_repr(x_prime)}) is not a strict pair")
         if not (oracle.upper_inf(x_prime) > oracle.lower_sup(x)):
             return _bound_witness(
                 oracle, x, x_prime, "x' strictly dominates x but b(x') <= a(x)"

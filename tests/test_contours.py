@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ordext.contours import (
     AnalyticFixture,
+    ContourOracle,
     FiniteSampleOracle,
     PartialUtility,
     bound_text,
@@ -147,11 +148,10 @@ def _line_fixture(bound):
     return AnalyticFixture(
         name="line",
         ambient=ParetoSpace(1),
-        lower_sup_fn=lambda x: -math.inf if x is BOTTOM else bound(x),
-        upper_inf_fn=lambda x: math.inf if x is TOP else bound(x),
+        record_fn=lambda x: (-math.inf if x is BOTTOM else bound(x),
+                             math.inf if x is TOP else bound(x), True, True),
         probes=(),
         derivation="test",
-        occupancy_fn=lambda x: (True, True),
         sample_membership_fn=lambda x: False,
         sample_value_fn=lambda x: 0.0,
     )
@@ -161,7 +161,9 @@ def test_fixture_bounds_reject_nan_and_keep_infinities():
     fx = _line_fixture(lambda x: math.inf if x is TOP else -math.inf)
     assert fx.lower_sup(TOP) == math.inf and fx.upper_inf(BOTTOM) == -math.inf
     assert fx.lower_sup((0.0,)) == -math.inf
-    nan = _line_fixture(lambda x: math.nan)
+    # a record is read whole, so the sentinels' records are kept free of NaN
+    # for the fixture to be built
+    nan = _line_fixture(lambda x: 0.0 if x is TOP or x is BOTTOM else math.nan)
     with pytest.raises(ValueError, match="NaN"):
         nan.lower_sup((0.0,))
     with pytest.raises(ValueError, match="NaN"):
@@ -171,33 +173,58 @@ def test_fixture_bounds_reject_nan_and_keep_infinities():
 def test_fixture_hands_each_query_itself_to_its_functions():
     seen = []
 
-    def record(result):
-        return lambda x: seen.append(x) or result(x)
+    def record(x):
+        seen.append(x)
+        return (-math.inf if x is BOTTOM else 0.0, math.inf if x is TOP else 0.0, True, True)
 
     fx = AnalyticFixture(
         name="spy",
         ambient=ParetoSpace(1),
-        lower_sup_fn=record(lambda x: -math.inf if x is BOTTOM else 0.0),
-        upper_inf_fn=record(lambda x: math.inf if x is TOP else 0.0),
+        record_fn=record,
         probes=(),
         derivation="test",
-        occupancy_fn=record(lambda x: (True, True)),
         sample_membership_fn=lambda x: False,
         sample_value_fn=lambda x: 0.0,
     )
     for query in ((0.5,), TOP, BOTTOM):
-        for read in (fx.lower_sup, fx.upper_inf, fx.contour_occupancy):
+        for read in (fx.record, fx.lower_sup, fx.upper_inf, fx.contour_occupancy):
             seen.clear()
             read(query)
             assert len(seen) == 1 and seen[0] is query, (read, query)
 
 
-@pytest.mark.parametrize("missing", ["occupancy_fn", "sample_membership_fn", "sample_value_fn"])
+@pytest.mark.parametrize("missing", ["record_fn", "sample_membership_fn", "sample_value_fn"])
 def test_fixture_without_a_declared_function_is_refused(missing):
     fields = dict(vars(_line_fixture(lambda x: 0.0)))
     del fields[missing]
     with pytest.raises(TypeError, match=missing):
         AnalyticFixture(**fields)
+
+
+def test_an_oracle_answers_the_single_reads_from_its_record():
+    class OneRecord(ContourOracle):
+        rel = ParetoSpace(1)
+
+        def record(self, x):
+            return (-1.0, 2.0, True, False)
+
+        def in_samples(self, x):
+            return False
+
+        def sample_value(self, x):
+            raise KeyError(x)
+
+    oracle = OneRecord()
+    assert oracle.lower_sup((0.0,)) == -1.0
+    assert oracle.upper_inf((0.0,)) == 2.0
+    assert oracle.contour_occupancy((0.0,)) == (True, False)
+
+    class NoRecord(ContourOracle):
+        rel = ParetoSpace(1)
+        in_samples, sample_value = OneRecord.in_samples, OneRecord.sample_value
+
+    with pytest.raises(TypeError, match="record"):
+        NoRecord()
 
 
 def test_occupancy_and_membership():

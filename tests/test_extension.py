@@ -1,6 +1,7 @@
 """Extension engine: formula variants, region labels, and monotonicity."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -191,14 +192,8 @@ def test_unbounded_lower_sup_is_refused():
         def rel(self):
             return self._rel
 
-        def lower_sup(self, x):
-            return math.inf
-
-        def upper_inf(self, x):
-            return math.inf
-
-        def contour_occupancy(self, x):
-            return (True, False)
+        def record(self, x):
+            return (math.inf, math.inf, True, False)
 
         def in_samples(self, x):
             return False
@@ -209,6 +204,10 @@ def test_unbounded_lower_sup_is_refused():
     engine = make_engine(_Unbounded(ParetoSpace(1)))
     with pytest.raises(UnboundedContourError):
         engine.evaluate((0.0,))
+    # a query that repr cannot write is named by its size
+    with pytest.raises(UnboundedContourError, match=re.escape(
+            f"lower supremum at {_HUGE_SHOWN} is +inf; instance is not gap-safe")):
+        engine.evaluate(_HUGE)
     with pytest.raises(UnboundedContourError):
         list(engine.evaluate_many([(0.0,)]))
     # classification stays total even where evaluation refuses
@@ -225,20 +224,32 @@ class _FixedBounds(ContourOracle):
     def rel(self):
         return ParetoSpace(1)
 
-    def lower_sup(self, x):
-        return self._a
-
-    def upper_inf(self, x):
-        return self._b
-
-    def contour_occupancy(self, x):
-        return (True, True)
+    def record(self, x):
+        return (self._a, self._b, True, True)
 
     def in_samples(self, x):
         return False
 
     def sample_value(self, x):
         raise KeyError(x)
+
+
+# a valid 1-vector whose repr raises ValueError, past the int digit limit
+_HUGE = (Fraction(10**5000 - 1, 10**5000),)
+_HUGE_SHOWN = "(<Fraction of 16610 bits over 16610 bits>,)"
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (math.inf, math.inf, f"lower supremum at {_HUGE_SHOWN} is +inf; instance is not gap-safe"),
+    (-math.inf, -math.inf, f"upper infimum at {_HUGE_SHOWN} is -inf; instance is not gap-safe"),
+], ids=["lower", "upper"])
+@pytest.mark.parametrize("form", ["evaluate", "evaluate_offset_form"])
+def test_unbounded_refusals_name_a_huge_query_by_size(a, b, message, form):
+    # evaluate inlines the check that the reference forms read through
+    # _bounded_floats; both name the query by safe_repr
+    engine = ExtensionEngine(_FixedBounds(a, b), 0.0, 1.0, UtilityFn(lambda x: 0.0))
+    with pytest.raises(UnboundedContourError, match=f"^{re.escape(message)}$"):
+        getattr(engine, form)(_HUGE)
 
 
 _REALS = st.floats(allow_nan=False, allow_infinity=False)
@@ -563,27 +574,29 @@ def test_evaluate_many_matches_per_point_reads_on_finite_preorders(rel, data, bo
 
 
 def test_evaluate_many_reads_the_record_before_evaluating(monkeypatch):
-    # a fixture whose occupancy function raises cannot read a record, though
-    # it can evaluate: evaluate_many raises that error before evaluating
+    # a fixture whose record function raises at every element can neither
+    # evaluate nor read a record: evaluate_many raises that error before
+    # it evaluates
     class Unreadable(Exception):
         pass
 
-    def occupancy(x):
+    def record(x):
+        if x is TOP or x is BOTTOM:
+            return (-math.inf, math.inf, False, False)
         raise Unreadable(x)
 
     fixture = AnalyticFixture(
-        name="unreadable-occupancy",
+        name="unreadable-record",
         ambient=ParetoSpace(1),
-        lower_sup_fn=lambda x: -math.inf if x is BOTTOM else 0.0,
-        upper_inf_fn=lambda x: math.inf if x is TOP else 1.0,
+        record_fn=record,
         probes=(),
         derivation="test",
-        occupancy_fn=occupancy,
         sample_membership_fn=lambda x: False,
         sample_value_fn=lambda x: 0.0,
     )
     engine = make_engine(fixture)
-    assert 0.0 < engine.evaluate((0.5,)) < 1.0
+    with pytest.raises(Unreadable):
+        engine.evaluate((0.5,))
     evaluated = []
     monkeypatch.setattr(engine, "evaluate", lambda x: evaluated.append(x) or 0.5)
     with pytest.raises(Unreadable):

@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -185,9 +186,37 @@ def test_fixture_refuses_a_probe_that_is_not_strict(probe):
 def test_fixture_refuses_a_finite_bound_at_a_sentinel():
     gap = example_gap()
     with pytest.raises(ValueError, match=r"^fixture 'example-gap': lower_sup\(Bottom\) must be -inf$"):
-        replace(gap, lower_sup_fn=lambda x: 0.0 if x is BOTTOM else gap.lower_sup_fn(x))
+        replace(gap, record_fn=lambda x: (0.0, -math.inf, False, True) if x is BOTTOM
+                else gap.record_fn(x))
     with pytest.raises(ValueError, match=r"^fixture 'example-gap': upper_inf\(Top\) must be \+inf$"):
-        replace(gap, upper_inf_fn=lambda x: 0.0 if x is TOP else gap.upper_inf_fn(x))
+        replace(gap, record_fn=lambda x: (math.inf, 0.0, True, False) if x is TOP
+                else gap.record_fn(x))
+
+
+# a valid 1-vector whose repr raises ValueError, past the int digit limit
+_HUGE = (Fraction(10**5000 - 1, 10**5000),)
+_HUGE_SHOWN = "(<Fraction of 16610 bits over 16610 bits>,)"
+
+
+def test_fixture_messages_name_a_huge_query_by_size():
+    gap = example_gap()
+    with pytest.raises(KeyError, match=re.escape(
+            f"{_HUGE_SHOWN} is not a sample point of fixture 'example-gap'")):
+        gap.sample_value(_HUGE)
+    nan = replace(gap, record_fn=lambda x: gap.record_fn(x) if x is TOP or x is BOTTOM
+                  else (math.nan, 0.0, True, True))
+    with pytest.raises(ValueError, match=re.escape(
+            f"fixture 'example-gap': bound at {_HUGE_SHOWN} is NaN")):
+        nan.record(_HUGE)
+
+
+def test_probe_refusals_name_a_huge_probe_by_size():
+    probe = (_HUGE, (0.0,))
+    message = f"probe ({_HUGE_SHOWN}, (0.0,)) is not a strict pair"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_gap_safe_probes(example_gap(), [probe])
+    with pytest.raises(ValueError, match=f"^fixture 'example-gap': {re.escape(message)}$"):
+        replace(example_gap(), probes=(probe,))
 
 
 # each read checks its query by the fixture's order before a fixture
